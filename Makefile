@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke bench bench-sweep bench-memtier bench-parsim trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke parsim-smoke
+.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke bench bench-sweep bench-memtier trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
 
 all: build test
 
@@ -21,15 +21,14 @@ lint:
 vet:
 	$(GO) vet ./...
 
-# race exercises the only packages that touch goroutines (the engine and
-# its parallel cluster, the network model, the machine's sharded run
-# mode, the sweep orchestrator's worker pool, and the distributed sweep
-# service) under the race detector, plus the memory-model fuzzing layer
-# whose runs ride the sweep worker pool and the memory-tier models that
-# ride the mesh's server primitives. Each engine shard is single-threaded
-# by contract, so the interesting schedules are in the lockstep handoff,
-# the window dispatch/barrier, the pool merge, and the coordinator's
-# lease machinery.
+# race exercises the only packages that touch goroutines (the engine, the
+# network model, the machine's lockstep thread handoff, the sweep
+# orchestrator's worker pool, and the distributed sweep service) under the
+# race detector, plus the memory-model fuzzing layer whose runs ride the
+# sweep worker pool and the memory-tier models that ride the mesh's server
+# primitives. The simulation core is single-threaded by contract, so the
+# interesting schedules are in the lockstep handoff, the pool merge, and
+# the coordinator's lease machinery.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/swexd/... ./internal/litmus/...
 
@@ -128,25 +127,6 @@ memtier-smoke:
 	$(GO) test ./internal/litmus/ -run 'MemTier|WeakenedFixtureStillCaught' -count=1
 	$(GO) run ./cmd/swex -quick tiers >/dev/null
 
-# parsim-smoke exercises the conservative parallel engine end to end: the
-# machine-level byte-identity suite (serial vs parallel at several worker
-# counts, the broken-lookahead negative fixture), the sweep-level identity
-# and cache-key-exclusion tests, the full quick exhibit matrix rendered
-# byte-identically at 2/4/8 engine workers, and the CLI knob itself.
-parsim-smoke:
-	$(GO) test ./internal/machine/ -run 'TestParallel|TestBrokenLookahead' -count=1
-	$(GO) test ./internal/sweep/ -run 'TestSimWorkersOutsideCacheKey|TestRunnerSimWorkersMatchesSerial' -count=1
-	$(GO) test . -run 'TestParallelExhibitsByteIdentical' -count=1
-	$(GO) run ./cmd/swex -quick -simworkers 4 scaling extrapolation >/dev/null
-
-# bench-parsim regenerates the committed parallel-engine baseline: the
-# cluster's window-dispatch overlap (dwell-based, so the overlap is
-# measurable even on a single-core container — the same honesty argument
-# as bench-sweep's pool-overlap rows) and the 256-node scaling-study
-# slice serial vs four engine workers on real simulation work.
-bench-parsim:
-	$(GO) test -run '^$$' -bench 'Parsim' -benchtime 1x -benchmem ./internal/sim/ . | $(GO) run ./cmd/swexbench -o BENCH_parsim.json
-
 # bench-memtier regenerates the committed memory-tier overhead baseline:
 # the directory memory-access hook when no tier is installed (must cost
 # ~nothing), each tier family's hot path, and the directoryless machine
@@ -162,4 +142,4 @@ trace-smoke:
 	$(GO) run ./cmd/swextrace -worker 4 -iters 2 -nodes 4 -protocol h2 -o /tmp/swextrace-smoke.json
 	$(GO) run ./cmd/swextrace profile -worker 4 -iters 2 -nodes 4 -protocol h2 >/dev/null
 
-check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke parsim-smoke
+check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke

@@ -53,13 +53,6 @@ type Options struct {
 	// the assemblers consume results by submission index either way, so
 	// output is byte-identical wherever the simulations ran.
 	Sweep JobRunner
-	// SimWorkers runs each simulation on the conservative parallel engine
-	// with this many shard workers (0 or 1 = serial). It only configures
-	// the private runner used when Sweep is nil; a caller-supplied runner
-	// carries its own sweep.Config.SimWorkers. Either way the knob is
-	// invisible to the result cache: parallel runs are byte-identical to
-	// serial (DESIGN.md §14), so the two share cache entries.
-	SimWorkers int
 }
 
 // sweeper returns the runner the experiment executes on.
@@ -67,7 +60,7 @@ func (o Options) sweeper() JobRunner {
 	if o.Sweep != nil {
 		return o.Sweep
 	}
-	return sweep.MustNewRunner(sweep.Config{SimWorkers: o.SimWorkers})
+	return sweep.MustNewRunner(sweep.Config{})
 }
 
 // run executes the matrix with fail-fast semantics.
@@ -755,10 +748,8 @@ func (d *ScalingData) Figure() *report.Figure {
 // ExtrapolationData holds TSP speedups and per-node efficiencies at
 // machine sizes beyond the paper's reach. Figure 5 stops at 256 nodes —
 // the largest machine NWO could simulate in the time the authors had;
-// this exhibit continues the same curve to 512 and 1024 nodes, which the
-// conservative parallel engine (DESIGN.md §14) makes affordable: the
-// simulation is byte-identical to a serial run but finishes in a fraction
-// of the wall-clock time.
+// this exhibit continues the same curve to 512 and 1024 nodes on the
+// serial engine.
 type ExtrapolationData struct {
 	Sizes     []int
 	Protocols []string

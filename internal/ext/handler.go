@@ -26,34 +26,6 @@ type Handlers struct {
 	// tracing subsystem (proto.BreakdownReporter); lastOK marks it valid.
 	last   stats.Breakdown
 	lastOK bool
-
-	// key and stage are the conservative-parallel plumbing (DESIGN.md
-	// §14). In parallel mode handlers on different homes run
-	// concurrently, so ledger records are staged per home — stamped with
-	// the issuing event's (cycle, key) via the key hook — and merged into
-	// the shared Ledger once, at the end of the run, in the canonical
-	// event order (DrainStaged). last/lastOK updates are skipped: they
-	// feed tracing, which parallel runs exclude. Nil in serial mode.
-	key   func(mem.NodeID) (sim.Cycle, int32, uint64)
-	stage []recStage
-}
-
-// stagedRec is one deferred ledger record stamped with the (cycle, event
-// key) of the handler event that recorded it.
-type stagedRec struct {
-	at     sim.Cycle
-	kOwner int32
-	kCnt   uint64
-	rec    stats.HandlerRecord
-}
-
-// recStage is one home's staged ledger records: guarded indexed stores
-// into a buffer whose headroom PrepareShard maintains, plus the drain
-// cursor DrainStaged uses.
-type recStage struct {
-	buf []stagedRec
-	n   int
-	cur int
 }
 
 // nodeSW is one node's software directory state.
@@ -75,101 +47,13 @@ func (h *Handlers) LastBreakdown() (stats.Breakdown, bool) {
 }
 
 // record notes one handler invocation in the ledger and remembers its
-// breakdown for LastBreakdown. In parallel mode the record is staged on
-// the handler's home instead (see Handlers.stage).
+// breakdown for LastBreakdown.
 //
 //swex:hotpath
-func (h *Handlers) record(home mem.NodeID, rec stats.HandlerRecord) {
-	if h.stage != nil {
-		st := &h.stage[home]
-		if st.n >= len(st.buf) {
-			panic("ext: ledger stage overflow: PrepareShard headroom too small for one event")
-		}
-		at, kO, kC := h.key(home)
-		st.buf[st.n] = stagedRec{at: at, kOwner: kO, kCnt: kC, rec: rec}
-		st.n++
-		return
-	}
+func (h *Handlers) record(rec stats.HandlerRecord) {
 	h.Ledger.Record(rec)
 	h.last = rec.Breakdown
 	h.lastOK = true
-}
-
-// EnableParallel switches the software into parallel mode: ledger records
-// are staged per home, stamped by key (the owning shard's clock and
-// current event key), and merged by DrainStaged. Must be called before
-// any simulated work.
-func (h *Handlers) EnableParallel(key func(mem.NodeID) (sim.Cycle, int32, uint64)) {
-	h.key = key
-	h.stage = make([]recStage, h.maxNodes)
-}
-
-// recHeadroom is the staged-record capacity PrepareShard guarantees per
-// event: a single event runs at most one handler (plus the batched-read
-// fallback's full-price retry), each recording once.
-const recHeadroom = 4
-
-// PrepareShard re-ensures the stage headroom of every home in [lo, hi)
-// for the next events events, so the hot record path never allocates.
-// One event records into at most one home, so after a call with events=k
-// the caller may skip its next k-1 per-event prepare hooks entirely —
-// the amortization that keeps this sweep over the shard's homes off the
-// per-event cost (machine.runParallel calls it on a countdown).
-func (h *Handlers) PrepareShard(lo, hi, events int) {
-	for i := lo; i < hi; i++ {
-		st := &h.stage[i]
-		if need := st.n + events*recHeadroom; need > len(st.buf) {
-			grown := make([]stagedRec, need+need/2+16)
-			copy(grown, st.buf[:st.n])
-			st.buf = grown
-		}
-	}
-}
-
-// StageLen reports how many records home has staged. Barrier-only.
-func (h *Handlers) StageLen(home mem.NodeID) int { return h.stage[home].n }
-
-// DrainStaged merges the staged records at or before cut into the shared
-// Ledger in the canonical event order — the exact order the serial engine
-// appended them in — and resets the stages. The order matters beyond the
-// ledger's totals: stats.Ledger.Median stable-sorts by cycle count, so
-// the record returned for a median query — its Breakdown in particular —
-// depends on insertion order among equal-cycle records; canonical-order
-// insertion reproduces the serial engine's exactly. Records after the cut
-// are the finish overrun and are discarded (DESIGN.md §14).
-func (h *Handlers) DrainStaged(cut sim.Cut) {
-	for i := range h.stage {
-		h.stage[i].cur = 0
-	}
-	for {
-		best := -1
-		var bestAt sim.Cycle
-		var bestO int32
-		var bestC uint64
-		for i := range h.stage {
-			st := &h.stage[i]
-			if st.cur >= st.n {
-				continue
-			}
-			r := &st.buf[st.cur]
-			if best < 0 || sim.KeyLess(r.at, r.kOwner, r.kCnt, bestAt, bestO, bestC) {
-				best, bestAt, bestO, bestC = i, r.at, r.kOwner, r.kCnt
-			}
-		}
-		if best < 0 {
-			break
-		}
-		st := &h.stage[best]
-		r := &st.buf[st.cur]
-		st.cur++
-		if !cut.Includes(r.at, r.kOwner, r.kCnt) {
-			continue
-		}
-		h.Ledger.Record(r.rec)
-	}
-	for i := range h.stage {
-		h.stage[i].n = 0
-	}
 }
 
 // New builds the extension software for an n-node machine running spec
@@ -250,7 +134,7 @@ func (h *Handlers) ReadOverflow(b mem.Block, drained []mem.NodeID, requester mem
 	if h.spec.SoftwareOnly && requester == mem.HomeOfBlock(b) {
 		rk = stats.LocalRequest
 	}
-	h.record(mem.HomeOfBlock(b), stats.HandlerRecord{
+	h.record(stats.HandlerRecord{
 		Kind: rk, Cycles: uint64(cost), Sharers: e.n, Breakdown: breakdown,
 	})
 	return cost
@@ -271,12 +155,7 @@ func (h *Handlers) ReadBatched(b mem.Block, requester mem.NodeID) sim.Cycle {
 	e.add(requester, h.maxNodes)
 	// Batched segments charge a flat incremental cost with no activity
 	// breakdown; invalidate the last one so tracing does not reuse it.
-	// Parallel mode skips the invalidation like record skips the update:
-	// last/lastOK feed tracing, which parallel runs exclude, and a shared
-	// write here would race between shards.
-	if h.stage == nil {
-		h.lastOK = false
-	}
+	h.lastOK = false
 	return h.cost.batchedReadCost(h.spec.SoftwareOnly)
 }
 
@@ -307,7 +186,7 @@ func (h *Handlers) WriteFault(b mem.Block, requester mem.NodeID, invs int) sim.C
 		ns.fl.put(e)
 	}
 	cost, breakdown := h.cost.writeCost(sharers, invs, probes, freed, h.parInv)
-	h.record(mem.HomeOfBlock(b), stats.HandlerRecord{
+	h.record(stats.HandlerRecord{
 		Kind: stats.WriteRequest, Cycles: uint64(cost), Sharers: invs, Breakdown: breakdown,
 	})
 	return cost
@@ -318,7 +197,7 @@ func (h *Handlers) WriteFault(b mem.Block, requester mem.NodeID, invs int) sim.C
 //swex:hotpath
 func (h *Handlers) AckTrap(b mem.Block, last bool) sim.Cycle {
 	cost, breakdown := h.cost.ackCost(last)
-	h.record(mem.HomeOfBlock(b), stats.HandlerRecord{
+	h.record(stats.HandlerRecord{
 		Kind: stats.AckRequest, Cycles: uint64(cost), Breakdown: breakdown,
 	})
 	return cost
@@ -329,7 +208,7 @@ func (h *Handlers) AckTrap(b mem.Block, last bool) sim.Cycle {
 //swex:hotpath
 func (h *Handlers) LastAckTrap(b mem.Block) sim.Cycle {
 	cost, breakdown := h.cost.ackCost(true)
-	h.record(mem.HomeOfBlock(b), stats.HandlerRecord{
+	h.record(stats.HandlerRecord{
 		Kind: stats.AckRequest, Cycles: uint64(cost), Breakdown: breakdown,
 	})
 	return cost

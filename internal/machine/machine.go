@@ -97,15 +97,6 @@ type Config struct {
 	// of the machine (see internal/trace). Nil disables tracing entirely:
 	// no observers are installed and the hot paths pay one nil branch.
 	Trace trace.Sink
-	// SimWorkers runs the simulation itself on that many worker
-	// goroutines using conservative time-window parallelism (DESIGN.md
-	// §14). Results are byte-identical to a serial run at any worker
-	// count — only wall-clock time changes — so SimWorkers is
-	// deliberately excluded from the sweep cache key. 0 or 1 is the
-	// serial engine. Parallel runs exclude the observation hooks
-	// (Trace), fault injection (LoseInv), and CustomSoftware; Validate
-	// rejects those combinations.
-	SimWorkers int
 }
 
 // DefaultConfig returns the paper's default machine: the given protocol
@@ -124,9 +115,6 @@ type Machine struct {
 	Soft   *ext.Handlers // nil for full-map
 	Traps  *ext.WatchdogTraps
 	Nodes  []*proc.Node
-
-	// par is the conservative-parallel state (nil when SimWorkers <= 1).
-	par *parRun
 }
 
 // New builds a machine from a configuration.
@@ -135,9 +123,9 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	engine := sim.NewEngine()
-	// Canonical event keys (one counter stream per node) give serial and
-	// parallel runs the identical event order; the parallel shard engines
-	// install their own shared slice in enableParallel.
+	// Canonical event keys (one counter stream per node) make the order
+	// of same-cycle events independent of how scheduling calls from
+	// different nodes interleave (DESIGN.md §8).
 	engine.SetStreams(make([]uint64, cfg.Nodes))
 	net := mesh.New(engine, mesh.DefaultConfig(cfg.Nodes))
 	memory := mem.New(cfg.Nodes)
@@ -214,11 +202,6 @@ func New(cfg Config) (*Machine, error) {
 	for i := range m.Nodes {
 		m.Nodes[i] = proc.NewNode(fabric, mem.NodeID(i))
 	}
-	if cfg.SimWorkers > 1 {
-		if err := m.enableParallel(cfg.SimWorkers); err != nil {
-			return nil, err
-		}
-	}
 	return m, nil
 }
 
@@ -288,9 +271,6 @@ type Result struct {
 // run summary. The limit bounds simulated cycles (0 = none); exceeding it
 // or deadlocking returns an error identifying the stuck nodes.
 func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) {
-	if m.par != nil {
-		return m.runParallel(program, limit)
-	}
 	threads := m.Cfg.ThreadsPerNode
 	if threads < 1 {
 		threads = 1
@@ -357,12 +337,6 @@ type Timeline struct {
 
 // RunProfiled is Run with periodic sampling every interval cycles.
 func (m *Machine) RunProfiled(program func(*proc.Env), limit sim.Cycle, interval sim.Cycle) (Result, *Timeline, error) {
-	if m.par != nil {
-		// Interval sampling reads machine-wide counters mid-run, which
-		// parallel mode defers to barriers; the combination is not
-		// supported rather than silently approximate.
-		return Result{}, nil, fmt.Errorf("machine: RunProfiled requires the serial engine (SimWorkers <= 1)")
-	}
 	if interval == 0 {
 		interval = 10_000
 	}

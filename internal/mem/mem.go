@@ -49,12 +49,11 @@ func SegBase(n NodeID) Addr { return Addr(n) * SegWords }
 // allocator per node segment. It holds word values only; all timing lives
 // in the cache and protocol models.
 //
-// The store is sharded by home segment — one map per node, indexed by
-// HomeOf — so the parallel engine's shards never share a map: at run
-// time a block's words are touched only by its home node's protocol
-// handlers (the directory serializes all access to a block through its
-// home), and the home runs on exactly one shard. The sharding is free
-// for the serial engine: HomeOf is a divide by a constant.
+// The store is split by home segment — one map per node, indexed by
+// HomeOf, which is a divide by a constant. A single machine-wide map
+// measured about 3% slower on the worker64-h0 benchmark workload (64-node
+// WORKER under the software-only directory, 2-core host), so the
+// per-home maps stay.
 type Memory struct {
 	nodes int
 	data  []map[Addr]uint64 // per-home-segment word store

@@ -188,18 +188,7 @@ type Model struct {
 	far    []mesh.TierLink // KindDisaggregated: per-home far link
 	ch     []sim.Server    // KindTiered: per-home memory channel
 	tiers  []homeTier      // KindTiered: per-home placement
-
-	// stats is the accounting, sharded by home: every runtime mutation
-	// happens on the accessed home, which the conservative parallel
-	// engine guarantees runs on exactly one shard, so per-home counters
-	// are race-free in parallel mode and sum to the machine-wide totals
-	// Stats reports. (The sums commute, so the totals are identical to a
-	// serial run's.)
-	stats []Stats
-
-	// clock, when non-nil, supplies the cycle home's shard observes in
-	// place of the master engine's clock (parallel mode; DESIGN.md §14).
-	clock func(mem.NodeID) sim.Cycle
+	stats  Stats           // machine-wide accounting
 }
 
 // New builds a model for a machine of n nodes. A KindFlat configuration
@@ -210,7 +199,7 @@ func New(engine *sim.Engine, n int, cfg Config) *Model {
 	if cfg.Kind == KindFlat {
 		return nil
 	}
-	m := &Model{cfg: cfg, engine: engine, stats: make([]Stats, n)}
+	m := &Model{cfg: cfg, engine: engine}
 	switch cfg.Kind {
 	case KindDisaggregated:
 		m.far = make([]mesh.TierLink, n)
@@ -237,24 +226,8 @@ func New(engine *sim.Engine, n int, cfg Config) *Model {
 // Kind reports the model's configured kind.
 func (m *Model) Kind() Kind { return m.cfg.Kind }
 
-// Stats sums the per-home accounting into the machine-wide totals.
-func (m *Model) Stats() Stats {
-	var t Stats
-	for i := range m.stats {
-		s := &m.stats[i]
-		t.Accesses += s.Accesses
-		t.FarQueued += s.FarQueued
-		t.DRAMHits += s.DRAMHits
-		t.NVMAccesses += s.NVMAccesses
-		t.Promotions += s.Promotions
-		t.Demotions += s.Demotions
-	}
-	return t
-}
-
-// EnableParallel installs the per-home clock used in parallel mode. Must
-// be called before any simulated work.
-func (m *Model) EnableParallel(clock func(mem.NodeID) sim.Cycle) { m.clock = clock }
+// Stats reports the model's machine-wide accounting.
+func (m *Model) Stats() Stats { return m.stats }
 
 // Access charges one directory-side memory access to block b at home and
 // returns its total latency (queueing included), which the caller folds
@@ -263,17 +236,12 @@ func (m *Model) EnableParallel(clock func(mem.NodeID) sim.Cycle) { m.clock = clo
 // a fire-and-forget write (a writeback landing in memory) delays the
 // reads behind it even though nothing waits on the write itself.
 func (m *Model) Access(home mem.NodeID, b mem.Block, write bool) sim.Cycle {
-	m.stats[home].Accesses++
-	var now sim.Cycle
-	if m.clock == nil {
-		now = m.engine.Now()
-	} else {
-		now = m.clock(home)
-	}
+	m.stats.Accesses++
+	now := m.engine.Now()
 	switch m.cfg.Kind {
 	case KindDisaggregated:
 		queue, transit := m.far[home].Transfer(now)
-		m.stats[home].FarQueued += queue
+		m.stats.FarQueued += queue
 		return queue + transit
 	case KindTiered:
 		return m.tieredAccess(home, b, write, now)
@@ -288,7 +256,7 @@ func (m *Model) Access(home mem.NodeID, b mem.Block, write bool) sim.Cycle {
 // the touch, and promotes the block when it crosses the threshold.
 func (m *Model) tieredAccess(home mem.NodeID, b mem.Block, write bool, now sim.Cycle) sim.Cycle {
 	t := &m.tiers[home]
-	st := &m.stats[home]
+	st := &m.stats
 	var lat sim.Cycle
 	if t.dram[b] {
 		st.DRAMHits++

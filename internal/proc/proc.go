@@ -128,7 +128,7 @@ func (n *Node) StartThreads(count int, fn func(*Env)) {
 			resp: make(chan uint64),  //lint:allow determinism(unbuffered lockstep handoff; see comment above)
 		}
 		t.executeFn = func() { t.execute(t.pending) }
-		t.ifetchFn = func() { t.node.f.Eng(t.node.ID).OwnedAfter(int(t.node.ID), 1, nil, t.executeFn) }
+		t.ifetchFn = func() { t.node.f.Engine.OwnedAfter(int(t.node.ID), 1, nil, t.executeFn) }
 		t.memDoneFn = t.memDone
 		t.replyFn = t.reply
 		t.replyZeroFn = func() { t.reply(0) }
@@ -139,7 +139,7 @@ func (n *Node) StartThreads(count int, fn func(*Env)) {
 			fn(env)
 			close(t.req) //lint:allow determinism(end-of-thread signal on the lockstep channel)
 		}()
-		eng := n.f.Eng(n.ID)
+		eng := n.f.Engine
 		eng.OwnedAt(int(n.ID), eng.Now(), nil, t.next)
 	}
 }
@@ -175,8 +175,7 @@ func (t *thread) next() {
 	r, ok := <-t.req //lint:allow determinism(lockstep handoff: the engine blocks here until the thread issues)
 	if !ok {
 		t.done = true
-		t.fin = t.node.f.Eng(t.node.ID).Now()
-		t.node.f.ThreadDone(t.node.ID)
+		t.fin = t.node.f.Engine.Now()
 		return
 	}
 	t.node.Ops++
@@ -191,7 +190,7 @@ func (t *thread) next() {
 		t.node.f.Cache(t.node.ID).Ifetch(pc, t.ifetchFn)
 		return
 	}
-	t.node.f.Eng(t.node.ID).OwnedAfter(int(t.node.ID), 1, nil, t.executeFn)
+	t.node.f.Engine.OwnedAfter(int(t.node.ID), 1, nil, t.executeFn)
 }
 
 // execute performs one operation and schedules the reply.
@@ -216,7 +215,7 @@ func (t *thread) execute(r request) {
 				Cat: trace.CatProc, Op: trace.OpCompute, Name: "compute",
 			})
 		}
-		n.f.Eng(n.ID).OwnedAt(int(n.ID), done, nil, t.replyZeroFn)
+		n.f.Engine.OwnedAt(int(n.ID), done, nil, t.replyZeroFn)
 	case opWatch:
 		n.f.Cache(n.ID).Watch(r.addr, r.old, t.replyFn)
 	case opCheckIn:
@@ -234,7 +233,7 @@ func (t *thread) execute(r request) {
 func (t *thread) memDone(v uint64) {
 	if len(t.node.threads) > 1 {
 		t.pendingVal = v
-		t.node.f.Eng(t.node.ID).OwnedAfter(int(t.node.ID), ContextSwitchCycles, nil, t.resumeFn)
+		t.node.f.Engine.OwnedAfter(int(t.node.ID), ContextSwitchCycles, nil, t.resumeFn)
 		return
 	}
 	t.reply(v)

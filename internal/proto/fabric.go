@@ -59,11 +59,6 @@ type Fabric struct {
 	// under "msg.dropped".
 	Fault func(Msg) bool
 
-	// par, when non-nil, puts the fabric in conservative-parallel mode:
-	// scheduling routes through per-shard engines and sends/statistics
-	// are staged for barrier-time merge (see parfabric.go).
-	par *parState
-
 	homes      []*HomeCtl
 	caches     []*CacheCtl
 	checker    *Checker
@@ -199,31 +194,6 @@ func (f *Fabric) Send(m Msg) { f.SendDelayed(m, 0) }
 //
 //swex:hotpath
 func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) {
-	if f.par != nil {
-		// Parallel mode: stage the send in the issuing shard's outbox
-		// for the barrier merge (parfabric.go). Senders always run on
-		// their own shard, so shardOf[m.Src] is the current shard. The
-		// hooks skipped here — fault injection, tracing, the in-flight
-		// registry — are exactly the features Validate excludes from
-		// parallel runs; the message counter is charged at merge time.
-		s := f.par.shardOf[m.Src]
-		ob := &f.par.outbox[s]
-		if ob.n >= len(ob.buf) {
-			panic("proto: send outbox overflow: PrepareShard headroom too small for one event")
-		}
-		e := f.par.engines[s]
-		kO, kC := e.CurKey()
-		ob.buf[ob.n] = stagedSend{
-			at:     e.Now(),
-			kOwner: kO,
-			kCnt:   kC,
-			dCnt:   e.TakeCnt(int(m.Src)),
-			extra:  extra,
-			m:      m,
-		}
-		ob.n++
-		return
-	}
 	if f.Fault != nil && f.Fault(m) {
 		f.Counters.Inc("msg.dropped")
 		if f.Trace != nil {

@@ -10,24 +10,23 @@
 // The engine guarantees this by a total event order: first by cycle, then
 // by an event key.
 //
-// Two keying disciplines exist, and they decide whether a simulation can
-// run on the conservative parallel engine (parsim.go, DESIGN.md §14):
+// Two keying disciplines exist:
 //
 //   - Unkeyed (At, After, AtCall, ...): the key is a per-engine sequence
-//     number assigned at scheduling time. Deterministic on one engine, but
-//     the tie order between same-cycle events depends on the global
-//     interleaving of scheduling calls — a property a sharded run cannot
-//     reproduce. Standalone engine users (the litmus harness, the model
-//     checker) use this form.
+//     number assigned at scheduling time, so same-cycle events fire in
+//     the order they were scheduled. Standalone engine users (the litmus
+//     harness, the model checker) use this form.
 //   - Owned (OwnedAt, OwnedAtCall, ... after SetStreams): the key is
 //     (owner, cnt) where owner is the model entity — here, the node — on
 //     whose behalf the event is scheduled and cnt is drawn from the
-//     owner's private counter stream. An owner's stream is consumed only
-//     by that owner's own deterministic execution, so every event's key is
-//     independent of how scheduling calls from different owners interleave.
-//     That interleaving-independence is what lets a parallel run reproduce
-//     the serial event order exactly; the machine uses owned scheduling for
-//     every event, serial or parallel.
+//     owner's private counter stream. Same-cycle events fire in node
+//     order, and within a node in that node's own scheduling order. An
+//     owner's stream is consumed only by that owner's own deterministic
+//     execution, so an event's position among its same-cycle peers does
+//     not depend on how scheduling calls from different nodes happen to
+//     interleave: a change that adds or removes work on one node cannot
+//     reorder ties among the others. The machine uses owned scheduling
+//     for every event, and every committed exhibit is measured under it.
 package sim
 
 import (
@@ -132,16 +131,8 @@ type Engine struct {
 
 	// streams holds the per-owner key counters for owned scheduling (see
 	// the package comment). Nil until SetStreams; owned calls then fall
-	// back to unkeyed scheduling. In a parallel machine every shard engine
-	// shares one slice — each shard consumes only the counters of nodes
-	// whose code runs on it, so the sharing is race-free.
+	// back to unkeyed scheduling.
 	streams []uint64
-
-	// curOwner and curCnt are the key of the event currently firing,
-	// readable through CurKey while inside an event. Between events they
-	// hold the last fired event's key.
-	curOwner int32
-	curCnt   uint64
 
 	// Observer, when non-nil, is invoked after every dispatched event
 	// with the clock and the number of events still pending. It feeds
@@ -227,37 +218,8 @@ func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any) *scheduled
 
 // SetStreams installs the per-owner key counter streams, switching the
 // Owned scheduling calls from the unkeyed fallback to canonical
-// (owner, cnt) keys. The machine installs one slice, indexed by node, on
-// every engine of a run — one engine serially, all shard engines in
-// parallel — so both modes assign identical keys.
+// (owner, cnt) keys. The machine installs one slice, indexed by node.
 func (e *Engine) SetStreams(streams []uint64) { e.streams = streams }
-
-// TakeCnt consumes and returns the next position of owner's key counter
-// stream, for callers that stage an event during one window and schedule
-// it later with KeyedAtCall. Consuming at staging time (rather than at the
-// deferred scheduling call) keeps the stream position identical to a
-// serial run, where the event is scheduled on the spot. Falls back to the
-// engine sequence when no streams are installed.
-//
-//swex:hotpath
-func (e *Engine) TakeCnt(owner int) uint64 {
-	if e.streams == nil {
-		c := e.seq
-		e.seq++
-		return c
-	}
-	c := e.streams[owner]
-	e.streams[owner]++
-	return c
-}
-
-// CurKey returns the key of the event currently firing (or the last fired
-// event, between events). Staging paths stamp deferred work with it so a
-// barrier merge can reproduce the exact serial order of the issuing
-// events.
-//
-//swex:hotpath
-func (e *Engine) CurKey() (owner int32, cnt uint64) { return e.curOwner, e.curCnt }
 
 // ownedKey resolves the key for an owned scheduling call: the owner's
 // next stream position, or the unkeyed fallback when no streams are
@@ -300,16 +262,6 @@ func (e *Engine) OwnedAfter(owner int, delay Cycle, tag any, fn Event) EventID {
 func (e *Engine) OwnedAtCall(owner int, at Cycle, tag any, c Caller) EventID {
 	o, cnt := e.ownedKey(owner)
 	ev := e.schedule(at, o, cnt, tag)
-	ev.call = c
-	return EventID{ev, ev.gen}
-}
-
-// KeyedAtCall schedules a Caller with an explicit pre-assigned key, taken
-// earlier with TakeCnt. The parallel barrier merge uses it to schedule
-// staged deliveries with the key the serial engine would have assigned at
-// send time.
-func (e *Engine) KeyedAtCall(owner int32, cnt uint64, at Cycle, tag any, c Caller) EventID {
-	ev := e.schedule(at, owner, cnt, tag)
 	ev.call = c
 	return EventID{ev, ev.gen}
 }
@@ -388,7 +340,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.events).(*scheduledEvent)
 	e.now = ev.at
-	e.curOwner, e.curCnt = ev.owner, ev.cnt
 	e.fired++
 	fire, call := ev.fire, ev.call
 	e.release(ev)
@@ -417,37 +368,6 @@ func (e *Engine) Run(limit Cycle) (Cycle, bool) {
 		e.Step()
 	}
 	return e.now, true
-}
-
-// NextAt reports the firing cycle of the earliest pending event and
-// whether one exists. The parallel window scheduler uses it to skip empty
-// windows: when every shard's next event lies beyond the current window,
-// time jumps straight to the minimum NextAt instead of crawling one
-// lookahead at a time.
-func (e *Engine) NextAt() (Cycle, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
-// RunWindow fires every pending event whose cycle is strictly below end,
-// in the canonical (cycle, key) order, leaving the clock at the last
-// fired event.
-// Events fired inside the window may schedule more events; those inside
-// [now, end) fire in the same call. prepare, when non-nil, runs before
-// every event — it is the parallel engine's cold headroom hook, where a
-// shard re-ensures staging-buffer capacity so the hot event path itself
-// can use guarded indexed stores and never allocate. RunWindow is not a
-// hot path: it is the per-window driver, called once per shard per
-// window from the cluster's worker loop.
-func (e *Engine) RunWindow(end Cycle, prepare func()) {
-	for len(e.events) > 0 && e.events[0].at < end {
-		if prepare != nil {
-			prepare()
-		}
-		e.Step()
-	}
 }
 
 // RunUntil fires events while cond returns false, stopping as soon as cond

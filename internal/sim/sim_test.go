@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +46,33 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-cycle events fired out of scheduling order: pos %d got %d", i, v)
+		}
+	}
+}
+
+// TestOwnedKeysOrderTiesByOwner pins the owned-key discipline: with
+// streams installed, same-cycle events fire in owner order and, within an
+// owner, in that owner's scheduling order — however the scheduling calls
+// of different owners interleave.
+func TestOwnedKeysOrderTiesByOwner(t *testing.T) {
+	run := func(owners []int) []int {
+		e := NewEngine()
+		e.SetStreams(make([]uint64, 2))
+		var fired []int
+		seq := []int{0, 0}
+		for _, o := range owners {
+			o, n := o, seq[o]
+			seq[o]++
+			e.OwnedAt(o, 10, nil, func() { fired = append(fired, 10*o+n) })
+		}
+		e.Run(0)
+		return fired
+	}
+	want := []int{0, 1, 2, 10, 11, 12} // owner 0's three events, then owner 1's
+	for _, owners := range [][]int{{0, 0, 0, 1, 1, 1}, {1, 1, 1, 0, 0, 0}, {1, 0, 1, 0, 0, 1}} {
+		got := run(owners)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("scheduling order %v fired %v, want %v", owners, got, want)
 		}
 	}
 }

@@ -46,14 +46,6 @@ type Config struct {
 	// asserting execution counts; it runs on worker goroutines and must
 	// be safe for concurrent use.
 	OnExecute func(Job)
-	// SimWorkers, when > 1, runs every executed job on the conservative
-	// parallel engine with that many shard workers (machine.Config's
-	// SimWorkers knob). It is a runner property, not a job property, and
-	// deliberately absent from Job.Key: parallel results are byte-identical
-	// to serial (DESIGN.md §14), so a cache entry produced at any worker
-	// count serves every other. Jobs that set their own Config.SimWorkers
-	// keep it.
-	SimWorkers int
 }
 
 // Runner executes job matrices. It memoizes results in process, optionally
@@ -300,9 +292,6 @@ func (r *Runner) executeOnce(job Job, key string) (res Result, err error) {
 		r.cfg.OnExecute(job)
 	}
 
-	if r.cfg.SimWorkers > 1 && job.Config.SimWorkers == 0 {
-		job.Config.SimWorkers = r.cfg.SimWorkers
-	}
 	var start time.Time
 	if r.cfg.WallBudget > 0 {
 		start = time.Now()
