@@ -18,6 +18,10 @@
 // core), and -cache persists finished simulation points to a
 // content-addressed result cache so re-runs and overlapping experiments
 // skip completed work. Output is byte-identical at any worker count.
+//
+// Standard output is a pure function of the selected experiments: each
+// experiment's host time goes to standard error, so two runs' stdout
+// compare equal.
 package main
 
 import (
@@ -190,12 +194,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "swex: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "swex: %s done (%.1fs)\n", e.name, time.Since(start).Seconds())
 		if *asJSON {
 			results[e.name] = data
-			fmt.Fprintf(os.Stderr, "swex: %s done (%.1fs)\n", e.name, time.Since(start).Seconds())
 			continue
 		}
-		fmt.Printf("== %s: %s (%.1fs)\n\n%s\n", e.name, e.caption, time.Since(start).Seconds(), out)
+		fmt.Printf("== %s: %s\n\n%s\n", e.name, e.caption, out)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
