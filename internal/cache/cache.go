@@ -19,8 +19,9 @@ import (
 	"swex/internal/mem"
 )
 
-// LineState is the cache-side coherence state of a line (MSI).
-type LineState int
+// LineState is the cache-side coherence state of a line (MSI). It is a
+// byte so that it packs next to Dirty: a Line is then 48 bytes, not 56.
+type LineState uint8
 
 const (
 	// Invalid means the slot holds no valid line.
