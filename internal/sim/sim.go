@@ -14,8 +14,8 @@
 //
 //   - Unkeyed (At, After, AtCall, ...): the key is a per-engine sequence
 //     number assigned at scheduling time, so same-cycle events fire in
-//     the order they were scheduled. Standalone engine users (the litmus
-//     harness, the model checker) use this form.
+//     the order they were scheduled. Standalone engine users (the model
+//     checker, tests) use this form.
 //   - Owned (OwnedAt, OwnedAtCall, ... after SetStreams): the key is
 //     (owner, cnt) where owner is the model entity — here, the node — on
 //     whose behalf the event is scheduled and cnt is drawn from the
