@@ -21,16 +21,18 @@ lint:
 vet:
 	$(GO) vet ./...
 
-# race exercises the only packages that touch goroutines (the engine, the
-# network model, the machine's lockstep thread handoff, the sweep
-# orchestrator's worker pool, and the distributed sweep service) under the
-# race detector, plus the memory-model fuzzing layer whose runs ride the
-# sweep worker pool and the memory-tier models that ride the mesh's server
-# primitives. The simulation core is single-threaded by contract, so the
-# interesting schedules are in the lockstep handoff, the pool merge, and
+# race runs under the race detector the packages that touch goroutines
+# (the network model, the sweep orchestrator's worker pool, and the
+# distributed sweep service), plus the memory-model fuzzing layer whose
+# runs ride the sweep worker pool, the memory-tier models that ride the
+# mesh's server primitives, and the simulation core itself: the engine,
+# the processor model, and the machine. The core is single-threaded by
+# contract — application threads are coroutines that alternate with the
+# engine and start no goroutines — so a report there means something
+# broke the lockstep. The interesting schedules are in the pool merge and
 # the coordinator's lease machinery.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/swexd/... ./internal/litmus/...
+	$(GO) test -race ./internal/sim/... ./internal/proc/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/swexd/... ./internal/litmus/...
 
 # mc exhausts the model checker's full-depth configurations over the
 # whole protocol spectrum, with sleep-set partial-order reduction on

@@ -32,7 +32,7 @@
 // A violating line can be suppressed with an escape hatch comment naming
 // the analyzer and a reason:
 //
-//	//lint:allow determinism(lockstep handoff; scheduler cannot reorder)
+//	//lint:allow determinism(worker-pool handoff; results are merged by task index)
 //
 // placed on the offending line or the line above it. An empty reason is
 // rejected by the comment parser, so every suppression is documented.

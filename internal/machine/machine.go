@@ -294,10 +294,19 @@ func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) 
 				stuck = append(stuck, n.ID)
 			}
 		}
+		m.stopThreads()
 		return Result{}, fmt.Errorf("machine: run did not complete at cycle %d (stuck nodes: %v, pending events: %d)",
 			m.Engine.Now(), stuck, m.Engine.Pending())
 	}
 	return m.result(), nil
+}
+
+// stopThreads unwinds every unfinished thread after a run that did not
+// complete, so a failed run leaves no suspended coroutine behind.
+func (m *Machine) stopThreads() {
+	for _, n := range m.Nodes {
+		n.Stop()
+	}
 }
 
 func (m *Machine) result() Result {
@@ -384,6 +393,7 @@ func (m *Machine) RunProfiled(program func(*proc.Env), limit sim.Cycle, interval
 					stuck = append(stuck, n.ID)
 				}
 			}
+			m.stopThreads()
 			return Result{}, tl, fmt.Errorf("machine: profiled run did not complete at cycle %d (stuck nodes: %v)",
 				m.Engine.Now(), stuck)
 		}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"swex/internal/mem"
@@ -184,6 +185,45 @@ func TestRunLimitEnforced(t *testing.T) {
 	}, 10_000)
 	if err == nil {
 		t.Fatal("limit exceeded but no error")
+	}
+}
+
+// TestFailedRunsReleaseThreads checks that a run ending in an error
+// unwinds every unfinished thread: the threads' deferred calls run and no
+// suspended coroutine is left behind.
+func TestFailedRunsReleaseThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
+	m := MustNew(DefaultConfig(4, proto.FullMap()))
+	a := m.Mem.AllocOn(0, 1)
+	if _, err := m.Run(func(env *proc.Env) {
+		defer func() { unwound++ }()
+		env.WaitChange(a, 0) // nobody ever writes: deadlock
+	}, 100_000); err == nil {
+		t.Fatal("deadlocked run reported success")
+	}
+	m = MustNew(DefaultConfig(4, proto.FullMap()))
+	if _, err := m.Run(func(env *proc.Env) {
+		defer func() { unwound++ }()
+		for i := 0; i < 1000; i++ {
+			env.Compute(1000)
+		}
+	}, 10_000); err == nil {
+		t.Fatal("limit exceeded but no error")
+	}
+	m = MustNew(DefaultConfig(4, proto.FullMap()))
+	a = m.Mem.AllocOn(0, 1)
+	if _, _, err := m.RunProfiled(func(env *proc.Env) {
+		defer func() { unwound++ }()
+		env.WaitChange(a, 0)
+	}, 100_000, 1_000); err == nil {
+		t.Fatal("deadlocked profiled run reported success")
+	}
+	if unwound != 12 {
+		t.Fatalf("%d of 12 stuck threads unwound", unwound)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before the failed runs, %d after", before, after)
 	}
 }
 

@@ -4,11 +4,13 @@
 // cache, and sharing its cycles with the protocol extension handlers that
 // trap onto it.
 //
-// Application threads are ordinary Go functions run as coroutines in
-// lockstep with the simulation: a thread blocks after issuing each
-// operation and resumes only when the simulator delivers its result, so
-// goroutine scheduling can never perturb simulated time. The simulator and
-// the threads alternate strictly; runs are deterministic.
+// Application threads are ordinary Go functions run as iter.Pull
+// coroutines in lockstep with the simulation: a thread suspends after
+// issuing each operation and resumes only when the simulator delivers its
+// result. A coroutine switch is a direct handoff, not a scheduling
+// decision, and the simulator core starts no goroutines, so the Go
+// scheduler can never perturb simulated time. The simulator and the
+// threads alternate strictly; runs are deterministic.
 //
 // A node normally runs one thread, as in all of the paper's experiments.
 // Sparcle also provides multiple hardware contexts for latency tolerance
@@ -57,10 +59,19 @@ const ContextSwitchCycles = 14
 type thread struct {
 	node *Node
 	idx  int
-	req  chan request
-	resp chan uint64
 	done bool
 	fin  sim.Cycle
+
+	// The coroutine (see coro.go): pull resumes the thread until it
+	// issues its next operation or returns, stop unwinds a suspended
+	// thread, yield is the thread-side suspension point, and result
+	// carries the reply from reply to the suspended do. stopping marks a
+	// thread unwinding after stop.
+	pull     func() (request, bool)
+	stop     func()
+	yield    func(request) bool
+	result   uint64
+	stopping bool
 
 	// Instruction fetch state: the current code region the thread
 	// executes from, advanced one block per operation.
@@ -104,9 +115,12 @@ func NewNode(f *proto.Fabric, id mem.NodeID) *Node {
 // driven by the fabric's engine after all nodes have started.
 func (n *Node) Start(fn func(*Env)) { n.StartThreads(1, fn) }
 
-// StartThreads launches count hardware contexts, each running fn. With
-// more than one context the node tolerates memory latency by overlapping
-// threads' misses, at a context-switch cost per memory operation.
+// StartThreads launches count hardware contexts, each running fn as an
+// iter.Pull coroutine. With more than one context the node tolerates
+// memory latency by overlapping threads' misses, at a context-switch cost
+// per memory operation. No goroutine starts: each thread first runs when
+// the engine fires its initial next event, and from then on it runs only
+// between that event's pull and its next operation.
 func (n *Node) StartThreads(count int, fn func(*Env)) {
 	if len(n.threads) > 0 {
 		panic(fmt.Sprintf("proc: node %d started twice", n.ID))
@@ -114,19 +128,8 @@ func (n *Node) StartThreads(count int, fn func(*Env)) {
 	if count < 1 {
 		count = 1
 	}
-	// The thread coroutines below are the simulator's one sanctioned use
-	// of goroutines and channels: the unbuffered req/resp pair enforces a
-	// strict alternation (the simulation goroutine blocks until the
-	// thread issues an operation, the thread blocks until the simulator
-	// replies), so the Go scheduler never has two runnable goroutines to
-	// choose between and cannot perturb simulated time.
 	for i := 0; i < count; i++ {
-		t := &thread{
-			node: n,
-			idx:  i,
-			req:  make(chan request), //lint:allow determinism(unbuffered lockstep handoff; see comment above)
-			resp: make(chan uint64),  //lint:allow determinism(unbuffered lockstep handoff; see comment above)
-		}
+		t := &thread{node: n, idx: i}
 		t.executeFn = func() { t.execute(t.pending) }
 		t.ifetchFn = func() { t.node.f.Engine.OwnedAfter(int(t.node.ID), 1, nil, t.executeFn) }
 		t.memDoneFn = t.memDone
@@ -134,13 +137,18 @@ func (n *Node) StartThreads(count int, fn func(*Env)) {
 		t.replyZeroFn = func() { t.reply(0) }
 		t.resumeFn = func() { t.reply(t.pendingVal) }
 		n.threads = append(n.threads, t)
-		env := &Env{thread: t, P: n.f.Nodes()}
-		go func() { //lint:allow determinism(coroutine runs in strict alternation with the engine)
-			fn(env)
-			close(t.req) //lint:allow determinism(end-of-thread signal on the lockstep channel)
-		}()
+		t.start(fn, &Env{thread: t, P: n.f.Nodes()})
 		eng := n.f.Engine
 		eng.OwnedAt(int(n.ID), eng.Now(), nil, t.next)
+	}
+}
+
+// Stop unwinds every thread that has not finished, releasing its
+// coroutine. A run that ends early (deadlock or cycle limit) calls it;
+// stopping a finished thread is a no-op.
+func (n *Node) Stop() {
+	for _, t := range n.threads {
+		t.stop()
 	}
 }
 
@@ -168,11 +176,10 @@ func (n *Node) FinishedAt() sim.Cycle {
 	return fin
 }
 
-// next receives the thread's next operation. It blocks the simulation
-// goroutine until the thread either issues an operation or returns; this
-// handoff is the lockstep that keeps runs deterministic.
+// next resumes the thread until it issues its next operation or returns;
+// this handoff is the lockstep that keeps runs deterministic.
 func (t *thread) next() {
-	r, ok := <-t.req //lint:allow determinism(lockstep handoff: the engine blocks here until the thread issues)
+	r, ok := t.pull()
 	if !ok {
 		t.done = true
 		t.fin = t.node.f.Engine.Now()
@@ -241,7 +248,7 @@ func (t *thread) memDone(v uint64) {
 
 // reply resumes the thread with a result and fetches its next operation.
 func (t *thread) reply(v uint64) {
-	t.resp <- v //lint:allow determinism(lockstep handoff: resumes the one thread blocked in do)
+	t.result = v
 	t.next()
 }
 
@@ -251,15 +258,6 @@ type Env struct {
 	thread *thread
 	// P is the machine size.
 	P int
-}
-
-// do issues one operation through the lockstep handoff and blocks the
-// thread until the simulator replies. Every Env operation funnels through
-// here; it is the thread-side half of the alternation described in
-// StartThreads.
-func (e *Env) do(r request) uint64 {
-	e.thread.req <- r      //lint:allow determinism(lockstep handoff: wakes the engine blocked in next)
-	return <-e.thread.resp //lint:allow determinism(lockstep handoff: blocks until the engine replies)
 }
 
 // ID returns the node this thread runs on.

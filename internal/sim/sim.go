@@ -30,7 +30,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -84,40 +83,88 @@ type EventID struct {
 	gen uint64
 }
 
+// before is the engine's total event order: cycle, then key owner, then
+// key counter. Keys are unique, so no two pending events compare equal
+// and the firing order does not depend on the heap's internal layout.
+func (a *scheduledEvent) before(b *scheduledEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.owner != b.owner {
+		return a.owner < b.owner
+	}
+	return a.cnt < b.cnt
+}
+
+// eventHeap is a binary min-heap of pending events under before. Each
+// event records its slot in index, so Cancel can remove it in place.
 type eventHeap []*scheduledEvent
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].owner != h[j].owner {
-		return h[i].owner < h[j].owner
-	}
-	return h[i].cnt < h[j].cnt
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*scheduledEvent)
-	ev.index = len(*h)
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *scheduledEvent) {
 	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
 
-func (h *eventHeap) Pop() any {
+// remove takes the event at slot i out of the heap and returns it with
+// its index cleared. remove(0) pops the earliest event.
+func (h *eventHeap) remove(i int) *scheduledEvent {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[i]
+	if i != n {
+		old[i] = old[n]
+		old[i].index = i
+	}
+	old[n] = nil
+	*h = old[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// up moves the event at slot j toward the root until its parent is
+// earlier.
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		h[j].index = j
+		j = i
+	}
+	h[j] = ev
+	ev.index = j
+}
+
+// down moves the event at slot i toward the leaves until both children
+// are later, and reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	ev := h[i]
+	i0, n := i, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // Engine is a discrete-event scheduler with deterministic tie-breaking.
@@ -212,7 +259,7 @@ func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any) *scheduled
 	}
 	ev.at, ev.owner, ev.cnt, ev.tag = at, owner, cnt, tag
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -301,15 +348,7 @@ type TaggedEvent struct {
 func (e *Engine) PendingTagged() []TaggedEvent {
 	evs := make([]*scheduledEvent, len(e.events))
 	copy(evs, e.events)
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		if evs[i].owner != evs[j].owner {
-			return evs[i].owner < evs[j].owner
-		}
-		return evs[i].cnt < evs[j].cnt
-	})
+	sort.Slice(evs, func(i, j int) bool { return evs[i].before(evs[j]) })
 	out := make([]TaggedEvent, len(evs))
 	for i, ev := range evs {
 		out[i] = TaggedEvent{At: ev.at, Tag: ev.tag}
@@ -324,9 +363,7 @@ func (e *Engine) Cancel(id EventID) bool {
 	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
 		return false
 	}
-	heap.Remove(&e.events, id.ev.index)
-	id.ev.index = -1
-	e.release(id.ev)
+	e.release(e.events.remove(id.ev.index))
 	return true
 }
 
@@ -338,7 +375,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*scheduledEvent)
+	ev := e.events.remove(0)
 	e.now = ev.at
 	e.fired++
 	fire, call := ev.fire, ev.call

@@ -109,19 +109,38 @@ type HandlerRecord struct {
 
 // Ledger collects handler records for latency tables. It is the
 // measurement instrument behind Tables 1 and 2.
+//
+// Handler invocations repeat a handful of distinct records (a run of
+// hundreds of thousands of invocations typically produces a few dozen),
+// so the ledger interns each distinct record once and stores one id per
+// invocation, in invocation order.
 type Ledger struct {
-	records []HandlerRecord
+	ids      []uint32
+	distinct []HandlerRecord
+	intern   map[HandlerRecord]uint32
 }
 
 // Record appends one handler invocation.
-func (l *Ledger) Record(r HandlerRecord) { l.records = append(l.records, r) }
+func (l *Ledger) Record(r HandlerRecord) {
+	id, ok := l.intern[r]
+	if !ok {
+		if l.intern == nil {
+			l.intern = make(map[HandlerRecord]uint32)
+		}
+		id = uint32(len(l.distinct))
+		l.distinct = append(l.distinct, r)
+		l.intern[r] = id
+	}
+	l.ids = append(l.ids, id)
+}
 
 // N reports the number of recorded invocations.
-func (l *Ledger) N() int { return len(l.records) }
+func (l *Ledger) N() int { return len(l.ids) }
 
-// Records returns a copy of all records.
-func (l *Ledger) Records() []HandlerRecord {
-	return append([]HandlerRecord(nil), l.records...)
+// matches reports whether r has the given kind and, when sharers >= 0,
+// the given sharers count.
+func matches(r *HandlerRecord, kind RequestKind, sharers int) bool {
+	return r.Kind == kind && (sharers < 0 || r.Sharers == sharers)
 }
 
 // Mean returns the average latency in cycles of records matching kind,
@@ -129,11 +148,9 @@ func (l *Ledger) Records() []HandlerRecord {
 func (l *Ledger) Mean(kind RequestKind, sharers int) float64 {
 	var sum uint64
 	var n int
-	for _, r := range l.records {
-		if r.Kind != kind {
-			continue
-		}
-		if sharers >= 0 && r.Sharers != sharers {
+	for _, id := range l.ids {
+		r := &l.distinct[id]
+		if !matches(r, kind, sharers) {
 			continue
 		}
 		sum += r.Cycles
@@ -147,33 +164,30 @@ func (l *Ledger) Mean(kind RequestKind, sharers int) float64 {
 
 // Median returns the record whose total latency is the median among records
 // matching kind (and sharers, when sharers >= 0), mirroring the paper's
-// method for Table 2 ("we choose a median request of each type"). The
-// boolean result is false when no records match.
+// method for Table 2 ("we choose a median request of each type"). Ties in
+// latency keep invocation order. The boolean result is false when no
+// records match.
 func (l *Ledger) Median(kind RequestKind, sharers int) (HandlerRecord, bool) {
-	var matching []HandlerRecord
-	for _, r := range l.records {
-		if r.Kind != kind {
-			continue
+	var matching []uint32
+	for _, id := range l.ids {
+		if matches(&l.distinct[id], kind, sharers) {
+			matching = append(matching, id)
 		}
-		if sharers >= 0 && r.Sharers != sharers {
-			continue
-		}
-		matching = append(matching, r)
 	}
 	if len(matching) == 0 {
 		return HandlerRecord{}, false
 	}
 	sort.SliceStable(matching, func(i, j int) bool {
-		return matching[i].Cycles < matching[j].Cycles
+		return l.distinct[matching[i]].Cycles < l.distinct[matching[j]].Cycles
 	})
-	return matching[len(matching)/2], true
+	return l.distinct[matching[len(matching)/2]], true
 }
 
 // Count reports how many records match kind.
 func (l *Ledger) Count(kind RequestKind) int {
 	n := 0
-	for _, r := range l.records {
-		if r.Kind == kind {
+	for _, id := range l.ids {
+		if l.distinct[id].Kind == kind {
 			n++
 		}
 	}
@@ -181,7 +195,7 @@ func (l *Ledger) Count(kind RequestKind) int {
 }
 
 // Reset discards all records.
-func (l *Ledger) Reset() { l.records = l.records[:0] }
+func (l *Ledger) Reset() { l.ids = l.ids[:0] }
 
 // FormatBreakdown renders read and write breakdowns side by side in the
 // layout of Table 2.

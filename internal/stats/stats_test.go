@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -257,5 +259,71 @@ func TestHistMarshalJSON(t *testing.T) {
 	}
 	if string(out) != `{"1":1,"64":5}` {
 		t.Fatalf("JSON = %s", out)
+	}
+}
+
+// TestLedgerMatchesPlainRecords runs the interned Ledger against the plain
+// record slice it replaced, over a seeded stream with few distinct cycle
+// values (so Median has many ties to break) and records that tie on
+// cycles but differ in sharers and breakdown. N, Count, Mean, and Median
+// must agree, including which of the tied records Median returns.
+func TestLedgerMatchesPlainRecords(t *testing.T) {
+	matching := func(plain []HandlerRecord, kind RequestKind, sharers int) []HandlerRecord {
+		var out []HandlerRecord
+		for _, r := range plain {
+			if r.Kind == kind && (sharers < 0 || r.Sharers == sharers) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(1994))
+	var l Ledger
+	var plain []HandlerRecord
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 4000; i++ {
+			r := HandlerRecord{
+				Kind:    RequestKind(rng.Intn(int(NumRequestKinds))),
+				Cycles:  uint64(100 + 25*rng.Intn(5)),
+				Sharers: rng.Intn(4),
+			}
+			r.Breakdown[rng.Intn(int(NumActivities))] = uint64(rng.Intn(3))
+			l.Record(r)
+			plain = append(plain, r)
+		}
+		if l.N() != len(plain) {
+			t.Fatalf("round %d: N = %d, want %d", round, l.N(), len(plain))
+		}
+		for kind := RequestKind(0); kind < NumRequestKinds; kind++ {
+			if got, want := l.Count(kind), len(matching(plain, kind, -1)); got != want {
+				t.Fatalf("round %d: Count(%v) = %d, want %d", round, kind, got, want)
+			}
+			for sharers := -1; sharers < 5; sharers++ {
+				m := matching(plain, kind, sharers)
+				var sum uint64
+				for _, r := range m {
+					sum += r.Cycles
+				}
+				var mean float64
+				if len(m) > 0 {
+					mean = float64(sum) / float64(len(m))
+				}
+				if got := l.Mean(kind, sharers); got != mean {
+					t.Fatalf("round %d: Mean(%v, %d) = %v, want %v", round, kind, sharers, got, mean)
+				}
+				sort.SliceStable(m, func(i, j int) bool { return m[i].Cycles < m[j].Cycles })
+				got, ok := l.Median(kind, sharers)
+				if ok != (len(m) > 0) {
+					t.Fatalf("round %d: Median(%v, %d) ok = %v with %d matching", round, kind, sharers, ok, len(m))
+				}
+				if ok && got != m[len(m)/2] {
+					t.Fatalf("round %d: Median(%v, %d) = %+v, want %+v", round, kind, sharers, got, m[len(m)/2])
+				}
+			}
+		}
+		// The second round records into a reset ledger that keeps its
+		// interned records.
+		l.Reset()
+		plain = plain[:0]
 	}
 }
