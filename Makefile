@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke bench bench-sweep bench-memtier trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
+.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
 
 all: build test
 
@@ -64,31 +64,22 @@ mc-smoke:
 mc-por-smoke:
 	$(GO) test ./internal/mc/ -run 'TestPOR'
 
-# bench runs every benchmark once and regenerates the committed baseline.
-# The baseline pins benchmark *structure* (names, metric kinds) and gives
-# reviewers a reference point; absolute times are machine-specific.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... | $(GO) run ./cmd/swexbench -o BENCH_baseline.json
-
-# bench-sweep regenerates the committed sweep-orchestration baseline: the
-# quick Figure 2 matrix serial / 4-worker / warm-cache, plus the pool
-# overlap benchmarks (the honest parallel-speedup measurement on machines
-# without spare cores; see EXPERIMENTS.md).
-bench-sweep:
-	$(GO) test -run '^$$' -bench 'PoolOverlap|SweepFig2' -benchtime 3x ./internal/sweep/ . | $(GO) run ./cmd/swexbench -o BENCH_sweep.json
-
 # sweep-smoke exercises the sweep orchestrator end to end: the determinism
 # and crash-resume suites, then the swexsweep CLI cold and warm over one
-# cache directory — the warm run must execute zero simulations.
+# cache directory, on a figure and two ablations (one with check-in
+# annotations, one with a block-by-block protocol region) — on the warm
+# runs every matrix's line must report zero executed simulations.
+SMOKE_MATRICES = fig2 ablate-cico ablate-dataspec
+ALL_WARM = awk '/ executed,/ {n++} !/ 0 executed,/ {bad=1} END {exit bad || n != 3}'
 sweep-smoke:
 	$(GO) test ./internal/sweep/ -run 'TestCrashResume|TestCacheRoundTrip|TestCompact' -count=1
 	$(GO) test . -run 'TestSweepOutputDeterministic|TestSharedBaselineComputedOnce' -count=1
 	d=$$(mktemp -d) && \
-	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d fig2 >/dev/null && \
-	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d fig2 2>&1 >/dev/null | grep -q ' 0 executed' && \
+	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d $(SMOKE_MATRICES) >/dev/null && \
+	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
 	  $(GO) run ./cmd/swexsweep -status -cache $$d >/dev/null && \
 	  $(GO) run ./cmd/swexsweep -cache $$d compact >/dev/null && \
-	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d fig2 2>&1 >/dev/null | grep -q ' 0 executed' && \
+	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
 	  rm -rf $$d
 
 # swexd-smoke exercises the distributed sweep service end to end: the
@@ -128,13 +119,6 @@ memtier-smoke:
 	$(GO) test ./internal/mc/ -run 'MemTier|Directoryless' -count=1
 	$(GO) test ./internal/litmus/ -run 'MemTier|WeakenedFixtureStillCaught' -count=1
 	$(GO) run ./cmd/swex -quick tiers >/dev/null
-
-# bench-memtier regenerates the committed memory-tier overhead baseline:
-# the directory memory-access hook when no tier is installed (must cost
-# ~nothing), each tier family's hot path, and the directoryless machine
-# against full-map on the same workload.
-bench-memtier:
-	$(GO) test -run '^$$' -bench 'MemTier|Directoryless' -benchtime 1x -benchmem . ./internal/memtier/ | $(GO) run ./cmd/swexbench -o BENCH_memtier.json
 
 # trace-smoke exercises the tracing pipeline end to end: a traced run must
 # export, export deterministically, and round-trip the profile view. The

@@ -5,7 +5,7 @@ package swex
 // the cost of the tier hook when no tier is installed — one nil check per
 // directory-side memory access — so comparing its wall time and simulated
 // cycles against the pre-memtier baselines shows the hook is free when
-// disabled. Regenerate BENCH_memtier.json with `make bench-memtier`.
+// disabled. Run with `go test -bench 'MemTier|Directoryless' -benchmem .`.
 
 import "testing"
 

@@ -10,7 +10,10 @@
 //	swexd submit -coordinator http://host:7009 [-quick] [-salt S] [-quiet] <matrix>... | all
 //	swexd status -coordinator http://host:7009 [-json] [sweep-id]
 //
-// Matrices: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 scaling
+// The matrices are the exhibits of the package registry (swex.Matrices):
+// the paper's tables and figures, the scaling, extrapolation, and
+// memory-tier studies, and the ablations. Run swexd with no arguments to
+// print them with their captions.
 //
 // serve hosts the coordinator: the HTTP/JSON front end (POST /sweeps,
 // GET /sweeps/{id}, streaming NDJSON at /sweeps/{id}/events, /workers,
@@ -139,7 +142,7 @@ func submit(args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress the per-matrix progress line")
 	fs.Parse(args)
 
-	selected, err := selectMatrices(fs.Args())
+	selected, err := swex.SelectMatrices(fs.Args())
 	if err != nil {
 		return err
 	}
@@ -147,7 +150,7 @@ func submit(args []string) error {
 	opts := swex.Options{Quick: *quick, Sweep: client}
 	for _, m := range selected {
 		start := time.Now()
-		out, err := m.Render(opts)
+		out, _, err := m.Render(opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.Name, err)
 		}
@@ -231,25 +234,6 @@ func status(args []string) error {
 	return nil
 }
 
-// selectMatrices resolves the argument list ("all" or matrix names).
-func selectMatrices(args []string) ([]swex.Matrix, error) {
-	if len(args) == 0 {
-		return nil, fmt.Errorf("no matrices named (want matrix names or \"all\")")
-	}
-	if len(args) == 1 && args[0] == "all" {
-		return swex.Matrices(), nil
-	}
-	var selected []swex.Matrix
-	for _, a := range args {
-		m, ok := swex.MatrixByName(a)
-		if !ok {
-			return nil, fmt.Errorf("unknown matrix %q", a)
-		}
-		selected = append(selected, m)
-	}
-	return selected, nil
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: swexd <subcommand> [flags]
 
@@ -262,6 +246,6 @@ subcommands:
 matrices (for submit):
 `)
 	for _, m := range swex.Matrices() {
-		fmt.Fprintf(os.Stderr, "  %-10s %s\n", m.Name, m.Caption)
+		fmt.Fprintf(os.Stderr, "  %-16s %s\n", m.Name, m.Caption)
 	}
 }

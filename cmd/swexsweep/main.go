@@ -10,7 +10,10 @@
 //	swexsweep -status -cache DIR
 //	swexsweep -cache DIR compact
 //
-// Matrices: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 scaling
+// The matrices are the exhibits of the package registry (swex.Matrices):
+// the paper's tables and figures, the scaling, extrapolation, and
+// memory-tier studies, and the ablations. Run swexsweep with no arguments
+// to print them with their captions.
 //
 // The default mode runs the named matrices through one shared worker pool,
 // prints each exhibit, and reports how many simulations actually executed
@@ -89,8 +92,9 @@ func main() {
 		return
 	}
 
-	selected, ok := selectMatrices(flag.Args())
-	if !ok {
+	selected, err := swex.SelectMatrices(flag.Args())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swexsweep: %v\n\n", err)
 		usage()
 		os.Exit(2)
 	}
@@ -134,7 +138,7 @@ func main() {
 	for _, m := range selected {
 		start := time.Now()
 		before := sweeper.TotalExecs()
-		out, err := m.Render(opts)
+		out, _, err := m.Render(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swexsweep: %s: %v\n", m.Name, err)
 			os.Exit(1)
@@ -158,7 +162,7 @@ func runRemote(base, salt string, selected []swex.Matrix, opts swex.Options) {
 	for _, m := range selected {
 		start := time.Now()
 		before := remoteExecs(ctx, client)
-		out, err := m.Render(opts)
+		out, _, err := m.Render(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swexsweep: %s: %v\n", m.Name, err)
 			os.Exit(1)
@@ -179,26 +183,6 @@ func remoteExecs(ctx context.Context, client *swexd.Client) int64 {
 		return 0
 	}
 	return vars["executions"]
-}
-
-// selectMatrices resolves the argument list ("all" or matrix names).
-func selectMatrices(args []string) ([]swex.Matrix, bool) {
-	if len(args) == 0 {
-		return nil, false
-	}
-	if len(args) == 1 && args[0] == "all" {
-		return swex.Matrices(), true
-	}
-	var selected []swex.Matrix
-	for _, a := range args {
-		m, ok := swex.MatrixByName(a)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "swexsweep: unknown matrix %q\n\n", a)
-			return nil, false
-		}
-		selected = append(selected, m)
-	}
-	return selected, true
 }
 
 // printStatus summarizes a cache directory's manifest journal and returns
@@ -243,7 +227,7 @@ func usage() {
 matrices:
 `)
 	for _, m := range swex.Matrices() {
-		fmt.Fprintf(os.Stderr, "  %-10s %s\n", m.Name, m.Caption)
+		fmt.Fprintf(os.Stderr, "  %-16s %s\n", m.Name, m.Caption)
 	}
 	fmt.Fprintf(os.Stderr, "\nflags:\n")
 	flag.PrintDefaults()

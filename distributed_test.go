@@ -22,7 +22,7 @@ func renderAll(t *testing.T, runner JobRunner) string {
 	t.Helper()
 	var out string
 	for _, m := range Matrices() {
-		text, err := m.Render(Options{Quick: true, Sweep: runner})
+		text, _, err := m.Render(Options{Quick: true, Sweep: runner})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}

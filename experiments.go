@@ -2,6 +2,7 @@ package swex
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"swex/internal/apps"
@@ -66,18 +67,6 @@ func (o Options) sweeper() JobRunner {
 // run executes the matrix with fail-fast semantics.
 func (o Options) run(jobs []sweep.Job) ([]sweep.Result, error) {
 	return o.sweeper().Run(context.Background(), jobs)
-}
-
-// runApp executes one application configuration and returns the result.
-// Ablations use this directly; the tables and figures go through the sweep
-// runner instead.
-func runApp(prog apps.Program, cfg machine.Config) (machine.Result, error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return machine.Result{}, err
-	}
-	res, _, err := prog.Run(m, 0)
-	return res, err
 }
 
 // --------------------------------------------------------------- Table 1
@@ -950,127 +939,114 @@ func (d *TiersData) Table() *report.Table {
 
 // ------------------------------------------------------ matrix registry
 
-// Matrix names one sweep-backed experiment: a job-matrix builder paired
-// with the assembler/renderer that turns its results into the paper's
-// exhibit. The registry is what lets the sweep and distributed front ends
-// (cmd/swexsweep, cmd/swexd) resolve exhibits by name and serialize their
-// job matrices for submission — every Jobs() element is a canonical,
+// Matrix names one exhibit: a job-matrix builder paired with the
+// assembler/renderer that turns its results into the paper's table,
+// figure, or ablation. The registry is the single exhibit list every front
+// end (cmd/swex, cmd/swexsweep, cmd/swexd) resolves names against and
+// serializes job matrices from — every Jobs() element is a canonical,
 // hashable, JSON-serializable sweep.Job.
 type Matrix struct {
-	// Name is the CLI-facing exhibit name ("table1" .. "scaling").
+	// Name is the CLI-facing exhibit name ("table1" .. "ablate-mthread").
 	Name string
 	// Caption is the one-line human description of the exhibit.
 	Caption string
 	// Jobs enumerates the matrix's simulation points in submission order.
 	Jobs func(Options) []SweepJob
-	// Render runs the matrix through Options.Sweep and renders the
-	// exhibit. The output is a pure function of the job results, so it is
+	// Render runs the matrix through Options.Sweep and returns the
+	// rendered exhibit plus the assembled data behind it (for JSON
+	// output). Both are pure functions of the job results, so they are
 	// byte-identical wherever and in whatever order the jobs executed.
-	Render func(Options) (string, error)
+	Render func(Options) (string, any, error)
 }
 
-// Matrices returns every sweep-backed exhibit in paper order: the three
-// tables, Figures 2-6, the scaling study, the 1024-node extrapolation,
-// and the machine-spectrum (memory-tier) study.
+// exhibit builds a registry entry from a matrix builder, the assembler
+// that runs it, and the view that renders the assembled data.
+func exhibit[D any, V fmt.Stringer](name, caption string, jobs func(Options) []sweep.Job,
+	assemble func(Options) (D, error), view func(D) V) Matrix {
+	return Matrix{Name: name, Caption: caption, Jobs: jobs, Render: func(o Options) (string, any, error) {
+		d, err := assemble(o)
+		if err != nil {
+			return "", nil, err
+		}
+		return view(d).String(), d, nil
+	}}
+}
+
+// titled renders ablation rows under the given table title.
+func titled(title string) func([]AblationRow) *report.Table {
+	return func(rows []AblationRow) *report.Table { return AblationTable(title, rows) }
+}
+
+// Matrices returns every exhibit in paper order: the three tables,
+// Figures 2-6, the scaling study, the 1024-node extrapolation, the
+// machine-spectrum (memory-tier) study, then the ten ablations.
 func Matrices() []Matrix {
 	return []Matrix{
-		{"table1", "average software-extension latencies (C vs assembly)", Table1Jobs,
-			func(o Options) (string, error) {
-				d, err := Table1(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"table2", "median handler cycle breakdown", Table2Jobs,
-			func(o Options) (string, error) {
-				d, err := Table2(o)
-				if err != nil {
-					return "", err
-				}
-				return d.String(), nil
-			}},
-		{"table3", "application characteristics and sequential times", Table3Jobs,
-			func(o Options) (string, error) {
-				rows, err := Table3(o)
-				if err != nil {
-					return "", err
-				}
-				return Table3Table(rows).String(), nil
-			}},
-		{"fig2", "WORKER protocol performance vs worker-set size", Figure2Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure2(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Figure().String(), nil
-			}},
-		{"fig3", "TSP cache-configuration study (instruction/data thrashing)", Figure3Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure3(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"fig4", "application speedups across the protocol spectrum", Figure4Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure4(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"fig5", "TSP on 256 nodes", Figure5Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure5(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"fig6", "EVOLVE worker-set histogram", Figure6Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure6(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"scaling", "TSP speedup vs machine size across the spectrum", ScalingJobs,
-			func(o Options) (string, error) {
-				d, err := ScalingStudy(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Figure().String(), nil
-			}},
-		{"extrapolation", "TSP at 256/512/1024 nodes, beyond Figure 5", ExtrapolationJobs,
-			func(o Options) (string, error) {
-				d, err := Extrapolation(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"tiers", "WORKER across memory-system families (flat, disaggregated, NVM, directoryless)", TiersJobs,
-			func(o Options) (string, error) {
-				d, err := Tiers(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
+		exhibit("table1", "average software-extension latencies (C vs assembly)",
+			Table1Jobs, Table1, (*Table1Data).Table),
+		exhibit("table2", "median handler cycle breakdown",
+			Table2Jobs, Table2, func(d *Table2Data) *Table2Data { return d }),
+		exhibit("table3", "application characteristics and sequential times",
+			Table3Jobs, Table3, Table3Table),
+		exhibit("fig2", "WORKER protocol performance vs worker-set size",
+			Figure2Jobs, Figure2, (*Figure2Data).Figure),
+		exhibit("fig3", "TSP cache-configuration study (instruction/data thrashing)",
+			Figure3Jobs, Figure3, (*Figure3Data).Table),
+		exhibit("fig4", "application speedups across the protocol spectrum",
+			Figure4Jobs, Figure4, (*Figure4Data).Table),
+		exhibit("fig5", "TSP on 256 nodes",
+			Figure5Jobs, Figure5, (*Figure5Data).Table),
+		exhibit("fig6", "EVOLVE worker-set histogram",
+			Figure6Jobs, Figure6, (*Figure6Data).Table),
+		exhibit("scaling", "TSP speedup vs machine size across the spectrum",
+			ScalingJobs, ScalingStudy, (*ScalingData).Figure),
+		exhibit("extrapolation", "TSP at 256/512/1024 nodes, beyond Figure 5",
+			ExtrapolationJobs, Extrapolation, (*ExtrapolationData).Table),
+		exhibit("tiers", "WORKER across memory-system families (flat, disaggregated, NVM, directoryless)",
+			TiersJobs, Tiers, (*TiersData).Table),
+		exhibit("ablate-localbit", "one-bit local pointer on/off",
+			AblateLocalBitJobs, AblateLocalBit, titled("ablation: local bit disabled")),
+		exhibit("ablate-software", "flexible C vs hand-tuned assembly handlers",
+			AblateSoftwareJobs, AblateSoftware, titled("ablation: hand-tuned assembly handlers")),
+		exhibit("ablate-broadcast", "DirnH1SNB,LACK vs Dir1H1SB,LACK",
+			AblateBroadcastJobs, AblateBroadcast, titled("ablation: broadcast instead of software directory")),
+		exhibit("ablate-batch", "read-burst batching enhancement",
+			AblateBatchReadsJobs, AblateBatchReads, titled("ablation: read-burst batching enabled")),
+		exhibit("ablate-parinv", "sequential vs parallel invalidation transmission",
+			AblateParallelInvJobs, AblateParallelInv, titled("ablation: parallel invalidation transmission")),
+		exhibit("ablate-dataspec", "block-by-block protocol reconfiguration",
+			AblateDataSpecificJobs, AblateDataSpecific, titled("ablation: EVOLVE fitness table promoted to full-map")),
+		exhibit("ablate-migratory", "migratory-data adaptation (dynamic detection)",
+			AblateMigratoryJobs, AblateMigratory, titled("ablation: migratory-data read-for-ownership")),
+		exhibit("ablate-assoc", "victim cache vs 2-way set-associative cache",
+			AblateAssociativityJobs, AblateAssociativity, titled("ablation: associativity remedies for I/D thrashing")),
+		exhibit("ablate-cico", "Check-In/Check-Out program annotations",
+			AblateCICOJobs, AblateCICO, titled("ablation: CICO check-in after reads")),
+		exhibit("ablate-mthread", "block multithreading (latency tolerance)",
+			AblateMultithreadingJobs, AblateMultithreading, titled("ablation: 4 hardware contexts per node")),
 	}
 }
 
-// MatrixByName resolves one exhibit from the registry by its CLI name.
-func MatrixByName(name string) (Matrix, bool) {
-	for _, m := range Matrices() {
-		if m.Name == name {
-			return m, true
-		}
+// SelectMatrices resolves a front end's argument list: "all" (the whole
+// registry, in order) or exhibit names.
+func SelectMatrices(args []string) ([]Matrix, error) {
+	if len(args) == 0 {
+		return nil, errors.New("no exhibits named (want exhibit names or \"all\")")
 	}
-	return Matrix{}, false
+	if len(args) == 1 && args[0] == "all" {
+		return Matrices(), nil
+	}
+	byName := make(map[string]Matrix)
+	for _, m := range Matrices() {
+		byName[m.Name] = m
+	}
+	var selected []Matrix
+	for _, a := range args {
+		m, ok := byName[a]
+		if !ok {
+			return nil, fmt.Errorf("unknown exhibit %q", a)
+		}
+		selected = append(selected, m)
+	}
+	return selected, nil
 }

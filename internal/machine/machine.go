@@ -271,6 +271,13 @@ type Result struct {
 // run summary. The limit bounds simulated cycles (0 = none); exceeding it
 // or deadlocking returns an error identifying the stuck nodes.
 func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) {
+	return m.run(program, limit, 0, nil)
+}
+
+// run is the one run loop behind Run and RunProfiled. With interval zero
+// the engine runs straight to completion or the limit; otherwise it stops
+// every interval cycles to call sample.
+func (m *Machine) run(program func(*proc.Env), limit, interval sim.Cycle, sample func()) (Result, error) {
 	threads := m.Cfg.ThreadsPerNode
 	if threads < 1 {
 		threads = 1
@@ -286,17 +293,32 @@ func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) 
 		}
 		return true
 	}
-	ok := m.Engine.RunUntil(finished, limit)
-	if !ok {
-		var stuck []mem.NodeID
-		for _, n := range m.Nodes {
-			if !n.Done() {
-				stuck = append(stuck, n.ID)
+	for !finished() {
+		segEnd := limit
+		if interval != 0 {
+			segEnd = m.Engine.Now() + interval
+			if limit != 0 && segEnd > limit {
+				segEnd = limit
 			}
 		}
-		m.stopThreads()
-		return Result{}, fmt.Errorf("machine: run did not complete at cycle %d (stuck nodes: %v, pending events: %d)",
-			m.Engine.Now(), stuck, m.Engine.Pending())
+		m.Engine.RunUntil(finished, segEnd)
+		if sample != nil {
+			sample()
+		}
+		// A drained event queue with unfinished threads is a deadlock:
+		// simulated time can no longer advance toward the limit.
+		deadlocked := m.Engine.Pending() == 0 && !finished()
+		if deadlocked || (limit != 0 && m.Engine.Now() >= limit && !finished()) {
+			var stuck []mem.NodeID
+			for _, n := range m.Nodes {
+				if !n.Done() {
+					stuck = append(stuck, n.ID)
+				}
+			}
+			m.stopThreads()
+			return Result{}, fmt.Errorf("machine: run did not complete at cycle %d (stuck nodes: %v, pending events: %d)",
+				m.Engine.Now(), stuck, m.Engine.Pending())
+		}
 	}
 	return m.result(), nil
 }
@@ -344,25 +366,11 @@ type Timeline struct {
 	Traps    []uint64
 }
 
-// RunProfiled is Run with periodic sampling every interval cycles.
+// RunProfiled is Run with periodic sampling every interval cycles
+// (0 = 10,000).
 func (m *Machine) RunProfiled(program func(*proc.Env), limit sim.Cycle, interval sim.Cycle) (Result, *Timeline, error) {
 	if interval == 0 {
 		interval = 10_000
-	}
-	threads := m.Cfg.ThreadsPerNode
-	if threads < 1 {
-		threads = 1
-	}
-	for _, n := range m.Nodes {
-		n.StartThreads(threads, program)
-	}
-	finished := func() bool {
-		for _, n := range m.Nodes {
-			if !n.Done() {
-				return false
-			}
-		}
-		return true
 	}
 	tl := &Timeline{Interval: interval}
 	var lastMsgs, lastTraps uint64
@@ -376,27 +384,6 @@ func (m *Machine) RunProfiled(program func(*proc.Env), limit sim.Cycle, interval
 		tl.Traps = append(tl.Traps, traps-lastTraps)
 		lastMsgs, lastTraps = msgs, traps
 	}
-	for !finished() {
-		segEnd := m.Engine.Now() + interval
-		if limit != 0 && segEnd > limit {
-			segEnd = limit
-		}
-		m.Engine.RunUntil(finished, segEnd)
-		sample()
-		// A drained event queue with unfinished threads is a deadlock:
-		// simulated time can no longer advance toward the limit.
-		deadlocked := m.Engine.Pending() == 0 && !finished()
-		if deadlocked || (limit != 0 && m.Engine.Now() >= limit && !finished()) {
-			var stuck []mem.NodeID
-			for _, n := range m.Nodes {
-				if !n.Done() {
-					stuck = append(stuck, n.ID)
-				}
-			}
-			m.stopThreads()
-			return Result{}, tl, fmt.Errorf("machine: profiled run did not complete at cycle %d (stuck nodes: %v)",
-				m.Engine.Now(), stuck)
-		}
-	}
-	return m.result(), tl, nil
+	res, err := m.run(program, limit, interval, sample)
+	return res, tl, err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"swex/internal/cache"
 	"swex/internal/dir"
 )
 
@@ -21,6 +22,11 @@ var (
 	// selects nothing and almost certainly means a sign bug at the call
 	// site.
 	ErrLoseInv = errors.New("machine: LoseInv must be non-negative")
+	// ErrCacheGeometry flags a cache shape the cache cannot be built
+	// with: a negative line, way, or victim-line count, or a way count
+	// that does not divide the line count (the default 4096 lines unless
+	// CacheLines overrides it).
+	ErrCacheGeometry = errors.New("machine: invalid cache geometry")
 )
 
 // Validate reports configuration errors before any machine state is
@@ -35,6 +41,17 @@ func (c Config) Validate() error {
 	}
 	if c.LoseInv < 0 {
 		return fmt.Errorf("%w: got %d", ErrLoseInv, c.LoseInv)
+	}
+	if c.CacheLines < 0 || c.CacheWays < 0 || c.VictimLines < 0 {
+		return fmt.Errorf("%w: %d lines, %d ways, %d victim lines must be non-negative",
+			ErrCacheGeometry, c.CacheLines, c.CacheWays, c.VictimLines)
+	}
+	lines := c.CacheLines
+	if lines == 0 {
+		lines = cache.DefaultConfig().Lines
+	}
+	if c.CacheWays > 1 && lines%c.CacheWays != 0 {
+		return fmt.Errorf("%w: %d lines not divisible by %d ways", ErrCacheGeometry, lines, c.CacheWays)
 	}
 	return c.MemTier.Validate()
 }

@@ -26,6 +26,14 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-nodes", base(func(c *Config) { c.Nodes = 0 }), ErrNodes},
 		{"negative-nodes", base(func(c *Config) { c.Nodes = -4 }), ErrNodes},
 		{"negative-loseinv", base(func(c *Config) { c.LoseInv = -1 }), ErrLoseInv},
+		{"two-way", base(func(c *Config) { c.CacheWays = 2 }), nil},
+		{"small-four-way", base(func(c *Config) { c.CacheLines, c.CacheWays = 8, 4 }), nil},
+		{"negative-victim", base(func(c *Config) { c.VictimLines = -2 }), ErrCacheGeometry},
+		{"negative-lines", base(func(c *Config) { c.CacheLines = -8 }), ErrCacheGeometry},
+		{"negative-ways", base(func(c *Config) { c.CacheWays = -1 }), ErrCacheGeometry},
+		{"three-ways-default-lines", base(func(c *Config) { c.CacheWays = 3 }), ErrCacheGeometry},
+		{"five-ways-default-lines", base(func(c *Config) { c.CacheWays = 5 }), ErrCacheGeometry},
+		{"ways-not-dividing-lines", base(func(c *Config) { c.CacheLines, c.CacheWays = 12, 8 }), ErrCacheGeometry},
 		{"bad-tier-kind", base(func(c *Config) { c.MemTier.Kind = memtier.Kind(99) }), memtier.ErrKind},
 		{"zero-tier-latency", base(func(c *Config) {
 			c.MemTier = memtier.DefaultDisaggregated()

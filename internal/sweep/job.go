@@ -30,40 +30,68 @@ const LitmusName = litmus.AppName
 // counts by under a percent on every exhibit.
 const codeVersion = "swex-sim-v4"
 
+// Names of the ablation workloads (internal/apps) a ProgramRef can carry in
+// App, beside WorkerName, LitmusName, and the six paper applications.
+const (
+	HomeShareName  = "home-share"
+	TokenRingName  = "token-ring"
+	MissStreamName = "miss-stream"
+)
+
 // ProgramRef names a workload canonically, so a job can be hashed,
 // journaled, and re-resolved in a later process.
 type ProgramRef struct {
-	// App is WorkerName, LitmusName, or one of the paper names in
-	// apps.Registry (TSP, AQ, SMGRID, EVOLVE, MP3D, WATER).
+	// App is WorkerName, LitmusName, an ablation workload
+	// (HomeShareName, TokenRingName, MissStreamName), or one of the paper
+	// names in apps.Registry (TSP, AQ, SMGRID, EVOLVE, MP3D, WATER).
 	App string
 	// Quick selects the reduced problem size from apps.QuickRegistry.
 	// Ignored for WORKER, whose size is explicit.
 	Quick bool
+	// CICO adds WORKER's check-in annotations (apps.WorkerParams.CICO).
+	CICO bool
 	// SetSize is the WORKER worker-set size (App == WorkerName).
 	SetSize int
-	// Iters is the WORKER iteration count (App == WorkerName).
+	// Iters is the WORKER iteration count, the token-ring lap count, or
+	// the miss-stream blocks per hardware context (whose context count is
+	// Config.ThreadsPerNode).
 	Iters int
 	// Litmus is the canonical litmus-program encoding (App ==
 	// LitmusName), produced by litmus.Program.String. The encoding is
 	// part of the job key, so every distinct program is a distinct
 	// cacheable computation.
 	Litmus string
+	// FullMapRegion, when non-empty, names an apps.Instance region whose
+	// blocks Execute reconfigures to the full-map protocol after Setup and
+	// before the run: block-by-block protocol selection
+	// (machine.ConfigureBlock), the paper's "data specific" coherence.
+	FullMapRegion string
 }
 
-// Resolve looks the reference up in the application registry.
+// Resolve looks the reference up in the workload registries.
 func (p ProgramRef) Resolve() (apps.Program, error) {
-	if p.App == WorkerName {
+	switch p.App {
+	case WorkerName:
 		if p.SetSize <= 0 || p.Iters <= 0 {
 			return apps.Program{}, fmt.Errorf("sweep: WORKER job needs positive SetSize and Iters (got %d, %d)", p.SetSize, p.Iters)
 		}
-		return apps.Worker(apps.WorkerParams{SetSize: p.SetSize, Iters: p.Iters}), nil
-	}
-	if p.App == LitmusName {
+		return apps.Worker(apps.WorkerParams{SetSize: p.SetSize, Iters: p.Iters, CICO: p.CICO}), nil
+	case LitmusName:
 		prog, err := litmus.Parse(p.Litmus)
 		if err != nil {
 			return apps.Program{}, err
 		}
 		return prog.AppProgram(), nil
+	case HomeShareName:
+		return apps.HomeShare(), nil
+	case TokenRingName, MissStreamName:
+		if p.Iters <= 0 {
+			return apps.Program{}, fmt.Errorf("sweep: %s job needs positive Iters (got %d)", p.App, p.Iters)
+		}
+		if p.App == TokenRingName {
+			return apps.TokenRing(p.Iters), nil
+		}
+		return apps.MissStream(p.Iters), nil
 	}
 	registry := apps.Registry()
 	if p.Quick {
@@ -122,16 +150,19 @@ func (j Job) Key(salt string) (string, error) {
 	if j.Config.CustomSoftware != nil {
 		return "", fmt.Errorf("sweep: job %s has custom protocol software installed; its identity cannot be hashed", j.Program.App)
 	}
-	if strings.ContainsAny(j.Program.App, "|=") {
-		return "", fmt.Errorf("sweep: program name %q contains key metacharacters", j.Program.App)
-	}
-	if strings.ContainsAny(j.Program.Litmus, "|=") {
-		return "", fmt.Errorf("sweep: litmus encoding %q contains key metacharacters", j.Program.Litmus)
+	for _, f := range []string{j.Program.App, j.Program.Litmus, j.Program.FullMapRegion} {
+		if strings.ContainsAny(f, "|=") {
+			return "", fmt.Errorf("sweep: program field %q contains key metacharacters", f)
+		}
 	}
 	c := j.Config
 	s := c.Spec
 	t := c.Timing
 	var b strings.Builder
+	// Size the buffer once: the fixed fields fit in 512 bytes, and growing
+	// by doubling would allocate a chain of buffers and keep up to twice
+	// the key's length alive in every Outcome.
+	b.Grow(512 + len(salt) + len(j.Program.App) + len(j.Program.Litmus) + len(j.Program.FullMapRegion) + len(s.Name))
 	put := func(field string, v any) {
 		fmt.Fprintf(&b, "|%s=%v", field, v)
 	}
@@ -141,7 +172,9 @@ func (j Job) Key(salt string) (string, error) {
 	put("quick", j.Program.Quick)
 	put("set", j.Program.SetSize)
 	put("iters", j.Program.Iters)
+	put("cico", j.Program.CICO)
 	put("litmus", j.Program.Litmus)
+	put("fmregion", j.Program.FullMapRegion)
 	put("nodes", c.Nodes)
 	put("loseinv", c.LoseInv)
 	put("spec", s.Name)

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"swex/internal/machine"
+	"swex/internal/mem"
+	"swex/internal/proto"
 	"swex/internal/sim"
 )
 
@@ -336,7 +338,19 @@ func Execute(job Job, defaultLimit sim.Cycle) (res Result, err error) {
 	if limit == 0 {
 		limit = defaultLimit
 	}
-	mres, inst, err := prog.Run(m, limit)
+	inst := prog.Setup(m)
+	if region := job.Program.FullMapRegion; region != "" {
+		addrs, ok := inst.Regions[region]
+		if !ok {
+			return Result{}, fmt.Errorf("sweep: %s has no region %q", job.Program.App, region)
+		}
+		for _, a := range addrs {
+			if err := m.ConfigureBlock(mem.BlockOf(a), proto.FullMap()); err != nil {
+				return Result{}, err
+			}
+		}
+	}
+	mres, err := m.Run(inst.Thread, limit)
 	if err != nil {
 		return Result{}, err
 	}

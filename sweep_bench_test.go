@@ -2,10 +2,10 @@ package swex
 
 // Sweep orchestration benchmarks: the quick-mode Figure 2 matrix (42
 // simulations) serial, on a 4-worker pool, and replayed from a warm
-// content-addressed cache. Committed baseline: BENCH_sweep.json
-// (regenerate with `make bench-sweep`). On a single-core container the
-// serial and parallel variants coincide — simulations are pure CPU and
-// cannot overlap without real cores; BenchmarkPoolOverlap* in
+// content-addressed cache. Run with `go test -bench SweepFig2 .`; the
+// perfbench harness is the committed performance record. On a single-core
+// container the serial and parallel variants coincide — simulations are
+// pure CPU and cannot overlap without real cores; BenchmarkPoolOverlap* in
 // internal/sweep measures the pool's overlap itself. The warm variant
 // executes zero simulations.
 
