@@ -29,8 +29,9 @@ vet:
 # the processor model, and the machine. The core is single-threaded by
 # contract — application threads are coroutines that alternate with the
 # engine and start no goroutines — so a report there means something
-# broke the lockstep. The interesting schedules are in the pool merge and
-# the coordinator's lease machinery.
+# broke the lockstep. The interesting schedules are in the pool merge,
+# the coordinator's lease machinery, and cache line storage that one sweep
+# worker releases and another reuses (TestReusedCacheStorageIsInvisible).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/proc/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/swexd/... ./internal/litmus/...
 

@@ -15,6 +15,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"swex/internal/mem"
 )
@@ -90,13 +92,40 @@ type Cache struct {
 	cfg    Config
 	ways   int
 	sets   int
-	slots  []Line // sets*ways lines; within a set, index 0 is MRU
+	slots  []Line // st.lines: sets*ways lines; within a set, index 0 is MRU
 	victim []Line // fully associative, LRU order: index 0 = most recent
 	Stats  Stats
+	st     *store
+}
+
+// store is a cache's line array plus a bitmap of the sets Insert has
+// filled since the array was last cleared. The bitmap has one bit per line, so it covers the
+// sets of any geometry with that line count.
+type store struct {
+	lines   []Line
+	written []uint64
+}
+
+var (
+	poolsMu sync.Mutex
+	pools   = map[int]*sync.Pool{} // released stores by line count
+)
+
+func pool(lines int) *sync.Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[lines]
+	if p == nil {
+		p = new(sync.Pool)
+		pools[lines] = p
+	}
+	return p
 }
 
 // New builds a cache. It panics on degenerate geometry: cache shape is
-// fixed at machine construction.
+// fixed at machine construction. The line array comes from a released
+// cache of the same line count when one is pooled, so it may be reused
+// storage; Release guarantees it is all zero Lines again.
 func New(cfg Config) *Cache {
 	if cfg.Lines <= 0 {
 		panic(fmt.Sprintf("cache: %d lines", cfg.Lines))
@@ -108,13 +137,42 @@ func New(cfg Config) *Cache {
 	if cfg.Lines%ways != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by %d ways", cfg.Lines, ways))
 	}
+	st, _ := pool(cfg.Lines).Get().(*store)
+	if st == nil {
+		st = &store{lines: make([]Line, cfg.Lines), written: make([]uint64, (cfg.Lines+63)/64)}
+	}
 	return &Cache{
 		cfg:    cfg,
 		ways:   ways,
 		sets:   cfg.Lines / ways,
-		slots:  make([]Line, cfg.Lines),
+		st:     st,
+		slots:  st.lines,
 		victim: make([]Line, 0, cfg.VictimLines),
 	}
+}
+
+// Release returns the cache's line array to a pool for the next New of
+// the same line count, and leaves the cache unusable: any later lookup
+// or insert, or a second Release, panics rather than alias another
+// cache's lines.
+//
+// Only the sets marked since New are cleared. A line enters a set that
+// holds none only through Insert's free-way fill, which marks the set
+// first. Every other write lands in a set that already holds a line: an
+// Insert refill or displacement, a victim-cache hit moved back into the
+// set it was displaced from, and the reordering and zeroing done by
+// Lookup and Invalidate. So every non-zero line lies in a marked set,
+// and the cleared array equals a freshly made one.
+func (c *Cache) Release() {
+	st := c.st
+	for i, word := range st.written {
+		for ; word != 0; word &= word - 1 {
+			clear(c.set(i*64 + bits.TrailingZeros64(word)))
+		}
+		st.written[i] = 0
+	}
+	c.st, c.slots, c.victim = nil, nil, nil
+	pool(c.cfg.Lines).Put(st)
 }
 
 // Set returns the set index for a block.
@@ -217,7 +275,8 @@ func (c *Cache) touchVictim(i int) {
 //
 //swex:hotpath
 func (c *Cache) Insert(l Line) (evicted Line, wasEvicted bool) {
-	set := c.set(c.Set(l.Block))
+	idx := c.Set(l.Block)
+	set := c.set(idx)
 	if w := c.findWay(set, l.Block); w >= 0 {
 		// Refill of a resident block (e.g. upgrade): overwrite in place.
 		set[w] = l
@@ -234,6 +293,7 @@ func (c *Cache) Insert(l Line) (evicted Line, wasEvicted bool) {
 	// Use a free way if one exists.
 	for w := range set {
 		if set[w].State == Invalid {
+			c.st.written[idx>>6] |= 1 << (idx & 63)
 			set[w] = l
 			touch(set, w)
 			return Line{}, false
@@ -319,25 +379,4 @@ func (c *Cache) Resident() int {
 		}
 	}
 	return n
-}
-
-// Flush invalidates every line, returning the dirty ones so the caller can
-// write them back. Used by the software-only directory protocol, which
-// flushes a block from the home's local cache when the remote-access bit
-// is first set, and by tests.
-func (c *Cache) Flush() []Line {
-	var dirty []Line
-	for i := range c.slots {
-		if c.slots[i].State != Invalid && c.slots[i].Dirty {
-			dirty = append(dirty, c.slots[i])
-		}
-		c.slots[i] = Line{}
-	}
-	for i := range c.victim {
-		if c.victim[i].State != Invalid && c.victim[i].Dirty {
-			dirty = append(dirty, c.victim[i])
-		}
-	}
-	c.victim = c.victim[:0]
-	return dirty
 }

@@ -213,22 +213,6 @@ func TestInstructionDataThrash(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := small(2)
-	d := line(1, Exclusive)
-	d.Dirty = true
-	c.Insert(d)
-	c.Insert(line(2, Shared))
-	c.Insert(line(9, Shared)) // 1 -> victim (dirty, in victim)
-	dirty := c.Flush()
-	if len(dirty) != 1 || dirty[0].Block != 1 {
-		t.Fatalf("Flush returned %v, want the one dirty line (block 1)", dirty)
-	}
-	if c.Resident() != 0 {
-		t.Fatalf("Resident = %d after Flush, want 0", c.Resident())
-	}
-}
-
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -323,6 +323,16 @@ func (m *Machine) run(program func(*proc.Env), limit, interval sim.Cycle, sample
 	return m.result(), nil
 }
 
+// Release returns every node's cache storage for reuse by later
+// machines (cache.Cache.Release). The machine is dead afterwards: read
+// everything needed from it and its Result first, and do not run,
+// inspect or release it again.
+func (m *Machine) Release() {
+	for i := range m.Nodes {
+		m.Fabric.Cache(mem.NodeID(i)).Cache().Release()
+	}
+}
+
 // stopThreads unwinds every unfinished thread after a run that did not
 // complete, so a failed run leaves no suspended coroutine behind.
 func (m *Machine) stopThreads() {

@@ -3,6 +3,7 @@ package machine
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"swex/internal/mem"
 	"swex/internal/proc"
@@ -188,11 +189,29 @@ func TestRunLimitEnforced(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns runtime.NumGoroutine once it has held steady
+// across ten consecutive short sleeps (at most a bounded number of reads):
+// the previous test's runner goroutine may still be exiting. Sleeping
+// lets this goroutine's processor pick up that goroutine; under -race it
+// was seen to stay runnable through a thousand runtime.Gosched calls.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for steady, tries := 0, 0; steady < 10 && tries < 1000; tries++ {
+		time.Sleep(100 * time.Microsecond)
+		if now := runtime.NumGoroutine(); now == n {
+			steady++
+		} else {
+			n, steady = now, 0
+		}
+	}
+	return n
+}
+
 // TestFailedRunsReleaseThreads checks that a run ending in an error
 // unwinds every unfinished thread: the threads' deferred calls run and no
 // suspended coroutine is left behind.
 func TestFailedRunsReleaseThreads(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	unwound := 0
 	m := MustNew(DefaultConfig(4, proto.FullMap()))
 	a := m.Mem.AllocOn(0, 1)

@@ -48,6 +48,43 @@ func TestLitmusJobCapturesObservations(t *testing.T) {
 	}
 }
 
+// TestReusedCacheStorageIsInvisible sweeps the litmus corpus on three
+// protocols twice with two workers, each pass on a fresh runner so every
+// job executes, on cache storage released by earlier jobs and handed
+// between workers by the pool. Both passes must equal a one-worker sweep.
+func TestReusedCacheStorageIsInvisible(t *testing.T) {
+	var jobs []Job
+	for _, alias := range []string{"full", "h1ack", "dir1sw"} {
+		spec, err := litmus.SpecByAlias(alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range litmus.Corpus() {
+			if len(tc.Prog.Threads) <= 4 && litmus.CompatibleBase(tc.Prog, spec) {
+				jobs = append(jobs, LitmusJob(tc.Prog, machine.DefaultConfig(4, spec)))
+			}
+		}
+	}
+	sweep := func(workers int) []Result {
+		r := MustNewRunner(Config{Workers: workers})
+		defer r.Close()
+		results, err := r.Run(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.TotalExecs() != len(jobs) {
+			t.Fatalf("runner executed %d of %d jobs", r.TotalExecs(), len(jobs))
+		}
+		return results
+	}
+	want := sweep(1)
+	for pass := 1; pass <= 2; pass++ {
+		if got := sweep(2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d with two workers differs from the one-worker sweep", pass)
+		}
+	}
+}
+
 func TestLitmusJobObservationsRideTheCache(t *testing.T) {
 	jobs := litmusMatrix()
 	dir := t.TempDir()

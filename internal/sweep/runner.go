@@ -318,7 +318,9 @@ func (r *Runner) executeOnce(job Job, key string) (res Result, err error) {
 // any process on any machine, return interchangeable results. A panicking
 // simulation becomes an error carrying the stack (a failure record, never
 // a crashed worker). defaultLimit bounds the run in simulated cycles when
-// Job.Limit is zero (0 = unbounded).
+// Job.Limit is zero (0 = unbounded). On return the job's machine is
+// released (machine.Machine.Release), so its cache storage serves later
+// jobs.
 func Execute(job Job, defaultLimit sim.Cycle) (res Result, err error) {
 	defer func() {
 		//lint:allow panic-hygiene(a panicking simulation must become a failure record, not a crashed worker; the stack is preserved in the error)
@@ -334,6 +336,12 @@ func Execute(job Job, defaultLimit sim.Cycle) (res Result, err error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// Execute owns the machine from New to its last read, so it is the
+	// one place that releases a machine. The deferred call runs after the
+	// result and observations are captured, and on a panic too: Insert
+	// marks a set before it writes one, so the storage is releasable at
+	// any instant.
+	defer m.Release()
 	limit := job.Limit
 	if limit == 0 {
 		limit = defaultLimit
