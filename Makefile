@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
+.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke
 
 all: build test
 
@@ -22,18 +22,18 @@ vet:
 	$(GO) vet ./...
 
 # race runs under the race detector the packages that touch goroutines
-# (the network model, the sweep orchestrator's worker pool, and the
-# distributed sweep service), plus the memory-model fuzzing layer whose
-# runs ride the sweep worker pool, the memory-tier models that ride the
-# mesh's server primitives, and the simulation core itself: the engine,
-# the processor model, and the machine. The core is single-threaded by
-# contract — application threads are coroutines that alternate with the
-# engine and start no goroutines — so a report there means something
-# broke the lockstep. The interesting schedules are in the pool merge,
-# the coordinator's lease machinery, and cache line storage that one sweep
-# worker releases and another reuses (TestReusedCacheStorageIsInvisible).
+# (the network model and the sweep orchestrator's worker pool), plus the
+# memory-model fuzzing layer whose runs ride the sweep worker pool, the
+# memory-tier models that ride the mesh's server primitives, and the
+# simulation core itself: the engine, the processor model, and the
+# machine. The core is single-threaded by contract — application threads
+# are coroutines that alternate with the engine and start no goroutines —
+# so a report there means something broke the lockstep. The interesting
+# schedules are in the pool merge, the result cache's journal, and cache
+# line storage that one sweep worker releases and another reuses
+# (TestReusedCacheStorageIsInvisible).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/proc/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/swexd/... ./internal/litmus/...
+	$(GO) test -race ./internal/sim/... ./internal/proc/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/litmus/...
 
 # mc exhausts the model checker's full-depth configurations over the
 # whole protocol spectrum, with sleep-set partial-order reduction on
@@ -66,32 +66,23 @@ mc-por-smoke:
 	$(GO) test ./internal/mc/ -run 'TestPOR'
 
 # sweep-smoke exercises the sweep orchestrator end to end: the determinism
-# and crash-resume suites, then the swexsweep CLI cold and warm over one
-# cache directory, on a figure and two ablations (one with check-in
-# annotations, one with a block-by-block protocol region) — on the warm
-# runs every matrix's line must report zero executed simulations.
+# and crash-resume suites, then the swex CLI cold and warm over one cache
+# directory, on a figure and two ablations (one with check-in annotations,
+# one with a block-by-block protocol region), with the journal summarized
+# and compacted in between — on the warm runs every exhibit's line and the
+# closing total must report zero executed simulations.
 SMOKE_MATRICES = fig2 ablate-cico ablate-dataspec
-ALL_WARM = awk '/ executed,/ {n++} !/ 0 executed,/ {bad=1} END {exit bad || n != 3}'
+ALL_WARM = awk '/^swex: 0 simulation\(s\) executed / {next} / executed,/ {n++} !/ 0 executed,/ {bad=1} END {exit bad || n != 3}'
 sweep-smoke:
 	$(GO) test ./internal/sweep/ -run 'TestCrashResume|TestCacheRoundTrip|TestCompact' -count=1
 	$(GO) test . -run 'TestSweepOutputDeterministic|TestSharedBaselineComputedOnce' -count=1
 	d=$$(mktemp -d) && \
-	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d $(SMOKE_MATRICES) >/dev/null && \
-	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
-	  $(GO) run ./cmd/swexsweep -status -cache $$d >/dev/null && \
-	  $(GO) run ./cmd/swexsweep -cache $$d compact >/dev/null && \
-	  $(GO) run ./cmd/swexsweep -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
+	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) >/dev/null && \
+	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
+	  $(GO) run ./cmd/swex -status -cache $$d >/dev/null && \
+	  $(GO) run ./cmd/swex -cache $$d compact >/dev/null && \
+	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
 	  rm -rf $$d
-
-# swexd-smoke exercises the distributed sweep service end to end: the
-# coordinator/worker suite (lease expiry, worker loss mid-lease, the
-# HTTP/NDJSON front end, cross-process warm resubmission), then the
-# acceptance check — a coordinator with three in-process workers renders
-# the full quick exhibit matrix byte-identically to a serial run, and a
-# warm resubmission executes zero simulations.
-swexd-smoke:
-	$(GO) test ./internal/swexd/ -count=1
-	$(GO) test . -run 'TestDistributedExhibitsByteIdentical' -count=1
 
 # fuzz-smoke exercises the memory-model fuzzing pipeline end to end: the
 # litmus package's oracle suite (verdict tables, cross-validation of the
@@ -129,4 +120,4 @@ trace-smoke:
 	$(GO) run ./cmd/swextrace -worker 4 -iters 2 -nodes 4 -protocol h2 -o /tmp/swextrace-smoke.json
 	$(GO) run ./cmd/swextrace profile -worker 4 -iters 2 -nodes 4 -protocol h2 >/dev/null
 
-check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
+check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke

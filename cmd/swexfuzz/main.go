@@ -13,14 +13,13 @@
 //	swexfuzz [-seed N] [-programs N] [-nodes N] [-specs full,h1ack,dir1sw]
 //	         [-threads N] [-vars N] [-ops N] [-overrides] [-limit N]
 //	         [-checker auto|exhaustive|constraints]
-//	         [-cache DIR] [-workers N] [-coordinator URL]
+//	         [-cache DIR] [-workers N]
 //	swexfuzz -weakened [-nodes N]
 //
 // Runs are routed through the sweep layer, so -cache makes campaigns
 // resumable (a re-run with a warm cache re-executes nothing and prints
-// byte-identical output) and -coordinator distributes the same jobs over a
-// swexd worker fleet. Everything on stdout is a deterministic function of
-// the flags; timings and cache statistics go to stderr.
+// byte-identical output). Everything on stdout is a deterministic function
+// of the flags; timings and cache statistics go to stderr.
 //
 // -weakened runs the negative control instead: a machine configured to
 // silently drop an invalidation (machine.Config.LoseInv) executes a
@@ -43,7 +42,6 @@ import (
 	"swex/internal/proto"
 	"swex/internal/sim"
 	"swex/internal/sweep"
-	"swex/internal/swexd"
 )
 
 func main() {
@@ -78,7 +76,6 @@ func run(args []string) error {
 	checker := fs.String("checker", "auto", "decision procedure: auto, exhaustive, or constraints")
 	cacheDir := fs.String("cache", "", "content-addressed result cache directory (empty = no cache)")
 	workers := fs.Int("workers", 0, "concurrent local simulations (0 = GOMAXPROCS)")
-	coordinator := fs.String("coordinator", "", "swexd coordinator base URL (empty = run locally)")
 	weakened := fs.Bool("weakened", false, "run the lost-invalidation negative control and require the oracle to flag it")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -133,7 +130,7 @@ func run(args []string) error {
 	}
 
 	start := time.Now()
-	results, execs, cached, err := execute(jobs, *coordinator, *cacheDir, *workers, sim.Cycle(*limit))
+	results, execs, cached, err := execute(jobs, *cacheDir, *workers, sim.Cycle(*limit))
 	if err != nil {
 		return err
 	}
@@ -182,12 +179,8 @@ func run(args []string) error {
 	fmt.Printf("total: %d run(s), %d violation(s)\n", total, bad)
 
 	elapsed := time.Since(start)
-	if execs >= 0 {
-		fmt.Fprintf(os.Stderr, "swexfuzz: %d simulation(s), %d cache hit(s), %.1fs (%.1f runs/s)\n",
-			execs, cached, elapsed.Seconds(), float64(total)/elapsed.Seconds())
-	} else {
-		fmt.Fprintf(os.Stderr, "swexfuzz: %d run(s) via %s, %.1fs\n", total, *coordinator, elapsed.Seconds())
-	}
+	fmt.Fprintf(os.Stderr, "swexfuzz: %d simulation(s), %d cache hit(s), %.1fs (%.1f runs/s)\n",
+		execs, cached, elapsed.Seconds(), float64(total)/elapsed.Seconds())
 	if bad > 0 {
 		return fmt.Errorf("%d sequential-consistency violation(s)", bad)
 	}
@@ -270,25 +263,15 @@ func buildPrograms(seed uint64, count, nodes, threads, vars, ops int, overrides 
 	return entries, dropped, nil
 }
 
-// execute runs the matrix locally or through a coordinator and returns
-// results in submission order plus execution/cache counters (execs is -1
-// when a coordinator ran the jobs and the split is unknown).
-func execute(jobs []sweep.Job, coordinator, cacheDir string, workers int, limit sim.Cycle) ([]sweep.Result, int, int, error) {
-	ctx := context.Background()
-	if coordinator != "" {
-		client := &swexd.Client{Base: coordinator}
-		results, err := client.Run(ctx, jobs)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return results, -1, 0, nil
-	}
+// execute runs the matrix and returns results in submission order plus
+// the execution and cache-hit counters.
+func execute(jobs []sweep.Job, cacheDir string, workers int, limit sim.Cycle) ([]sweep.Result, int, int, error) {
 	runner, err := sweep.NewRunner(sweep.Config{Workers: workers, CacheDir: cacheDir, CycleBudget: limit})
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	defer runner.Close()
-	outcomes := runner.Sweep(ctx, jobs)
+	outcomes := runner.Sweep(context.Background(), jobs)
 	results := make([]sweep.Result, len(outcomes))
 	cached := 0
 	for i, out := range outcomes {

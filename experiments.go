@@ -24,21 +24,9 @@ import (
 // runner and shapes the results into the paper's table or figure. Builders
 // and assemblers share the same loop structure, so results are consumed by
 // index. Running several experiments through one shared Runner (as cmd/swex
-// and cmd/swexsweep do) deduplicates the simulation points they share —
-// for example the sequential baselines common to Table 3, Figure 4,
-// Figure 5, and the scaling study run once, not four times.
-
-// JobRunner is where an experiment's sweep jobs execute: the in-process
-// Sweeper, or a swexd coordinator client that leases the jobs out to
-// remote workers. Implementations must return results index-aligned with
-// the submitted jobs (fail-fast on the first failure by submission order),
-// which is what makes experiment output independent of where and in what
-// order the simulations actually ran.
-type JobRunner interface {
-	// Run executes the matrix and returns one result per job in
-	// submission order, or the first failure by submission order.
-	Run(ctx context.Context, jobs []sweep.Job) ([]sweep.Result, error)
-}
+// does) deduplicates the simulation points they share — for example the
+// sequential baselines common to Table 3, Figure 4, Figure 5, and the
+// scaling study run once, not four times.
 
 // Options controls how an experiment runs.
 type Options struct {
@@ -46,27 +34,21 @@ type Options struct {
 	// completes in a few seconds, preserving every qualitative shape.
 	// Used by tests and short benchmark runs.
 	Quick bool
-	// Sweep is the job runner experiments execute on. Nil uses a private
+	// Sweep is the runner experiments execute on. Nil uses a private
 	// in-memory runner with one worker per core. Sharing one runner
 	// across experiments shares its result cache (and, when configured
-	// with a cache directory, persists results across processes). A
-	// distributed runner (swexd's coordinator client) slots in here too:
-	// the assemblers consume results by submission index either way, so
-	// output is byte-identical wherever the simulations ran.
-	Sweep JobRunner
+	// with a cache directory, persists results across processes).
+	Sweep *Sweeper
 }
 
-// sweeper returns the runner the experiment executes on.
-func (o Options) sweeper() JobRunner {
-	if o.Sweep != nil {
-		return o.Sweep
-	}
-	return sweep.MustNewRunner(sweep.Config{})
-}
-
-// run executes the matrix with fail-fast semantics.
+// run executes the matrix with fail-fast semantics: results in submission
+// order, or the first failure by submission order.
 func (o Options) run(jobs []sweep.Job) ([]sweep.Result, error) {
-	return o.sweeper().Run(context.Background(), jobs)
+	r := o.Sweep
+	if r == nil {
+		r = sweep.MustNewRunner(sweep.Config{})
+	}
+	return r.Run(context.Background(), jobs)
 }
 
 // --------------------------------------------------------------- Table 1
@@ -941,10 +923,9 @@ func (d *TiersData) Table() *report.Table {
 
 // Matrix names one exhibit: a job-matrix builder paired with the
 // assembler/renderer that turns its results into the paper's table,
-// figure, or ablation. The registry is the single exhibit list every front
-// end (cmd/swex, cmd/swexsweep, cmd/swexd) resolves names against and
-// serializes job matrices from — every Jobs() element is a canonical,
-// hashable, JSON-serializable sweep.Job.
+// figure, or ablation. The registry is the single exhibit list cmd/swex
+// resolves names against — every Jobs() element is a canonical, hashable
+// sweep.Job.
 type Matrix struct {
 	// Name is the CLI-facing exhibit name ("table1" .. "ablate-mthread").
 	Name string
@@ -955,7 +936,7 @@ type Matrix struct {
 	// Render runs the matrix through Options.Sweep and returns the
 	// rendered exhibit plus the assembled data behind it (for JSON
 	// output). Both are pure functions of the job results, so they are
-	// byte-identical wherever and in whatever order the jobs executed.
+	// byte-identical at any worker count and with or without a warm cache.
 	Render func(Options) (string, any, error)
 }
 

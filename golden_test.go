@@ -14,6 +14,21 @@ import (
 	"testing"
 )
 
+// renderAll renders every registry exhibit in quick mode on the default
+// private runner and returns the concatenated reports.
+func renderAll(t *testing.T) string {
+	t.Helper()
+	var out string
+	for _, m := range Matrices() {
+		text, _, err := m.Render(Options{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		out += "== " + m.Name + "\n" + text + "\n"
+	}
+	return out
+}
+
 var update = flag.Bool("update", false, "rewrite the quick exhibit golden")
 
 // TestQuickExhibitsGolden renders every exhibit in quick mode on the
@@ -24,7 +39,7 @@ func TestQuickExhibitsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick matrix; skipped in -short")
 	}
-	got := []byte(renderAll(t, nil))
+	got := []byte(renderAll(t))
 	path := filepath.Join("testdata", "quick_exhibits.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -145,7 +145,6 @@ func DefaultConfig() *Config {
 			"swex/internal/memtier",
 			"swex/internal/sim",
 			"swex/internal/sweep",
-			"swex/internal/swexd",
 			"swex/internal/trace",
 		},
 		HotReportPaths: []string{

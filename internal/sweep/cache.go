@@ -25,6 +25,11 @@ import (
 // readable become immediate cache hits, a truncated final line (the
 // signature of a crash mid-append) is ignored, and "failed" entries are
 // remembered only for reporting — failures always re-execute.
+//
+// The directory is the only state several processes share: each may open
+// it, serve hits from it and journal into it. Every record names its key
+// and the key's hash, so a record from any writer is checked against the
+// content address it claims.
 type Cache struct {
 	dir string
 
@@ -40,6 +45,12 @@ type manifestLine struct {
 	Key    string `json:"k"`
 	Status string `json:"s"` // "done" or "failed"
 	Err    string `json:"e,omitempty"`
+}
+
+// valid reports whether a decoded record is one the cache writes: a known
+// status, and a hash that is the hash of its key.
+func (m manifestLine) valid() bool {
+	return (m.Status == "done" || m.Status == "failed") && m.Hash == HashKey(m.Key)
 }
 
 // OpenCache opens (creating if needed) a cache directory and replays its
@@ -70,9 +81,11 @@ func (c *Cache) objectPath(hash string) string {
 	return filepath.Join(c.dir, "objects", hash[:2], hash+".json")
 }
 
-// replay loads the journal. Unparseable lines are tolerated only in the
-// final position (a crash mid-append); anywhere else they mean corruption
-// and the open fails rather than silently dropping completed work.
+// replay loads the journal. Malformed lines — unparseable, or records
+// that fail manifestLine.valid — are tolerated only in the final position
+// (a crash mid-append); anywhere else they mean corruption and the open
+// fails with the line number rather than silently dropping completed work
+// or serving a record under a hash it does not own.
 func (c *Cache) replay() error {
 	f, err := os.Open(c.manifestPath())
 	if errors.Is(err, fs.ErrNotExist) {
@@ -91,15 +104,15 @@ func (c *Cache) replay() error {
 			continue
 		}
 		var m manifestLine
-		if err := json.Unmarshal([]byte(text), &m); err != nil || m.Hash == "" {
+		if err := json.Unmarshal([]byte(text), &m); err != nil || !m.valid() {
 			if badLine != 0 {
-				return fmt.Errorf("sweep: manifest %s: unparseable line %d", c.manifestPath(), badLine)
+				return fmt.Errorf("sweep: manifest %s: malformed line %d", c.manifestPath(), badLine)
 			}
 			badLine = line
 			continue
 		}
 		if badLine != 0 {
-			return fmt.Errorf("sweep: manifest %s: unparseable line %d precedes valid records", c.manifestPath(), badLine)
+			return fmt.Errorf("sweep: manifest %s: malformed line %d precedes valid records", c.manifestPath(), badLine)
 		}
 		switch m.Status {
 		case "done":
@@ -109,7 +122,10 @@ func (c *Cache) replay() error {
 			c.failed[m.Hash] = Failure{Key: m.Key, Err: m.Err}
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("sweep: manifest %s: %w", c.manifestPath(), err)
+	}
+	return nil
 }
 
 // Get returns the cached result for a canonical key, if the journal marks
@@ -179,7 +195,7 @@ func (c *Cache) Put(key string, res Result) error {
 
 // PutFailure journals a job failure. Failures are never served from the
 // cache — they re-execute on resume — but the journal records them so a
-// sweep's post-mortem (swexsweep -status) can list what went wrong.
+// sweep's post-mortem (swex -status) can list what went wrong.
 func (c *Cache) PutFailure(key string, jobErr error) error {
 	hash := HashKey(key)
 	msg := ""

@@ -7,8 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	//lint:allow determinism(wall budgets bound real execution time of runaway jobs; simulated results never depend on it)
-	"time"
 
 	"swex/internal/machine"
 	"swex/internal/mem"
@@ -30,19 +28,6 @@ type Config struct {
 	// when Job.Limit is zero (0 = unbounded). A job exceeding its budget
 	// becomes a failure record, not a hung sweep.
 	CycleBudget sim.Cycle
-	// WallBudget, when positive, marks any job whose execution took
-	// longer than this wall-clock duration as failed. It cannot preempt a
-	// running simulation (use CycleBudget for that); it exists to flag
-	// pathological configurations in long unattended sweeps. Wall-budget
-	// failures depend on machine speed and are therefore the one
-	// intentionally nondeterministic feature of the runner; leave it zero
-	// when byte-identical sweep reports matter.
-	WallBudget time.Duration
-	// Retries is how many times a failed job is re-executed before its
-	// failure is recorded (panics included; the simulator is
-	// deterministic, so this matters mainly for wall-budget and
-	// resource-exhaustion failures).
-	Retries int
 	// OnExecute, when set, is called once per actual simulation execution
 	// (not per cache hit), before the run starts. It is the test hook for
 	// asserting execution counts; it runs on worker goroutines and must
@@ -146,7 +131,9 @@ func (j Job) String() string {
 // with the input. Identical jobs are executed once and fanned out, results
 // are merged in submission order, and the output is a pure function of the
 // job list — byte-identical at any worker count, with or without a warm
-// cache — except where WallBudget introduces machine-speed failures.
+// cache. Every failure is deterministic too (an invalid description, the
+// cycle budget, or a recovered panic), so a failed job is recorded, not
+// retried.
 func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 	outcomes := make([]Outcome, len(jobs))
 
@@ -199,7 +186,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 			o.Err = err
 			return
 		}
-		res, err := r.executeWithRetry(t.job, t.key)
+		res, err := r.execute(t.job, t.key)
 		if err != nil {
 			o.Err = err
 			if r.cache != nil {
@@ -261,24 +248,9 @@ func (r *Runner) lookup(key, hash string) (Result, bool) {
 	return res, ok
 }
 
-// executeWithRetry applies the retry policy around single executions.
-func (r *Runner) executeWithRetry(job Job, key string) (Result, error) {
-	var lastErr error
-	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
-		res, err := r.executeOnce(job, key)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-	}
-	if r.cfg.Retries > 0 {
-		lastErr = fmt.Errorf("%w (after %d attempts)", lastErr, r.cfg.Retries+1)
-	}
-	return Result{}, lastErr
-}
-
-// executeOnce runs one simulation under panic recovery and the budgets.
-func (r *Runner) executeOnce(job Job, key string) (res Result, err error) {
+// execute counts and runs one simulation under panic recovery and the
+// cycle budget.
+func (r *Runner) execute(job Job, key string) (res Result, err error) {
 	defer func() {
 		//lint:allow panic-hygiene(a panicking OnExecute hook must become a failure record, not a crashed sweep; the stack is preserved in the error)
 		if rec := recover(); rec != nil {
@@ -293,31 +265,17 @@ func (r *Runner) executeOnce(job Job, key string) (res Result, err error) {
 	if r.cfg.OnExecute != nil {
 		r.cfg.OnExecute(job)
 	}
-
-	var start time.Time
-	if r.cfg.WallBudget > 0 {
-		start = time.Now()
-	}
-	res, err = Execute(job, r.cfg.CycleBudget)
-	if err != nil {
-		return Result{}, err
-	}
-	if r.cfg.WallBudget > 0 {
-		if elapsed := time.Since(start); elapsed > r.cfg.WallBudget {
-			return Result{}, fmt.Errorf("sweep: job exceeded wall budget (%v > %v)", elapsed, r.cfg.WallBudget)
-		}
-	}
-	return res, nil
+	return Execute(job, r.cfg.CycleBudget)
 }
 
 // Execute runs one job's simulation to completion and captures its
-// cacheable result. It is the single-execution primitive shared by the
-// in-process Runner and the distributed swexd worker: the lease holder
-// calls Execute, and because the simulator is deterministic, the Result is
-// a pure function of the job — two Execute calls for equal job keys, in
-// any process on any machine, return interchangeable results. A panicking
-// simulation becomes an error carrying the stack (a failure record, never
-// a crashed worker). defaultLimit bounds the run in simulated cycles when
+// cacheable result. It is the single-execution primitive under the Runner
+// (and under benchmarks that time one run): because the simulator is
+// deterministic, the Result is a pure function of the job — two Execute
+// calls for equal job keys, in any process, return interchangeable
+// results, which is what lets processes share one cache directory. A
+// panicking simulation becomes an error carrying the stack (a failure
+// record, never a crashed worker). defaultLimit bounds the run in simulated cycles when
 // Job.Limit is zero (0 = unbounded). On return the job's machine is
 // released (machine.Machine.Release), so its cache storage serves later
 // jobs.

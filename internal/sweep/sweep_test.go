@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -202,28 +203,39 @@ func TestCacheTolerantOfTruncatedFinalLine(t *testing.T) {
 }
 
 func TestCacheRejectsMidFileCorruption(t *testing.T) {
-	dir := t.TempDir()
-	r, err := NewRunner(Config{Workers: 1, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(context.Background(), smallMatrix(2)); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
+	for _, tc := range []struct{ name, bad string }{
+		{"not json", "garbage not json\n"},
+		// A well-formed record whose hash is not the hash of its key.
+		{"foreign hash", `{"h":"x","k":"not-a-job","s":"done"}` + "\n"},
+		{"unknown status", fmt.Sprintf(`{"h":%q,"k":"k1","s":"maybe"}`, HashKey("k1")) + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r, err := NewRunner(Config{Workers: 1, CacheDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(context.Background(), smallMatrix(2)); err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
 
-	manifest := filepath.Join(dir, "manifest.jsonl")
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	corrupted := "garbage not json\n" + strings.Join(lines, "")
-	if err := os.WriteFile(manifest, []byte(corrupted), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCache(dir); err == nil {
-		t.Fatal("corruption before valid records must fail the open, not drop work silently")
+			manifest := filepath.Join(dir, "manifest.jsonl")
+			data, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(manifest, []byte(tc.bad+string(data)), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			_, err = OpenCache(dir)
+			if err == nil {
+				t.Fatal("corruption before valid records must fail the open, not drop work silently")
+			}
+			if !strings.Contains(err.Error(), "line 1 ") {
+				t.Fatalf("error does not name the malformed line: %v", err)
+			}
+		})
 	}
 }
 
@@ -356,39 +368,6 @@ func TestPanicBecomesFailureRecord(t *testing.T) {
 	}
 	if st := r2.Cache().Status(); st.Failed != 0 {
 		t.Fatalf("success must clear the journaled failure, still %d failed", st.Failed)
-	}
-}
-
-func TestRetryPolicy(t *testing.T) {
-	job := smallMatrix(1)[0]
-	var calls atomic.Int64
-	r := MustNewRunner(Config{
-		Workers: 1,
-		Retries: 2,
-		OnExecute: func(Job) {
-			if calls.Add(1) < 3 {
-				panic("transient test failure")
-			}
-		},
-	})
-	defer r.Close()
-	if _, err := r.Run(context.Background(), []Job{job}); err != nil {
-		t.Fatalf("job must succeed within the retry budget: %v", err)
-	}
-	if got := r.ExecCount(job); got != 3 {
-		t.Fatalf("retry policy ran the job %d times, want 3", got)
-	}
-
-	// Exhausted retries surface the last error, annotated with the count.
-	r2 := MustNewRunner(Config{
-		Workers:   1,
-		Retries:   1,
-		OnExecute: func(Job) { panic("permanent test failure") },
-	})
-	defer r2.Close()
-	_, err := r2.Run(context.Background(), []Job{job})
-	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
-		t.Fatalf("exhausted retries not annotated: %v", err)
 	}
 }
 
