@@ -85,7 +85,7 @@ func main() {
 			BatchReads:      *batch,
 		}
 		if *dropInv > 0 {
-			cfg.Fault = dropNthInv(*dropInv)
+			cfg.Fault = proto.Fault{Kind: proto.MsgINV, Nth: *dropInv}
 		}
 		res, err := mc.Check(cfg)
 		if err != nil {
@@ -157,19 +157,4 @@ func resolveOverrides(arg string) ([]proto.Spec, error) {
 		out = append(out, specs[0])
 	}
 	return out, nil
-}
-
-// dropNthInv builds a per-world fault filter that silently drops the Nth
-// invalidation message injected into the network.
-func dropNthInv(n int) func() func(proto.Msg) bool {
-	return func() func(proto.Msg) bool {
-		seen := 0
-		return func(m proto.Msg) bool {
-			if m.Kind != proto.MsgINV {
-				return false
-			}
-			seen++
-			return seen == n
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"swex/internal/machine"
 	"swex/internal/mem"
 	"swex/internal/proc"
+	"swex/internal/proto"
 	"swex/internal/shm"
 	"swex/internal/sim"
 )
@@ -186,12 +187,7 @@ func TSP(p TSPParams) Program {
 						total := cost + dist(current, 0)
 						localTours++
 						if total < b {
-							env.RMW(bound, func(old uint64) uint64 {
-								if total < old {
-									return total
-								}
-								return old
-							})
+							env.RMW(bound, proto.RMW{Kind: proto.RMWMin, Arg: total})
 						}
 						return
 					}

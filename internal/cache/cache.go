@@ -151,6 +151,22 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// CloneInto returns an independent cache with this one's geometry and
+// contents, reusing dst's storage when dst is not nil and has the same
+// geometry. Its statistics start at zero.
+func (c *Cache) CloneInto(dst *Cache) *Cache {
+	if dst == nil || dst.cfg != c.cfg {
+		st := &store{lines: make([]Line, len(c.st.lines)), written: make([]uint64, len(c.st.written))}
+		dst = &Cache{cfg: c.cfg, ways: c.ways, sets: c.sets, st: st, slots: st.lines,
+			victim: make([]Line, 0, c.cfg.VictimLines)}
+	}
+	copy(dst.slots, c.slots)
+	copy(dst.st.written, c.st.written)
+	dst.victim = append(dst.victim[:0], c.victim...)
+	dst.Stats = Stats{}
+	return dst
+}
+
 // Release returns the cache's line array to a pool for the next New of
 // the same line count, and leaves the cache unusable: any later lookup
 // or insert, or a second Release, panics rather than alias another

@@ -12,6 +12,8 @@ package dir
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"swex/internal/mem"
@@ -109,6 +111,17 @@ func (p *PointerSet) Drain() []mem.NodeID {
 	p.ForEach(func(id mem.NodeID) { out = append(out, id) })
 	p.Clear()
 	return out
+}
+
+// AppendTo appends the pointers to dst in ascending order and returns the
+// extended slice, without modifying the set.
+func (p *PointerSet) AppendTo(dst []mem.NodeID) []mem.NodeID {
+	for w, word := range p.bits {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, mem.NodeID(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
 }
 
 // List returns the pointers in ascending order without modifying the set.
@@ -229,11 +242,43 @@ func (e *Entry) NoteSharers() {
 type Directory struct {
 	caps    int
 	entries map[mem.Block]*Entry
+	// keys and copies are CloneInto's storage: the sorted block list and
+	// the copied entries the map points into.
+	keys   []mem.Block
+	copies []Entry
 }
 
 // New creates a directory whose entries hold caps hardware pointers.
 func New(caps int) *Directory {
 	return &Directory{caps: caps, entries: make(map[mem.Block]*Entry)}
+}
+
+// CloneInto returns an independent copy of the directory and its
+// entries, reusing dst's storage when dst is not nil: dst's entries are
+// overwritten, and the entry copies it made earlier are reused.
+func (d *Directory) CloneInto(dst *Directory) *Directory {
+	if dst == nil {
+		dst = New(d.caps)
+	}
+	dst.caps = d.caps
+	if len(dst.entries) > 0 {
+		clear(dst.entries)
+	}
+	keys := dst.keys[:0]
+	for b := range d.entries {
+		keys = append(keys, b)
+	}
+	slices.Sort(keys)
+	dst.keys = keys
+	if cap(dst.copies) < len(keys) {
+		dst.copies = make([]Entry, len(keys))
+	}
+	dst.copies = dst.copies[:len(keys)]
+	for i, b := range keys {
+		dst.copies[i] = *d.entries[b]
+		dst.entries[b] = &dst.copies[i]
+	}
+	return dst
 }
 
 // PointerCap reports the per-entry hardware pointer capacity.

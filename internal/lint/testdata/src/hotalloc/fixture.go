@@ -31,7 +31,7 @@ func Root(h handler, fn func(), tag any) {
 	_ = tagOf(3)
 }
 
-// schedule mimics sim.Engine.AtTagged's (tag any) signature.
+// schedule mimics the (tag any) parameter of sim.Engine.AtCall.
 func schedule(v any, t any) {
 	_ = v
 	_ = t

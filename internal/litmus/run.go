@@ -160,8 +160,7 @@ func (p Program) setup(m *machine.Machine) apps.Instance {
 				case OpWrite:
 					env.Write(addrs[op.Var], op.Arg)
 				case OpRMW:
-					v := op.Arg
-					old := env.RMW(addrs[op.Var], func(uint64) uint64 { return v })
+					old := env.RMW(addrs[op.Var], proto.RMW{Kind: proto.RMWSwap, Arg: op.Arg})
 					log.Record(env, old)
 				case OpFence:
 					env.CheckIn(addrs[op.Var])

@@ -167,22 +167,9 @@ func New(cfg Config) (*Machine, error) {
 	fabric.BatchReads = cfg.BatchReads
 	fabric.MigratoryDetect = cfg.MigratoryDetect
 	fabric.Tier = memtier.New(engine, cfg.Nodes, cfg.MemTier)
-	if cfg.LoseInv > 0 {
-		remaining := cfg.LoseInv
-		fabric.Fault = func(m proto.Msg) bool {
-			if m.Kind != proto.MsgINV {
-				return false
-			}
-			remaining--
-			if remaining != 0 {
-				return false
-			}
-			// Spoof the acknowledgment so the home's transaction
-			// completes while the victim's stale copy survives.
-			fabric.Send(proto.Msg{Kind: proto.MsgACK, Src: m.Dst, Dst: m.Src, Block: m.Block, Epoch: m.Epoch})
-			return true
-		}
-	}
+	// A spoofed acknowledgment lets the home's transaction complete
+	// while the victim's stale copy survives.
+	fabric.Fault = proto.Fault{Kind: proto.MsgINV, Nth: cfg.LoseInv, SpoofAck: true}
 	if cfg.Trace != nil {
 		fabric.Sink = cfg.Trace
 		net.Obs = fabric

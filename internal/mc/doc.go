@@ -12,16 +12,21 @@
 // checker enumerates them all, for configurations small enough to
 // exhaust.
 //
-// # Forking by replay
+// # Forking by copy
 //
-// A machine state includes scheduled closures (pending message deliveries,
-// handler completions), which cannot be copied. Instead of snapshotting
-// the machine, the checker identifies a state with the *choice trace*
-// that produced it: the engine is deterministic, so replaying a trace on
-// a fresh machine reconstructs the state exactly. Forking at a scheduling
-// choice point is then "replay the parent's trace, apply one more
-// choice". The visited set is keyed by the canonical state fingerprint
-// (proto.Fabric.Snapshot), so two traces that converge on the same
+// Every pending event of a machine is a typed receiver holding only data,
+// so proto.Fabric.Clone copies a machine's whole simulated state. The
+// checker keeps a stack of worlds along the last materialized trace (see
+// path): it builds a frontier state by copying the deepest stacked world
+// on the state's trace prefix and applying the remaining choices, and
+// each successor by copying that world and applying one more choice.
+// Breadth-first order emits each level in trace order, so the remainder
+// is short, and at most MaxDepth worlds are held; dead worlds lend their
+// storage to the next copy. Replaying a trace on a fresh machine — the
+// engine is deterministic, so replay reconstructs the state exactly — is
+// the oracle the copies are tested against, and what Explain narrates.
+// The visited set is keyed by the canonical state fingerprint
+// (proto.Fabric.AppendSnapshot), so two traces that converge on the same
 // logical state are explored once.
 //
 // At every state the available choices are:
@@ -64,7 +69,7 @@
 // # Partial-order reduction
 //
 // Config.POR enables a sleep-set partial-order reduction layer (por.go)
-// over the same replay engine: injections that commute — they touch
+// over the same fork engine: injections that commute — they touch
 // different blocks, and no software trap can serialize them on a shared
 // home node — are explored in one order instead of all orders. The
 // reduction preserves every invariant verdict and the exact set of

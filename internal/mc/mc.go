@@ -141,10 +141,10 @@ type Config struct {
 	// sets between reduced and full runs; they are memory-heavy, so
 	// collection is opt-in.
 	CollectQuiescent bool
-	// Fault, when set, builds a fresh message-drop filter for each world
-	// (worlds are rebuilt constantly, so the filter must be per-world
-	// state). Used to seed protocol bugs the checker should catch.
-	Fault func() func(proto.Msg) bool
+	// Fault, when armed, drops one message in every explored world (see
+	// proto.Fault). Used to seed protocol bugs the checker should catch.
+	// Its progress is part of each state's fingerprint.
+	Fault proto.Fault
 	// MemTier installs a memory-hierarchy model (internal/memtier) behind
 	// the home directories of every explored world. Use zero-latency tier
 	// configurations (memtier.New builds them without validation): the
@@ -211,7 +211,7 @@ type Result struct {
 
 // node is one frontier entry: the trace that reaches a state plus the
 // choices available there (computed when the state was first built, so
-// expansion needs no extra replay).
+// expansion need not rebuild the state to list them).
 type node struct {
 	trace   []Choice
 	choices []Choice
@@ -249,11 +249,13 @@ func checkFull(cfg Config, maxStates int, res *Result) error {
 		res.Violation = &Violation{Invariant: inv, Detail: detail}
 		return nil
 	}
-	visited := make(map[string]struct{})
-	visited[string(w.fingerprint())] = struct{}{}
+	var key []byte
+	key = w.fingerprint(key[:0])
+	visited := map[string]struct{}{string(key): {}}
 	res.States = 1
-	res.noteQuiescent(w, string(w.fingerprint()))
+	res.noteQuiescent(w, key)
 	frontier := []node{{trace: nil, choices: w.choices()}}
+	path := newPath(w)
 
 	for len(frontier) > 0 {
 		var cur node
@@ -264,8 +266,14 @@ func checkFull(cfg Config, maxStates int, res *Result) error {
 			cur = frontier[0]
 			frontier = frontier[1:]
 		}
-		for _, c := range cur.choices {
-			cw, err := replay(cfg, cur.trace)
+		parent, err := path.at(cur.trace)
+		if err != nil {
+			return err
+		}
+		for i, c := range cur.choices {
+			// Depth-first order returns to this state's successors, so
+			// only breadth-first lets the last successor take it over.
+			cw, err := path.successor(parent, !cfg.DFS && i == len(cur.choices)-1)
 			if err != nil {
 				return err
 			}
@@ -279,32 +287,101 @@ func checkFull(cfg Config, maxStates int, res *Result) error {
 				res.Violation = &Violation{Invariant: inv, Detail: detail, Trace: trace}
 				return nil
 			}
-			key := string(cw.fingerprint())
-			if _, seen := visited[key]; seen {
-				continue
-			}
-			if res.States >= uint64(maxStates) {
+			key = cw.fingerprint(key[:0])
+			_, seen := visited[string(key)]
+			switch {
+			case seen:
+			case res.States >= uint64(maxStates):
 				res.Bounded = true
-				continue
+			default:
+				visited[string(key)] = struct{}{}
+				res.States++
+				res.noteQuiescent(cw, key)
+				frontier = append(frontier, node{trace: trace, choices: cw.choices()})
 			}
-			visited[key] = struct{}{}
-			res.States++
-			res.noteQuiescent(cw, key)
-			frontier = append(frontier, node{trace: trace, choices: cw.choices()})
+			path.free(cw)
 		}
 	}
 	return nil
 }
 
+// path is the fork stack: the worlds along the last materialized trace,
+// worlds[i] being the state after trace[:i]. Exploration materializes a
+// frontier node's state from the longest prefix it shares with the
+// previous node's trace, copying the deepest stacked world on that prefix
+// and applying the remaining choices one copy at a time. Breadth-first
+// order emits each level in trace order, so consecutive nodes are mostly
+// siblings or cousins and the suffix is short; the stack never holds more
+// than MaxDepth worlds. Dead worlds (popped from the stack, or successors
+// once explored) are kept as spares whose storage the next copy reuses,
+// so forking allocates nothing once a run is warm.
+type path struct {
+	worlds []*world
+	trace  []Choice
+	spare  []*world
+}
+
+// newPath starts a stack at the initial world.
+func newPath(w *world) *path { return &path{worlds: []*world{w}} }
+
+// at returns the world trace reaches. The world belongs to the stack:
+// explore its successors through successor, never apply to it directly.
+func (p *path) at(trace []Choice) (*world, error) {
+	k := 0
+	for k < len(p.trace) && k < len(trace) && p.trace[k] == trace[k] {
+		k++
+	}
+	for _, w := range p.worlds[k+1:] {
+		p.free(w)
+	}
+	p.worlds, p.trace = p.worlds[:k+1], p.trace[:k]
+	for _, c := range trace[k:] {
+		w, err := p.fork(p.worlds[len(p.worlds)-1])
+		if err != nil {
+			return nil, err
+		}
+		w.apply(c)
+		p.worlds, p.trace = append(p.worlds, w), append(p.trace, c)
+	}
+	return p.worlds[len(p.worlds)-1], nil
+}
+
+// successor returns a world to apply one of top's choices to, where top
+// is the world at just returned. Normally that is a copy; for the last
+// choice of a breadth-first expansion (last set) it is top itself,
+// popped from the stack: breadth-first order never comes back to a
+// state below the one it is expanding, so its last successor may take
+// it over. The initial world is never taken.
+func (p *path) successor(top *world, last bool) (*world, error) {
+	if n := len(p.worlds); last && n > 1 && p.worlds[n-1] == top {
+		p.worlds, p.trace = p.worlds[:n-1], p.trace[:n-2]
+		return top, nil
+	}
+	return p.fork(top)
+}
+
+// fork copies w into a spare world.
+func (p *path) fork(w *world) (*world, error) {
+	var dst *world
+	if n := len(p.spare); n > 0 {
+		dst = p.spare[n-1]
+		p.spare = p.spare[:n-1]
+	}
+	return w.clone(dst)
+}
+
+// free keeps a dead world as a spare; nothing may use it afterwards.
+func (p *path) free(w *world) { p.spare = append(p.spare, w) }
+
 // noteQuiescent updates the quiescent-state accounting for a newly
 // visited state.
-func (r *Result) noteQuiescent(w *world, key string) {
+func (r *Result) noteQuiescent(w *world, key []byte) {
 	if w.engine.Pending() != 0 {
 		return
 	}
 	r.Quiescent++
 	if r.QuiescentSet != nil {
-		r.QuiescentSet[key] = struct{}{}
+		r.QuiescentSet[string(key)] = struct{}{}
 	}
 }
 
@@ -398,6 +475,8 @@ func (cfg Config) blockSpec(i int) proto.Spec {
 }
 
 // replay reconstructs the state reached by a trace on a fresh machine.
+// Exploration forks by copy (path); replay is the independent oracle the
+// tests hold copying to, and the basis of Explain's narration.
 func replay(cfg Config, trace []Choice) (*world, error) {
 	w, err := newWorld(cfg)
 	if err != nil {

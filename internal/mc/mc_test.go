@@ -132,16 +132,7 @@ func TestBFSAndDFSAgree(t *testing.T) {
 // replay renders the drop.
 func TestSeededDroppedInvCaught(t *testing.T) {
 	cfg := smoke(proto.FullMap())
-	cfg.Fault = func() func(proto.Msg) bool {
-		dropped := false
-		return func(m proto.Msg) bool {
-			if m.Kind == proto.MsgINV && !dropped {
-				dropped = true
-				return true
-			}
-			return false
-		}
-	}
+	cfg.Fault = proto.Fault{Kind: proto.MsgINV, Nth: 1}
 	res, err := Check(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -171,16 +162,7 @@ func TestSeededDroppedInvCaught(t *testing.T) {
 // the quiescence invariant reports once the event queue drains.
 func TestSeededDroppedAckCaught(t *testing.T) {
 	cfg := smoke(proto.FullMap())
-	cfg.Fault = func() func(proto.Msg) bool {
-		dropped := false
-		return func(m proto.Msg) bool {
-			if m.Kind == proto.MsgACK && !dropped {
-				dropped = true
-				return true
-			}
-			return false
-		}
-	}
+	cfg.Fault = proto.Fault{Kind: proto.MsgACK, Nth: 1}
 	res, err := Check(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@ import (
 )
 
 // This file implements sleep-set partial-order reduction over the
-// replay-based fork engine.
+// copy-based fork engine.
 //
 // The full enumeration explores every interleaving of enabled choices,
 // but many interleavings are equivalent: two injections that touch
@@ -214,26 +214,38 @@ func checkPOR(cfg Config, maxStates int, res *Result) error {
 		return nil
 	}
 	// visited: fingerprint → sleep set the state was last expanded with.
-	visited := make(map[string][]Op)
-	visited[string(w.fingerprint())] = nil
+	var key []byte
+	key = w.fingerprint(key[:0])
+	visited := map[string][]Op{string(key): nil}
 	res.States = 1
-	res.noteQuiescent(w, string(w.fingerprint()))
+	res.noteQuiescent(w, key)
 	frontier := []pnode{{trace: nil, choices: w.choices(), sleep: nil}}
+	path := newPath(w)
 
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
+		parent, err := path.at(cur.trace)
+		if err != nil {
+			return err
+		}
 		asleep := make(map[Op]bool, len(cur.sleep))
 		for _, o := range cur.sleep {
 			asleep[o] = true
 		}
+		last := -1 // the last choice expanded
+		for i, c := range cur.choices {
+			if c.Step || !asleep[c.Op] {
+				last = i
+			}
+		}
 		var prior []Op // injections expanded at this state so far
-		for _, c := range cur.choices {
+		for i, c := range cur.choices {
 			if !c.Step && asleep[c.Op] {
 				res.SleptTransitions++
 				continue
 			}
-			cw, err := replay(cfg, cur.trace)
+			cw, err := path.successor(parent, i == last)
 			if err != nil {
 				return err
 			}
@@ -252,27 +264,27 @@ func checkPOR(cfg Config, maxStates int, res *Result) error {
 			if !c.Step {
 				prior = append(prior, c.Op)
 			}
-			key := string(cw.fingerprint())
-			if old, seen := visited[key]; seen {
-				if subsetOps(old, sleep) {
-					continue // earlier expansion explored at least as much
-				}
+			key = cw.fingerprint(key[:0])
+			old, seen := visited[string(key)]
+			switch {
+			case seen && subsetOps(old, sleep):
+				// The earlier expansion explored at least as much.
+			case seen:
 				// The earlier expansion slept orderings this path needs:
 				// re-expand with the intersection (never larger than
 				// either set, so repeated merges reach a fixpoint).
 				merged := intersectOps(old, sleep)
-				visited[key] = merged
+				visited[string(key)] = merged
 				frontier = append(frontier, pnode{trace: trace, choices: cw.choices(), sleep: merged})
-				continue
-			}
-			if res.States >= uint64(maxStates) {
+			case res.States >= uint64(maxStates):
 				res.Bounded = true
-				continue
+			default:
+				visited[string(key)] = sleep
+				res.States++
+				res.noteQuiescent(cw, key)
+				frontier = append(frontier, pnode{trace: trace, choices: cw.choices(), sleep: sleep})
 			}
-			visited[key] = sleep
-			res.States++
-			res.noteQuiescent(cw, key)
-			frontier = append(frontier, pnode{trace: trace, choices: cw.choices(), sleep: sleep})
+			path.free(cw)
 		}
 	}
 	return nil

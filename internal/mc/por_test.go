@@ -101,16 +101,7 @@ func TestPOREquivalence(t *testing.T) {
 // invariant.
 func TestPOREquivalenceUnderFault(t *testing.T) {
 	base := Config{Spec: proto.FullMap(), Nodes: 2, Blocks: 2, MaxOps: 2}
-	base.Fault = func() func(proto.Msg) bool {
-		dropped := false
-		return func(m proto.Msg) bool {
-			if m.Kind == proto.MsgINV && !dropped {
-				dropped = true
-				return true
-			}
-			return false
-		}
-	}
+	base.Fault = proto.Fault{Kind: proto.MsgINV, Nth: 1}
 	full, err := Check(base)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestFingerprintSoundness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				first[string(w.fingerprint())] = nil
+				first[string(w.fingerprint(nil))] = nil
 				frontier := []node{{trace: nil, choices: w.choices()}}
 				for len(frontier) > 0 {
 					cur := frontier[0]
@@ -46,7 +46,7 @@ func TestFingerprintSoundness(t *testing.T) {
 						}
 						cw.apply(c)
 						trace := append(append([]Choice{}, cur.trace...), c)
-						key := string(cw.fingerprint())
+						key := string(cw.fingerprint(nil))
 						if prev, seen := first[key]; seen {
 							compareBehavior(t, cfg, prev, trace)
 							continue
@@ -89,9 +89,9 @@ func compareBehavior(t *testing.T, cfg Config, a, b []Choice) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(sa.fingerprint(), sb.fingerprint()) {
-			t.Fatalf("fingerprint collision: traces\n  %v\n  %v\ndiverge after %v:\n  %s\nvs\n  %s",
-				a, b, ca[i], sa.fingerprint(), sb.fingerprint())
+		if !bytes.Equal(sa.fingerprint(nil), sb.fingerprint(nil)) {
+			t.Fatalf("fingerprint collision: traces\n  %v\n  %v\ndiverge after %v:\n  %q\nvs\n  %q",
+				a, b, ca[i], sa.fingerprint(nil), sb.fingerprint(nil))
 		}
 	}
 }

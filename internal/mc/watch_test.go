@@ -86,26 +86,14 @@ func TestWatchDropInvCounterexample(t *testing.T) {
 		Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 3,
 		Actions: []Action{ActWrite, ActWatch},
 	}
-	// Drop the first invalidation that precedes any write grant. An
-	// unscoped drop is also caught, but its BFS-shortest counterexample
-	// is a recall INV lost after a completed write — a quiescence
-	// violation with no watcher involved. An INV sent while no WDATA has
-	// ever been granted can only be invalidating a consumer's
-	// watch-established Shared copy, so this scoping forces the
-	// counterexample through the producer–consumer race proper.
-	cfg.Fault = func() func(proto.Msg) bool {
-		dropped, granted := false, false
-		return func(m proto.Msg) bool {
-			if m.Kind == proto.MsgWDATA {
-				granted = true
-			}
-			if m.Kind == proto.MsgINV && !granted && !dropped {
-				dropped = true
-				return true
-			}
-			return false
-		}
-	}
+	// Lose the first invalidation and spoof its acknowledgment, as the
+	// weakened litmus machine does. A bare drop is also caught, but its
+	// BFS-shortest counterexample is a home left waiting for the missing
+	// acknowledgment — a quiescence violation with no watcher involved.
+	// With the acknowledgment spoofed the producer's write completes, so
+	// the shortest violation is the consumer's stale Shared copy: the
+	// producer–consumer race proper.
+	cfg.Fault = proto.Fault{Kind: proto.MsgINV, Nth: 1, SpoofAck: true}
 	res, err := Check(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"swex/internal/cache"
 	"swex/internal/mem"
@@ -13,26 +15,35 @@ import (
 
 // world is one concrete machine under exploration: the real simulator
 // stack (engine, mesh, memory, fabric) plus the checker's operation
-// bookkeeping. Worlds are built constantly (one per explored transition,
-// by replay) and must therefore construct deterministically and cheaply.
+// bookkeeping. The checker forks a world by copying it (clone), so worlds
+// must copy deterministically and cheaply.
 type world struct {
-	cfg    Config
+	*layout
 	engine *sim.Engine
 	fabric *proto.Fabric
+	// injected counts operations presented so far; completed counts the
+	// ones that completed (through the fabric's Completer, or locally for
+	// evictions and check-ins). Both are part of the logical state (they
+	// bound the remaining alphabet and feed the quiescence invariant), so
+	// fingerprint folds them in.
+	injected  int
+	completed int
+}
+
+// layout is what every world of one run shares: the configuration and
+// where its tracked blocks live.
+type layout struct {
+	cfg Config
 	// acts is the resolved action alphabet (Config.alphabet()).
 	acts []Action
 	// blocks are the tracked blocks, block i homed on node i mod Nodes.
 	blocks []mem.Block
+	// sorted holds blocks in ascending order, as the snapshot wants them.
+	sorted []mem.Block
 	// addrs[i] is the base word address of blocks[i].
 	addrs []mem.Addr
 	// blockIdx maps a tracked block back to its index (POR event scoping).
 	blockIdx map[mem.Block]int
-	// injected counts operations presented so far; completed counts the
-	// ones whose Done callback fired. Both are part of the logical state
-	// (they bound the remaining alphabet and feed the quiescence
-	// invariant), so fingerprint folds them in.
-	injected  int
-	completed int
 }
 
 // newWorld assembles a fresh machine for the configuration. Zero-latency
@@ -46,8 +57,13 @@ func newWorld(cfg Config) (*world, error) {
 	if cfg.Spec.UsesSoftware() {
 		soft = proto.NewNopSoftware()
 	}
+	// Four lines are enough: validate allows at most four tracked blocks,
+	// and the segment padding below puts tracked block i in set i, so no
+	// two tracked blocks ever share a set. Nothing else is cached
+	// (instruction fetch is perfect), and every line is copied on each
+	// fork, so a larger cache would only cost copying.
 	cacheCfg := proto.CacheConfig{
-		Cache:         cache.Config{Lines: 64},
+		Cache:         cache.Config{Lines: 4},
 		PerfectIfetch: true,
 	}
 	f, err := proto.NewFabric(engine, net, memory, cfg.Spec, proto.Timing{},
@@ -58,11 +74,8 @@ func newWorld(cfg Config) (*world, error) {
 	f.MigratoryDetect = cfg.MigratoryDetect
 	f.BatchReads = cfg.BatchReads
 	f.Tier = memtier.New(engine, cfg.Nodes, cfg.MemTier)
-	if cfg.Fault != nil {
-		f.Fault = cfg.Fault()
-	}
-	w := &world{cfg: cfg, engine: engine, fabric: f,
-		acts: cfg.alphabet(), blockIdx: make(map[mem.Block]int)}
+	f.Fault = cfg.Fault
+	l := &layout{cfg: cfg, acts: cfg.alphabet(), blockIdx: make(map[mem.Block]int)}
 	for i := 0; i < cfg.Blocks; i++ {
 		home := mem.NodeID(i % cfg.Nodes)
 		// Pad the segment so tracked block i lands in cache set i. Every
@@ -77,19 +90,42 @@ func newWorld(cfg Config) (*world, error) {
 			memory.AllocOn(home, mem.WordsPerBlock)
 		}
 		a := memory.AllocOn(home, mem.WordsPerBlock)
-		w.addrs = append(w.addrs, a)
-		w.blocks = append(w.blocks, mem.BlockOf(a))
-		w.blockIdx[mem.BlockOf(a)] = i
+		l.addrs = append(l.addrs, a)
+		l.blocks = append(l.blocks, mem.BlockOf(a))
+		l.blockIdx[mem.BlockOf(a)] = i
 	}
+	l.sorted = slices.Clone(l.blocks)
+	slices.Sort(l.sorted)
 	for i, ov := range cfg.Overrides {
 		if ov.Name == "" {
 			continue
 		}
-		if err := f.Home(mem.HomeOfBlock(w.blocks[i])).Configure(w.blocks[i], ov); err != nil {
+		if err := f.Home(mem.HomeOfBlock(l.blocks[i])).Configure(l.blocks[i], ov); err != nil {
 			return nil, err
 		}
 	}
+	w := &world{layout: l, engine: engine, fabric: f}
+	f.Completer = w
 	return w, nil
+}
+
+// Complete implements proto.Completer: the checker only counts
+// completions.
+func (w *world) Complete(mem.NodeID, uint64, uint64) { w.completed++ }
+
+// clone forks the world: an independent copy in the same state. A
+// non-nil dst is a dead world whose storage the copy reuses.
+func (w *world) clone(dst *world) (*world, error) {
+	if dst == nil {
+		dst = &world{layout: w.layout}
+	}
+	dst.injected, dst.completed = w.injected, w.completed
+	f, err := w.fabric.CloneInto(dst.fabric, dst)
+	if err != nil {
+		return nil, err
+	}
+	dst.fabric, dst.engine = f, f.Engine
+	return dst, nil
 }
 
 // choices enumerates the outgoing edges of the current state in a fixed
@@ -165,26 +201,26 @@ func (w *world) apply(c Choice) {
 	a := w.addrs[c.Op.Block]
 	switch c.Op.Act {
 	case ActRead:
-		cc.Access(a, proto.Op{Done: func(uint64) { w.completed++ }})
+		cc.Access(a, proto.Op{})
 	case ActWrite:
 		// Distinctive per-node value keeps the data domain finite while
 		// still distinguishing which writer's store landed.
-		cc.Access(a, proto.Op{Write: true, Value: uint64(c.Op.Node) + 1,
-			Done: func(uint64) { w.completed++ }})
+		cc.Access(a, proto.Op{Write: true, Value: uint64(c.Op.Node) + 1})
 	case ActEvict:
 		cc.Evict(w.blocks[c.Op.Block])
 		w.completed++
 	case ActCheckIn:
-		cc.CheckIn(a, func() { w.completed++ })
+		cc.CheckIn(a)
+		w.completed++
 	case ActCheckOut:
-		cc.CheckOut(a, func() { w.completed++ })
+		cc.CheckOut(a, proto.Op{})
 	case ActWatch:
 		// The consumer side of the producer–consumer pair: wait for the
 		// block's first word to change from its initial zero. Completes
 		// (counting toward the quiescence ledger) only when a producer's
 		// distinctive value becomes visible; until then the watcher is
 		// parked and accounted by parkedWatchers.
-		cc.Watch(a, 0, func(uint64) { w.completed++ })
+		cc.Watch(a, 0, proto.Op{})
 	default:
 		panic(fmt.Sprintf("mc: unknown action %d", int(c.Op.Act)))
 	}
@@ -205,12 +241,15 @@ func (w *world) parkedWatchers() int {
 	return total
 }
 
-// fingerprint is the canonical state key: the fabric snapshot plus the
-// operation counters (which bound the remaining alphabet, so machines that
-// look identical but have different budgets left must not merge).
-func (w *world) fingerprint() []byte {
-	snap := w.fabric.Snapshot(w.blocks)
-	return append(snap, fmt.Sprintf("|ops=%d-%d", w.injected, w.completed)...)
+// fingerprint appends the canonical state key to dst: the fabric
+// snapshot plus the operation counters (which bound the remaining
+// alphabet, so machines that look identical but have different budgets
+// left must not merge).
+func (w *world) fingerprint(dst []byte) []byte {
+	dst = w.fabric.AppendSnapshot(dst, w.sorted)
+	dst = append(dst, 'O')
+	dst = binary.AppendUvarint(dst, uint64(w.injected))
+	return binary.AppendUvarint(dst, uint64(w.completed))
 }
 
 // invariantViolation evaluates every invariant against the current state,

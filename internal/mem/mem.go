@@ -9,7 +9,10 @@
 // address space and the home of an address is its segment number.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // NodeID identifies a processing node. Nodes are numbered 0..P-1.
 type NodeID int
@@ -74,6 +77,23 @@ func New(n int) *Memory {
 		data:  data,
 		brk:   make([]Addr, n),
 	}
+}
+
+// CloneInto returns an independent copy of the store and its
+// allocators, reusing dst's storage when dst is not nil and has as many
+// nodes.
+func (m *Memory) CloneInto(dst *Memory) *Memory {
+	if dst == nil || dst.nodes != m.nodes {
+		dst = New(m.nodes)
+	}
+	for i, seg := range m.data {
+		if len(dst.data[i]) > 0 {
+			clear(dst.data[i])
+		}
+		maps.Copy(dst.data[i], seg)
+	}
+	copy(dst.brk, m.brk)
+	return dst
 }
 
 // Nodes reports the number of node segments.

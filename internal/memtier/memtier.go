@@ -3,6 +3,8 @@ package memtier
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"swex/internal/mem"
 	"swex/internal/mesh"
@@ -221,6 +223,30 @@ func New(engine *sim.Engine, n int, cfg Config) *Model {
 		panic(fmt.Sprintf("memtier: unknown kind %d", int(cfg.Kind)))
 	}
 	return m
+}
+
+// Clone returns a model over engine with this one's configuration, link
+// and channel schedules, and block placement; statistics start at zero.
+// Cloning a nil (flat) model returns nil.
+func (m *Model) Clone(engine *sim.Engine) *Model {
+	if m == nil {
+		return nil
+	}
+	c := &Model{cfg: m.cfg, engine: engine}
+	for i := range m.far {
+		c.far = append(c.far, m.far[i].Fresh())
+	}
+	for i := range m.ch {
+		c.ch = append(c.ch, m.ch[i].Fresh())
+	}
+	for _, t := range m.tiers {
+		c.tiers = append(c.tiers, homeTier{
+			touches: maps.Clone(t.touches),
+			dram:    maps.Clone(t.dram),
+			order:   slices.Clone(t.order),
+		})
+	}
+	return c
 }
 
 // Kind reports the model's configured kind.

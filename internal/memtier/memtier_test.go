@@ -112,7 +112,7 @@ func TestTieredAsymmetryAndPromotion(t *testing.T) {
 	// per-access latencies under test.
 	access := func(b mem.Block, write bool) sim.Cycle {
 		lat := m.Access(0, b, write)
-		eng.After(lat+1, func() {})
+		eng.AfterCall(lat+1, nil, nopCaller{})
 		for eng.Step() {
 		}
 		return lat
@@ -191,3 +191,8 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// nopCaller is an engine event that does nothing.
+type nopCaller struct{}
+
+func (nopCaller) Fire() {}

@@ -80,7 +80,7 @@ func Dimensions(n int) (w, h int) {
 //	rxStart  .. done     receive-side serialization
 //
 // For a self-send arrival and rxStart equal injected and done is the
-// loopback delivery cycle. The tag is the caller's SendTagged tag.
+// loopback delivery cycle. The tag is the caller's SendCall tag.
 // Observers must not send messages or schedule events.
 type MsgObserver interface {
 	MessageTimed(src, dst, size int, extra, sent, txStart, injected, arrival, rxStart, done sim.Cycle, tag any)
@@ -120,6 +120,22 @@ func New(engine *sim.Engine, cfg Config) *Network {
 	}
 }
 
+// CloneInto returns a network over engine with this one's geometry and
+// queue schedules, reusing dst's storage when dst is not nil and has as
+// many nodes. Statistics start at zero and the observer is not carried.
+func (n *Network) CloneInto(dst *Network, engine *sim.Engine) *Network {
+	if dst == nil || len(dst.tx) != len(n.tx) {
+		dst = &Network{tx: make([]sim.Server, len(n.tx)), rx: make([]sim.Server, len(n.rx))}
+	}
+	tx, rx := dst.tx, dst.rx
+	*dst = Network{cfg: n.cfg, engine: engine, tx: tx, rx: rx}
+	for i := range n.tx {
+		tx[i] = n.tx[i].Fresh()
+		rx[i] = n.rx[i].Fresh()
+	}
+	return dst
+}
+
 // Nodes reports the number of nodes the network connects.
 func (n *Network) Nodes() int { return n.cfg.Width * n.cfg.Height }
 
@@ -142,8 +158,8 @@ func abs(v int) int {
 	return v
 }
 
-// Send injects a message of size flits from src to dst and schedules
-// deliver to run at the cycle the destination CMMU has fully received it.
+// SendCall injects a message of size flits from src to dst and schedules
+// the receiver deliver to fire at the cycle the destination CMMU has fully received it.
 // The returned cycle is the delivery time. extra adds source-side latency
 // before injection (e.g. the DRAM access feeding a data reply) without
 // giving up the message's place in the queues.
@@ -163,29 +179,10 @@ func abs(v int) int {
 // an invalidation of the same block must arrive first (both are sent by
 // the same home node, so their delivery events also share a key-counter
 // stream and keep their send order even on a cycle tie). The delivery
-// event is keyed by the sender (sim.Engine.OwnedAtCall).
-//
-//swex:hotpath
-func (n *Network) Send(src, dst, size int, extra sim.Cycle, deliver func()) sim.Cycle {
-	return n.SendTagged(src, dst, size, extra, nil, deliver)
-}
-
-// SendTagged is Send with an inspection tag attached to the delivery
-// event (see sim.Engine.AtTagged). The protocol fabric tags deliveries
-// with the in-flight message so the model checker can enumerate what is
-// on the wire.
-//
-//swex:hotpath
-func (n *Network) SendTagged(src, dst, size int, extra sim.Cycle, tag any, deliver func()) sim.Cycle {
-	done := n.reserve(src, dst, size, extra, tag)
-	n.engine.OwnedAt(src, done, tag, deliver)
-	return done
-}
-
-// SendCall is SendTagged with a preallocated delivery receiver instead of
-// a closure (see sim.Engine.AtCall): the fabric's pooled in-flight
-// message entries deliver themselves, so the per-message send path
-// allocates nothing.
+// event is keyed by the sender (sim.Engine.OwnedAtCall) and carries tag
+// for inspection: the protocol fabric's pooled in-flight message entries
+// are both tag and receiver, so the model checker can enumerate what is
+// on the wire and the per-message send path allocates nothing.
 //
 //swex:hotpath
 func (n *Network) SendCall(src, dst, size int, extra sim.Cycle, tag any, deliver sim.Caller) sim.Cycle {

@@ -7,6 +7,11 @@ import (
 	"swex/internal/sim"
 )
 
+// fire adapts a func to sim.Caller for tests.
+type fire func()
+
+func (f fire) Fire() { f() }
+
 func TestDimensions(t *testing.T) {
 	cases := []struct{ n, w, h int }{
 		{1, 1, 1},
@@ -63,7 +68,7 @@ func TestSendLatencyUncontended(t *testing.T) {
 	// cfg: hop=2, flit=1. src=0, dst=3: 3 hops.
 	// inject: 4 flits = 4 cycles; flight 6; receive 4. total 14.
 	var deliveredAt sim.Cycle
-	at := net.Send(0, 3, 4, 0, func() { deliveredAt = e.Now() })
+	at := net.SendCall(0, 3, 4, 0, nil, fire(func() { deliveredAt = e.Now() }))
 	e.Run(0)
 	if at != 14 {
 		t.Fatalf("predicted delivery %d, want 14", at)
@@ -75,7 +80,7 @@ func TestSendLatencyUncontended(t *testing.T) {
 
 func TestSendLocalLoopback(t *testing.T) {
 	e, net := newNet(t, 16)
-	at := net.Send(5, 5, 2, 0, func() {})
+	at := net.SendCall(5, 5, 2, 0, nil, fire(func() {}))
 	e.Run(0)
 	// inject 2 + local 2 = 4
 	if at != 4 {
@@ -88,7 +93,7 @@ func TestSendLocalLoopback(t *testing.T) {
 
 func TestSendMinimumSize(t *testing.T) {
 	e, net := newNet(t, 4)
-	at := net.Send(0, 1, 0, 0, func() {}) // size clamped to 1
+	at := net.SendCall(0, 1, 0, 0, nil, fire(func() {})) // size clamped to 1
 	e.Run(0)
 	// inject 1 + 1 hop * 2 + receive 1 = 4
 	if at != 4 {
@@ -100,8 +105,8 @@ func TestTransmitQueueContention(t *testing.T) {
 	e, net := newNet(t, 16)
 	// Two messages from node 0 at cycle 0: second must wait for first's
 	// injection (4 cycles) before starting its own.
-	a := net.Send(0, 3, 4, 0, func() {})
-	b := net.Send(0, 3, 4, 0, func() {})
+	a := net.SendCall(0, 3, 4, 0, nil, fire(func() {}))
+	b := net.SendCall(0, 3, 4, 0, nil, fire(func() {}))
 	e.Run(0)
 	if a != 14 {
 		t.Fatalf("first delivery %d, want 14", a)
@@ -117,8 +122,8 @@ func TestTransmitQueueContention(t *testing.T) {
 func TestReceiveQueueContention(t *testing.T) {
 	e, net := newNet(t, 16)
 	// Two different sources, same destination, equidistant.
-	a := net.Send(1, 0, 4, 0, func() {}) // 1 hop
-	b := net.Send(4, 0, 4, 0, func() {}) // 1 hop (node 4 is (0,1))
+	a := net.SendCall(1, 0, 4, 0, nil, fire(func() {})) // 1 hop
+	b := net.SendCall(4, 0, 4, 0, nil, fire(func() {})) // 1 hop (node 4 is (0,1))
 	e.Run(0)
 	// Both arrive at 4+2=6; rx serializes: first 6-10, second 10-14.
 	if a != 10 {
@@ -131,8 +136,8 @@ func TestReceiveQueueContention(t *testing.T) {
 
 func TestStatistics(t *testing.T) {
 	e, net := newNet(t, 16)
-	net.Send(0, 3, 4, 0, func() {})
-	net.Send(0, 0, 2, 0, func() {})
+	net.SendCall(0, 3, 4, 0, nil, fire(func() {}))
+	net.SendCall(0, 0, 2, 0, nil, fire(func() {}))
 	e.Run(0)
 	if net.Messages != 2 {
 		t.Fatalf("Messages = %d, want 2", net.Messages)
@@ -191,7 +196,7 @@ func TestSendPropertyMinLatency(t *testing.T) {
 			dst := int(p>>4) % 16
 			size := int(p>>8)%4 + 1
 			now := e.Now()
-			at := net.Send(src, dst, size, 0, func() {})
+			at := net.SendCall(src, dst, size, 0, nil, fire(func() {}))
 			var minLat sim.Cycle
 			if src == dst {
 				minLat = sim.Cycle(size)*cfg.FlitCycles + cfg.LocalCycles
@@ -213,7 +218,7 @@ func TestSendPropertyMinLatency(t *testing.T) {
 
 func TestSendExtraDelay(t *testing.T) {
 	e, net := newNet(t, 16)
-	at := net.Send(0, 3, 4, 10, func() {})
+	at := net.SendCall(0, 3, 4, 10, nil, fire(func() {}))
 	e.Run(0)
 	// inject: extra 10 + 4 flits = 14; flight 6; receive 4 -> 24.
 	if at != 24 {
@@ -227,8 +232,8 @@ func TestDeliveryFollowsCallOrder(t *testing.T) {
 	// protocol's data-before-invalidation invariant.
 	e, net := newNet(t, 16)
 	var order []string
-	net.Send(0, 3, 6, 50, func() { order = append(order, "data") })
-	net.Send(0, 3, 2, 0, func() { order = append(order, "inv") })
+	net.SendCall(0, 3, 6, 50, nil, fire(func() { order = append(order, "data") }))
+	net.SendCall(0, 3, 2, 0, nil, fire(func() { order = append(order, "inv") }))
 	e.Run(0)
 	if len(order) != 2 || order[0] != "data" || order[1] != "inv" {
 		t.Fatalf("delivery order %v, want [data inv]", order)
@@ -240,8 +245,8 @@ func TestDeliveryOrderCrossSource(t *testing.T) {
 	// order (the receive queue is reserved at call time).
 	e, net := newNet(t, 16)
 	var order []string
-	net.Send(15, 0, 6, 40, func() { order = append(order, "far") })
-	net.Send(1, 0, 2, 0, func() { order = append(order, "near") })
+	net.SendCall(15, 0, 6, 40, nil, fire(func() { order = append(order, "far") }))
+	net.SendCall(1, 0, 2, 0, nil, fire(func() { order = append(order, "near") }))
 	e.Run(0)
 	if order[0] != "far" {
 		t.Fatalf("delivery order %v, want far first (call order)", order)

@@ -46,7 +46,7 @@ type request struct {
 	addr   mem.Addr
 	value  uint64
 	cycles sim.Cycle
-	rmw    func(uint64) uint64
+	rmw    proto.RMW
 	old    uint64
 }
 
@@ -79,19 +79,81 @@ type thread struct {
 	codeBlocks int
 	codePos    int
 
-	// Preallocated continuation funcs for the per-operation path. The
+	// Preallocated continuations for the per-operation path. The
 	// lockstep alternation guarantees at most one outstanding operation
-	// per thread, so one set of continuations (and the pending request
-	// and result they read) can be reused for every operation instead of
-	// closing over each one.
-	pending     request      // the operation currently executing
-	pendingVal  uint64       // result awaiting the context-switch resume
-	executeFn   func()       // runs execute(pending)
-	ifetchFn    func()       // issue delay after the instruction fetch
-	memDoneFn   func(uint64) // memDone as a func value
-	replyFn     func(uint64) // reply as a func value
-	replyZeroFn func()       // reply(0)
-	resumeFn    func()       // reply(pendingVal) after a context switch
+	// per thread, so one set of event receivers (and the pending request
+	// and result they read) is reused for every operation.
+	pending    request // the operation currently executing
+	pendingVal uint64  // result the reply event resumes the thread with
+	nextEv     threadEvent
+	issueEv    threadEvent
+	executeEv  threadEvent
+	replyEv    threadEvent
+}
+
+// step names one of a thread's scheduled continuations.
+type step uint8
+
+const (
+	// stepNext resumes the thread to its next operation.
+	stepNext step = iota
+	// stepIssue follows the instruction fetch: the operation issues one
+	// cycle later.
+	stepIssue
+	// stepExecute performs the pending operation.
+	stepExecute
+	// stepReply resumes the thread with pendingVal.
+	stepReply
+)
+
+// threadEvent is the event receiver (sim.Caller) of one of a thread's
+// continuations.
+type threadEvent struct {
+	t    *thread
+	step step
+}
+
+// Fire runs the continuation.
+func (ev *threadEvent) Fire() {
+	t := ev.t
+	switch ev.step {
+	case stepNext:
+		t.next()
+	case stepIssue:
+		t.node.f.Engine.OwnedAfterCall(int(t.node.ID), 1, nil, &t.executeEv)
+	case stepExecute:
+		t.execute(t.pending)
+	case stepReply:
+		t.reply(t.pendingVal)
+	default:
+		panic("proc: unknown thread step")
+	}
+}
+
+// complete resumes the thread whose memory, watch or check-out operation
+// committed with value v.
+func (t *thread) complete(v uint64) {
+	switch t.pending.kind {
+	case opWatch, opCheckOut:
+		t.reply(v)
+	case opRead, opWrite, opRMW:
+		t.memDone(v)
+	case opCompute, opCheckIn:
+		panic("proc: completion for a local operation")
+	default:
+		panic("proc: unknown op kind")
+	}
+}
+
+// completions resolves a fabric's operation completions to the issuing
+// thread: an operation's ID is its thread's index on the node.
+type completions struct {
+	nodes []*Node
+}
+
+// Complete implements proto.Completer.
+func (c *completions) Complete(node mem.NodeID, id uint64, v uint64) {
+	c.nodes[node].threads[id].complete(v)
 }
 
 // Node is one processor: the execution engine for its application threads
@@ -106,9 +168,24 @@ type Node struct {
 	MemOps uint64
 }
 
-// NewNode builds the processor for node id on the given fabric.
+// NewNode builds the processor for node id on the given fabric and
+// registers it to receive its threads' operation completions: the
+// processors of one fabric share its Completer.
 func NewNode(f *proto.Fabric, id mem.NodeID) *Node {
-	return &Node{ID: id, f: f}
+	n := &Node{ID: id, f: f}
+	c, ok := f.Completer.(*completions)
+	if !ok {
+		if f.Completer != nil {
+			panic(fmt.Sprintf("proc: fabric already completes to %T", f.Completer))
+		}
+		c = &completions{}
+		f.Completer = c
+	}
+	for len(c.nodes) <= int(id) {
+		c.nodes = append(c.nodes, nil)
+	}
+	c.nodes[id] = n
+	return n
 }
 
 // Start launches fn as this node's (single) thread. The simulation must be
@@ -130,16 +207,14 @@ func (n *Node) StartThreads(count int, fn func(*Env)) {
 	}
 	for i := 0; i < count; i++ {
 		t := &thread{node: n, idx: i}
-		t.executeFn = func() { t.execute(t.pending) }
-		t.ifetchFn = func() { t.node.f.Engine.OwnedAfter(int(t.node.ID), 1, nil, t.executeFn) }
-		t.memDoneFn = t.memDone
-		t.replyFn = t.reply
-		t.replyZeroFn = func() { t.reply(0) }
-		t.resumeFn = func() { t.reply(t.pendingVal) }
+		t.nextEv = threadEvent{t, stepNext}
+		t.issueEv = threadEvent{t, stepIssue}
+		t.executeEv = threadEvent{t, stepExecute}
+		t.replyEv = threadEvent{t, stepReply}
 		n.threads = append(n.threads, t)
 		t.start(fn, &Env{thread: t, P: n.f.Nodes()})
 		eng := n.f.Engine
-		eng.OwnedAt(int(n.ID), eng.Now(), nil, t.next)
+		eng.OwnedAtCall(int(n.ID), eng.Now(), nil, &t.nextEv)
 	}
 }
 
@@ -194,25 +269,26 @@ func (t *thread) next() {
 	if t.codeBlocks > 0 {
 		pc := t.codeBase + mem.Addr(t.codePos)*mem.WordsPerBlock
 		t.codePos = (t.codePos + 1) % t.codeBlocks
-		t.node.f.Cache(t.node.ID).Ifetch(pc, t.ifetchFn)
+		t.node.f.Cache(t.node.ID).Ifetch(pc, &t.issueEv)
 		return
 	}
-	t.node.f.Engine.OwnedAfter(int(t.node.ID), 1, nil, t.executeFn)
+	t.node.f.Engine.OwnedAfterCall(int(t.node.ID), 1, nil, &t.executeEv)
 }
 
 // execute performs one operation and schedules the reply.
 func (t *thread) execute(r request) {
 	n := t.node
+	id := uint64(t.idx)
 	switch r.kind {
 	case opRead:
 		n.MemOps++
-		n.f.Cache(n.ID).Access(r.addr, proto.Op{Done: t.memDoneFn})
+		n.f.Cache(n.ID).Access(r.addr, proto.Op{ID: id})
 	case opWrite:
 		n.MemOps++
-		n.f.Cache(n.ID).Access(r.addr, proto.Op{Write: true, Value: r.value, Done: t.memDoneFn})
+		n.f.Cache(n.ID).Access(r.addr, proto.Op{Write: true, Value: r.value, ID: id})
 	case opRMW:
 		n.MemOps++
-		n.f.Cache(n.ID).Access(r.addr, proto.Op{Write: true, RMW: r.rmw, Done: t.memDoneFn})
+		n.f.Cache(n.ID).Access(r.addr, proto.Op{Write: true, RMW: r.rmw, ID: id})
 	case opCompute:
 		done := n.f.Traps.Reserve(n.ID, r.cycles)
 		if n.f.Sink != nil {
@@ -222,13 +298,15 @@ func (t *thread) execute(r request) {
 				Cat: trace.CatProc, Op: trace.OpCompute, Name: "compute",
 			})
 		}
-		n.f.Engine.OwnedAt(int(n.ID), done, nil, t.replyZeroFn)
+		t.pendingVal = 0
+		n.f.Engine.OwnedAtCall(int(n.ID), done, nil, &t.replyEv)
 	case opWatch:
-		n.f.Cache(n.ID).Watch(r.addr, r.old, t.replyFn)
+		n.f.Cache(n.ID).Watch(r.addr, r.old, proto.Op{ID: id})
 	case opCheckIn:
-		n.f.Cache(n.ID).CheckIn(r.addr, t.replyZeroFn)
+		n.f.Cache(n.ID).CheckIn(r.addr)
+		t.reply(0)
 	case opCheckOut:
-		n.f.Cache(n.ID).CheckOut(r.addr, t.replyZeroFn)
+		n.f.Cache(n.ID).CheckOut(r.addr, proto.Op{ID: id})
 	default:
 		panic(fmt.Sprintf("proc: unknown op kind %d", r.kind))
 	}
@@ -240,7 +318,7 @@ func (t *thread) execute(r request) {
 func (t *thread) memDone(v uint64) {
 	if len(t.node.threads) > 1 {
 		t.pendingVal = v
-		t.node.f.Engine.OwnedAfter(int(t.node.ID), ContextSwitchCycles, nil, t.resumeFn)
+		t.node.f.Engine.OwnedAfterCall(int(t.node.ID), ContextSwitchCycles, nil, &t.replyEv)
 		return
 	}
 	t.reply(v)
@@ -283,14 +361,14 @@ func (e *Env) Write(a mem.Addr, v uint64) {
 	e.do(request{kind: opWrite, addr: a, value: v})
 }
 
-// RMW atomically applies fn to the word at a, returning the old value.
-func (e *Env) RMW(a mem.Addr, fn func(uint64) uint64) uint64 {
-	return e.do(request{kind: opRMW, addr: a, rmw: fn})
+// RMW atomically applies op to the word at a, returning the old value.
+func (e *Env) RMW(a mem.Addr, op proto.RMW) uint64 {
+	return e.do(request{kind: opRMW, addr: a, rmw: op})
 }
 
 // FetchAdd atomically adds delta and returns the previous value.
 func (e *Env) FetchAdd(a mem.Addr, delta uint64) uint64 {
-	return e.RMW(a, func(old uint64) uint64 { return old + delta })
+	return e.RMW(a, proto.RMW{Kind: proto.RMWAdd, Arg: delta})
 }
 
 // Compute consumes cycles of processor time (the thread's local work

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"errors"
 	"testing"
 
 	"swex/internal/cache"
@@ -116,12 +117,12 @@ func TestRMWAppliesFunction(t *testing.T) {
 	var old, final uint64
 	ns[0].Start(func(env *Env) {
 		env.Write(a, 6)
-		old = env.RMW(a, func(v uint64) uint64 { return v * 7 })
+		old = env.RMW(a, proto.RMW{Kind: proto.RMWSwap, Arg: 42})
 		final = env.Read(a)
 	})
 	runAll(t, engine, ns)
 	if old != 6 || final != 42 {
-		t.Fatalf("RMW old=%d final=%d, want 6 and 42", old, final)
+		t.Fatalf("RMW swap old=%d final=%d, want 6 and 42", old, final)
 	}
 }
 
@@ -389,4 +390,23 @@ func TestMultithreadedAtomicity(t *testing.T) {
 	if got != 160 {
 		t.Fatalf("counter = %d, want 160 (lost updates across contexts)", got)
 	}
+}
+
+// TestCloneRefusesThreads pins that a fabric driving threads cannot be
+// copied: a thread's continuations live in its coroutine, outside the
+// fabric, so Clone must fail with the named error rather than copy half a
+// machine.
+func TestCloneRefusesThreads(t *testing.T) {
+	engine, f, ns := rig(t, 2, false)
+	a := f.Mem.AllocOn(1, 1)
+	for _, n := range ns {
+		n.Start(func(env *Env) { env.Write(a, uint64(env.ID())+1) })
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := f.Clone(nil); !errors.Is(err, proto.ErrNotCopyable) {
+			t.Fatalf("after %d steps: Clone error %v, want ErrNotCopyable", i, err)
+		}
+		engine.Step()
+	}
+	runAll(t, engine, ns)
 }

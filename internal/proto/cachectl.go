@@ -31,12 +31,28 @@ type Op struct {
 	Write bool
 	// Value is stored on a write (ignored when RMW is set).
 	Value uint64
-	// RMW, when non-nil, makes the write an atomic read-modify-write:
-	// the new value is RMW(old). Done receives the old value.
-	RMW func(old uint64) uint64
-	// Done is called when the operation commits, with the value read
-	// (for reads and RMWs) or the value written (for plain writes).
+	// RMW, when its Kind is not RMWNone, makes the write an atomic
+	// read-modify-write: the new value is RMW.Apply(old), and the
+	// operation completes with the old value.
+	RMW RMW
+	// ID is the issuer's name for the operation. When the operation
+	// commits, the fabric's Completer receives (node, ID, value): the
+	// value read (for reads and RMWs) or the value written (for plain
+	// writes). The fabric never interprets it.
+	ID uint64
+	// Done, when set, receives the completion instead of the Completer.
+	// It suits one-off drivers (tests, benchmarks); a fabric with an
+	// outstanding Done operation cannot be cloned.
 	Done func(v uint64)
+}
+
+// Completer receives the completions of operations issued to a fabric's
+// cache controllers (see Op.ID). One completer serves the whole fabric:
+// the processor model resolves (node, id) to the issuing thread, the model
+// checker counts completions.
+type Completer interface {
+	// Complete reports that node's operation id committed with value v.
+	Complete(node mem.NodeID, id uint64, v uint64)
 }
 
 // txn is one outstanding miss transaction: at most one per block per node.
@@ -53,26 +69,37 @@ type txn struct {
 	begin sim.Cycle
 }
 
+// waitKind says what a waiting operation does with the value it reads.
+type waitKind uint8
+
+const (
+	// waitOp completes the operation.
+	waitOp waitKind = iota
+	// waitCheckOut is a CheckOut's verify-and-retry waiter: it completes
+	// once the line is held Exclusive and re-issues the check-out
+	// otherwise, so a Shared fill of a joined read transaction retries.
+	waitCheckOut
+	// waitWatch is a Watch's compare-and-park waiter: it completes when
+	// the word differs from old and parks (or, directoryless, polls
+	// again) otherwise.
+	waitWatch
+)
+
+// pendingOp is one operation waiting on a transaction or a direct access.
+// The kind and old value are state: a checkout or watch waiter reacts to
+// a fill differently from a plain read, so states differing only in a
+// waiter's kind are not equivalent and the fingerprint encodes it.
 type pendingOp struct {
 	addr mem.Addr
 	op   Op
-	// checkout marks a CheckOut's verify-and-retry waiter. It changes no
-	// replay behavior (the closure does the work) but must be visible in
-	// state fingerprints: a checkout waiter re-issues on a Shared fill
-	// where a read waiter completes, so states differing only in the
-	// waiter's kind are not equivalent.
-	checkout bool
-	// watch marks a Watch's compare-and-park waiter, for the same reason
-	// checkout exists: a watch waiter that fills with the unchanged value
-	// parks instead of completing, so states differing only in the
-	// waiter's kind are not equivalent and the fingerprint must see it.
-	watch bool
+	kind waitKind
+	old  uint64 // waitWatch: the value the watcher waits to see change
 }
 
 type watcher struct {
 	addr mem.Addr
 	old  uint64
-	done func(v uint64)
+	op   Op
 }
 
 // CacheCtl is the processor side of a node's CMMU: it services the
@@ -92,7 +119,18 @@ type CacheCtl struct {
 	// home are served FIFO by its hardware pipeline and both directions
 	// of the network deliver per-destination in send order, so the head
 	// of the queue is always the access the next DRESP answers.
-	direct map[mem.NodeID][]Op
+	direct map[mem.NodeID][]pendingOp
+
+	// Free lists of the event receivers this controller schedules (see
+	// retryTag, watchTag, ifetchTag), linked through their next fields: a
+	// fired receiver returns to its list, so steady-state scheduling
+	// allocates nothing.
+	retryFree  *retryTag
+	watchFree  *watchTag
+	ifetchFree *ifetchTag
+	// copiedTxns holds the transaction records CloneInto made; the next
+	// CloneInto into this controller reuses them.
+	copiedTxns []*txn
 
 	// Retries counts BUSY-induced retransmissions.
 	Retries uint64
@@ -108,7 +146,7 @@ func newCacheCtl(f *Fabric, node mem.NodeID, cfg CacheConfig) *CacheCtl {
 		cfg:      cfg,
 		txns:     make(map[mem.Block]*txn),
 		watchers: make(map[mem.Block][]watcher),
-		direct:   make(map[mem.NodeID][]Op),
+		direct:   make(map[mem.NodeID][]pendingOp),
 	}
 }
 
@@ -120,31 +158,42 @@ func (cc *CacheCtl) Cache() *cache.Cache { return cc.c }
 // software-only directory needs to flush the local copy.
 func (cc *CacheCtl) HasBlock(b mem.Block) (cache.Line, bool) { return cc.c.Peek(b) }
 
-// Access presents one data operation. Done fires when it commits; for
-// misses that is when the fill (or ownership grant) arrives and the
-// operation replays.
-//
-//swex:hotpath
-func (cc *CacheCtl) Access(a mem.Addr, op Op) { cc.access(a, op, false) }
-
-// access is Access plus the watch-waiter marker (see pendingOp.watch).
-func (cc *CacheCtl) access(a mem.Addr, op Op, watch bool) {
-	if cc.f.Spec.Directoryless {
-		cc.dlsAccess(a, op)
+// complete reports an operation's commit to its issuer.
+func (cc *CacheCtl) complete(op *Op, v uint64) {
+	if op.Done != nil {
+		op.Done(v)
 		return
 	}
-	b := mem.BlockOf(a)
-	off := int(a - b.Base())
+	if cc.f.Completer != nil {
+		cc.f.Completer.Complete(cc.node, op.ID, v)
+	}
+}
+
+// Access presents one data operation. It completes (see Op.ID) when it
+// commits; for misses that is when the fill (or ownership grant) arrives
+// and the operation replays.
+//
+//swex:hotpath
+func (cc *CacheCtl) Access(a mem.Addr, op Op) { cc.access(pendingOp{addr: a, op: op}) }
+
+// access presents one operation and, on a hit, finishes it.
+func (cc *CacheCtl) access(w pendingOp) {
+	if cc.f.Spec.Directoryless {
+		cc.dlsAccess(w)
+		return
+	}
+	b := mem.BlockOf(w.addr)
+	off := int(w.addr - b.Base())
 	if line, ok := cc.c.Lookup(b, false); ok {
-		if !op.Write {
-			op.Done(line.Words[off])
+		if !w.op.Write {
+			cc.finish(w, line.Words[off])
 			return
 		}
 		if line.State == cache.Exclusive {
 			old := line.Words[off]
-			nv := op.Value
-			if op.RMW != nil {
-				nv = op.RMW(old)
+			nv := w.op.Value
+			if w.op.RMW.Kind != RMWNone {
+				nv = w.op.RMW.Apply(old)
 			}
 			line.Words[off] = nv
 			line.Dirty = true
@@ -153,30 +202,64 @@ func (cc *CacheCtl) access(a mem.Addr, op Op, watch bool) {
 			// never observe a producer writing from the same node (no
 			// invalidation is generated for an exclusive hit).
 			cc.wakeWatchers(b)
-			if op.RMW != nil {
-				op.Done(old)
+			if w.op.RMW.Kind != RMWNone {
+				cc.finish(w, old)
 			} else {
-				op.Done(nv)
+				cc.finish(w, nv)
 			}
 			return
 		}
 		// Shared copy, write requested: upgrade through the home.
 	}
-	cc.enqueue(a, op, watch)
+	cc.enqueue(w)
+}
+
+// finish hands a committed access's value to its waiter: a plain
+// operation completes, a check-out completes only once the line is
+// exclusive, and a watch completes only once the value has changed.
+func (cc *CacheCtl) finish(w pendingOp, v uint64) {
+	switch w.kind {
+	case waitOp:
+		cc.complete(&w.op, v)
+	case waitCheckOut:
+		if line, ok := cc.c.Peek(mem.BlockOf(w.addr)); ok && line.State == cache.Exclusive {
+			cc.complete(&w.op, 0)
+			return
+		}
+		cc.CheckOut(w.addr, w.op)
+	case waitWatch:
+		if v != w.old {
+			cc.complete(&w.op, v)
+			return
+		}
+		if cc.f.Spec.Directoryless {
+			// No copy to park on: poll again after the back-off.
+			delay := cc.f.Timing.RetryDelay
+			if delay == 0 {
+				delay = 1
+			}
+			cc.scheduleWatch(w.addr, w.old, w.op, delay)
+			return
+		}
+		b := mem.BlockOf(w.addr)
+		cc.watchers[b] = append(cc.watchers[b], watcher{w.addr, w.old, w.op})
+	default:
+		panic("proto: unknown wait kind")
+	}
 }
 
 // enqueue adds the operation to the block's miss transaction, creating and
 // issuing one if necessary.
-func (cc *CacheCtl) enqueue(a mem.Addr, op Op, watch bool) {
-	b := mem.BlockOf(a)
+func (cc *CacheCtl) enqueue(w pendingOp) {
+	b := mem.BlockOf(w.addr)
 	t, ok := cc.txns[b]
 	if !ok {
-		t = &txn{write: op.Write, addr: a}
+		t = &txn{write: w.op.Write, addr: w.addr}
 		cc.beginTrace(t)
 		cc.txns[b] = t
 		cc.issue(b, t)
 	}
-	t.waiters = append(t.waiters, pendingOp{addr: a, op: op, watch: watch})
+	t.waiters = append(t.waiters, w)
 }
 
 // beginTrace stamps a new transaction with a trace id (tracing only).
@@ -196,20 +279,39 @@ func (cc *CacheCtl) issue(b mem.Block, t *txn) {
 	cc.f.Send(Msg{Kind: kind, Src: cc.node, Dst: mem.HomeOfBlock(b), Block: b})
 }
 
-// Ifetch presents one instruction fetch for the block containing pc.
+// ifetchTag is the inspection tag and receiver of an instruction fill:
+// when it fires, the fetched block is installed and the fetch's
+// continuation fires.
+type ifetchTag struct {
+	cc   *CacheCtl
+	b    mem.Block
+	done sim.Caller
+	next *ifetchTag // free-list link
+}
+
+// Fire installs the fill, returning the tag to its free list first.
+func (t *ifetchTag) Fire() {
+	cc, b, done := t.cc, t.b, t.done
+	t.done, t.next, cc.ifetchFree = nil, cc.ifetchFree, t
+	cc.install(cache.Line{Block: b, State: cache.Shared})
+	done.Fire()
+}
+
+// Ifetch presents one instruction fetch for the block containing pc and
+// fires done when the instruction is available (immediately on a hit).
 // Instructions are read-only and homed locally, so a miss fills from local
 // memory without coherence traffic; what matters is that fills occupy a
 // line in the combined cache and can displace shared data.
 //
 //swex:hotpath
-func (cc *CacheCtl) Ifetch(pc mem.Addr, done func()) {
+func (cc *CacheCtl) Ifetch(pc mem.Addr, done sim.Caller) {
 	if cc.cfg.PerfectIfetch {
-		done()
+		done.Fire()
 		return
 	}
 	b := mem.BlockOf(pc)
 	if _, ok := cc.c.Lookup(b, true); ok {
-		done()
+		done.Fire()
 		return
 	}
 	lat := cc.f.Timing.MemLatency
@@ -222,27 +324,32 @@ func (cc *CacheCtl) Ifetch(pc mem.Addr, done func()) {
 			Cat: trace.CatProc, Op: trace.OpIfetch, Name: "ifetch",
 		})
 	}
-	cc.f.Engine.OwnedAfter(int(cc.node), lat, blockTag{label: fmt.Sprintf("ifetch:%d:blk%d", cc.node, b), b: b}, func() {
-		cc.install(cache.Line{Block: b, State: cache.Shared})
-		done()
-	})
+	t := cc.ifetchFree
+	if t != nil {
+		cc.ifetchFree = t.next
+	} else {
+		t = &ifetchTag{cc: cc}
+	}
+	t.b, t.done, t.next = b, done, nil
+	cc.f.Engine.OwnedAfterCall(int(cc.node), lat, t, t)
 }
 
 // CheckOut acquires exclusive ownership of the block containing a without
 // modifying it — the CICO "check-out" directive. A thread that checks a
 // block out before its read-modify-write sequence pays one transaction
-// instead of a read recall followed by an upgrade. Done fires when
-// ownership is local. On a directoryless machine there is no ownership
-// to acquire (every access goes to the home), so the directive is a
-// free no-op, exactly like CheckIn against an absent copy.
-func (cc *CacheCtl) CheckOut(a mem.Addr, done func()) {
+// instead of a read recall followed by an upgrade. The operation (its ID
+// or Done; the rest of op is ignored) completes with value zero when
+// ownership is local. On a directoryless machine there is no ownership to
+// acquire (every access goes to the home), so the directive is a free
+// no-op, exactly like CheckIn against an absent copy.
+func (cc *CacheCtl) CheckOut(a mem.Addr, op Op) {
 	if cc.f.Spec.Directoryless {
-		done()
+		cc.complete(&op, 0)
 		return
 	}
 	b := mem.BlockOf(a)
 	if line, ok := cc.c.Lookup(b, false); ok && line.State == cache.Exclusive {
-		done()
+		cc.complete(&op, 0)
 		return
 	}
 	t, ok := cc.txns[b]
@@ -257,31 +364,23 @@ func (cc *CacheCtl) CheckOut(a mem.Addr, done func()) {
 	// in flight: its Shared fill does not confer ownership, so the
 	// waiter re-verifies and retries (the retry upgrades) until the
 	// line is exclusive.
-	t.waiters = append(t.waiters, pendingOp{addr: a, checkout: true, op: Op{Done: func(uint64) {
-		if line, ok := cc.c.Peek(b); ok && line.State == cache.Exclusive {
-			done()
-			return
-		}
-		cc.CheckOut(a, done)
-	}}})
+	t.waiters = append(t.waiters, pendingOp{addr: a, op: Op{ID: op.ID, Done: op.Done}, kind: waitCheckOut})
 }
 
 // CheckIn relinquishes the local copy of the block containing a: the
 // programmer's hint that this node is done with the data (the CICO
 // "check-in" directive). A dirty copy is written back; a clean copy sends
 // a relinquish message so the home retires the pointer; an absent copy is
-// a no-op. The directive never blocks: done fires immediately after the
-// local flush is issued.
-func (cc *CacheCtl) CheckIn(a mem.Addr, done func()) {
+// a no-op. The directive never blocks: it is complete when CheckIn
+// returns.
+func (cc *CacheCtl) CheckIn(a mem.Addr) {
 	b := mem.BlockOf(a)
 	if _, pending := cc.txns[b]; pending {
 		// A transaction is in flight; checking in now would race it.
-		done()
 		return
 	}
 	line, had := cc.c.Invalidate(b)
 	if !had {
-		done()
 		return
 	}
 	home := mem.HomeOfBlock(b)
@@ -291,7 +390,6 @@ func (cc *CacheCtl) CheckIn(a mem.Addr, done func()) {
 		cc.f.Send(Msg{Kind: MsgREL, Src: cc.node, Dst: home, Block: b})
 	}
 	cc.wakeWatchers(b)
-	done()
 }
 
 // Evict models a silent cache replacement of block b: the line is dropped
@@ -313,63 +411,70 @@ func (cc *CacheCtl) Evict(b mem.Block) bool {
 	return true
 }
 
-// Watch implements the spin-wait primitive: it completes as soon as the
+// Watch implements the spin-wait primitive: the operation (its ID or Done;
+// the rest of op is ignored) completes, with the new value, as soon as the
 // word at a differs from old. While the value is unchanged the thread
 // parks; an invalidation or eviction of the block re-arms a fresh read, so
 // the coherence traffic of a real spin loop (re-fetch after each
 // invalidation) is modeled without simulating every spin iteration.
-func (cc *CacheCtl) Watch(a mem.Addr, old uint64, done func(v uint64)) {
-	if cc.f.Spec.Directoryless {
-		cc.dlsWatch(a, old, done)
-		return
+//
+// On a directoryless machine there is no private copy and so no
+// invalidation to park on: the loop re-reads the word through the home
+// after a fixed back-off, which is exactly what a real spin loop over
+// uncached memory does. The back-off keeps the poll traffic bounded and
+// the schedule deterministic.
+func (cc *CacheCtl) Watch(a mem.Addr, old uint64, op Op) {
+	cc.access(pendingOp{addr: a, op: Op{ID: op.ID, Done: op.Done}, kind: waitWatch, old: old})
+}
+
+// watchTag is the inspection tag and receiver of a scheduled watch
+// re-read: the one-cycle re-arm of a parked watcher after a coherence
+// event, or a directoryless watch's back-off between two polls. Its
+// identity (node, address, old value) is what the snapshot layer
+// encodes; the operation handle is not state.
+type watchTag struct {
+	cc   *CacheCtl
+	a    mem.Addr
+	old  uint64
+	op   Op
+	next *watchTag // free-list link
+}
+
+// Fire re-issues the watch, returning the tag to its free list first.
+func (t *watchTag) Fire() {
+	cc, a, old, op := t.cc, t.a, t.old, t.op
+	t.op, t.next, cc.watchFree = Op{}, cc.watchFree, t
+	cc.Watch(a, old, op)
+}
+
+// label renders the tag for counterexample narration.
+func (t *watchTag) label() string {
+	return fmt.Sprintf("watch:%d:a%d:o%d", t.cc.node, t.a, t.old)
+}
+
+// scheduleWatch re-issues a watch delay cycles from now.
+func (cc *CacheCtl) scheduleWatch(a mem.Addr, old uint64, op Op, delay sim.Cycle) {
+	t := cc.watchFree
+	if t != nil {
+		cc.watchFree = t.next
+	} else {
+		t = &watchTag{cc: cc}
 	}
-	cc.access(a, Op{Done: func(v uint64) {
-		if v != old {
-			done(v)
-			return
-		}
-		b := mem.BlockOf(a)
-		cc.watchers[b] = append(cc.watchers[b], watcher{a, old, done})
-	}}, true)
-}
-
-// dlsWatch is the spin-wait primitive on a directoryless machine. With no
-// private copy there is no invalidation to park on: the loop re-reads the
-// word through the home after a fixed back-off, which is exactly what a
-// real spin loop over uncached memory does. The back-off keeps the poll
-// traffic bounded and the schedule deterministic.
-func (cc *CacheCtl) dlsWatch(a mem.Addr, old uint64, done func(v uint64)) {
-	cc.dlsPoll(&watchTag{node: cc.node, a: a, old: old, b: mem.BlockOf(a)}, done)
-}
-
-// dlsPoll issues one read of a watched word and re-arms itself through the
-// back-off event until the value moves. The tag is allocated once per
-// watch and reused for every poll.
-func (cc *CacheCtl) dlsPoll(t *watchTag, done func(v uint64)) {
-	cc.dlsAccess(t.a, Op{Done: func(v uint64) {
-		if v != t.old {
-			done(v)
-			return
-		}
-		delay := cc.f.Timing.RetryDelay
-		if delay == 0 {
-			delay = 1
-		}
-		cc.f.Engine.OwnedAfter(int(cc.node), delay, t, func() { cc.dlsPoll(t, done) })
-	}})
+	t.a, t.old, t.op, t.next = a, old, op, nil
+	cc.f.Engine.OwnedAfterCall(int(cc.node), delay, t, t)
 }
 
 // dlsAccess issues one directoryless access: the operation rides a DREQ
 // to the home, which applies it to the shared-LLC slice in place and
 // answers with the word. The op parks on the per-home FIFO until its
 // DRESP arrives.
-func (cc *CacheCtl) dlsAccess(a mem.Addr, op Op) {
-	b := mem.BlockOf(a)
+func (cc *CacheCtl) dlsAccess(w pendingOp) {
+	b := mem.BlockOf(w.addr)
 	home := mem.HomeOfBlock(b)
-	cc.direct[home] = append(cc.direct[home], op)
+	cc.direct[home] = append(cc.direct[home], w)
 	m := Msg{Kind: MsgDREQ, Src: cc.node, Dst: home, Block: b,
-		Off: int(a - b.Base()), DWrite: op.Write, RMW: op.RMW}
-	m.Words[0] = op.Value
+		Off: int(w.addr - b.Base()), DWrite: w.op.Write, RMW: w.op.RMW}
+	m.Words[0] = w.op.Value
 	cc.f.Send(m)
 }
 
@@ -382,11 +487,11 @@ func (cc *CacheCtl) onDResp(m Msg) {
 		// reproducible, and a Sprintf here would sit on the access hot path.
 		panic("proto: DRESP with no outstanding direct access")
 	}
-	op := q[0]
+	w := q[0]
 	copy(q, q[1:])
-	q[len(q)-1] = Op{}
+	q[len(q)-1] = pendingOp{}
 	cc.direct[m.Src] = q[:len(q)-1]
-	op.Done(m.Words[0])
+	cc.finish(w, m.Words[0])
 }
 
 // wakeWatchers re-arms every watcher on block b.
@@ -397,10 +502,7 @@ func (cc *CacheCtl) wakeWatchers(b mem.Block) {
 	}
 	delete(cc.watchers, b)
 	for _, w := range ws {
-		w := w
-		cc.f.Engine.OwnedAfter(int(cc.node), 1,
-			blockTag{label: fmt.Sprintf("watch:%d:a%d:o%d", cc.node, w.addr, w.old), b: b},
-			func() { cc.Watch(w.addr, w.old, w.done) })
+		cc.scheduleWatch(w.addr, w.old, w.op, 1)
 	}
 }
 
@@ -497,23 +599,34 @@ func (cc *CacheCtl) fill(m Msg, st cache.LineState) {
 	// writes. Reads hit immediately; a write against a Shared fill
 	// re-issues as an upgrade, which is progress.
 	for _, w := range t.waiters {
-		cc.access(w.addr, w.op, w.watch)
+		cc.access(w)
 	}
 }
 
-// retryTag is the inspection tag of a scheduled BUSY retry. It is a
-// struct, not a string, because the retry's behavior depends on whether
-// the transaction it captured is still the block's current one — a stale
-// retry is a no-op — and the snapshot layer must encode that liveness to
-// keep the state fingerprint sound.
+// retryTag is the inspection tag and receiver of a scheduled BUSY retry.
+// The retry's behavior depends on whether the transaction it captured is
+// still the block's current one — a stale retry is a no-op — and the
+// snapshot layer encodes that liveness to keep the state fingerprint
+// sound.
 type retryTag struct {
-	cc *CacheCtl
-	b  mem.Block
-	t  *txn
+	cc   *CacheCtl
+	b    mem.Block
+	t    *txn
+	next *retryTag // free-list link
 }
 
 // live reports whether the retry would re-issue if it fired now.
 func (r *retryTag) live() bool { return r.cc.txns[r.b] == r.t }
+
+// Fire re-issues the transaction if it is still live, returning the tag
+// to its free list first.
+func (r *retryTag) Fire() {
+	cc, b, t, live := r.cc, r.b, r.t, r.live()
+	r.t, r.next, cc.retryFree = nil, cc.retryFree, r
+	if live {
+		cc.issue(b, t)
+	}
+}
 
 // onBusy retries the transaction after the configured delay.
 func (cc *CacheCtl) onBusy(m Msg) {
@@ -533,12 +646,14 @@ func (cc *CacheCtl) onBusy(m Msg) {
 			Cat: trace.CatCache, Op: trace.OpRetryWait, Name: "retry-wait",
 		})
 	}
-	tag := &retryTag{cc: cc, b: b, t: t}
-	cc.f.Engine.OwnedAfter(int(cc.node), cc.f.Timing.RetryDelay, tag, func() {
-		if tag.live() {
-			cc.issue(b, t)
-		}
-	})
+	r := cc.retryFree
+	if r != nil {
+		cc.retryFree = r.next
+	} else {
+		r = &retryTag{cc: cc}
+	}
+	r.b, r.t, r.next = b, t, nil
+	cc.f.Engine.OwnedAfterCall(int(cc.node), cc.f.Timing.RetryDelay, r, r)
 }
 
 // onInv invalidates the local copy and acknowledges: UPDATE with the data

@@ -483,7 +483,7 @@ func TestConformanceEnhancementsSweep(t *testing.T) {
 			// node, which the detector should convert to Exclusive grants.
 			for hop := 0; hop < 6; hop++ {
 				n := mem.NodeID(2 + hop%4)
-				r.rmw(n, a, func(old uint64) uint64 { return old + 1 })
+				r.rmw(n, a, RMW{Kind: RMWAdd, Arg: 1})
 			}
 			if got := r.read(0, a); got != 17 {
 				t.Fatalf("after migratory hops read %d, want 17", got)

@@ -50,41 +50,50 @@ type Fabric struct {
 	// concurrent accesses queue on the home's tier link or memory
 	// channel. Nil is the paper's flat machine at one branch per access.
 	Tier *memtier.Model
-	// Fault, when set, intercepts every message before it is injected
-	// into the network; returning true silently drops it. It exists for
-	// fault injection: the model checker's seeded-bug demos (a skipped
-	// invalidation, a lost acknowledgment) are expressed as drop filters,
-	// and the checker then finds the interleaving that turns the lost
-	// message into an invariant violation. Dropped messages are counted
+	// Fault, when armed (Nth > 0), drops one message before it is
+	// injected into the network (see Fault). Dropped messages are counted
 	// under "msg.dropped".
-	Fault func(Msg) bool
+	Fault Fault
+	// Completer receives the completions of operations issued by ID
+	// (see Op.ID); nil discards them.
+	Completer Completer
+
+	// faultSeen counts the messages of Fault.Kind offered so far: the
+	// fault's progress, which the snapshot encodes.
+	faultSeen int
 
 	homes      []*HomeCtl
 	caches     []*CacheCtl
 	checker    *Checker
 	inflight   []*flight
-	flightPool []*flight // retired entries awaiting reuse
-	txnSeq     uint64    // trace transaction ids (tracing enabled only)
-	msgSeq     uint64    // trace message sequence numbers
+	flightFree *flight // retired entries awaiting reuse, linked by next
+	txnSeq     uint64  // trace transaction ids (tracing enabled only)
+	msgSeq     uint64  // trace message sequence numbers
+
+	// Snapshot and clone scratch space, reused across calls.
+	snapIDs    []mem.NodeID
+	snapEvents []sim.TaggedEvent
+	cloneKeys  []mem.Block
 }
 
 // flight is one registered in-flight message; its identity ties the
 // delivery event back to the registry entry, and it doubles as the
 // delivery event's inspection tag and its delivery receiver (sim.Caller).
 // Entries are pooled on the owning Fabric: a retired flight returns to
-// flightPool, so the steady-state send path allocates nothing.
+// the flightFree list, so the steady-state send path allocates nothing.
 type flight struct {
-	f *Fabric
-	m Msg
+	f    *Fabric
+	m    Msg
+	next *flight // free-list link
 }
 
 // Fire delivers the message: it retires the registry entry, returns it to
-// the pool, and hands the message to the destination controller. The pool
-// return happens before Deliver so nested sends can reuse the slot.
+// the free list, and hands the message to the destination controller.
+// The return happens before Deliver so nested sends can reuse the slot.
 func (fl *flight) Fire() {
 	f, m := fl.f, fl.m
 	f.retire(fl)
-	f.flightPool = append(f.flightPool, fl)
+	fl.next, f.flightFree = f.flightFree, fl
 	if m.Kind.ToHome() {
 		f.homes[m.Dst].Deliver(m)
 	} else {
@@ -101,15 +110,48 @@ var msgCounterNames = func() (out [numMsgKinds]string) {
 	return out
 }()
 
-// blockTag is the inspection tag for scheduled protocol work that is not
-// an in-flight message: handler completions, queued home processing,
-// watch re-arms, and instruction fills. It carries the rendered label the
-// snapshot layer encodes plus the block the work targets, so the model
-// checker's partial-order reduction can ask which block the next pending
-// event touches (Fabric.NextEventBlock) without parsing labels.
-type blockTag struct {
-	label string
-	b     mem.Block
+// Fault is a deterministic fault injection, as data: it drops the Nth
+// message of one kind the fabric sends. The model checker's seeded-bug
+// demos (a skipped invalidation, a lost acknowledgment) and the litmus
+// fuzzer's weakened machine are expressed this way, and the checker then
+// finds the interleaving that turns the lost message into an invariant
+// violation. The zero value injects nothing.
+type Fault struct {
+	// Kind is the message kind counted and dropped.
+	Kind MsgKind
+	// Nth selects the message to drop, 1-based, counting messages of
+	// Kind machine-wide in send order. Zero disarms the fault.
+	Nth int
+	// SpoofAck answers a dropped message with the acknowledgment its
+	// destination would have sent (meaningful for MsgINV): the issuing
+	// transaction completes while the victim keeps a stale copy the
+	// directory no longer tracks — the classic lost-invalidation bug.
+	SpoofAck bool
+}
+
+// faultDrops reports whether the armed fault drops m, advancing its
+// progress.
+func (f *Fabric) faultDrops(m Msg) bool {
+	if m.Kind != f.Fault.Kind {
+		return false
+	}
+	f.faultSeen++
+	if f.faultSeen != f.Fault.Nth {
+		return false
+	}
+	if f.Fault.SpoofAck {
+		f.Send(Msg{Kind: MsgACK, Src: m.Dst, Dst: m.Src, Block: m.Block, Epoch: m.Epoch})
+	}
+	return true
+}
+
+// faultLeft reports how many more messages of the fault's kind must be
+// sent before it drops one; zero once it has dropped.
+func (f *Fabric) faultLeft() int {
+	if f.faultSeen >= f.Fault.Nth {
+		return 0
+	}
+	return f.Fault.Nth - f.faultSeen
 }
 
 // procTag is the inspection tag for a message queued at a busy home for
@@ -127,13 +169,14 @@ type procTag struct {
 	h    *HomeCtl
 	node mem.NodeID
 	m    Msg
+	next *procTag // free-list link
 }
 
 // Fire processes the queued message, returning the tag to its
-// controller's pool first so nested deliveries can reuse the slot.
+// controller's free list first so nested deliveries can reuse the slot.
 func (t *procTag) Fire() {
 	h, m := t.h, t.m
-	h.jobPool = append(h.jobPool, t)
+	t.next, h.jobFree = h.jobFree, t
 	h.process(m)
 }
 
@@ -165,7 +208,7 @@ func NewFabric(engine *sim.Engine, net *mesh.Network, memory *mem.Memory,
 	f.homes = make([]*HomeCtl, n)
 	f.caches = make([]*CacheCtl, n)
 	for i := 0; i < n; i++ {
-		f.homes[i] = newHomeCtl(f, mem.NodeID(i))
+		f.homes[i] = newHomeCtl(f, mem.NodeID(i), n)
 		f.caches[i] = newCacheCtl(f, mem.NodeID(i), cacheCfg)
 	}
 	return f, nil
@@ -194,7 +237,7 @@ func (f *Fabric) Send(m Msg) { f.SendDelayed(m, 0) }
 //
 //swex:hotpath
 func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) {
-	if f.Fault != nil && f.Fault(m) {
+	if f.Fault.Nth > 0 && f.faultDrops(m) {
 		f.Counters.Inc("msg.dropped")
 		if f.Trace != nil {
 			f.Trace.Event(f.Engine.Now(), "drop", m.String())
@@ -203,15 +246,13 @@ func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) {
 	}
 	f.Counters.Inc(msgCounterNames[m.Kind])
 	f.traceMsg(m)
-	var fl *flight
-	if n := len(f.flightPool); n > 0 {
-		fl = f.flightPool[n-1]
-		f.flightPool[n-1] = nil
-		f.flightPool = f.flightPool[:n-1]
+	fl := f.flightFree
+	if fl != nil {
+		f.flightFree = fl.next
 	} else {
 		fl = &flight{f: f}
 	}
-	fl.m = m
+	fl.m, fl.next = m, nil
 	f.inflight = append(f.inflight, fl)
 	f.Net.SendCall(int(m.Src), int(m.Dst), f.Timing.Flits(m.Kind), extra, fl, fl)
 }

@@ -53,13 +53,13 @@ type HomeCtl struct {
 	// mig holds the migratory-data detector state (see migratory.go).
 	mig map[mem.Block]*migState
 
-	// jobPool recycles the procTag carriers that queue messages for
-	// hardware processing (see procTag.Fire).
-	jobPool []*procTag
+	// jobFree recycles the procTag carriers that queue messages for
+	// hardware processing (see procTag.Fire), linked by their next fields.
+	jobFree *procTag
 
-	// trapPool recycles the trapTag carriers that schedule software
-	// handler completions (see traptag.go).
-	trapPool []*trapTag
+	// trapFree recycles the trapTag carriers that schedule software
+	// handler completions (see traptag.go), linked the same way.
+	trapFree *trapTag
 
 	// Invalidation-target scratch state: invTargets collects each
 	// transaction's target set into a pooled slice (invPool) instead of
@@ -88,11 +88,11 @@ type HomeCtl struct {
 	StrayAcks uint64
 }
 
-func newHomeCtl(f *Fabric, node mem.NodeID) *HomeCtl {
+func newHomeCtl(f *Fabric, node mem.NodeID, nodes int) *HomeCtl {
 	h := &HomeCtl{
 		f:            f,
 		node:         node,
-		dir:          dir.New(f.Spec.PointerCapacity(f.Net.Nodes())),
+		dir:          dir.New(f.Spec.PointerCapacity(nodes)),
 		swTxn:        make(map[mem.Block]bool),
 		swReads:      make(map[mem.Block]int),
 		batchUntil:   make(map[mem.Block]sim.Cycle),
@@ -100,7 +100,7 @@ func newHomeCtl(f *Fabric, node mem.NodeID) *HomeCtl {
 		pendingWrite: make(map[mem.Block]mem.NodeID),
 		overrides:    make(map[mem.Block]Spec),
 		mig:          make(map[mem.Block]*migState),
-		invSeen:      make([]uint32, f.Net.Nodes()),
+		invSeen:      make([]uint32, nodes),
 	}
 	h.invAddFn = h.invAdd
 	return h
@@ -124,15 +124,13 @@ func (h *HomeCtl) Deliver(m Msg) {
 			Cat: trace.CatHWDir, Op: trace.OpHomeProc, Name: m.Kind.String(),
 		})
 	}
-	var t *procTag
-	if n := len(h.jobPool); n > 0 {
-		t = h.jobPool[n-1]
-		h.jobPool[n-1] = nil
-		h.jobPool = h.jobPool[:n-1]
+	t := h.jobFree
+	if t != nil {
+		h.jobFree = t.next
 	} else {
 		t = &procTag{h: h, node: h.node}
 	}
-	t.m = m
+	t.m, t.next = m, nil
 	e.OwnedAtCall(int(h.node), start+h.f.Timing.HomeProc, t, t)
 }
 
@@ -253,27 +251,24 @@ func (h *HomeCtl) onDirect(m Msg) {
 	old := h.f.Mem.Read(a)
 	v := old
 	switch {
-	case m.RMW != nil:
-		h.f.Mem.Write(a, m.RMW(old))
+	case m.RMW.Kind != RMWNone:
+		h.f.Mem.Write(a, m.RMW.Apply(old))
 	case m.DWrite:
 		h.f.Mem.Write(a, m.Words[0])
 		v = m.Words[0]
 	}
 	reply := Msg{Kind: MsgDRESP, Src: h.node, Dst: m.Src, Block: m.Block, Off: m.Off}
 	reply.Words[0] = v
-	h.f.SendDelayed(reply, h.memAccess(m.Block, m.DWrite || m.RMW != nil))
+	h.f.SendDelayed(reply, h.memAccess(m.Block, m.DWrite || m.RMW.Kind != RMWNone))
 }
 
-// trap schedules a software handler of the given cost and runs then at its
-// completion, returning the completion cycle. The block stays in SWait
-// (set by the caller) until then. The tag identifies the handler for
-// pending-event inspection: it must distinguish handlers whose completion
-// closures behave differently, because the model checker treats two
-// machines with identical observable state and identical pending-event
-// tags as the same state. The tag's block and requester plus the name
+// trap schedules a software handler of the given cost and runs its
+// completion (trapTag.Fire, chosen by the tag's kind) when it finishes,
+// returning the completion cycle. The block stays in SWait (set by the
+// caller) until then. The tag's block and requester plus the name
 // identify the handler for the trace (r's open transaction owns the
 // handler span).
-func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle, then func()) sim.Cycle {
+func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle) sim.Cycle {
 	h.Traps++
 	h.f.Counters.Inc("home.traps")
 	h.f.traceTrap(int(h.node), "handler", cost)
@@ -281,7 +276,6 @@ func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle, then func()) sim
 	if h.f.Sink != nil {
 		h.f.emitHandler(h.node, t.b, t.r, name, cost, done)
 	}
-	t.then = then
 	h.f.Engine.OwnedAtCall(int(h.node), done, t, t)
 	return done
 }
@@ -380,33 +374,12 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 	first := h.swReads[b] == 0
 	h.swReads[b]++
 	e.State = dir.SWait
-	swOnly := h.specFor(b).SoftwareOnly
-	if !swOnly {
+	if !h.specFor(b).SoftwareOnly {
 		h.sendData(MsgRDATA, r, b)
-	}
-	finish := func() {
-		if swOnly {
-			h.sendData(MsgRDATA, r, b)
-		}
-		h.swReads[b]--
-		if h.swReads[b] == 0 {
-			delete(h.swReads, b)
-			delete(h.batchUntil, b)
-			delete(h.chainEnd, b)
-			e.SwExt = true
-			e.SwCount = len(h.f.Soft.SharersOf(b))
-			e.State = dir.Shared
-			h.noteSharers(b, e)
-			if w, ok := h.pendingWrite[b]; ok {
-				// Drain the queued write in order.
-				delete(h.pendingWrite, b)
-				h.dispatchWrite(b, e, w)
-			}
-		}
 	}
 	if first {
 		cost := h.f.Soft.ReadOverflow(b, drained, r)
-		done := h.trap(h.grabTrap(trapRead, b, r), "read-overflow", cost, finish)
+		done := h.trap(h.grabTrap(trapRead, b, r), "read-overflow", cost)
 		// Requests arriving while the original handler is still queued
 		// or running are part of the burst it drains inline; anything
 		// later retries. This absorbs the all-nodes-read-at-once bursts
@@ -429,8 +402,31 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 		h.f.emitHandler(h.node, b, r, "read-batched", cost, h.chainEnd[b])
 	}
 	t := h.grabTrap(trapReadBatch, b, r)
-	t.then = finish
 	h.f.Engine.OwnedAtCall(int(h.node), h.chainEnd[b], t, t)
+}
+
+// swReadDone completes one segment of b's read handler on behalf of
+// requester r; the last segment hands the block back to hardware.
+func (h *HomeCtl) swReadDone(b mem.Block, e *dir.Entry, r mem.NodeID) {
+	if h.specFor(b).SoftwareOnly {
+		h.sendData(MsgRDATA, r, b)
+	}
+	h.swReads[b]--
+	if h.swReads[b] != 0 {
+		return
+	}
+	delete(h.swReads, b)
+	delete(h.batchUntil, b)
+	delete(h.chainEnd, b)
+	e.SwExt = true
+	e.SwCount = len(h.f.Soft.SharersOf(b))
+	e.State = dir.Shared
+	h.noteSharers(b, e)
+	if w, ok := h.pendingWrite[b]; ok {
+		// Drain the queued write in order.
+		delete(h.pendingWrite, b)
+		h.dispatchWrite(b, e, w)
+	}
 }
 
 // h0Read services a read under the software-only directory.
@@ -581,35 +577,40 @@ func (h *HomeCtl) swWriteFault(b mem.Block, e *dir.Entry, r mem.NodeID) {
 	cost := h.f.Soft.WriteFault(b, r, len(targets))
 	t := h.grabTrap(trapWFault, b, r)
 	t.targets = targets
-	h.trap(t, "write-fault", cost, func() {
-		e.Epoch++
-		e.AckCount = len(targets)
-		e.Req = r
-		e.ReqWrite = true
-		e.Ptrs.Clear()
-		e.LocalBit = false
-		e.SwExt = false
-		e.SwCount = 0
-		e.BroadcastBit = false
-		h.swTxn[b] = true
-		if len(targets) == 0 {
-			h.releaseInv(targets)
-			h.grantWrite(b, e, r)
-			return
-		}
-		for _, t := range targets {
-			h.f.Send(Msg{Kind: MsgINV, Src: h.node, Dst: t, Block: b, Epoch: e.Epoch})
-		}
-		h.f.Counters.Addc("home.sw_invalidations", uint64(len(targets)))
+	h.trap(t, "write-fault", cost)
+}
+
+// swWriteFaultDone completes the write handler: it transmits the
+// invalidations to targets and puts the directory into acknowledgment
+// collection (or grants at once when there is nothing to invalidate).
+func (h *HomeCtl) swWriteFaultDone(b mem.Block, e *dir.Entry, r mem.NodeID, targets []mem.NodeID) {
+	e.Epoch++
+	e.AckCount = len(targets)
+	e.Req = r
+	e.ReqWrite = true
+	e.Ptrs.Clear()
+	e.LocalBit = false
+	e.SwExt = false
+	e.SwCount = 0
+	e.BroadcastBit = false
+	h.swTxn[b] = true
+	if len(targets) == 0 {
 		h.releaseInv(targets)
-		if spec.AckMode == AckSW {
-			// Software fields every acknowledgment: the block stays
-			// under software control.
-			e.State = dir.SWait
-		} else {
-			e.State = dir.AckWait
-		}
-	})
+		h.grantWrite(b, e, r)
+		return
+	}
+	for _, t := range targets {
+		h.f.Send(Msg{Kind: MsgINV, Src: h.node, Dst: t, Block: b, Epoch: e.Epoch})
+	}
+	h.f.Counters.Addc("home.sw_invalidations", uint64(len(targets)))
+	h.releaseInv(targets)
+	if h.specFor(b).AckMode == AckSW {
+		// Software fields every acknowledgment: the block stays
+		// under software control.
+		e.State = dir.SWait
+	} else {
+		e.State = dir.AckWait
+	}
 }
 
 // invTargets collects the nodes holding copies that must be invalidated
@@ -669,7 +670,7 @@ func (h *HomeCtl) grabInv() []mem.NodeID {
 		h.invPool = h.invPool[:n-1]
 		return s
 	}
-	return make([]mem.NodeID, 0, h.f.Net.Nodes())
+	return make([]mem.NodeID, 0, len(h.invSeen))
 }
 
 // releaseInv returns a target slice obtained from invTargets to the pool.
@@ -744,8 +745,7 @@ func (h *HomeCtl) countAck(b mem.Block, e *dir.Entry) {
 		// transmits the data to the requester.
 		e.State = dir.SWait
 		cost := h.f.Soft.LastAckTrap(b)
-		h.trap(h.grabTrap(trapLACK, b, e.Req), "last-ack", cost,
-			func() { h.grantWrite(b, e, e.Req) })
+		h.trap(h.grabTrap(trapLACK, b, e.Req), "last-ack", cost)
 		return
 	}
 	h.grantWrite(b, e, e.Req)
@@ -760,11 +760,7 @@ func (h *HomeCtl) swAck(b mem.Block, e *dir.Entry) {
 	cost := h.f.Soft.AckTrap(b, last)
 	t := h.grabTrap(trapAck, b, e.Req)
 	t.last = last
-	h.trap(t, "ack", cost, func() {
-		if last {
-			h.grantWrite(b, e, e.Req)
-		}
-	})
+	h.trap(t, "ack", cost)
 }
 
 func (h *HomeCtl) onUpdate(m Msg, e *dir.Entry) {

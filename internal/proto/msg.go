@@ -122,10 +122,56 @@ type Msg struct {
 	DWrite bool
 	// RMW, when set on a DREQ, is applied atomically at the home: the
 	// word is read, transformed, and written in place; the reply carries
-	// the old value. Function-valued, so Msg must never be compared or
-	// used as a map key — the in-flight registry and snapshot layers
-	// never do.
-	RMW func(uint64) uint64
+	// the old value.
+	RMW RMW
+}
+
+// RMWKind enumerates the atomic read-modify-write operations.
+type RMWKind uint8
+
+const (
+	// RMWNone marks a plain access.
+	RMWNone RMWKind = iota
+	// RMWSwap stores Arg (an atomic exchange).
+	RMWSwap
+	// RMWAdd adds Arg (fetch-and-add; a wrapped Arg subtracts).
+	RMWAdd
+	// RMWTestAndSet stores Arg only if the word is zero.
+	RMWTestAndSet
+	// RMWMin stores Arg only if it is below the word.
+	RMWMin
+)
+
+// RMW is one atomic read-modify-write operation, as data: the kind and
+// its argument fully determine the new value, so operations can be
+// compared, copied and fingerprinted.
+type RMW struct {
+	Kind RMWKind
+	Arg  uint64
+}
+
+// Apply returns the word's new value given its old one.
+func (r RMW) Apply(old uint64) uint64 {
+	switch r.Kind {
+	case RMWSwap:
+		return r.Arg
+	case RMWAdd:
+		return old + r.Arg
+	case RMWTestAndSet:
+		if old == 0 {
+			return r.Arg
+		}
+		return old
+	case RMWMin:
+		if r.Arg < old {
+			return r.Arg
+		}
+		return old
+	case RMWNone:
+		panic("proto: applying RMWNone")
+	default:
+		panic("proto: unknown RMW kind")
+	}
 }
 
 func (m Msg) String() string {

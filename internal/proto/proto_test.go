@@ -60,11 +60,16 @@ func (r *rig) write(n mem.NodeID, a mem.Addr, v uint64) {
 	}
 }
 
+// fire adapts a func to sim.Caller for tests.
+type fire func()
+
+func (f fire) Fire() { f() }
+
 // rmw performs a blocking read-modify-write and returns the old value.
-func (r *rig) rmw(n mem.NodeID, a mem.Addr, fn func(uint64) uint64) uint64 {
+func (r *rig) rmw(n mem.NodeID, a mem.Addr, op RMW) uint64 {
 	var old uint64
 	done := false
-	r.f.Cache(n).Access(a, Op{Write: true, RMW: fn, Done: func(v uint64) { old = v; done = true }})
+	r.f.Cache(n).Access(a, Op{Write: true, RMW: op, Done: func(v uint64) { old = v; done = true }})
 	if !r.engine.RunUntil(func() bool { return done }, 1_000_000) {
 		r.t.Fatalf("rmw by node %d did not complete", n)
 	}
@@ -352,7 +357,7 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 	for n := mem.NodeID(0); n < 8; n++ {
 		r.f.Cache(n).Access(a, Op{
 			Write: true,
-			RMW:   func(old uint64) uint64 { return old + 1 },
+			RMW:   RMW{Kind: RMWAdd, Arg: 1},
 			Done:  func(uint64) { doneCount++ },
 		})
 	}
@@ -376,7 +381,7 @@ func TestConcurrentWritersAllProtocols(t *testing.T) {
 			for n := mem.NodeID(0); n < 8; n++ {
 				r.f.Cache(n).Access(a, Op{
 					Write: true,
-					RMW:   func(old uint64) uint64 { return old + 1 },
+					RMW:   RMW{Kind: RMWAdd, Arg: 1},
 					Done:  func(uint64) { doneCount++ },
 				})
 			}
@@ -395,7 +400,7 @@ func TestWatchWakesOnWrite(t *testing.T) {
 	a := r.mem.AllocOn(0, 1)
 	var woke bool
 	var sawValue uint64
-	r.f.Cache(1).Watch(a, 0, func(v uint64) { woke = true; sawValue = v })
+	r.f.Cache(1).Watch(a, 0, Op{Done: func(v uint64) { woke = true; sawValue = v }})
 	r.engine.Run(10_000) // let the watch arm
 	if woke {
 		t.Fatal("watch fired before any change")
@@ -415,7 +420,7 @@ func TestWatchImmediateWhenAlreadyChanged(t *testing.T) {
 	r.write(2, a, 5)
 	var got uint64
 	fired := false
-	r.f.Cache(1).Watch(a, 0, func(v uint64) { got = v; fired = true })
+	r.f.Cache(1).Watch(a, 0, Op{Done: func(v uint64) { got = v; fired = true }})
 	if !r.engine.RunUntil(func() bool { return fired }, 1_000_000) {
 		t.Fatal("watch on already-changed value never fired")
 	}
@@ -447,7 +452,7 @@ func TestEpochFiltersStrayAcks(t *testing.T) {
 func TestPerfectIfetchBypassesCache(t *testing.T) {
 	r := newRig(t, 2, FullMap())
 	done := false
-	r.f.Cache(0).Ifetch(12345, func() { done = true })
+	r.f.Cache(0).Ifetch(12345, fire(func() { done = true }))
 	if !done {
 		t.Fatal("perfect ifetch was not immediate")
 	}
@@ -476,7 +481,7 @@ func TestIfetchFillsAndConflicts(t *testing.T) {
 	// Instruction block in the same set displaces the data line.
 	pc := mem.Addr(64 * mem.WordsPerBlock)
 	fetched := false
-	f.Cache(0).Ifetch(pc, func() { fetched = true })
+	f.Cache(0).Ifetch(pc, fire(func() { fetched = true }))
 	if !engine.RunUntil(func() bool { return fetched }, 100_000) {
 		t.Fatal("ifetch never completed")
 	}
@@ -487,7 +492,7 @@ func TestIfetchFillsAndConflicts(t *testing.T) {
 		t.Fatal("conflicting ifetch did not displace the data line")
 	}
 	// Re-fetch of the same instruction hits.
-	f.Cache(0).Ifetch(pc, func() {})
+	f.Cache(0).Ifetch(pc, fire(func() {}))
 	engine.Run(0)
 	if f.Cache(0).Cache().Stats.IHits != 1 {
 		t.Fatal("second ifetch should hit")
@@ -525,7 +530,7 @@ func TestPropertySequentialEquivalence(t *testing.T) {
 					r.write(n, a, v)
 					ref[a] = v
 				case 2:
-					old := r.rmw(n, a, func(o uint64) uint64 { return o + 3 })
+					old := r.rmw(n, a, RMW{Kind: RMWAdd, Arg: 3})
 					if old != ref[a] {
 						t.Fatalf("op %d: rmw old = %d, want %d", i, old, ref[a])
 					}
@@ -555,7 +560,7 @@ func TestPropertySingleWriter(t *testing.T) {
 				} else {
 					r.f.Cache(n).Access(addr, Op{
 						Write: true,
-						RMW:   func(o uint64) uint64 { return o + 1 },
+						RMW:   RMW{Kind: RMWAdd, Arg: 1},
 						Done:  func(uint64) { ops++; total++ },
 					})
 				}
@@ -609,7 +614,7 @@ func TestCheckerCleanOnStress(t *testing.T) {
 				} else {
 					r.f.Cache(n).Access(addr, Op{
 						Write: true,
-						RMW:   func(o uint64) uint64 { return o + 1 },
+						RMW:   RMW{Kind: RMWAdd, Arg: 1},
 						Done:  func(uint64) { ops++ },
 					})
 				}
@@ -751,10 +756,8 @@ func TestWritebackCrossesRecall(t *testing.T) {
 	// Concurrently node 2 writes, recalling from node 1.
 	var got uint64
 	wrote := false
-	r.f.Cache(2).Access(a, Op{Write: true, RMW: func(old uint64) uint64 {
-		got = old
-		return old + 1
-	}, Done: func(uint64) { wrote = true }})
+	r.f.Cache(2).Access(a, Op{Write: true, RMW: RMW{Kind: RMWAdd, Arg: 1},
+		Done: func(old uint64) { got, wrote = old, true }})
 	if !r.engine.RunUntil(func() bool { return wrote }, 10_000_000) {
 		t.Fatal("write after crossing WB never completed")
 	}
@@ -772,7 +775,7 @@ func TestWatchWakesOnEviction(t *testing.T) {
 	r := newRig(t, 4, FullMap())
 	a := r.mem.AllocOn(0, 1)
 	var woke bool
-	r.f.Cache(1).Watch(a, 0, func(v uint64) { woke = true })
+	r.f.Cache(1).Watch(a, 0, Op{Done: func(v uint64) { woke = true }})
 	r.engine.Run(5_000)
 	// Evict the watched block from node 1's cache via a conflicting fill.
 	r.read(1, a+64*mem.WordsPerBlock)
@@ -962,11 +965,7 @@ func TestCheckInRetiresPointer(t *testing.T) {
 	if e.Ptrs.Count() != 1 {
 		t.Fatal("setup: pointer missing")
 	}
-	done := false
-	r.f.Cache(1).CheckIn(a, func() { done = true })
-	if !done {
-		t.Fatal("CheckIn should complete locally without blocking")
-	}
+	r.f.Cache(1).CheckIn(a)
 	r.engine.Run(0)
 	if e.Ptrs.Count() != 0 {
 		t.Fatalf("pointer not retired: %d", e.Ptrs.Count())
@@ -988,12 +987,8 @@ func TestCheckInDirtyWritesBack(t *testing.T) {
 	r := newRig(t, 4, FullMap())
 	a := r.mem.AllocOn(0, 1)
 	r.write(1, a, 77)
-	done := false
-	r.f.Cache(1).CheckIn(a, func() { done = true })
+	r.f.Cache(1).CheckIn(a)
 	r.engine.Run(0)
-	if !done {
-		t.Fatal("CheckIn never completed")
-	}
 	if got := r.read(2, a); got != 77 {
 		t.Fatalf("read after dirty check-in = %d, want 77", got)
 	}
@@ -1003,12 +998,8 @@ func TestCheckInAbsentIsNoop(t *testing.T) {
 	r := newRig(t, 4, FullMap())
 	a := r.mem.AllocOn(0, 1)
 	msgsBefore := r.f.Counters.Get("msg.REL")
-	done := false
-	r.f.Cache(1).CheckIn(a, func() { done = true })
+	r.f.Cache(1).CheckIn(a)
 	r.engine.Run(0)
-	if !done {
-		t.Fatal("absent CheckIn never completed")
-	}
 	if r.f.Counters.Get("msg.REL") != msgsBefore {
 		t.Fatal("absent check-in sent a message")
 	}
@@ -1019,7 +1010,7 @@ func TestCheckOutAcquiresOwnership(t *testing.T) {
 	a := r.mem.AllocOn(0, 1)
 	r.mem.Write(a, 9)
 	done := false
-	r.f.Cache(1).CheckOut(a, func() { done = true })
+	r.f.Cache(1).CheckOut(a, Op{Done: func(uint64) { done = true }})
 	if !r.engine.RunUntil(func() bool { return done }, 1_000_000) {
 		t.Fatal("CheckOut never completed")
 	}
@@ -1045,7 +1036,7 @@ func TestCheckOutIdempotentWhenOwned(t *testing.T) {
 	r.write(1, a, 3)
 	msgs := r.f.Net.Messages
 	done := false
-	r.f.Cache(1).CheckOut(a, func() { done = true })
+	r.f.Cache(1).CheckOut(a, Op{Done: func(uint64) { done = true }})
 	r.engine.Run(0)
 	if !done {
 		t.Fatal("owned CheckOut never completed")
@@ -1062,13 +1053,12 @@ func TestCheckOutCheckInRoundTrip(t *testing.T) {
 	a := r.mem.AllocOn(0, 1)
 	for n := mem.NodeID(1); n < 4; n++ {
 		done := false
-		r.f.Cache(n).CheckOut(a, func() { done = true })
+		r.f.Cache(n).CheckOut(a, Op{Done: func(uint64) { done = true }})
 		if !r.engine.RunUntil(func() bool { return done }, 1_000_000) {
 			t.Fatalf("node %d CheckOut stalled", n)
 		}
 		r.write(n, a, uint64(n)*10)
-		done = false
-		r.f.Cache(n).CheckIn(a, func() { done = true })
+		r.f.Cache(n).CheckIn(a)
 		r.engine.Run(0)
 	}
 	e := r.f.Home(0).Entry(mem.BlockOf(a))
@@ -1091,7 +1081,7 @@ func TestCheckOutJoinsReadTransaction(t *testing.T) {
 	a := r.mem.AllocOn(0, 1)
 	readDone, coDone := false, false
 	r.f.Cache(1).Access(a, Op{Done: func(uint64) { readDone = true }})
-	r.f.Cache(1).CheckOut(a, func() { coDone = true })
+	r.f.Cache(1).CheckOut(a, Op{Done: func(uint64) { coDone = true }})
 	if !r.engine.RunUntil(func() bool { return readDone && coDone }, 1_000_000) {
 		t.Fatalf("stalled: read=%v checkout=%v", readDone, coDone)
 	}
@@ -1147,21 +1137,17 @@ func TestPropertyTortureAllFeatures(t *testing.T) {
 					r.write(n, a, v)
 					ref[a] = v
 				case 3:
-					old := r.rmw(n, a, func(o uint64) uint64 { return o + 7 })
+					old := r.rmw(n, a, RMW{Kind: RMWAdd, Arg: 7})
 					if old != ref[a] {
 						t.Fatalf("op %d: rmw old %d, want %d", i, old, ref[a])
 					}
 					ref[a] += 7
 				case 4:
-					done := false
-					r.f.Cache(n).CheckIn(a, func() { done = true })
-					if !r.engine.RunUntil(func() bool { return done }, 1_000_000) {
-						t.Fatalf("op %d: check-in stalled", i)
-					}
+					r.f.Cache(n).CheckIn(a)
 					r.engine.Run(0) // drain the writeback/relinquish
 				case 5:
 					done := false
-					r.f.Cache(n).CheckOut(a, func() { done = true })
+					r.f.Cache(n).CheckOut(a, Op{Done: func(uint64) { done = true }})
 					if !r.engine.RunUntil(func() bool { return done }, 1_000_000) {
 						t.Fatalf("op %d: check-out stalled", i)
 					}

@@ -1,9 +1,9 @@
 package proto
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"swex/internal/mem"
 )
@@ -18,7 +18,9 @@ import (
 // identical states reached through different histories compare equal:
 //
 //   - Statistics (counters, trap counts, retry counts, worker-set maxima)
-//     are excluded: they record history, not state.
+//     are excluded: they record history, not state. So are operation IDs
+//     (Op.ID): they name an operation to its issuer, never steer the
+//     protocol.
 //   - Directory epochs are encoded relative to the entry's current epoch
 //     (an in-flight acknowledgment matters only through whether its epoch
 //     matches the entry's), so histories with different transaction counts
@@ -28,145 +30,252 @@ import (
 //     time is frozen at cycle zero and only the firing *order* of pending
 //     events — which the encoding preserves — determines behavior.
 //
-// Pending events appear through their inspection tags: in-flight messages
-// (tagged with the fabric's registry entries) and software handler
-// completions/retries (tagged by the scheduling sites in home.go and
-// cachectl.go). An untagged pending event encodes as "?"; the model
-// checker's worlds never schedule one, but the encoding stays total.
+// Pending events appear through their receivers, which are also their
+// inspection tags: in-flight messages, queued home processing, software
+// handler completions, busy retries, watch re-reads and instruction
+// fills.
+//
+// The encoding is binary: a type byte per item, unsigned varints for
+// numbers and length prefixes for lists, so it is unambiguous. It is
+// never persisted; only equality between snapshots of one build matters.
 func (f *Fabric) Snapshot(blocks []mem.Block) []byte {
-	sorted := make([]mem.Block, len(blocks))
-	copy(sorted, blocks)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return f.AppendSnapshot(nil, blocks)
+}
 
-	var buf bytes.Buffer
-	for _, b := range sorted {
-		f.snapBlock(&buf, b)
+// AppendSnapshot appends Snapshot's encoding to dst and returns the
+// extended buffer. With blocks already in ascending order and a reused
+// dst, it allocates nothing once the fabric's scratch space has grown.
+func (f *Fabric) AppendSnapshot(dst []byte, blocks []mem.Block) []byte {
+	if !slices.IsSorted(blocks) {
+		blocks = slices.Clone(blocks)
+		slices.Sort(blocks)
+	}
+	for _, b := range blocks {
+		dst = f.snapBlock(dst, b)
 	}
 	for i := 0; i < f.Nodes(); i++ {
-		f.snapNode(&buf, mem.NodeID(i), sorted)
+		dst = f.snapNode(dst, mem.NodeID(i), blocks)
 	}
-	f.snapPending(&buf)
-	return buf.Bytes()
+	dst = f.snapPending(dst)
+	if f.Fault.Nth > 0 {
+		// The fault's progress is state: a machine about to drop a
+		// message and the same machine after the drop diverge.
+		dst = append(dst, 'F')
+		dst = putInt(dst, f.faultLeft())
+	}
+	return dst
+}
+
+// putUint appends an unsigned varint.
+func putUint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+
+// putInt appends a signed varint.
+func putInt(dst []byte, v int) []byte { return binary.AppendVarint(dst, int64(v)) }
+
+// putBool appends one byte, 1 for true.
+func putBool(dst []byte, v bool) []byte {
+	if v {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// putWords appends a block's words.
+func putWords(dst []byte, w *[mem.WordsPerBlock]uint64) []byte {
+	for _, v := range w {
+		dst = putUint(dst, v)
+	}
+	return dst
+}
+
+// putNodes appends a length-prefixed node list.
+func putNodes(dst []byte, ids []mem.NodeID) []byte {
+	dst = putInt(dst, len(ids))
+	for _, id := range ids {
+		dst = putInt(dst, int(id))
+	}
+	return dst
+}
+
+// putRMW appends an atomic operation.
+func putRMW(dst []byte, r RMW) []byte {
+	dst = append(dst, byte(r.Kind))
+	if r.Kind != RMWNone {
+		dst = putUint(dst, r.Arg)
+	}
+	return dst
+}
+
+// putWaiter appends one waiting operation: everything but its ID.
+func putWaiter(dst []byte, w *pendingOp) []byte {
+	dst = putUint(dst, uint64(w.addr))
+	dst = putBool(dst, w.op.Write)
+	dst = putUint(dst, w.op.Value)
+	dst = putRMW(dst, w.op.RMW)
+	dst = append(dst, byte(w.kind))
+	if w.kind == waitWatch {
+		dst = putUint(dst, w.old)
+	}
+	return dst
 }
 
 // snapBlock encodes the home-side state of one block.
-func (f *Fabric) snapBlock(buf *bytes.Buffer, b mem.Block) {
+func (f *Fabric) snapBlock(dst []byte, b mem.Block) []byte {
 	h := f.homes[mem.HomeOfBlock(b)]
-	fmt.Fprintf(buf, "B%d{", b)
+	dst = append(dst, 'B')
+	dst = putUint(dst, uint64(b))
 	if e, ok := h.dir.Peek(b); ok {
-		fmt.Fprintf(buf, "st=%d ptrs=%v lb=%v own=%d ack=%d req=%d/%v swx=%v rb=%v bb=%v",
-			int(e.State), e.Ptrs.List(), e.LocalBit, e.Owner, e.AckCount,
-			e.Req, e.ReqWrite, e.SwExt, e.RemoteBit, e.BroadcastBit)
+		dst = append(dst, 1)
+		dst = putInt(dst, int(e.State))
+		f.snapIDs = e.Ptrs.AppendTo(f.snapIDs[:0])
+		dst = putNodes(dst, f.snapIDs)
+		dst = putBool(dst, e.LocalBit)
+		dst = putInt(dst, int(e.Owner))
+		dst = putInt(dst, e.AckCount)
+		dst = putInt(dst, int(e.Req))
+		dst = putBool(dst, e.ReqWrite)
+		dst = putBool(dst, e.SwExt)
+		dst = putBool(dst, e.RemoteBit)
+		dst = putBool(dst, e.BroadcastBit)
+	} else {
+		dst = append(dst, 0)
 	}
-	fmt.Fprintf(buf, " swtxn=%v swr=%d", h.swTxn[b], h.swReads[b])
+	dst = putBool(dst, h.swTxn[b])
+	dst = putInt(dst, h.swReads[b])
 	if w, ok := h.pendingWrite[b]; ok {
-		fmt.Fprintf(buf, " pw=%d", w)
+		dst = append(dst, 1)
+		dst = putInt(dst, int(w))
+	} else {
+		dst = append(dst, 0)
 	}
 	if st, ok := h.mig[b]; ok && f.MigratoryDetect {
-		fmt.Fprintf(buf, " mig=%d/%v/%d/%v/%v",
-			st.lastWriter, st.haveWriter, st.score, st.migratory, st.lastGrantRead)
+		dst = append(dst, 1)
+		dst = putInt(dst, int(st.lastWriter))
+		dst = putBool(dst, st.haveWriter)
+		dst = putInt(dst, st.score)
+		dst = putBool(dst, st.migratory)
+		dst = putBool(dst, st.lastGrantRead)
+	} else {
+		dst = append(dst, 0)
 	}
 	if f.Soft != nil {
-		fmt.Fprintf(buf, " soft=%v", f.Soft.SharersOf(b))
+		dst = putNodes(dst, f.Soft.SharersOf(b))
 	}
-	fmt.Fprintf(buf, " mem=%v}", f.Mem.ReadBlock(b))
+	words := f.Mem.ReadBlock(b)
+	return putWords(dst, &words)
 }
 
 // snapNode encodes one node's cache-side state for the tracked blocks.
-func (f *Fabric) snapNode(buf *bytes.Buffer, id mem.NodeID, blocks []mem.Block) {
+func (f *Fabric) snapNode(dst []byte, id mem.NodeID, blocks []mem.Block) []byte {
 	cc := f.caches[id]
-	fmt.Fprintf(buf, "N%d{", id)
+	dst = append(dst, 'N')
+	dst = putInt(dst, int(id))
 	for _, b := range blocks {
 		if l, ok := cc.c.Peek(b); ok {
-			fmt.Fprintf(buf, "c%d=%d/%v/%v ", b, int(l.State), l.Dirty, l.Words)
+			dst = append(dst, 'c')
+			dst = putUint(dst, uint64(b))
+			dst = append(dst, byte(l.State))
+			dst = putBool(dst, l.Dirty)
+			dst = putWords(dst, &l.Words)
 		}
 		if t, ok := cc.txns[b]; ok {
-			fmt.Fprintf(buf, "t%d=%v[", b, t.write)
-			for _, w := range t.waiters {
-				fmt.Fprintf(buf, "(%d %v %d %v %v", w.addr, w.op.Write, w.op.Value, w.op.RMW != nil, w.checkout)
-				if w.watch {
-					// Appended rather than unconditional so fingerprints
-					// of watch-free histories keep their PR 3 encodings.
-					fmt.Fprintf(buf, " w")
-				}
-				fmt.Fprintf(buf, ")")
+			dst = append(dst, 't')
+			dst = putUint(dst, uint64(b))
+			dst = putBool(dst, t.write)
+			dst = putInt(dst, len(t.waiters))
+			for i := range t.waiters {
+				dst = putWaiter(dst, &t.waiters[i])
 			}
-			fmt.Fprintf(buf, "] ")
 		}
 		if ws := cc.watchers[b]; len(ws) > 0 {
 			// Parked watchers are logical state: which address each waits
 			// on and which value it expects to change determine whether a
 			// future coherence event completes or re-parks it, so a bare
 			// count would merge states that diverge.
-			fmt.Fprintf(buf, "w%d=[", b)
+			dst = append(dst, 'w')
+			dst = putUint(dst, uint64(b))
+			dst = putInt(dst, len(ws))
 			for _, w := range ws {
-				fmt.Fprintf(buf, "(%d %d)", w.addr, w.old)
+				dst = putUint(dst, uint64(w.addr))
+				dst = putUint(dst, w.old)
 			}
-			fmt.Fprintf(buf, "] ")
 		}
 	}
 	// Outstanding directoryless accesses, per home in node order. An op's
 	// queue position determines which DRESP completes it, so the queues
-	// are state. Encoded only when non-empty, so directoryful histories
-	// keep their existing bytes.
+	// are state.
 	for hid := 0; hid < f.Nodes(); hid++ {
 		q := cc.direct[mem.NodeID(hid)]
 		if len(q) == 0 {
 			continue
 		}
-		fmt.Fprintf(buf, "d%d=[", hid)
-		for _, op := range q {
-			fmt.Fprintf(buf, "(%v %d %v)", op.Write, op.Value, op.RMW != nil)
+		dst = append(dst, 'd')
+		dst = putInt(dst, hid)
+		dst = putInt(dst, len(q))
+		for i := range q {
+			dst = putWaiter(dst, &q[i])
 		}
-		fmt.Fprintf(buf, "] ")
 	}
-	fmt.Fprintf(buf, "}")
+	return append(dst, '.')
 }
 
 // snapPending encodes the engine's pending events in firing order, each
-// prefixed by its firing delay relative to the current cycle when that
-// delay is non-zero. Order alone is not sufficient once watch re-arms
-// enter the picture: a re-arm is scheduled one cycle out (the only
-// non-zero delay a zero-latency world ever schedules), so a state where
-// the re-arm fires before a newly injected zero-delay event and a state
-// where it fires after are different states. Encoding the relative delay
-// separates them while leaving delay-free histories byte-identical to
-// the order-only encoding.
-func (f *Fabric) snapPending(buf *bytes.Buffer) {
+// with its firing delay relative to the current cycle. Order alone is not
+// sufficient once watch re-arms enter the picture: a re-arm is scheduled
+// one cycle out (the only non-zero delay a zero-latency world ever
+// schedules), so a state where the re-arm fires before a newly injected
+// zero-delay event and a state where it fires after are different states.
+func (f *Fabric) snapPending(dst []byte) []byte {
 	now := f.Engine.Now()
-	fmt.Fprintf(buf, "Q[")
-	for _, ev := range f.Engine.PendingTagged() {
-		if d := ev.At - now; d != 0 {
-			fmt.Fprintf(buf, "+%d", d)
-		}
+	f.snapEvents = f.Engine.PendingTagged(f.snapEvents[:0])
+	dst = append(dst, 'Q')
+	dst = putInt(dst, len(f.snapEvents))
+	for _, ev := range f.snapEvents {
+		dst = putUint(dst, uint64(ev.At-now))
 		switch tag := ev.Tag.(type) {
 		case *flight:
-			f.snapMsg(buf, tag.m)
-			fmt.Fprintf(buf, ";")
+			dst = append(dst, 'M')
+			dst = f.snapMsg(dst, &tag.m)
 		case *procTag:
 			// A message queued at a busy home is encoded exactly like one
 			// still in flight, distinguished by the prefix: it carries the
 			// same logical content and the same epoch-relativity rules.
-			fmt.Fprintf(buf, "P%d:", tag.node)
-			f.snapMsg(buf, tag.m)
-			fmt.Fprintf(buf, ";")
+			dst = append(dst, 'P')
+			dst = putInt(dst, int(tag.node))
+			dst = f.snapMsg(dst, &tag.m)
 		case *retryTag:
-			fmt.Fprintf(buf, "retry:%d:blk%d:live=%v;", tag.cc.node, tag.b, tag.live())
+			dst = append(dst, 'R')
+			dst = putInt(dst, int(tag.cc.node))
+			dst = putUint(dst, uint64(tag.b))
+			dst = putBool(dst, tag.live())
 		case *trapTag:
-			// Renders the same bytes the handler's eager label used to
-			// carry, so fingerprints of existing histories are unchanged.
-			fmt.Fprintf(buf, "%s;", tag.label())
+			dst = append(dst, 'T', byte(tag.kind))
+			dst = putInt(dst, int(tag.h.node))
+			dst = putUint(dst, uint64(tag.b))
+			switch tag.kind {
+			case trapRead, trapReadBatch:
+				dst = putInt(dst, int(tag.r))
+			case trapWFault:
+				dst = putInt(dst, int(tag.r))
+				dst = putNodes(dst, tag.targets)
+			case trapAck:
+				dst = putBool(dst, tag.last)
+			case trapLACK:
+			}
 		case *watchTag:
-			fmt.Fprintf(buf, "%s;", tag.label())
-		case blockTag:
-			fmt.Fprintf(buf, "%s;", tag.label)
-		case string:
-			fmt.Fprintf(buf, "%s;", tag)
+			dst = append(dst, 'W')
+			dst = putInt(dst, int(tag.cc.node))
+			dst = putUint(dst, uint64(tag.a))
+			dst = putUint(dst, tag.old)
+		case *ifetchTag:
+			dst = append(dst, 'I')
+			dst = putInt(dst, int(tag.cc.node))
+			dst = putUint(dst, uint64(tag.b))
 		default:
-			fmt.Fprintf(buf, "?;")
+			dst = append(dst, '?')
 		}
 	}
-	fmt.Fprintf(buf, "]")
+	return dst
 }
 
 // snapMsg encodes one protocol message canonically. The epoch is encoded
@@ -175,31 +284,38 @@ func (f *Fabric) snapPending(buf *bytes.Buffer) {
 // all that matters, and encoding the absolute value (or a delta against
 // a request's constant zero) would leak the history-dependent
 // transaction count into the fingerprint.
-func (f *Fabric) snapMsg(buf *bytes.Buffer, m Msg) {
+func (f *Fabric) snapMsg(dst []byte, m *Msg) []byte {
 	var delta uint32
 	if m.Kind.CarriesEpoch() {
 		delta = f.entryEpoch(m.Block) - m.Epoch
 	}
-	fmt.Fprintf(buf, "M%d:%d>%d:b%d:e%d", int(m.Kind), m.Src, m.Dst, m.Block, delta)
+	dst = append(dst, byte(m.Kind))
+	dst = putInt(dst, int(m.Src))
+	dst = putInt(dst, int(m.Dst))
+	dst = putUint(dst, uint64(m.Block))
+	dst = putUint(dst, uint64(delta))
 	if m.Kind.CarriesData() {
-		fmt.Fprintf(buf, ":%v", m.Words)
+		dst = putWords(dst, &m.Words)
 	}
 	if m.Kind == MsgDREQ || m.Kind == MsgDRESP {
 		// Direct accesses carry a word, an offset, and an operation; all
-		// of it determines behavior, so all of it is state. Appended only
-		// for the new kinds, so existing encodings keep their bytes.
-		fmt.Fprintf(buf, ":o%d:w%v:rmw%v:v%d", m.Off, m.DWrite, m.RMW != nil, m.Words[0])
+		// of it determines behavior, so all of it is state.
+		dst = putInt(dst, m.Off)
+		dst = putBool(dst, m.DWrite)
+		dst = putRMW(dst, m.RMW)
+		dst = putUint(dst, m.Words[0])
 	}
+	return dst
 }
 
-// PendingDescriptions renders the engine's pending events in firing order
-// using their inspection tags: "deliver <msg>" for in-flight messages, the
-// tag itself for tagged handler completions and retries, "event" for
-// untagged events. The model checker's counterexample renderer uses it to
+// PendingDescriptions renders the engine's pending events in firing order:
+// "deliver <msg>" for in-flight messages, a label naming the handler,
+// retry, watch or fill otherwise, and "event" for events the fabric did
+// not schedule. The model checker's counterexample renderer uses it to
 // narrate what each scheduling step fired.
 func (f *Fabric) PendingDescriptions() []string {
 	var out []string
-	for _, ev := range f.Engine.PendingTagged() {
+	for _, ev := range f.Engine.PendingTagged(nil) {
 		switch tag := ev.Tag.(type) {
 		case *flight:
 			out = append(out, "deliver "+tag.m.String())
@@ -211,10 +327,8 @@ func (f *Fabric) PendingDescriptions() []string {
 			out = append(out, tag.label())
 		case *watchTag:
 			out = append(out, tag.label())
-		case blockTag:
-			out = append(out, tag.label)
-		case string:
-			out = append(out, tag)
+		case *ifetchTag:
+			out = append(out, fmt.Sprintf("ifetch:%d:blk%d", tag.cc.node, tag.b))
 		default:
 			out = append(out, "event")
 		}
@@ -223,18 +337,19 @@ func (f *Fabric) PendingDescriptions() []string {
 }
 
 // NextEventBlock reports the block the engine's earliest pending event
-// operates on, when its inspection tag identifies one (message delivery,
-// busy retry, handler completion, queued home processing, watch re-arm,
+// operates on, when the fabric scheduled it (message delivery, busy
+// retry, handler completion, queued home processing, watch re-read,
 // instruction fill). ok is false when nothing is pending or the event is
-// untagged. The model checker's partial-order reduction uses it to decide
-// whether firing the event can interfere with a slept injection; an
-// unidentifiable event must be treated as interfering with everything.
+// not the fabric's. The model checker's partial-order reduction uses it
+// to decide whether firing the event can interfere with a slept
+// injection; an unidentifiable event must be treated as interfering with
+// everything.
 func (f *Fabric) NextEventBlock() (mem.Block, bool) {
-	evs := f.Engine.PendingTagged()
-	if len(evs) == 0 {
+	ev, ok := f.Engine.Next()
+	if !ok {
 		return 0, false
 	}
-	switch tag := evs[0].Tag.(type) {
+	switch tag := ev.Tag.(type) {
 	case *flight:
 		return tag.m.Block, true
 	case *procTag:
@@ -244,8 +359,8 @@ func (f *Fabric) NextEventBlock() (mem.Block, bool) {
 	case *trapTag:
 		return tag.b, true
 	case *watchTag:
-		return tag.b, true
-	case blockTag:
+		return mem.BlockOf(tag.a), true
+	case *ifetchTag:
 		return tag.b, true
 	}
 	return 0, false

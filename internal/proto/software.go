@@ -73,6 +73,9 @@ type TrapScheduler interface {
 // implementations live in internal/ext.
 type NopSoftware struct {
 	sets map[mem.Block][]mem.NodeID // ascending node order per block
+	// copied holds the lists a clone copied in, for the next clone into
+	// this one to reuse.
+	copied [][]mem.NodeID
 	// FixedCost is charged for every handler invocation.
 	FixedCost sim.Cycle
 }

@@ -6,10 +6,8 @@ import (
 	"swex/internal/mem"
 )
 
-// trapKind identifies which software handler a pooled trapTag stands for.
-// The kind, together with the tag's captured fields, reproduces the exact
-// label string the snapshot layer has always encoded for that handler —
-// rendered lazily, only when a snapshot or description actually asks.
+// trapKind identifies which software handler a pooled trapTag stands for,
+// and so which completion runs when the handler finishes.
 type trapKind uint8
 
 const (
@@ -27,13 +25,11 @@ const (
 )
 
 // trapTag is the inspection tag and delivery receiver (sim.Caller) of a
-// scheduled software-handler completion. Historically each handler
-// rendered a label string with fmt.Sprintf at scheduling time — five
-// allocation sites on the protocol's software hot path, paid even when
-// nothing ever looked at the label. The tag instead captures the
-// handler's identifying fields and renders the identical bytes on
-// demand (see label). Tags are pooled on the owning HomeCtl, so
-// steady-state trap scheduling allocates nothing.
+// scheduled software-handler completion. It is data only: the kind picks
+// the completion, which re-looks-up the block's directory entry when it
+// fires, so a pending handler can be fingerprinted and copied. Tags are
+// pooled on the owning HomeCtl, so steady-state trap scheduling allocates
+// nothing.
 type trapTag struct {
 	h    *HomeCtl
 	kind trapKind
@@ -42,26 +38,37 @@ type trapTag struct {
 	// last marks the final acknowledgment of a trapAck.
 	last bool
 	// targets is the invalidation target set of a trapWFault. The slice
-	// belongs to the home's invalidation pool and is released inside the
-	// handler body, after the tag's last possible label render: labels
-	// are only rendered while the completion is still pending.
+	// belongs to the home's invalidation pool and is released by the
+	// completion once the invalidations are sent.
 	targets []mem.NodeID
-	then    func()
+	next    *trapTag // free-list link
 }
 
 // Fire runs the handler completion, returning the tag to its
-// controller's pool first so nested traps can reuse the slot.
+// controller's free list first so nested traps can reuse the slot.
 func (t *trapTag) Fire() {
-	h, then := t.h, t.then
-	t.then = nil
-	t.targets = nil
-	h.trapPool = append(h.trapPool, t)
-	then()
+	h, kind, b, r, last, targets := t.h, t.kind, t.b, t.r, t.last, t.targets
+	t.targets, t.next, h.trapFree = nil, h.trapFree, t
+	e := h.entry(b)
+	switch kind {
+	case trapRead, trapReadBatch:
+		h.swReadDone(b, e, r)
+	case trapWFault:
+		h.swWriteFaultDone(b, e, r, targets)
+	case trapLACK:
+		// S_NB,LACK: the software transmits the data to the requester.
+		h.grantWrite(b, e, e.Req)
+	case trapAck:
+		// S_NB,ACK: the final acknowledgment's handler transmits the data.
+		if last {
+			h.grantWrite(b, e, e.Req)
+		}
+	default:
+		panic("proto: unknown trap kind")
+	}
 }
 
-// label renders the tag's snapshot encoding: byte-identical to the
-// Sprintf labels the scheduling sites used to build eagerly, so every
-// existing fingerprint and counterexample narration is preserved.
+// label renders the tag for counterexample narration.
 func (t *trapTag) label() string {
 	switch t.kind {
 	case trapRead:
@@ -79,37 +86,19 @@ func (t *trapTag) label() string {
 	}
 }
 
-// watchTag is the inspection tag of a directoryless watch poll: the
-// back-off event between two re-reads of a watched word. Like trapTag it
-// renders its label lazily (the same bytes the watch machinery's eager
-// labels use), and one tag serves every poll of a watch, so the spin loop
-// allocates nothing per iteration.
-type watchTag struct {
-	node mem.NodeID
-	a    mem.Addr
-	old  uint64
-	b    mem.Block
-}
-
-// label renders the tag's snapshot encoding.
-func (t *watchTag) label() string {
-	return fmt.Sprintf("watch:%d:a%d:o%d", t.node, t.a, t.old)
-}
-
-// grabTrap takes a tag from the pool (or allocates on first use) and
-// stamps it with the handler's identity. Kind-specific fields (last,
+// grabTrap takes a tag from the free list (or allocates on first use)
+// and stamps it with the handler's identity. Kind-specific fields (last,
 // targets) are reset here and set by the caller when relevant.
 func (h *HomeCtl) grabTrap(kind trapKind, b mem.Block, r mem.NodeID) *trapTag {
-	var t *trapTag
-	if n := len(h.trapPool); n > 0 {
-		t = h.trapPool[n-1]
-		h.trapPool[n-1] = nil
-		h.trapPool = h.trapPool[:n-1]
+	t := h.trapFree
+	if t != nil {
+		h.trapFree = t.next
 	} else {
 		t = &trapTag{h: h}
 	}
 	t.kind, t.b, t.r = kind, b, r
 	t.last = false
 	t.targets = nil
+	t.next = nil
 	return t
 }

@@ -15,6 +15,7 @@ import (
 
 	"swex/internal/mem"
 	"swex/internal/proc"
+	"swex/internal/proto"
 )
 
 // Barrier is a centralized sense-reversing barrier: one counter word and
@@ -60,12 +61,7 @@ func NewLock(m *mem.Memory, home mem.NodeID) *Lock {
 // Acquire takes the lock.
 func (l *Lock) Acquire(env *proc.Env) {
 	for {
-		old := env.RMW(l.word, func(o uint64) uint64 {
-			if o == 0 {
-				return 1
-			}
-			return o
-		})
+		old := env.RMW(l.word, proto.RMW{Kind: proto.RMWTestAndSet, Arg: 1})
 		if old == 0 {
 			return
 		}

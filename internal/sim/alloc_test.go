@@ -21,23 +21,19 @@ type nopCaller struct{ fired int }
 
 func (c *nopCaller) Fire() { c.fired++ }
 
-func nop() {}
-
-// TestSteadyStateSchedulingAllocs drives a small fixed workload — two
-// pooled-Caller events, one plain func event, and a schedule/cancel pair
-// — through the engine after a warm-up pass, and requires the average
-// allocation count per workload to stay at the committed ceiling.
+// TestSteadyStateSchedulingAllocs drives a small fixed workload — pooled
+// Caller events, unkeyed and owned — through the engine after a warm-up
+// pass, and requires the average allocation count per workload to stay
+// at the committed ceiling.
 func TestSteadyStateSchedulingAllocs(t *testing.T) {
 	e := NewEngine()
+	e.SetStreams(make([]uint64, 2))
 	c := &nopCaller{}
 	workload := func() {
 		e.AtCall(e.Now(), nil, c)
 		e.AfterCall(1, nil, c)
-		e.At(e.Now(), nop)
-		id := e.After(2, nop)
-		if !e.Cancel(id) {
-			t.Fatal("cancel of a pending event failed")
-		}
+		e.OwnedAtCall(1, e.Now(), nil, c)
+		e.OwnedAfterCall(0, 2, c, c)
 		if _, drained := e.Run(0); !drained {
 			t.Fatal("queue did not drain")
 		}

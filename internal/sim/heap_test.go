@@ -2,11 +2,6 @@ package sim
 
 import "testing"
 
-// funcCaller adapts a func to Caller for the OwnedAtCall path.
-type funcCaller func()
-
-func (f funcCaller) Fire() { f() }
-
 // TestEngineHeapFiresSortedKeyOrder is a seeded property test of the
 // event heap against a plain reference model. Each seed interleaves owned
 // (OwnedAtCall) and unkeyed (At) scheduling at random near-future cycles
@@ -37,7 +32,6 @@ func TestEngineHeapFiresSortedKeyOrder(t *testing.T) {
 	const (
 		pending = iota
 		fired
-		cancelled
 	)
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := NewRand(seed)
@@ -45,7 +39,6 @@ func TestEngineHeapFiresSortedKeyOrder(t *testing.T) {
 		e.SetStreams(make([]uint64, owners))
 		var streams [owners]uint64
 		var seq uint64 // the engine's sequence: one per scheduling call
-		var ids []EventID
 		var keys []key
 		var state []int
 		last := -1 // index of the most recently fired event
@@ -74,39 +67,21 @@ func TestEngineHeapFiresSortedKeyOrder(t *testing.T) {
 		for op := 0; op < ops; op++ {
 			switch k := r.Intn(10); {
 			case k < 5:
-				i := len(ids)
-				fn := func() { last = i }
+				i := len(keys)
+				fn := funcCaller(func() { last = i })
 				at := e.Now() + Cycle(r.Intn(6))
-				var id EventID
 				var kk key
 				if r.Intn(2) == 0 {
 					o := r.Intn(owners)
-					id = e.OwnedAtCall(o, at, nil, funcCaller(fn))
+					e.OwnedAtCall(o, at, nil, fn)
 					kk = key{at, int32(o), streams[o]}
 					streams[o]++
 				} else {
-					id = e.At(at, fn)
+					e.AtCall(at, nil, fn)
 					kk = key{at, unkeyedOwner, seq}
 				}
 				seq++
-				ids, keys, state = append(ids, id), append(keys, kk), append(state, pending)
-			case k < 7:
-				if len(ids) == 0 {
-					continue
-				}
-				i := r.Intn(len(ids))
-				n := e.Pending()
-				want := state[i] == pending
-				if got := e.Cancel(ids[i]); got != want {
-					t.Fatalf("seed %d: Cancel(event %d, state %d) = %v, want %v", seed, i, state[i], got, want)
-				}
-				if want {
-					state[i] = cancelled
-					n--
-				}
-				if e.Pending() != n {
-					t.Fatalf("seed %d: %d pending after Cancel, want %d", seed, e.Pending(), n)
-				}
+				keys, state = append(keys, kk), append(state, pending)
 			default:
 				step()
 			}

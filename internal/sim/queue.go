@@ -44,3 +44,7 @@ func (s *Server) IdleAt(now Cycle) bool { return s.freeAt <= now }
 
 // Reset clears the server's schedule and statistics.
 func (s *Server) Reset() { *s = Server{} }
+
+// Fresh returns a server with this one's schedule and zeroed statistics:
+// the state a copied machine carries forward.
+func (s *Server) Fresh() Server { return Server{freeAt: s.freeAt} }

@@ -10,13 +10,18 @@
 // The engine guarantees this by a total event order: first by cycle, then
 // by an event key.
 //
+// Every event has one form: a Caller, a preallocated receiver whose Fire
+// method runs when the event's cycle arrives, plus an optional inspection
+// tag. Receivers are data, not closures, so a queue of them can be
+// inspected (PendingTagged, Next) and copied (CloneInto).
+//
 // Two keying disciplines exist:
 //
-//   - Unkeyed (At, After, AtCall, ...): the key is a per-engine sequence
+//   - Unkeyed (AtCall, AfterCall): the key is a per-engine sequence
 //     number assigned at scheduling time, so same-cycle events fire in
 //     the order they were scheduled. Standalone engine users (the model
 //     checker, tests) use this form.
-//   - Owned (OwnedAt, OwnedAtCall, ... after SetStreams): the key is
+//   - Owned (OwnedAtCall, OwnedAfterCall, after SetStreams): the key is
 //     (owner, cnt) where owner is the model entity — here, the node — on
 //     whose behalf the event is scheduled and cnt is drawn from the
 //     owner's private counter stream. Same-cycle events fire in node
@@ -30,8 +35,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Cycle is a point in simulated time, measured in processor clock cycles.
@@ -45,15 +51,11 @@ const CyclesPerSecond = 33_000_000
 // Seconds converts a cycle count to simulated seconds at the Alewife clock.
 func (c Cycle) Seconds() float64 { return float64(c) / CyclesPerSecond }
 
-// Event is a callback scheduled to run at a particular cycle.
-type Event func()
-
-// Caller is the allocation-free alternative to Event: a preallocated
-// receiver whose Fire method runs when the event's cycle arrives. A hot
-// caller keeps one Caller per logical operation (or a free list of them)
-// and schedules it with AtCall; a pointer stores into the event without
-// the closure allocation an Event capture costs, and without the boxing
-// an interface conversion of a non-pointer would cost.
+// Caller is the receiver of a scheduled event: its Fire method runs when
+// the event's cycle arrives. A hot caller keeps one Caller per logical
+// operation (or a free list of them) and schedules it with AtCall; a
+// pointer stores into the event without a closure allocation, and
+// without the boxing an interface conversion of a non-pointer would cost.
 type Caller interface {
 	// Fire runs the event's work when its cycle arrives.
 	Fire()
@@ -68,19 +70,9 @@ type scheduledEvent struct {
 	at    Cycle
 	owner int32  // key owner (node), or unkeyedOwner
 	cnt   uint64 // owner-stream position, or engine sequence when unkeyed
-	fire  Event  // closure form; nil when call is set
-	call  Caller // receiver form; nil when fire is set
-	tag   any    // optional inspection tag (see AtTagged)
-	index int    // heap index; -1 once popped or cancelled
-	gen   uint64 // bumped on every release, invalidating stale EventIDs
-}
-
-// EventID identifies a scheduled event so it can be cancelled. Events are
-// pooled: the generation captured at scheduling time keeps a stale ID
-// (held across the event's firing) from cancelling the slot's next tenant.
-type EventID struct {
-	ev  *scheduledEvent
-	gen uint64
+	call  Caller
+	tag   any // optional inspection tag
+	index int // heap index; -1 once popped
 }
 
 // before is the engine's total event order: cycle, then key owner, then
@@ -97,7 +89,7 @@ func (a *scheduledEvent) before(b *scheduledEvent) bool {
 }
 
 // eventHeap is a binary min-heap of pending events under before. Each
-// event records its slot in index, so Cancel can remove it in place.
+// event records its slot in index.
 type eventHeap []*scheduledEvent
 
 // push adds ev to the heap.
@@ -106,20 +98,19 @@ func (h *eventHeap) push(ev *scheduledEvent) {
 	h.up(len(*h) - 1)
 }
 
-// remove takes the event at slot i out of the heap and returns it with
-// its index cleared. remove(0) pops the earliest event.
-func (h *eventHeap) remove(i int) *scheduledEvent {
+// pop removes and returns the earliest event with its index cleared.
+func (h *eventHeap) pop() *scheduledEvent {
 	old := *h
 	n := len(old) - 1
-	ev := old[i]
-	if i != n {
-		old[i] = old[n]
-		old[i].index = i
+	ev := old[0]
+	if n > 0 {
+		old[0] = old[n]
+		old[0].index = 0
 	}
 	old[n] = nil
 	*h = old[:n]
-	if i != n && !h.down(i) {
-		h.up(i)
+	if n > 0 {
+		h.down(0)
 	}
 	ev.index = -1
 	return ev
@@ -143,10 +134,10 @@ func (h eventHeap) up(j int) {
 }
 
 // down moves the event at slot i toward the leaves until both children
-// are later, and reports whether it moved.
-func (h eventHeap) down(i int) bool {
+// are later.
+func (h eventHeap) down(i int) {
 	ev := h[i]
-	i0, n := i, len(h)
+	n := len(h)
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -164,7 +155,6 @@ func (h eventHeap) down(i int) bool {
 	}
 	h[i] = ev
 	ev.index = i
-	return i > i0
 }
 
 // Engine is a discrete-event scheduler with deterministic tie-breaking.
@@ -183,8 +173,8 @@ type Engine struct {
 
 	// Observer, when non-nil, is invoked after every dispatched event
 	// with the clock and the number of events still pending. It feeds
-	// the tracing subsystem's engine counters; it must not schedule or
-	// cancel events. Nil (the default) costs one branch per Step.
+	// the tracing subsystem's engine counters; it must not schedule
+	// events. Nil (the default) costs one branch per Step.
 	Observer func(now Cycle, pending int)
 }
 
@@ -202,50 +192,26 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are waiting in the queue.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// At schedules fn to run at the absolute cycle at. Scheduling in the past
-// panics: it indicates a protocol bug, and silently reordering time would
-// destroy the determinism guarantee.
-func (e *Engine) At(at Cycle, fn Event) EventID {
-	return e.AtTagged(at, nil, fn)
-}
-
-// AtTagged schedules fn like At and attaches an inspection tag to the
-// pending event. Tags never affect execution; they exist so external
-// observers (the model checker's state-fingerprint layer) can enumerate
-// what is queued without being able to look inside the closures.
-func (e *Engine) AtTagged(at Cycle, tag any, fn Event) EventID {
-	ev := e.scheduleUnkeyed(at, tag)
-	ev.fire = fn
-	return EventID{ev, ev.gen}
-}
-
 // AtCall schedules a preallocated Caller to fire at the absolute cycle
-// at, with an inspection tag. It is the allocation-free scheduling path:
-// the event slot comes from the engine's free list and the receiver is
-// caller-owned, so steady-state scheduling allocates nothing.
-func (e *Engine) AtCall(at Cycle, tag any, c Caller) EventID {
-	ev := e.scheduleUnkeyed(at, tag)
-	ev.call = c
-	return EventID{ev, ev.gen}
+// at, with an inspection tag. Tags never affect execution; they exist so
+// external observers (the model checker's state-fingerprint layer) can
+// enumerate what is queued. The event slot comes from the engine's free
+// list and the receiver is caller-owned, so steady-state scheduling
+// allocates nothing. Scheduling in the past panics: it indicates a
+// protocol bug, and silently reordering time would destroy the
+// determinism guarantee.
+func (e *Engine) AtCall(at Cycle, tag any, c Caller) {
+	e.schedule(at, unkeyedOwner, e.seq, tag, c)
 }
 
 // AfterCall schedules a Caller to fire delay cycles from now (see AtCall).
-func (e *Engine) AfterCall(delay Cycle, tag any, c Caller) EventID {
-	return e.AtCall(e.now+delay, tag, c)
-}
-
-// scheduleUnkeyed acquires an event slot keyed by the engine-global
-// sequence: the fallback discipline for engine users that never install
-// key streams (see the package comment).
-func (e *Engine) scheduleUnkeyed(at Cycle, tag any) *scheduledEvent {
-	return e.schedule(at, unkeyedOwner, e.seq, tag)
+func (e *Engine) AfterCall(delay Cycle, tag any, c Caller) {
+	e.AtCall(e.now+delay, tag, c)
 }
 
 // schedule acquires an event slot (reusing a released one when possible)
-// and enqueues it under the given canonical key. Scheduling in the past
-// panics: it indicates a protocol bug, and silently reordering time would
-// destroy determinism.
-func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any) *scheduledEvent {
+// and enqueues it under the given canonical key.
+func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any, c Caller) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d, now %d", at, e.now))
 	}
@@ -257,10 +223,9 @@ func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any) *scheduled
 	} else {
 		ev = new(scheduledEvent)
 	}
-	ev.at, ev.owner, ev.cnt, ev.tag = at, owner, cnt, tag
+	ev.at, ev.owner, ev.cnt, ev.tag, ev.call = at, owner, cnt, tag, c
 	e.seq++
 	e.events.push(ev)
-	return ev
 }
 
 // SetStreams installs the per-owner key counter streams, switching the
@@ -283,52 +248,22 @@ func (e *Engine) ownedKey(owner int) (int32, uint64) {
 	return int32(owner), c
 }
 
-// OwnedAt schedules fn at the absolute cycle at with a canonical
-// (owner, cnt) key drawn from owner's stream (see the package comment).
+// OwnedAtCall schedules a Caller at the absolute cycle at with a
+// canonical (owner, cnt) key drawn from owner's stream (see the package
+// comment and AtCall).
 //
 //swex:hotpath
-func (e *Engine) OwnedAt(owner int, at Cycle, tag any, fn Event) EventID {
-	o, c := e.ownedKey(owner)
-	ev := e.schedule(at, o, c, tag)
-	ev.fire = fn
-	return EventID{ev, ev.gen}
-}
-
-// OwnedAfter schedules fn delay cycles from now with a canonical key (see
-// OwnedAt).
-//
-//swex:hotpath
-func (e *Engine) OwnedAfter(owner int, delay Cycle, tag any, fn Event) EventID {
-	return e.OwnedAt(owner, e.now+delay, tag, fn)
-}
-
-// OwnedAtCall schedules a preallocated Caller at the absolute cycle at
-// with a canonical key (see OwnedAt and AtCall).
-//
-//swex:hotpath
-func (e *Engine) OwnedAtCall(owner int, at Cycle, tag any, c Caller) EventID {
+func (e *Engine) OwnedAtCall(owner int, at Cycle, tag any, c Caller) {
 	o, cnt := e.ownedKey(owner)
-	ev := e.schedule(at, o, cnt, tag)
-	ev.call = c
-	return EventID{ev, ev.gen}
+	e.schedule(at, o, cnt, tag, c)
 }
 
-// release returns a fired event slot to the free list, invalidating any
-// EventID still holding it.
-func (e *Engine) release(ev *scheduledEvent) {
-	ev.gen++
-	ev.fire, ev.call, ev.tag = nil, nil, nil
-	e.free = append(e.free, ev)
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn Event) EventID {
-	return e.At(e.now+delay, fn)
-}
-
-// AfterTagged schedules fn to run delay cycles from now with a tag.
-func (e *Engine) AfterTagged(delay Cycle, tag any, fn Event) EventID {
-	return e.AtTagged(e.now+delay, tag, fn)
+// OwnedAfterCall schedules a Caller delay cycles from now with a
+// canonical key (see OwnedAtCall).
+//
+//swex:hotpath
+func (e *Engine) OwnedAfterCall(owner int, delay Cycle, tag any, c Caller) {
+	e.OwnedAtCall(owner, e.now+delay, tag, c)
 }
 
 // TaggedEvent describes one pending event for inspection: its firing cycle
@@ -338,33 +273,89 @@ type TaggedEvent struct {
 	At Cycle
 	// Tag is the caller-supplied inspection tag, nil if untagged.
 	Tag any
+
+	owner int32
+	cnt   uint64
 }
 
-// PendingTagged returns the pending events in firing order (cycle, then
-// event key). The slice is a snapshot: mutating it does not
-// affect the queue. The order is exactly the order Step would fire them if
-// nothing else were scheduled, which is what makes it usable as part of a
-// canonical machine-state fingerprint.
-func (e *Engine) PendingTagged() []TaggedEvent {
-	evs := make([]*scheduledEvent, len(e.events))
-	copy(evs, e.events)
-	sort.Slice(evs, func(i, j int) bool { return evs[i].before(evs[j]) })
-	out := make([]TaggedEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = TaggedEvent{At: ev.at, Tag: ev.tag}
+// Next describes the event Step would fire next; ok is false when the
+// queue is empty.
+func (e *Engine) Next() (ev TaggedEvent, ok bool) {
+	if len(e.events) == 0 {
+		return TaggedEvent{}, false
 	}
-	return out
+	root := e.events[0]
+	return TaggedEvent{At: root.at, Tag: root.tag}, true
 }
 
-// Cancel removes a scheduled event. Cancelling an event that already fired
-// (or was already cancelled) is a no-op and returns false; the generation
-// check makes this safe even after the pooled slot has been reused.
-func (e *Engine) Cancel(id EventID) bool {
-	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
-		return false
+// PendingTagged appends the pending events to dst in firing order (cycle,
+// then event key) and returns the extended slice. The entries are a
+// snapshot: mutating them does not affect the queue. The order is exactly
+// the order Step would fire them if nothing else were scheduled, which is
+// what makes it usable as part of a canonical machine-state fingerprint.
+// Reusing dst across calls makes the inspection allocation-free.
+func (e *Engine) PendingTagged(dst []TaggedEvent) []TaggedEvent {
+	n := len(dst)
+	for _, ev := range e.events {
+		dst = append(dst, TaggedEvent{At: ev.at, Tag: ev.tag, owner: ev.owner, cnt: ev.cnt})
 	}
-	e.release(e.events.remove(id.ev.index))
-	return true
+	slices.SortFunc(dst[n:], func(a, b TaggedEvent) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.owner, b.owner); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.cnt, b.cnt)
+	})
+	return dst
+}
+
+// CloneInto returns an engine with this one's clock, key state and
+// pending queue, each pending event's receiver and tag passed through
+// remap, which maps them onto the copy's own objects. The copy's Fired
+// count starts at zero and its Observer is unset. A non-nil dst lends
+// its storage: its state is overwritten and its pending events are
+// dropped without firing. The first error remap returns aborts the copy
+// and is returned; dst then holds no usable state.
+func (e *Engine) CloneInto(dst *Engine, remap func(c Caller, tag any) (Caller, any, error)) (*Engine, error) {
+	c := dst
+	if c == nil {
+		c = &Engine{}
+	}
+	for _, ev := range c.events {
+		c.release(ev)
+	}
+	c.events = c.events[:0]
+	c.now, c.seq, c.fired, c.Observer = e.now, e.seq, 0, nil
+	if e.streams == nil {
+		c.streams = nil
+	} else {
+		c.streams = append(c.streams[:0], e.streams...)
+	}
+	for i, ev := range e.events {
+		call, tag, err := remap(ev.call, ev.tag)
+		if err != nil {
+			return nil, err
+		}
+		var ne *scheduledEvent
+		if n := len(c.free); n > 0 {
+			ne = c.free[n-1]
+			c.free[n-1] = nil
+			c.free = c.free[:n-1]
+		} else {
+			ne = new(scheduledEvent)
+		}
+		*ne = scheduledEvent{at: ev.at, owner: ev.owner, cnt: ev.cnt, call: call, tag: tag, index: i}
+		c.events = append(c.events, ne)
+	}
+	return c, nil
+}
+
+// release returns a fired event slot to the free list.
+func (e *Engine) release(ev *scheduledEvent) {
+	ev.call, ev.tag = nil, nil
+	e.free = append(e.free, ev)
 }
 
 // Step fires the next event, advancing the clock to its cycle. It returns
@@ -375,16 +366,12 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.events.remove(0)
+	ev := e.events.pop()
 	e.now = ev.at
 	e.fired++
-	fire, call := ev.fire, ev.call
+	call := ev.call
 	e.release(ev)
-	if call != nil {
-		call.Fire()
-	} else {
-		fire()
-	}
+	call.Fire()
 	if e.Observer != nil {
 		e.Observer(e.now, len(e.events))
 	}

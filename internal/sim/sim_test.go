@@ -6,6 +6,17 @@ import (
 	"testing/quick"
 )
 
+// funcCaller adapts a func to Caller for tests.
+type funcCaller func()
+
+func (f funcCaller) Fire() { f() }
+
+// at schedules fn at the absolute cycle c.
+func at(e *Engine, c Cycle, fn func()) { e.AtCall(c, nil, funcCaller(fn)) }
+
+// after schedules fn d cycles from now.
+func after(e *Engine, d Cycle, fn func()) { e.AfterCall(d, nil, funcCaller(fn)) }
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -21,7 +32,7 @@ func TestEngineFiresInCycleOrder(t *testing.T) {
 	var order []Cycle
 	for _, c := range []Cycle{30, 10, 20} {
 		c := c
-		e.At(c, func() { order = append(order, c) })
+		at(e, c, func() { order = append(order, c) })
 	}
 	e.Run(0)
 	want := []Cycle{10, 20, 30}
@@ -40,7 +51,7 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		at(e, 5, func() { order = append(order, i) })
 	}
 	e.Run(0)
 	for i, v := range order {
@@ -63,7 +74,7 @@ func TestOwnedKeysOrderTiesByOwner(t *testing.T) {
 		for _, o := range owners {
 			o, n := o, seq[o]
 			seq[o]++
-			e.OwnedAt(o, 10, nil, func() { fired = append(fired, 10*o+n) })
+			e.OwnedAtCall(o, 10, nil, funcCaller(func() { fired = append(fired, 10*o+n) }))
 		}
 		e.Run(0)
 		return fired
@@ -79,73 +90,34 @@ func TestOwnedKeysOrderTiesByOwner(t *testing.T) {
 
 func TestEngineAfter(t *testing.T) {
 	e := NewEngine()
-	var at Cycle
-	e.At(100, func() {
-		e.After(7, func() { at = e.Now() })
+	var got Cycle
+	at(e, 100, func() {
+		after(e, 7, func() { got = e.Now() })
 	})
 	e.Run(0)
-	if at != 107 {
-		t.Fatalf("After(7) from cycle 100 fired at %d, want 107", at)
+	if got != 107 {
+		t.Fatalf("AfterCall(7) from cycle 100 fired at %d, want 107", got)
 	}
 }
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	at(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		at(e, 5, func() {})
 	})
 	e.Run(0)
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	id := e.At(10, func() { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel of pending event returned false")
-	}
-	if e.Cancel(id) {
-		t.Fatal("second Cancel returned true")
-	}
-	e.Run(0)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestEngineCancelMiddleOfHeap(t *testing.T) {
-	e := NewEngine()
-	var fired []int
-	var ids []EventID
-	for i := 0; i < 10; i++ {
-		i := i
-		ids = append(ids, e.At(Cycle(i+1), func() { fired = append(fired, i) }))
-	}
-	e.Cancel(ids[5])
-	e.Cancel(ids[0])
-	e.Cancel(ids[9])
-	e.Run(0)
-	want := []int{1, 2, 3, 4, 6, 7, 8}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	}
 }
 
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Cycle(i*10), func() { count++ })
+		at(e, Cycle(i*10), func() { count++ })
 	}
 	now, drained := e.Run(55)
 	if drained {
@@ -170,7 +142,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Cycle(i), func() { count++ })
+		at(e, Cycle(i), func() { count++ })
 	}
 	ok := e.RunUntil(func() bool { return count == 3 }, 0)
 	if !ok {
@@ -194,7 +166,7 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineFiredCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.At(Cycle(i), func() {})
+		at(e, Cycle(i), func() {})
 	}
 	e.Run(0)
 	if e.Fired() != 7 {
@@ -209,10 +181,10 @@ func TestEngineEventsScheduledDuringRun(t *testing.T) {
 	grow = func() {
 		depth++
 		if depth < 50 {
-			e.After(1, grow)
+			after(e, 1, grow)
 		}
 	}
-	e.At(0, grow)
+	at(e, 0, grow)
 	e.Run(0)
 	if depth != 50 {
 		t.Fatalf("chained scheduling reached depth %d, want 50", depth)
@@ -305,7 +277,7 @@ func TestEnginePropertyOrdered(t *testing.T) {
 		var fired []Cycle
 		for _, c := range cycles {
 			c := Cycle(c)
-			e.At(c, func() { fired = append(fired, c) })
+			at(e, c, func() { fired = append(fired, c) })
 		}
 		e.Run(0)
 		for i := 1; i < len(fired); i++ {
@@ -385,5 +357,62 @@ func TestRandFloat64Range(t *testing.T) {
 func TestCycleSeconds(t *testing.T) {
 	if got := Cycle(33_000_000).Seconds(); got != 1.0 {
 		t.Fatalf("33M cycles = %v seconds, want 1.0", got)
+	}
+}
+
+// logEvent records its id into a log when it fires.
+type logEvent struct {
+	id  int
+	log *[]int
+}
+
+func (ev *logEvent) Fire() { *ev.log = append(*ev.log, ev.id) }
+
+// TestEngineCloneKeepsOrder copies an engine with a mixed owned and
+// unkeyed queue, remapping each receiver onto the copy's log, and
+// requires the copy to fire the same events in the same order at the
+// same cycles, leaving the original's queue intact — including when the
+// copy reuses an engine that still holds events of its own.
+func TestEngineCloneKeepsOrder(t *testing.T) {
+	var fired []int
+	e := NewEngine()
+	e.SetStreams(make([]uint64, 3))
+	r := NewRand(5)
+	for i := 0; i < 40; i++ {
+		ev := &logEvent{id: i, log: &fired}
+		at := Cycle(r.Intn(8))
+		if i%3 == 0 {
+			e.AtCall(at, ev, ev)
+		} else {
+			e.OwnedAtCall(r.Intn(3), at, ev, ev)
+		}
+	}
+	e.Step()
+	stale := NewEngine()
+	at(stale, 2, func() { t.Fatal("a reused engine fired its old event") })
+	for _, dst := range []*Engine{nil, stale} {
+		var copied []int
+		c, err := e.CloneInto(dst, func(c Caller, tag any) (Caller, any, error) {
+			ev := &logEvent{id: c.(*logEvent).id, log: &copied}
+			return ev, tag, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Now() != e.Now() || c.Pending() != e.Pending() || c.Fired() != 0 {
+			t.Fatalf("copy at cycle %d with %d pending, %d fired; original at %d with %d pending",
+				c.Now(), c.Pending(), c.Fired(), e.Now(), e.Pending())
+		}
+		c.Run(0)
+		var want []int
+		for _, ev := range e.PendingTagged(nil) {
+			want = append(want, ev.Tag.(*logEvent).id)
+		}
+		if fmt.Sprint(copied) != fmt.Sprint(want) {
+			t.Fatalf("copy fired %v, original has %v pending", copied, want)
+		}
+	}
+	if e.Pending() != 39 {
+		t.Fatalf("original has %d pending after its copies ran, want 39", e.Pending())
 	}
 }

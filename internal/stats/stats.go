@@ -157,6 +157,9 @@ func NewCounters() *Counters {
 	return &Counters{m: make(map[string]uint64)}
 }
 
+// Reset zeroes every counter.
+func (c *Counters) Reset() { clear(c.m) }
+
 // Inc adds one to the named counter.
 func (c *Counters) Inc(name string) { c.m[name]++ }
 
