@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke
+.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke bench-smoke
 
 all: build test
 
@@ -119,5 +119,19 @@ trace-smoke:
 	$(GO) test ./internal/trace/
 	$(GO) run ./cmd/swextrace -worker 4 -iters 2 -nodes 4 -protocol h2 -o /tmp/swextrace-smoke.json
 	$(GO) run ./cmd/swextrace profile -worker 4 -iters 2 -nodes 4 -protocol h2 >/dev/null
+
+# bench-smoke runs every perfbench workload for one second and requires
+# each run's last line to report "correct":true and "failed":0. That puts
+# the benchmark's gate in CI: every simulated result is checked against
+# the committed fingerprints, and a machine that drops an invalidation
+# (the LoseInv negative control) must be caught. Timings are not judged.
+BENCH_WORKLOADS = tsp256-fullmap worker64-h0 litmus-campaign mc-2n2b-h5
+bench-smoke:
+	@for w in $(BENCH_WORKLOADS); do \
+	  last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+	  echo "$$w: $$last"; \
+	  echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -Eq '"failed":0[,}]' || \
+	    { echo "bench-smoke: $$w did not pass its gate" >&2; exit 1; }; \
+	done
 
 check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke

@@ -89,15 +89,9 @@ func (p *PointerSet) Clear() {
 // deterministic order matters: invalidation transmission order is part of
 // the simulation's reproducibility contract.
 func (p *PointerSet) ForEach(fn func(mem.NodeID)) {
-	for w, bits := range p.bits {
-		for bits != 0 {
-			b := bits & (-bits)
-			idx := 0
-			for b>>uint(idx) != 1 {
-				idx++
-			}
-			fn(mem.NodeID(w*64 + idx))
-			bits &^= b
+	for w, word := range p.bits {
+		for ; word != 0; word &= word - 1 {
+			fn(mem.NodeID(w*64 + bits.TrailingZeros64(word)))
 		}
 	}
 }

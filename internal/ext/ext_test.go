@@ -1,6 +1,9 @@
 package ext
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +38,11 @@ func TestEntryInlineThenSpill(t *testing.T) {
 	}
 }
 
+// list enumerates e's sharers into a fresh buffer.
+func list(e *entry) []mem.NodeID {
+	return e.sharersInto(make([]mem.NodeID, e.n))
+}
+
 func TestEntryDuplicateAdd(t *testing.T) {
 	e := &entry{}
 	e.add(3, 64)
@@ -51,7 +59,7 @@ func TestEntrySharersSorted(t *testing.T) {
 	for _, id := range []mem.NodeID{9, 1, 63, 5, 30, 2} { // spills
 		e.add(id, 64)
 	}
-	got := e.sharers()
+	got := list(e)
 	want := []mem.NodeID{1, 2, 5, 9, 30, 63}
 	for i := range want {
 		if got[i] != want[i] {
@@ -65,7 +73,7 @@ func TestEntrySharersInlineSorted(t *testing.T) {
 	for _, id := range []mem.NodeID{7, 2, 5} {
 		e.add(id, 64)
 	}
-	got := e.sharers()
+	got := list(e)
 	want := []mem.NodeID{2, 5, 7}
 	for i := range want {
 		if got[i] != want[i] {
@@ -90,15 +98,65 @@ func TestEntryPropertyMembership(t *testing.T) {
 		if e.n != len(ref) {
 			return false
 		}
-		for _, s := range e.sharers() {
+		for _, s := range list(e) {
 			if !ref[s] {
 				return false
 			}
 		}
-		return len(e.sharers()) == len(ref)
+		return len(list(e)) == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: through many free-list recycles of a handful of entries,
+// each entry's enumeration equals the sorted, deduplicated reference list,
+// and it reports spilled() only once it outgrows the inline array, so the
+// spill storage a recycled entry keeps is invisible to the cost model.
+func TestEntrySharersThroughRecycling(t *testing.T) {
+	const maxNodes = 130 // three bitset words, the last partly used
+	rng := rand.New(rand.NewSource(1))
+	var fl freeList
+	buf := make([]mem.NodeID, maxNodes)
+	live := make([]*entry, 0, 4)
+	for round := 0; round < 3000; round++ {
+		e := fl.get()
+		if e.n != 0 || e.spilled() {
+			t.Fatalf("round %d: fresh entry has n = %d, spilled = %v", round, e.n, e.spilled())
+		}
+		ref := map[mem.NodeID]bool{}
+		for i, adds := 0, rng.Intn(3*inlineSharers); i < adds; i++ {
+			id := mem.NodeID(rng.Intn(maxNodes))
+			if e.add(id, maxNodes) == ref[id] {
+				t.Fatalf("round %d: add(%d) disagreed with the reference", round, id)
+			}
+			ref[id] = true
+			if e.spilled() != (len(ref) > inlineSharers) {
+				t.Fatalf("round %d: %d sharers, spilled = %v", round, len(ref), e.spilled())
+			}
+		}
+		want := make([]mem.NodeID, 0, len(ref))
+		for id := range ref {
+			want = append(want, id)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if got := e.sharersInto(buf); !slices.Equal(got, want) {
+			t.Fatalf("round %d: sharers = %v, want %v", round, got, want)
+		}
+		// Recycle in a shuffled order so entries trade places on the
+		// free list.
+		live = append(live, e)
+		if len(live) == cap(live) {
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			for _, l := range live {
+				fl.put(l)
+			}
+			live = live[:0]
+		}
+	}
+	if fl.Allocs > 4 {
+		t.Fatalf("free list allocated %d entries, want at most 4", fl.Allocs)
 	}
 }
 
@@ -143,8 +201,13 @@ func TestHashTableInsertLookupRemove(t *testing.T) {
 		t.Fatal("lookup of absent block succeeded")
 	}
 	for b := mem.Block(0); b < 50; b += 2 {
-		if h.remove(b) == nil {
+		_, want := h.lookup(b)
+		e, probes := h.remove(b)
+		if e == nil {
 			t.Fatalf("remove(%d) failed", b)
+		}
+		if probes != want {
+			t.Fatalf("remove(%d) probed %d links, lookup %d", b, probes, want)
 		}
 	}
 	if h.Len() != 25 {
@@ -156,7 +219,7 @@ func TestHashTableInsertLookupRemove(t *testing.T) {
 			t.Fatalf("post-removal lookup(%d) inconsistent", b)
 		}
 	}
-	if h.remove(999) != nil {
+	if e, _ := h.remove(999); e != nil {
 		t.Fatal("remove of absent block succeeded")
 	}
 }

@@ -16,7 +16,11 @@
 // constants.
 package ext
 
-import "swex/internal/mem"
+import (
+	"math/bits"
+
+	"swex/internal/mem"
+)
 
 // entry is one software-extended directory entry. Small worker sets live
 // in the inline array (the paper's memory-usage optimization, Section 5:
@@ -26,8 +30,13 @@ type entry struct {
 	block  mem.Block
 	inline [inlineSharers]mem.NodeID
 	n      int
-	spill  []uint64 // bitset, allocated on demand
-	next   *entry   // hash chain / free list link
+	// spill is the bitset of a wide entry. It is allocated on the first
+	// spill and kept, cleared, when the free list recycles the entry, so
+	// a recycled entry spills again without allocating; wide, not the
+	// storage, says whether the sharers live there.
+	spill []uint64
+	wide  bool
+	next  *entry // hash chain / free list link
 }
 
 // inlineSharers is the inline capacity before an entry spills; worker sets
@@ -40,17 +49,19 @@ func (e *entry) add(id mem.NodeID, maxNodes int) bool {
 	if e.has(id) {
 		return false
 	}
-	if e.spill == nil && e.n < inlineSharers {
+	if !e.wide && e.n < inlineSharers {
 		e.inline[e.n] = id
 		e.n++
 		return true
 	}
-	if e.spill == nil {
-		e.spill = make([]uint64, (maxNodes+63)/64)
-		for i := 0; i < e.n; i++ {
-			s := e.inline[i]
+	if !e.wide {
+		if e.spill == nil {
+			e.spill = make([]uint64, (maxNodes+63)/64)
+		}
+		for _, s := range e.inline[:e.n] {
 			e.spill[s/64] |= 1 << (uint(s) % 64)
 		}
+		e.wide = true
 	}
 	e.spill[id/64] |= 1 << (uint(id) % 64)
 	e.n++
@@ -58,52 +69,55 @@ func (e *entry) add(id mem.NodeID, maxNodes int) bool {
 }
 
 func (e *entry) has(id mem.NodeID) bool {
-	if e.spill != nil {
+	if e.wide {
 		return e.spill[id/64]&(1<<(uint(id)%64)) != 0
 	}
-	for i := 0; i < e.n; i++ {
-		if e.inline[i] == id {
+	for _, s := range e.inline[:e.n] {
+		if s == id {
 			return true
 		}
 	}
 	return false
 }
 
-// sharers lists the recorded nodes in ascending order.
-func (e *entry) sharers() []mem.NodeID {
-	out := make([]mem.NodeID, 0, e.n)
-	if e.spill == nil {
-		out = append(out, e.inline[:e.n]...)
-		// Inline entries are in insertion order; sort the short list.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
+// sharersInto writes the recorded nodes in ascending order into buf, which
+// must hold at least e.n entries, and returns buf[:e.n].
+func (e *entry) sharersInto(buf []mem.NodeID) []mem.NodeID {
+	out := buf[:e.n]
+	if !e.wide {
+		// Inline entries are in insertion order; insertion-sort the
+		// short list as it is copied.
+		for i, id := range e.inline[:e.n] {
+			j := i
+			for ; j > 0 && out[j-1] > id; j-- {
+				out[j] = out[j-1]
 			}
+			out[j] = id
 		}
 		return out
 	}
-	for w, bits := range e.spill {
-		for bits != 0 {
-			low := bits & (-bits)
-			idx := 0
-			for low>>uint(idx) != 1 {
-				idx++
-			}
-			out = append(out, mem.NodeID(w*64+idx))
-			bits &^= low
+	k := 0
+	for w, word := range e.spill {
+		for ; word != 0; word &= word - 1 {
+			out[k] = mem.NodeID(w*64 + bits.TrailingZeros64(word))
+			k++
 		}
 	}
 	return out
 }
 
 // spilled reports whether the entry outgrew its inline storage.
-func (e *entry) spilled() bool { return e.spill != nil }
+func (e *entry) spilled() bool { return e.wide }
 
-// reset clears an entry for reuse by the free list.
+// reset clears an entry for reuse by the free list, keeping its spill
+// storage.
 func (e *entry) reset() {
+	if e.wide {
+		clear(e.spill)
+	}
 	e.block = 0
 	e.n = 0
-	e.spill = nil
+	e.wide = false
 	e.next = nil
 }
 

@@ -19,6 +19,9 @@ type Handlers struct {
 	maxNodes int
 	nodes    []nodeSW
 	parInv   bool
+	// sharers is SharersOf's result buffer, one slot per node: the list
+	// it returns is borrowed and valid until the next call.
+	sharers []mem.NodeID
 	// Ledger records every handler invocation for Tables 1 and 2.
 	Ledger stats.Ledger
 
@@ -67,6 +70,7 @@ func New(n int, spec proto.Spec, cost CostModel) (*Handlers, error) {
 		spec:     spec,
 		maxNodes: n,
 		nodes:    make([]nodeSW, n),
+		sharers:  make([]mem.NodeID, n),
 	}
 	for i := range h.nodes {
 		h.nodes[i].table = newHashTable(256)
@@ -159,7 +163,8 @@ func (h *Handlers) ReadBatched(b mem.Block, requester mem.NodeID) sim.Cycle {
 	return h.cost.batchedReadCost(h.spec.SoftwareOnly)
 }
 
-// SharersOf implements proto.Software.
+// SharersOf implements proto.Software. The list lives in a buffer the
+// Handlers own and is valid until the next call into them.
 //
 //swex:hotpath
 func (h *Handlers) SharersOf(b mem.Block) []mem.NodeID {
@@ -167,7 +172,7 @@ func (h *Handlers) SharersOf(b mem.Block) []mem.NodeID {
 	if e == nil {
 		return nil
 	}
-	return e.sharers()
+	return e.sharersInto(h.sharers)
 }
 
 // WriteFault implements proto.Software: release the extended entry and
@@ -176,8 +181,7 @@ func (h *Handlers) SharersOf(b mem.Block) []mem.NodeID {
 //swex:hotpath
 func (h *Handlers) WriteFault(b mem.Block, requester mem.NodeID, invs int) sim.Cycle {
 	ns := h.home(b)
-	_, probes := ns.table.lookup(b)
-	e := ns.table.remove(b)
+	e, probes := ns.table.remove(b)
 	sharers := 0
 	freed := false
 	if e != nil {

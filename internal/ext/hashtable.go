@@ -11,8 +11,6 @@ import "swex/internal/mem"
 type hashTable struct {
 	buckets []*entry
 	n       int
-	// Probes counts chain links traversed, a proxy for lookup cost.
-	Probes uint64
 }
 
 func newHashTable(buckets int) *hashTable {
@@ -34,7 +32,6 @@ func (h *hashTable) lookup(b mem.Block) (*entry, int) {
 	probes := 0
 	for e := h.buckets[h.bucket(b)]; e != nil; e = e.next {
 		probes++
-		h.Probes++
 		if e.block == b {
 			return e, probes
 		}
@@ -51,24 +48,20 @@ func (h *hashTable) insert(e *entry, b mem.Block) {
 	h.n++
 }
 
-// remove unlinks and returns the entry for b, if present.
-func (h *hashTable) remove(b mem.Block) *entry {
-	i := h.bucket(b)
-	var prev *entry
-	for e := h.buckets[i]; e != nil; e = e.next {
-		if e.block == b {
-			if prev == nil {
-				h.buckets[i] = e.next
-			} else {
-				prev.next = e.next
-			}
+// remove unlinks and returns the entry for b, if present, reporting the
+// chain length probed as lookup does.
+func (h *hashTable) remove(b mem.Block) (*entry, int) {
+	probes := 0
+	for link := &h.buckets[h.bucket(b)]; *link != nil; link = &(*link).next {
+		probes++
+		if e := *link; e.block == b {
+			*link = e.next
 			e.next = nil
 			h.n--
-			return e
+			return e, probes
 		}
-		prev = e
 	}
-	return nil
+	return nil, probes
 }
 
 // Len reports the number of extended entries resident.

@@ -24,8 +24,8 @@ func TestCallGraphReachability(t *testing.T) {
 
 	hot := g.HotFunctions()
 	wantHot := []string{
-		"fixture/hotalloc.(*flusher).flush",  // method value taken in cold code
-		"fixture/hotalloc.(*hotImpl).handle", // interface dispatch, impl 1
+		"fixture/hotalloc.(*flusher).flush",   // method value taken in cold code
+		"fixture/hotalloc.(*hotImpl).handle",  // interface dispatch, impl 1
 		"fixture/hotalloc.(otherImpl).handle", // interface dispatch, impl 2
 		"fixture/hotalloc.Root",
 		"fixture/hotalloc.helper", // static call from a hot function

@@ -66,7 +66,7 @@ func helper(n int) {
 	ch <- n                 // want "channel send"
 	_ = <-ch                // want "channel receive"
 	label := "op"
-	label = label + "x" // want "string concatenation"
+	label = label + "x"                // want "string concatenation"
 	_ = fmt.Sprintf("%s %d", label, n) // want "fmt.Sprintf call"
 	const a, b = "l", "r"
 	_ = a + b // constant concatenation folds at compile time

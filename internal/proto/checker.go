@@ -176,7 +176,7 @@ func (f *Fabric) QuiescenceViolation(blocks []mem.Block) string {
 		default:
 			panic(fmt.Sprintf("proto: checker: unknown directory state %d", int(e.State)))
 		}
-		if n := h.swReads[b]; n > 0 {
+		if n := h.reads[b].segs; n > 0 {
 			return fmt.Sprintf("block %d has %d read-handler segments outstanding", b, n)
 		}
 		if r, queued := h.pendingWrite[b]; queued {

@@ -226,9 +226,7 @@ func (h *HomeCtl) cloneInto(dst *HomeCtl, f *Fabric) *HomeCtl {
 	c.dir = h.dir.CloneInto(c.dir)
 	c.srv = h.srv.Fresh()
 	copyMap(c.swTxn, h.swTxn)
-	copyMap(c.swReads, h.swReads)
-	copyMap(c.batchUntil, h.batchUntil)
-	copyMap(c.chainEnd, h.chainEnd)
+	copyMap(c.reads, h.reads)
 	copyMap(c.pendingWrite, h.pendingWrite)
 	copyMap(c.overrides, h.overrides)
 	if len(c.mig) > 0 {

@@ -29,16 +29,10 @@ type HomeCtl struct {
 	// (LACK) or run entirely in hardware.
 	swTxn map[mem.Block]bool
 
-	// swReads counts read-handler segments outstanding per block: while
-	// a read-overflow handler runs, further read requests piggyback on
-	// it (the handler drains the CMMU queue before returning) instead of
-	// being busied, each adding an incremental cost segment. Batching is
-	// bounded: an unbounded drain loop under continuous read pressure
-	// would hold the block in SWait indefinitely and starve writers, so
-	// the chain is capped and suspended once a write has been bounced.
-	swReads    map[mem.Block]int
-	batchUntil map[mem.Block]sim.Cycle
-	chainEnd   map[mem.Block]sim.Cycle
+	// reads holds each block's running read-handler chain (see
+	// readChain); a block has an entry only while segments are
+	// outstanding.
+	reads map[mem.Block]readChain
 	// pendingWrite holds one write request that arrived while a read
 	// chain was draining; the handler loop processes it when the chain
 	// ends, exactly as a queued WREQ would be processed by the real
@@ -61,11 +55,12 @@ type HomeCtl struct {
 	// handler completions (see traptag.go), linked the same way.
 	trapFree *trapTag
 
-	// Invalidation-target scratch state: invTargets collects each
-	// transaction's target set into a pooled slice (invPool) instead of
-	// a fresh allocation, deduplicating through a generation-stamped
-	// per-node array (invSeen/invGen) instead of a fresh map. invOut and
-	// invReq are the collection-in-progress registers invAdd reads, and
+	// Sharer-union scratch state: invTargets collects each transaction's
+	// target set into a pooled slice (invPool) instead of a fresh
+	// allocation, deduplicating through a generation-stamped per-node
+	// array (invSeen/invGen, advanced by newUnion) instead of a fresh
+	// map; noteSharers counts a union the same way. invOut and invReq
+	// are the collection-in-progress registers invAdd reads, and
 	// invAddFn is invAdd pre-bound once so handing it to
 	// dir.PointerSet.ForEach does not allocate a method value per call.
 	// A slice is released back to the pool by the caller once the
@@ -88,15 +83,26 @@ type HomeCtl struct {
 	StrayAcks uint64
 }
 
+// readChain is one block's running read handler: while a read-overflow
+// handler runs, further read requests piggyback on it (the handler drains
+// the CMMU queue before returning) instead of being busied, each adding
+// an incremental cost segment. Batching is bounded: an unbounded drain
+// loop under continuous read pressure would hold the block in SWait
+// indefinitely and starve writers, so the chain is capped and suspended
+// once a write has been bounced.
+type readChain struct {
+	segs       int       // handler segments outstanding
+	batchUntil sim.Cycle // reads arriving before this join the chain
+	end        sim.Cycle // completion of the chain's last segment
+}
+
 func newHomeCtl(f *Fabric, node mem.NodeID, nodes int) *HomeCtl {
 	h := &HomeCtl{
 		f:            f,
 		node:         node,
 		dir:          dir.New(f.Spec.PointerCapacity(nodes)),
 		swTxn:        make(map[mem.Block]bool),
-		swReads:      make(map[mem.Block]int),
-		batchUntil:   make(map[mem.Block]sim.Cycle),
-		chainEnd:     make(map[mem.Block]sim.Cycle),
+		reads:        make(map[mem.Block]readChain),
 		pendingWrite: make(map[mem.Block]mem.NodeID),
 		overrides:    make(map[mem.Block]Spec),
 		mig:          make(map[mem.Block]*migState),
@@ -286,9 +292,10 @@ func (h *HomeCtl) onRead(m Msg, e *dir.Entry) {
 	switch e.State {
 	case dir.SWait, dir.AckWait, dir.Recall:
 		_, writeQueued := h.pendingWrite[m.Block]
-		if h.f.BatchReads && e.State == dir.SWait && h.swReads[m.Block] > 0 &&
-			!writeQueued && h.swReads[m.Block] < maxBatchedReads &&
-			h.f.Engine.Now() < h.batchUntil[m.Block] {
+		rc := h.reads[m.Block]
+		if h.f.BatchReads && e.State == dir.SWait && rc.segs > 0 &&
+			!writeQueued && rc.segs < maxBatchedReads &&
+			h.f.Engine.Now() < rc.batchUntil {
 			// A read-overflow handler is already running for this
 			// block: piggyback on it instead of bouncing the request.
 			h.swRead(m.Block, e, m.Src, nil)
@@ -371,8 +378,9 @@ func (h *HomeCtl) addReader(b mem.Block, e *dir.Entry, r mem.NodeID) {
 // LimitLESS protocols the hardware transmits the data immediately; the
 // software-only directory transmits it from the handler.
 func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.NodeID) {
-	first := h.swReads[b] == 0
-	h.swReads[b]++
+	rc := h.reads[b]
+	first := rc.segs == 0
+	rc.segs++
 	e.State = dir.SWait
 	if !h.specFor(b).SoftwareOnly {
 		h.sendData(MsgRDATA, r, b)
@@ -385,8 +393,8 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 		// later retries. This absorbs the all-nodes-read-at-once bursts
 		// of data-parallel phases without letting staggered readers
 		// chain the block into a perpetual SWait that starves writers.
-		h.batchUntil[b] = done
-		h.chainEnd[b] = done
+		rc.batchUntil, rc.end = done, done
+		h.reads[b] = rc
 		return
 	}
 	// Piggybacked request: the running handler records it as part of its
@@ -397,12 +405,13 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 	h.f.Counters.Inc("home.batched_reads")
 	h.f.Traps.Schedule(h.node, cost)
 	h.Traps++
-	h.chainEnd[b] += cost
+	rc.end += cost
+	h.reads[b] = rc
 	if h.f.Sink != nil {
-		h.f.emitHandler(h.node, b, r, "read-batched", cost, h.chainEnd[b])
+		h.f.emitHandler(h.node, b, r, "read-batched", cost, rc.end)
 	}
 	t := h.grabTrap(trapReadBatch, b, r)
-	h.f.Engine.OwnedAtCall(int(h.node), h.chainEnd[b], t, t)
+	h.f.Engine.OwnedAtCall(int(h.node), rc.end, t, t)
 }
 
 // swReadDone completes one segment of b's read handler on behalf of
@@ -411,17 +420,18 @@ func (h *HomeCtl) swReadDone(b mem.Block, e *dir.Entry, r mem.NodeID) {
 	if h.specFor(b).SoftwareOnly {
 		h.sendData(MsgRDATA, r, b)
 	}
-	h.swReads[b]--
-	if h.swReads[b] != 0 {
+	rc := h.reads[b]
+	rc.segs--
+	if rc.segs != 0 {
+		h.reads[b] = rc
 		return
 	}
-	delete(h.swReads, b)
-	delete(h.batchUntil, b)
-	delete(h.chainEnd, b)
+	delete(h.reads, b)
 	e.SwExt = true
-	e.SwCount = len(h.f.Soft.SharersOf(b))
+	sw := h.f.Soft.SharersOf(b)
+	e.SwCount = len(sw)
 	e.State = dir.Shared
-	h.noteSharers(b, e)
+	h.noteUnion(e, sw)
 	if w, ok := h.pendingWrite[b]; ok {
 		// Drain the queued write in order.
 		delete(h.pendingWrite, b)
@@ -482,7 +492,7 @@ func (h *HomeCtl) flushLocal(b mem.Block, e *dir.Entry, r mem.NodeID, write bool
 func (h *HomeCtl) onWrite(m Msg, e *dir.Entry) {
 	switch e.State {
 	case dir.SWait, dir.AckWait, dir.Recall:
-		if h.f.BatchReads && e.State == dir.SWait && h.swReads[m.Block] > 0 {
+		if h.f.BatchReads && e.State == dir.SWait && h.reads[m.Block].segs > 0 {
 			if _, queued := h.pendingWrite[m.Block]; !queued {
 				// The read handler's drain loop will process this
 				// write when the chain ends, preserving queue order
@@ -620,17 +630,7 @@ func (h *HomeCtl) swWriteFaultDone(b mem.Block, e *dir.Entry, r mem.NodeID, targ
 // through releaseInv once the transaction's invalidations are sent.
 func (h *HomeCtl) invTargets(b mem.Block, e *dir.Entry, r mem.NodeID, broadcast bool) []mem.NodeID {
 	n := h.f.Net.Nodes()
-	h.invGen++
-	if h.invGen == 0 {
-		// Generation counter wrapped: every stamp in invSeen is now
-		// ambiguous, so clear them all and restart at generation one.
-		for i := range h.invSeen {
-			h.invSeen[i] = 0
-		}
-		h.invGen = 1
-	}
-	h.invReq = r
-	h.invOut = h.grabInv()
+	h.newUnion(r)
 	if broadcast {
 		for i := 0; i < n; i++ {
 			h.invAdd(mem.NodeID(i))
@@ -651,8 +651,23 @@ func (h *HomeCtl) invTargets(b mem.Block, e *dir.Entry, r mem.NodeID, broadcast 
 	return out
 }
 
-// invAdd appends one deduplicated invalidation target to the collection
-// invTargets has in progress, skipping the requester.
+// newUnion starts a deduplicated collection into a pooled invOut that
+// invAdd extends, skipping requester r: it advances the stamp generation,
+// so no node counts as seen yet.
+func (h *HomeCtl) newUnion(r mem.NodeID) {
+	h.invGen++
+	if h.invGen == 0 {
+		// Generation counter wrapped: every stamp in invSeen is now
+		// ambiguous, so clear them all and restart at generation one.
+		clear(h.invSeen)
+		h.invGen = 1
+	}
+	h.invReq = r
+	h.invOut = h.grabInv()
+}
+
+// invAdd appends one deduplicated node to the collection newUnion
+// started, skipping the requester.
 func (h *HomeCtl) invAdd(id mem.NodeID) {
 	if id == h.invReq || h.invSeen[id] == h.invGen {
 		return
@@ -828,15 +843,24 @@ func (h *HomeCtl) noteSharers(b mem.Block, e *dir.Entry) {
 		e.NoteSharers()
 		return
 	}
-	seen := make(map[mem.NodeID]bool)
-	for _, id := range h.f.Soft.SharersOf(b) {
-		seen[id] = true
+	h.noteUnion(e, h.f.Soft.SharersOf(b))
+}
+
+// noteUnion raises e's worker-set maximum to the size of the union of the
+// software list sw, the hardware pointers and the local bit, plus an
+// exclusive owner.
+func (h *HomeCtl) noteUnion(e *dir.Entry, sw []mem.NodeID) {
+	h.newUnion(noRequester)
+	for _, id := range sw {
+		h.invAdd(id)
 	}
-	e.Ptrs.ForEach(func(id mem.NodeID) { seen[id] = true })
-	n := len(seen)
-	if e.LocalBit && !seen[h.node] {
-		n++
+	e.Ptrs.ForEach(h.invAddFn)
+	if e.LocalBit {
+		h.invAdd(h.node)
 	}
+	n := len(h.invOut)
+	h.releaseInv(h.invOut)
+	h.invOut = nil
 	if e.State == dir.Exclusive || e.State == dir.Recall {
 		n++
 	}
@@ -844,6 +868,9 @@ func (h *HomeCtl) noteSharers(b mem.Block, e *dir.Entry) {
 		e.MaxSharers = n
 	}
 }
+
+// noRequester is a requester no node matches, for unions that skip none.
+const noRequester mem.NodeID = -1
 
 // entry returns the block's directory entry, creating it with the
 // block's configured pointer capacity.

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -1164,4 +1165,52 @@ func TestPropertyTortureAllFeatures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNoteSharersCountsUnion pins the worker-set maximum of a block whose
+// hardware pointers and local bit overlap its software list: the union
+// counts each node once. The stamp generation starts at its maximum with
+// every node stamped by the generation that follows the wrap, so a union
+// that skipped the wrap-around reset would miss every node; invTargets,
+// which shares the stamps, is held to the same reset.
+func TestNoteSharersCountsUnion(t *testing.T) {
+	r := newRig(t, 8, LimitLESS(2))
+	h := r.f.Home(0)
+	b := mem.BlockOf(r.mem.AllocOn(0, 1))
+	r.f.Soft.ReadOverflow(b, []mem.NodeID{0, 1, 2, 3}, 4)
+	e := h.Entry(b)
+	e.State = dir.Shared
+	e.SwExt = true
+	e.Ptrs.Add(3) // also in software
+	e.Ptrs.Add(5)
+	e.LocalBit = true // node 0, also in software
+
+	staleStamps := func() {
+		h.invGen = math.MaxUint32
+		for i := range h.invSeen {
+			h.invSeen[i] = 1
+		}
+	}
+	staleStamps()
+	h.noteSharers(b, e)
+	if h.invGen != 1 {
+		t.Fatalf("generation after wrap = %d, want 1", h.invGen)
+	}
+	if e.MaxSharers != 6 {
+		t.Fatalf("MaxSharers = %d, want 6 (union of {0..4}, {3,5} and the local bit)", e.MaxSharers)
+	}
+
+	staleStamps()
+	targets := h.invTargets(b, e, 7, false)
+	got := map[mem.NodeID]bool{}
+	for _, id := range targets {
+		if got[id] {
+			t.Fatalf("invTargets = %v: node %d listed twice", targets, id)
+		}
+		got[id] = true
+	}
+	if len(got) != 6 {
+		t.Fatalf("invTargets = %v, want nodes 0..5", targets)
+	}
+	h.releaseInv(targets)
 }

@@ -141,7 +141,7 @@ func (f *Fabric) snapBlock(dst []byte, b mem.Block) []byte {
 		dst = append(dst, 0)
 	}
 	dst = putBool(dst, h.swTxn[b])
-	dst = putInt(dst, h.swReads[b])
+	dst = putInt(dst, h.reads[b].segs)
 	if w, ok := h.pendingWrite[b]; ok {
 		dst = append(dst, 1)
 		dst = putInt(dst, int(w))

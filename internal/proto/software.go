@@ -31,7 +31,10 @@ type Software interface {
 	ReadBatched(b mem.Block, requester mem.NodeID) sim.Cycle
 
 	// SharersOf returns b's software-resident sharer list in ascending
-	// node order (empty if no extended entry exists).
+	// node order (empty if no extended entry exists). The slice is
+	// borrowed: it is valid until the next call into the Software, and
+	// the caller only reads it. Implementations may return storage they
+	// reuse, so callers that keep the list past that point copy it.
 	SharersOf(b mem.Block) []mem.NodeID
 
 	// WriteFault frees b's extended entry and returns the cost of the
@@ -117,8 +120,9 @@ func (s *NopSoftware) ReadBatched(b mem.Block, r mem.NodeID) sim.Cycle {
 	return s.FixedCost / 4
 }
 
-// SharersOf implements Software. The returned slice is the live list;
-// callers only read it.
+// SharersOf implements Software. The returned slice is the live list,
+// borrowed under the interface's contract: valid until the next call,
+// read only.
 func (s *NopSoftware) SharersOf(b mem.Block) []mem.NodeID {
 	return s.sets[b]
 }

@@ -153,6 +153,9 @@ type Block = mem.Block
 // protocol extension implementation satisfies. Install a custom
 // implementation through MachineConfig.CustomSoftware to experiment with
 // application-specific protocols, as the paper's Section 7 suggests.
+// SharersOf's result is borrowed: the simulator reads it before its next
+// call into the implementation and never keeps or writes it, so an
+// implementation may return a fresh slice or reuse one buffer.
 type ProtocolSoftware = proto.Software
 
 // WordsPerBlock is the block size in 64-bit words.
