@@ -29,7 +29,7 @@ func renderAll(t *testing.T) string {
 	return out
 }
 
-var update = flag.Bool("update", false, "rewrite the quick exhibit golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // TestQuickExhibitsGolden renders every exhibit in quick mode on the
 // default private runner and compares the concatenated reports with

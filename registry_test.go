@@ -1,6 +1,14 @@
 package swex
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"swex/internal/sweep"
+)
 
 // TestRegistryJobsAreWellFormed checks the exhibit registry as the front
 // end uses it: names are unique, every exhibit has work in both quick and
@@ -41,5 +49,44 @@ func TestSelectMatrices(t *testing.T) {
 	}
 	if _, err := SelectMatrices([]string{"fig2", "no-such-exhibit"}); err == nil {
 		t.Error("unknown exhibit name accepted")
+	}
+}
+
+// TestExhibitJobsGolden pins every exhibit's job matrix in both modes: one
+// line per job giving the mode, the exhibit name, the SHA-256 of the job's
+// cache key and the job's description, compared with
+// testdata/exhibit_jobs.golden. A refactor of the exhibits must leave this
+// file untouched — the same jobs in the same order, so every result lands
+// under the same label. The key embeds the simulator's code version, so
+// the file is regenerated (with -update) whenever codeVersion in
+// internal/sweep/job.go is bumped.
+func TestExhibitJobsGolden(t *testing.T) {
+	var b bytes.Buffer
+	for _, mode := range []struct {
+		name string
+		o    Options
+	}{{"full", Options{}}, {"quick", Options{Quick: true}}} {
+		for _, m := range Matrices() {
+			for _, j := range m.Jobs(mode.o) {
+				key, err := j.Key("")
+				if err != nil {
+					t.Fatalf("%s %s: %v", mode.name, m.Name, err)
+				}
+				fmt.Fprintf(&b, "%s %s %s %s\n", mode.name, m.Name, sweep.HashKey(key), j)
+			}
+		}
+	}
+	path := filepath.Join("testdata", "exhibit_jobs.golden")
+	if *update {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("exhibit job matrices drifted from golden %s; run with -update if intentional", path)
 	}
 }
