@@ -19,10 +19,7 @@ func benchOpts() Options { return Options{Quick: testing.Short()} }
 // reports the flexible-interface read-handler latency at 8 readers.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := Table1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := run(b, benchOpts(), table1)
 		b.ReportMetric(d.CRead[0], "C-read-cycles")
 		b.ReportMetric(d.ARead[0], "asm-read-cycles")
 	}
@@ -32,10 +29,7 @@ func BenchmarkTable1(b *testing.B) {
 // C and assembly totals (paper: 480/737 and 193/384).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := Table2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := run(b, benchOpts(), table2)
 		b.ReportMetric(float64(d.CRead.Total()), "C-read-total")
 		b.ReportMetric(float64(d.CWrite.Total()), "C-write-total")
 		b.ReportMetric(float64(d.ARead.Total()), "asm-read-total")
@@ -47,10 +41,7 @@ func BenchmarkTable2(b *testing.B) {
 // reports total sequential cycles across the suite.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := Table3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, benchOpts(), table3)
 		var total float64
 		for _, r := range rows {
 			total += float64(r.SeqCycles)
@@ -63,10 +54,7 @@ func BenchmarkTable3(b *testing.B) {
 // run-time ratios at the largest worker-set size.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := Figure2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := run(b, benchOpts(), figure2)
 		last := len(d.Sizes) - 1
 		b.ReportMetric(d.Ratio["DirnH5SNB"][last], "H5-ratio-max")
 		b.ReportMetric(d.Ratio["DirnH0SNB,ACK"][last], "H0-ratio-max")
@@ -77,10 +65,7 @@ func BenchmarkFig2(b *testing.B) {
 // speedup gap (full-map/H5) with and without the victim cache.
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := Figure3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := run(b, benchOpts(), figure3)
 		last := len(d.Protocols) - 1
 		b.ReportMetric(d.Speedup["base"][last]/d.Speedup["base"][last-1], "base-H5-gap")
 		b.ReportMetric(d.Speedup["victim-cache"][last]/d.Speedup["victim-cache"][last-1], "victim-H5-gap")
@@ -92,10 +77,7 @@ func BenchmarkFig3(b *testing.B) {
 // 71%-100% claim).
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := Figure4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := run(b, benchOpts(), figure4)
 		worst := 1.0
 		for _, app := range d.Apps {
 			s := d.Speedup[app]
@@ -112,10 +94,7 @@ func BenchmarkFig4(b *testing.B) {
 // fraction of full-map at scale.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := Figure5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := run(b, benchOpts(), figure5)
 		n := len(d.Speedup)
 		b.ReportMetric(d.Speedup[n-1], "fullmap-speedup")
 		b.ReportMetric(d.Speedup[n-2]/d.Speedup[n-1], "H5-fraction")
@@ -126,10 +105,7 @@ func BenchmarkFig5(b *testing.B) {
 // its small-set and wide-set populations.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := Figure6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := run(b, benchOpts(), figure6)
 		b.ReportMetric(float64(d.Hist.Count(1)), "size-1-sets")
 		b.ReportMetric(float64(d.Hist.MaxBucket()), "max-set-size")
 	}
@@ -139,26 +115,18 @@ func BenchmarkFig6(b *testing.B) {
 // headline deltas: the local-bit effect and the data-specific
 // reconfiguration win.
 func BenchmarkAblations(b *testing.B) {
-	all := []func(Options) ([]AblationRow, error){
-		AblateSoftware, AblateBroadcast, AblateBatchReads,
-		AblateParallelInv, AblateMigratory, AblateAssociativity,
-		AblateCICO, AblateMultithreading,
+	all := []func(*plan) assembler[[]AblationRow]{
+		ablateSoftware, ablateBroadcast, ablateBatchReads,
+		ablateParallelInv, ablateMigratory, ablateAssociativity,
+		ablateCICO, ablateMultithreading,
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := AblateLocalBit(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, benchOpts(), ablateLocalBit)
 		b.ReportMetric(100*rows[0].Delta(), "localbit-delta-pct")
-		ds, err := AblateDataSpecific(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		ds := run(b, benchOpts(), ablateDataSpecific)
 		b.ReportMetric(100*ds[0].Delta(), "dataspec-delta-pct")
-		for _, fn := range all {
-			if _, err := fn(benchOpts()); err != nil {
-				b.Fatal(err)
-			}
+		for _, build := range all {
+			run(b, benchOpts(), build)
 		}
 	}
 }

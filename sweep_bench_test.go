@@ -18,9 +18,7 @@ import (
 func benchFig2Sweep(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		r := sweep.MustNewRunner(sweep.Config{Workers: workers})
-		if _, err := Figure2(Options{Quick: true, Sweep: r}); err != nil {
-			b.Fatal(err)
-		}
+		run(b, Options{Quick: true, Sweep: r}, figure2)
 		r.Close()
 	}
 }
@@ -34,9 +32,7 @@ func BenchmarkSweepFig2Warm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := Figure2(Options{Quick: true, Sweep: warmup}); err != nil {
-		b.Fatal(err)
-	}
+	run(b, Options{Quick: true, Sweep: warmup}, figure2)
 	warmup.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,9 +40,7 @@ func BenchmarkSweepFig2Warm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Figure2(Options{Quick: true, Sweep: r}); err != nil {
-			b.Fatal(err)
-		}
+		run(b, Options{Quick: true, Sweep: r}, figure2)
 		if got := r.TotalExecs(); got != 0 {
 			b.Fatalf("warm run executed %d simulations", got)
 		}

@@ -14,11 +14,7 @@ import (
 // figure2Report renders Figure 2 in quick mode through the given sweeper.
 func figure2Report(t *testing.T, s *Sweeper) string {
 	t.Helper()
-	d, err := Figure2(Options{Quick: true, Sweep: s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d.Figure().String()
+	return run(t, Options{Quick: true, Sweep: s}, figure2).Figure().String()
 }
 
 // TestSweepOutputDeterministic is the satellite determinism check: the
@@ -71,25 +67,22 @@ func TestSharedBaselineComputedOnce(t *testing.T) {
 	defer r.Close()
 	o := Options{Quick: true, Sweep: r}
 
-	if _, err := Table3(o); err != nil {
-		t.Fatal(err)
-	}
+	run(t, o, table3)
 	baselineExecs := r.TotalExecs()
-	baselines := Table3Jobs(o)
+	baselines, _ := newPlan(o, table3)
 	if baselineExecs != len(baselines) {
 		t.Fatalf("table 3 executed %d simulations for %d baselines", baselineExecs, len(baselines))
 	}
 
-	if _, err := Figure4(o); err != nil {
-		t.Fatal(err)
-	}
+	run(t, o, figure4)
 	for i, j := range baselines {
 		if got := r.ExecCount(j); got != 1 {
 			t.Errorf("baseline %d (%s) executed %d times across Table 3 + Figure 4, want 1", i, j, got)
 		}
 	}
 	// Figure 4 must only have paid for its parallel points.
-	want := baselineExecs + len(Figure4Jobs(o)) - len(baselines)
+	fig4, _ := newPlan(o, figure4)
+	want := baselineExecs + len(fig4) - len(baselines)
 	if got := r.TotalExecs(); got != want {
 		t.Errorf("Table 3 + Figure 4 executed %d simulations, want %d (shared baselines computed once)", got, want)
 	}

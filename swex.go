@@ -19,9 +19,11 @@
 //   - Benchmarks: the WORKER synthetic stress test and the six
 //     applications of the paper's Section 6 (TSP, AQ, SMGRID, EVOLVE,
 //     MP3D, WATER).
-//   - Experiments: one function per table and figure of the paper
-//     (Table1 .. Figure6) that regenerates its data on the simulator,
-//     plus the ablations discussed in the text.
+//   - Matrices: the exhibit registry. Each entry regenerates one table
+//     or figure of the paper (table1 .. fig6), one of this reproduction's
+//     scaling, extrapolation and memory-tier studies, or one of the
+//     ablations discussed in the text, as a job matrix run through a
+//     Sweeper plus the renderer of its results.
 //
 // All simulation is deterministic: a configuration runs to the identical
 // cycle count every time.
@@ -73,7 +75,7 @@ func Dir1SW() Protocol { return proto.Dir1SW() }
 // nothing is cached and every access is served directly by the home node.
 // It trades all coherence hardware and software for a network round trip
 // per access — the far end of the memory-system axis the machine-spectrum
-// study (Tiers) sweeps.
+// study (the "tiers" exhibit) sweeps.
 func Directoryless() Protocol { return proto.Directoryless() }
 
 // Spectrum returns the paper's protocols in increasing hardware cost.
@@ -212,8 +214,8 @@ type SweepOutcome = sweep.Outcome
 // NewSweeper builds a sweep runner (opening the disk cache when
 // SweeperConfig.CacheDir is set). Pass it through Options.Sweep to share
 // one result cache across experiments, or call its Run/Sweep methods with
-// jobs built by SweepWorkerJob / SweepAppJob or the XxxJobs experiment
-// matrix builders.
+// jobs built by SweepWorkerJob / SweepAppJob or listed by a registry
+// exhibit's Matrix.Jobs.
 func NewSweeper(cfg SweeperConfig) (*Sweeper, error) { return sweep.NewRunner(cfg) }
 
 // SweepWorkerJob builds a WORKER job for a sweep matrix.

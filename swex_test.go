@@ -9,6 +9,16 @@ import (
 
 var quick = Options{Quick: true}
 
+// run runs one exhibit plan and returns its assembled data.
+func run[D any](tb testing.TB, o Options, build func(*plan) assembler[D]) D {
+	tb.Helper()
+	d, err := runPlan(o, build)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
 func TestPublicAPISmoke(t *testing.T) {
 	m, err := NewMachine(MachineConfig{Nodes: 4, Spec: FullMap()})
 	if err != nil {
@@ -35,10 +45,7 @@ func TestPublicAPISmoke(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	d, err := Table1(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, table1)
 	for i := range d.Readers {
 		// The hand-tuned handlers are roughly twice as fast.
 		if r := d.CRead[i] / d.ARead[i]; r < 1.5 || r > 3.5 {
@@ -64,10 +71,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2MatchesPaperTotals(t *testing.T) {
-	d, err := Table2(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, table2)
 	// The median read request empties five pointers and records the
 	// requester into a recycled entry; the paper's exact totals hold for
 	// the fresh-allocation case, the steady-state medians sit slightly
@@ -101,10 +105,7 @@ func TestTable2MatchesPaperTotals(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	d, err := Figure2(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, figure2)
 	at := func(proto string, size int) float64 {
 		for i, k := range d.Sizes {
 			if k == size {
@@ -149,10 +150,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestTable3SequentialTimes(t *testing.T) {
-	rows, err := Table3(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, table3)
 	if len(rows) != 6 {
 		t.Fatalf("%d rows, want 6", len(rows))
 	}
@@ -171,10 +169,7 @@ func TestTable3SequentialTimes(t *testing.T) {
 }
 
 func TestFigure3Thrashing(t *testing.T) {
-	d, err := Figure3(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, figure3)
 	// Victim caching must recover the software-extended protocols: H5
 	// within a factor ~1.5 of full-map; in the base configuration the
 	// gap is wider.
@@ -201,10 +196,7 @@ func TestFigure3Thrashing(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	d, err := Figure4(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, figure4)
 	for _, app := range d.Apps {
 		s := d.Speedup[app]
 		full := s[len(s)-1]
@@ -235,10 +227,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Scaling(t *testing.T) {
-	d, err := Figure5(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, figure5)
 	full := d.Speedup[len(d.Speedup)-1]
 	h5 := d.Speedup[len(d.Speedup)-2]
 	if full <= 1 {
@@ -255,10 +244,7 @@ func TestFigure5Scaling(t *testing.T) {
 }
 
 func TestFigure6Histogram(t *testing.T) {
-	d, err := Figure6(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, figure6)
 	h := d.Hist
 	if h.Count(1) == 0 {
 		t.Fatal("no single-node worker sets")
@@ -277,10 +263,7 @@ func TestFigure6Histogram(t *testing.T) {
 }
 
 func TestAblateLocalBit(t *testing.T) {
-	rows, err := AblateLocalBit(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateLocalBit)
 	// Removing the bit must not speed things up; WORKER k=5 is built to
 	// overflow without it, so the effect is visible there.
 	for _, r := range rows {
@@ -294,10 +277,7 @@ func TestAblateLocalBit(t *testing.T) {
 }
 
 func TestAblateSoftware(t *testing.T) {
-	rows, err := AblateSoftware(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateSoftware)
 	// Tuned handlers help on average; individual small instances can
 	// move a few percent either way from scheduling butterfly effects.
 	var mean float64
@@ -317,10 +297,7 @@ func TestAblateSoftware(t *testing.T) {
 }
 
 func TestAblateBroadcast(t *testing.T) {
-	rows, err := AblateBroadcast(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateBroadcast)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -332,20 +309,14 @@ func TestAblateBroadcast(t *testing.T) {
 }
 
 func TestAblateBatchReads(t *testing.T) {
-	rows, err := AblateBatchReads(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateBatchReads)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rows))
 	}
 }
 
 func TestAblateParallelInv(t *testing.T) {
-	rows, err := AblateParallelInv(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateParallelInv)
 	// Large worker sets must improve; the effect grows with set size.
 	small, large := rows[0].Delta(), rows[1].Delta()
 	if large >= 0 {
@@ -358,10 +329,7 @@ func TestAblateParallelInv(t *testing.T) {
 }
 
 func TestAblateDataSpecific(t *testing.T) {
-	rows, err := AblateDataSpecific(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateDataSpecific)
 	// Promoting the hot read-only table to full-map must help a
 	// two-pointer machine.
 	if rows[0].Delta() >= 0 {
@@ -370,10 +338,7 @@ func TestAblateDataSpecific(t *testing.T) {
 }
 
 func TestAblateMigratory(t *testing.T) {
-	rows, err := AblateMigratory(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateMigratory)
 	// The adaptation must speed up the canonical migratory workload.
 	if rows[0].Delta() >= 0 {
 		t.Errorf("migratory adaptation did not help the token ring: %+.1f%%", 100*rows[0].Delta())
@@ -381,10 +346,7 @@ func TestAblateMigratory(t *testing.T) {
 }
 
 func TestAblateAssociativity(t *testing.T) {
-	rows, err := AblateAssociativity(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateAssociativity)
 	// Both remedies must relieve the thrashing baseline.
 	for _, r := range rows {
 		if r.Delta() >= 0 {
@@ -395,10 +357,7 @@ func TestAblateAssociativity(t *testing.T) {
 }
 
 func TestScalingStudy(t *testing.T) {
-	d, err := ScalingStudy(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, scalingStudy)
 	// Full-map speedup grows with machine size; every software-extended
 	// protocol stays below it at every size.
 	full := d.Speedup["DirnHNBS-"]
@@ -422,10 +381,7 @@ func TestScalingStudy(t *testing.T) {
 }
 
 func TestAblateCICO(t *testing.T) {
-	rows, err := AblateCICO(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateCICO)
 	// Check-in must help the one-pointer directory-extension protocol,
 	// whose writes otherwise always fault into software. The broadcast
 	// protocol cannot benefit on a concurrent-read workload: its
@@ -440,10 +396,7 @@ func TestAblateCICO(t *testing.T) {
 }
 
 func TestAblateMultithreading(t *testing.T) {
-	rows, err := AblateMultithreading(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, quick, ablateMultithreading)
 	// Four contexts must cut the cycles-per-miss substantially.
 	if rows[0].Delta() > -0.3 {
 		t.Errorf("multithreading saved only %.1f%% per miss, want > 30%%", -100*rows[0].Delta())
@@ -451,10 +404,7 @@ func TestAblateMultithreading(t *testing.T) {
 }
 
 func TestTiersShape(t *testing.T) {
-	d, err := Tiers(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := run(t, quick, tiers)
 	if len(d.Families) != 3 || len(d.Protocols) != 5 {
 		t.Fatalf("got %d families × %d protocols, want 3 × 5", len(d.Families), len(d.Protocols))
 	}
