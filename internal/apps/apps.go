@@ -47,6 +47,10 @@ type Instance struct {
 type Program struct {
 	// Name is the application's paper name.
 	Name string
+	// Language is the language the paper's version was written in, and
+	// Size this instance's problem size, derived from its parameters;
+	// Table 3 prints both. Both are empty for the synthetic workloads.
+	Language, Size string
 	// Setup builds shared state and returns the instance.
 	Setup func(m *machine.Machine) Instance
 }
@@ -56,6 +60,15 @@ func (p Program) Run(m *machine.Machine, limit sim.Cycle) (machine.Result, Insta
 	inst := p.Setup(m)
 	res, err := m.Run(inst.Thread, limit)
 	return res, inst, err
+}
+
+// thousands formats a count with comma separators ("4,096").
+func thousands(n int) string {
+	s := fmt.Sprintf("%d", n)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
 }
 
 // Fixed-point arithmetic: applications that the paper ran in floating

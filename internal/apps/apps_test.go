@@ -47,6 +47,33 @@ func TestFixedPoint(t *testing.T) {
 	}
 }
 
+// TestProgramSizes checks Table 3's metadata: each application's Size is
+// derived from the parameters it was built with, so the full and quick
+// registries report the problem sizes they actually run.
+func TestProgramSizes(t *testing.T) {
+	for _, c := range []struct {
+		reg  []Program
+		want []string
+	}{
+		{Registry(), []string{"11 city tour", "x^4y^4 over ((0,0),(2,2))", "65 x 65",
+			"12 dimensions", "4,096 particles", "64 molecules"}},
+		{QuickRegistry(), []string{"8 city tour", "x^4y^4 over ((0,0),(2,2))", "33 x 33",
+			"10 dimensions", "1,024 particles", "32 molecules"}},
+	} {
+		for i, prog := range c.reg {
+			if prog.Size != c.want[i] {
+				t.Errorf("%s: Size = %q, want %q", prog.Name, prog.Size, c.want[i])
+			}
+			if prog.Language == "" {
+				t.Errorf("%s: no language", prog.Name)
+			}
+		}
+	}
+	if got := MP3D(MP3DParams{Particles: 1234567}).Size; got != "1,234,567 particles" {
+		t.Errorf("MP3D with 1234567 particles: Size = %q", got)
+	}
+}
+
 func TestRegistryNames(t *testing.T) {
 	want := []string{"TSP", "AQ", "SMGRID", "EVOLVE", "MP3D", "WATER"}
 	reg := Registry()

@@ -53,7 +53,9 @@ func aqUnpack(t uint64) (xi, yi, level int) {
 // perform respectably.
 func AQ(p AQParams) Program {
 	return Program{
-		Name: "AQ",
+		Name:     "AQ",
+		Language: "Semi-C",
+		Size:     "x^4y^4 over ((0,0),(2,2))",
 		Setup: func(m *machine.Machine) Instance {
 			P := m.Cfg.Nodes
 			queue := shm.NewTaskQueue(m.Mem, P, 8192)

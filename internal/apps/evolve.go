@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+
 	"swex/internal/machine"
 	"swex/internal/mem"
 	"swex/internal/proc"
@@ -46,7 +48,9 @@ func evolveFitness(genome uint64, seed uint64) uint64 {
 // software-extended system".
 func Evolve(p EvolveParams) Program {
 	return Program{
-		Name: "EVOLVE",
+		Name:     "EVOLVE",
+		Language: "Mul-T",
+		Size:     fmt.Sprintf("%d dimensions", p.Dimensions),
 		Setup: func(m *machine.Machine) Instance {
 			P := m.Cfg.Nodes
 			genomes := 1 << uint(p.Dimensions)

@@ -43,7 +43,9 @@ func DefaultMP3D() MP3DParams {
 // ~11% of full-map in the paper.
 func MP3D(p MP3DParams) Program {
 	return Program{
-		Name: "MP3D",
+		Name:     "MP3D",
+		Language: "C",
+		Size:     thousands(p.Particles) + " particles",
 		Setup: func(m *machine.Machine) Instance {
 			P := m.Cfg.Nodes
 			cells := p.CellsPerSide * p.CellsPerSide * p.CellsPerSide

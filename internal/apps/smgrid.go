@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+
 	"swex/internal/machine"
 	"swex/internal/mem"
 	"swex/internal/proc"
@@ -43,7 +45,9 @@ type smLevel struct {
 // read across levels.
 func SMGrid(p SMGridParams) Program {
 	return Program{
-		Name: "SMGRID",
+		Name:     "SMGRID",
+		Language: "Mul-T",
+		Size:     fmt.Sprintf("%d x %d", p.Size, p.Size),
 		Setup: func(m *machine.Machine) Instance {
 			P := m.Cfg.Nodes
 			bar := shm.NewTreeBarrier(m.Mem, P)

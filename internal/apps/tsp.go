@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+
 	"swex/internal/machine"
 	"swex/internal/mem"
 	"swex/internal/proc"
@@ -108,7 +110,9 @@ func tspUnpack(t uint64) (visited uint64, current, depth int, cost uint64) {
 // thrashing of Figure 3 on direct-mapped combined caches.
 func TSP(p TSPParams) Program {
 	return Program{
-		Name: "TSP",
+		Name:     "TSP",
+		Language: "Mul-T",
+		Size:     fmt.Sprintf("%d city tour", p.Cities),
 		Setup: func(m *machine.Machine) Instance {
 			P := m.Cfg.Nodes
 			d := tspDistances(p)

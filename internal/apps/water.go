@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+
 	"swex/internal/machine"
 	"swex/internal/mem"
 	"swex/internal/proc"
@@ -36,7 +38,9 @@ func DefaultWater() WaterParams {
 // factor of N.
 func Water(p WaterParams) Program {
 	return Program{
-		Name: "WATER",
+		Name:     "WATER",
+		Language: "C",
+		Size:     fmt.Sprintf("%d molecules", p.Molecules),
 		Setup: func(m *machine.Machine) Instance {
 			P := m.Cfg.Nodes
 			bar := shm.NewTreeBarrier(m.Mem, P)
