@@ -63,6 +63,12 @@ func main() {
 	status := flag.Bool("status", false, "summarize the cache manifest journal and exit (non-zero if failures are journaled)")
 	flag.Usage = usage
 	flag.Parse()
+	// swex.Cycle is unsigned: a negative budget would wrap to about 2^64.
+	if *cycleBudget < 0 {
+		fmt.Fprintf(os.Stderr, "swex: -cycle-budget %d: must be non-negative\n\n", *cycleBudget)
+		usage()
+		os.Exit(2)
+	}
 
 	if *status {
 		if *cacheDir == "" {

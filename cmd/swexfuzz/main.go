@@ -31,6 +31,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,9 +48,16 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "swexfuzz: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// usageError is flag misuse: main exits with status 2 on it, as it does
+// for a flag the flag package itself rejects.
+type usageError struct{ error }
 
 // checkerFn is one of the oracle's decision procedures.
 type checkerFn func(litmus.Program, [][]uint64) (litmus.Verdict, error)
@@ -60,8 +68,9 @@ type entry struct {
 	prog litmus.Program
 }
 
-// run executes the whole campaign and returns an error for flag misuse,
-// simulation failures, or SC violations (so main exits nonzero).
+// run executes the whole campaign and returns an error for flag misuse (a
+// usageError), simulation failures, or SC violations (so main exits
+// nonzero).
 func run(args []string) error {
 	fs := flag.NewFlagSet("swexfuzz", flag.ExitOnError)
 	seed := fs.Uint64("seed", 1, "random program generator seed")
@@ -79,13 +88,17 @@ func run(args []string) error {
 	weakened := fs.Bool("weakened", false, "run the lost-invalidation negative control and require the oracle to flag it")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		return usageError{fmt.Errorf("unexpected argument %q", fs.Arg(0))}
 	}
 	if *nodes < 2 {
-		return fmt.Errorf("-nodes %d: need at least 2 nodes to exercise coherence", *nodes)
+		return usageError{fmt.Errorf("-nodes %d: need at least 2 nodes to exercise coherence", *nodes)}
 	}
 	if *programs < 0 {
-		return fmt.Errorf("-programs %d: must be non-negative", *programs)
+		return usageError{fmt.Errorf("-programs %d: must be non-negative", *programs)}
+	}
+	// sim.Cycle is unsigned: a negative budget would wrap to about 2^64.
+	if *limit < 0 {
+		return usageError{fmt.Errorf("-limit %d: must be non-negative", *limit)}
 	}
 	judge, err := judgeFor(*checker)
 	if err != nil {

@@ -20,23 +20,11 @@ import (
 	"strings"
 
 	"swex"
+	"swex/internal/litmus"
 	"swex/internal/machine"
 	"swex/internal/mem"
 	"swex/internal/proto"
 )
-
-var protocolsByFlag = map[string]func() proto.Spec{
-	"h0":     proto.SoftwareOnly,
-	"h1ack":  func() proto.Spec { return proto.OnePointer(proto.AckSW) },
-	"h1lack": func() proto.Spec { return proto.OnePointer(proto.AckLACK) },
-	"h1":     func() proto.Spec { return proto.OnePointer(proto.AckHW) },
-	"h2":     func() proto.Spec { return proto.LimitLESS(2) },
-	"h3":     func() proto.Spec { return proto.LimitLESS(3) },
-	"h4":     func() proto.Spec { return proto.LimitLESS(4) },
-	"h5":     func() proto.Spec { return proto.LimitLESS(5) },
-	"full":   proto.FullMap,
-	"dir1sw": proto.Dir1SW,
-}
 
 func main() {
 	var (
@@ -44,7 +32,7 @@ func main() {
 		workerK   = flag.Int("worker", 0, "run WORKER with this worker-set size instead of -app")
 		iters     = flag.Int("iters", 10, "WORKER iterations")
 		nodes     = flag.Int("nodes", 16, "machine size")
-		protoStr  = flag.String("protocol", "h5", "h0 h1ack h1lack h1 h2..h5 full dir1sw")
+		protoStr  = flag.String("protocol", "h5", "protocol alias: "+strings.Join(litmus.SpecAliases(), " "))
 		victim    = flag.Int("victim", 0, "victim cache lines (0 = off)")
 		ways      = flag.Int("ways", 0, "cache associativity (0/1 = direct-mapped)")
 		threads   = flag.Int("threads", 1, "hardware contexts per node")
@@ -59,13 +47,13 @@ func main() {
 	)
 	flag.Parse()
 
-	mk, ok := protocolsByFlag[strings.ToLower(*protoStr)]
-	if !ok {
+	spec, err := litmus.SpecByAlias(strings.ToLower(*protoStr))
+	if err != nil {
 		log.Fatalf("unknown protocol %q", *protoStr)
 	}
 	cfg := machine.Config{
 		Nodes:           *nodes,
-		Spec:            mk(),
+		Spec:            spec,
 		VictimLines:     *victim,
 		CacheWays:       *ways,
 		PerfectIfetch:   *pifetch,

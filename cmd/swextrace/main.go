@@ -33,23 +33,10 @@ import (
 	"strings"
 
 	"swex"
+	"swex/internal/litmus"
 	"swex/internal/machine"
-	"swex/internal/proto"
 	"swex/internal/trace"
 )
-
-var protocolsByFlag = map[string]func() proto.Spec{
-	"h0":     proto.SoftwareOnly,
-	"h1ack":  func() proto.Spec { return proto.OnePointer(proto.AckSW) },
-	"h1lack": func() proto.Spec { return proto.OnePointer(proto.AckLACK) },
-	"h1":     func() proto.Spec { return proto.OnePointer(proto.AckHW) },
-	"h2":     func() proto.Spec { return proto.LimitLESS(2) },
-	"h3":     func() proto.Spec { return proto.LimitLESS(3) },
-	"h4":     func() proto.Spec { return proto.LimitLESS(4) },
-	"h5":     func() proto.Spec { return proto.LimitLESS(5) },
-	"full":   proto.FullMap,
-	"dir1sw": proto.Dir1SW,
-}
 
 func main() {
 	args := os.Args[1:]
@@ -65,7 +52,7 @@ func main() {
 		workerK   = fs.Int("worker", 0, "run WORKER with this worker-set size instead of -app")
 		iters     = fs.Int("iters", 10, "WORKER iterations")
 		nodes     = fs.Int("nodes", 16, "machine size")
-		protoStr  = fs.String("protocol", "h5", "h0 h1ack h1lack h1 h2..h5 full dir1sw")
+		protoStr  = fs.String("protocol", "h5", "protocol alias: "+strings.Join(litmus.SpecAliases(), " "))
 		victim    = fs.Int("victim", 0, "victim cache lines (0 = off)")
 		ways      = fs.Int("ways", 0, "cache associativity (0/1 = direct-mapped)")
 		threads   = fs.Int("threads", 1, "hardware contexts per node")
@@ -90,8 +77,8 @@ func main() {
 		log.Fatalf("swextrace: unknown preset %q (want fig2-point or table2)", strings.Join(fs.Args(), " "))
 	}
 
-	mk, ok := protocolsByFlag[strings.ToLower(*protoStr)]
-	if !ok {
+	spec, err := litmus.SpecByAlias(strings.ToLower(*protoStr))
+	if err != nil {
 		log.Fatalf("swextrace: unknown protocol %q", *protoStr)
 	}
 
@@ -104,7 +91,7 @@ func main() {
 
 	cfg := machine.Config{
 		Nodes:           *nodes,
-		Spec:            mk(),
+		Spec:            spec,
 		VictimLines:     *victim,
 		CacheWays:       *ways,
 		PerfectIfetch:   *pifetch,
