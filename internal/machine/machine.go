@@ -272,9 +272,12 @@ func (m *Machine) run(program func(*proc.Env), limit, interval sim.Cycle, sample
 	for _, n := range m.Nodes {
 		n.StartThreads(threads, program)
 	}
+	// Done is monotone, so the check resumes at the first node it has
+	// not yet seen finish instead of rescanning from node 0 per event.
+	unfinished := 0
 	finished := func() bool {
-		for _, n := range m.Nodes {
-			if !n.Done() {
+		for ; unfinished < len(m.Nodes); unfinished++ {
+			if !m.Nodes[unfinished].Done() {
 				return false
 			}
 		}
@@ -310,14 +313,15 @@ func (m *Machine) run(program func(*proc.Env), limit, interval sim.Cycle, sample
 	return m.result(), nil
 }
 
-// Release returns every node's cache storage for reuse by later
-// machines (cache.Cache.Release). The machine is dead afterwards: read
-// everything needed from it and its Result first, and do not run,
-// inspect or release it again.
+// Release returns every node's cache storage (cache.Cache.Release) and
+// the engine's queue storage (sim.Engine.Release) for reuse by later
+// machines. The machine is dead afterwards: read everything needed from
+// it and its Result first, and do not run, inspect or release it again.
 func (m *Machine) Release() {
 	for i := range m.Nodes {
 		m.Fabric.Cache(mem.NodeID(i)).Cache().Release()
 	}
+	m.Engine.Release()
 }
 
 // stopThreads unwinds every unfinished thread after a run that did not

@@ -32,13 +32,20 @@
 //     interleave: a change that adds or removes work on one node cannot
 //     reorder ties among the others. The machine uses owned scheduling
 //     for every event, and every committed exhibit is measured under it.
+//
+// The queue is a timing wheel: wheelSpan one-cycle buckets hold the
+// events due in [now, now+wheelSpan), each bucket a list sorted by
+// (owner, cnt) through a slab of event slots, with an occupancy bitmap
+// to find the first non-empty one. Events scheduled further out wait in
+// a small binary heap, the far heap. No pending event is earlier than the
+// clock, so a bucket never holds two cycles and the first non-empty
+// bucket's head is the wheel's least event; the engine fires the lesser
+// of it and the far heap's top under the full (cycle, owner, cnt) key.
+// That is exactly the least pending event, so the firing order is the
+// total order above, whichever structure holds an event.
 package sim
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Cycle is a point in simulated time, measured in processor clock cycles.
 // Alewife's clock runs at 33 MHz, so 33e6 cycles correspond to one second
@@ -66,105 +73,14 @@ type Caller interface {
 // among themselves they keep scheduling order via the engine sequence.
 const unkeyedOwner = int32(^uint32(0) >> 1)
 
-type scheduledEvent struct {
-	at    Cycle
-	owner int32  // key owner (node), or unkeyedOwner
-	cnt   uint64 // owner-stream position, or engine sequence when unkeyed
-	call  Caller
-	tag   any // optional inspection tag
-	index int // heap index; -1 once popped
-}
-
-// before is the engine's total event order: cycle, then key owner, then
-// key counter. Keys are unique, so no two pending events compare equal
-// and the firing order does not depend on the heap's internal layout.
-func (a *scheduledEvent) before(b *scheduledEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.owner != b.owner {
-		return a.owner < b.owner
-	}
-	return a.cnt < b.cnt
-}
-
-// eventHeap is a binary min-heap of pending events under before. Each
-// event records its slot in index.
-type eventHeap []*scheduledEvent
-
-// push adds ev to the heap.
-func (h *eventHeap) push(ev *scheduledEvent) {
-	*h = append(*h, ev)
-	h.up(len(*h) - 1)
-}
-
-// pop removes and returns the earliest event with its index cleared.
-func (h *eventHeap) pop() *scheduledEvent {
-	old := *h
-	n := len(old) - 1
-	ev := old[0]
-	if n > 0 {
-		old[0] = old[n]
-		old[0].index = 0
-	}
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	ev.index = -1
-	return ev
-}
-
-// up moves the event at slot j toward the root until its parent is
-// earlier.
-func (h eventHeap) up(j int) {
-	ev := h[j]
-	for j > 0 {
-		i := (j - 1) / 2
-		if !ev.before(h[i]) {
-			break
-		}
-		h[j] = h[i]
-		h[j].index = j
-		j = i
-	}
-	h[j] = ev
-	ev.index = j
-}
-
-// down moves the event at slot i toward the leaves until both children
-// are later.
-func (h eventHeap) down(i int) {
-	ev := h[i]
-	n := len(h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(h[c]) {
-			c = r
-		}
-		if !h[c].before(ev) {
-			break
-		}
-		h[i] = h[c]
-		h[i].index = i
-		i = c
-	}
-	h[i] = ev
-	ev.index = i
-}
-
 // Engine is a discrete-event scheduler with deterministic tie-breaking.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now    Cycle
-	seq    uint64
-	events eventHeap
-	fired  uint64
-	free   []*scheduledEvent // released events awaiting reuse
+	now   Cycle
+	seq   uint64
+	fired uint64
+	n     int // pending events
+	q     queue
 
 	// streams holds the per-owner key counters for owned scheduling (see
 	// the package comment). Nil until SetStreams; owned calls then fall
@@ -178,9 +94,21 @@ type Engine struct {
 	Observer func(now Cycle, pending int)
 }
 
-// NewEngine returns an empty engine positioned at cycle zero.
+// NewEngine returns an empty engine positioned at cycle zero. Its queue
+// storage may be one an earlier engine released (see Release).
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{q: newQueue()}
+}
+
+// Release returns the engine's queue storage for reuse by later engines
+// and leaves the engine unusable: scheduling, stepping, inspecting or
+// copying it, or releasing it again, panics rather than share storage
+// with another engine. Pending events are dropped without firing. Only
+// the occupied buckets and the far heap are cleared, so releasing costs
+// in proportion to what was pending.
+func (e *Engine) Release() {
+	e.q.release()
+	e.n = 0
 }
 
 // Now returns the current simulated cycle.
@@ -190,16 +118,15 @@ func (e *Engine) Now() Cycle { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.n }
 
 // AtCall schedules a preallocated Caller to fire at the absolute cycle
 // at, with an inspection tag. Tags never affect execution; they exist so
 // external observers (the model checker's state-fingerprint layer) can
-// enumerate what is queued. The event slot comes from the engine's free
-// list and the receiver is caller-owned, so steady-state scheduling
-// allocates nothing. Scheduling in the past panics: it indicates a
-// protocol bug, and silently reordering time would destroy the
-// determinism guarantee.
+// enumerate what is queued. The event slot comes from the engine's slab
+// and the receiver is caller-owned, so steady-state scheduling allocates
+// nothing. Scheduling in the past panics: it indicates a protocol bug,
+// and silently reordering time would destroy the determinism guarantee.
 func (e *Engine) AtCall(at Cycle, tag any, c Caller) {
 	e.schedule(at, unkeyedOwner, e.seq, tag, c)
 }
@@ -209,23 +136,23 @@ func (e *Engine) AfterCall(delay Cycle, tag any, c Caller) {
 	e.AtCall(e.now+delay, tag, c)
 }
 
-// schedule acquires an event slot (reusing a released one when possible)
-// and enqueues it under the given canonical key.
+// schedule takes a slab slot for the event and enqueues it under the
+// given canonical key: in the wheel bucket of its cycle when that lies
+// within the span, in the far heap otherwise.
 func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any, c Caller) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d, now %d", at, e.now))
 	}
-	var ev *scheduledEvent
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	q := &e.q
+	q.live()
+	i := q.alloc(at, owner, cnt, tag, c)
+	if at-e.now < wheelSpan {
+		q.insert(int(at)&wheelMask, i)
 	} else {
-		ev = new(scheduledEvent)
+		q.pushFar(i)
 	}
-	ev.at, ev.owner, ev.cnt, ev.tag, ev.call = at, owner, cnt, tag, c
 	e.seq++
-	e.events.push(ev)
+	e.n++
 }
 
 // SetStreams installs the per-owner key counter streams, switching the
@@ -273,19 +200,60 @@ type TaggedEvent struct {
 	At Cycle
 	// Tag is the caller-supplied inspection tag, nil if untagged.
 	Tag any
+}
 
-	owner int32
-	cnt   uint64
+// peek locates the least pending event: its slab slot, and the wheel
+// bucket it heads or -1 when it is the far heap's top. The slot is 0
+// when the queue is empty.
+func (e *Engine) peek() (slot int32, bucket int) {
+	q := &e.q
+	q.live()
+	far := q.far
+	if e.n == len(far) {
+		if len(far) == 0 {
+			return 0, -1
+		}
+		return far[0], -1
+	}
+	b := q.first(int(e.now) & wheelMask)
+	i := q.lists.head[b]
+	if len(far) > 0 && q.before(far[0], i) {
+		return far[0], -1
+	}
+	return i, b
+}
+
+// fire dequeues the event peek located, advances the clock to its cycle,
+// frees its slot and runs it.
+func (e *Engine) fire(i int32, b int) {
+	q := &e.q
+	ev := &q.slots[i]
+	if b < 0 {
+		q.popFar()
+	} else if q.lists.head[b] = ev.next; ev.next == 0 {
+		q.occ[b>>6] &^= 1 << (b & 63)
+	}
+	e.now = ev.at
+	e.fired++
+	e.n--
+	call := ev.call
+	ev.call, ev.tag = nil, nil
+	ev.next, q.free = q.free, i
+	call.Fire()
+	if e.Observer != nil {
+		e.Observer(e.now, e.n)
+	}
 }
 
 // Next describes the event Step would fire next; ok is false when the
 // queue is empty.
 func (e *Engine) Next() (ev TaggedEvent, ok bool) {
-	if len(e.events) == 0 {
+	i, _ := e.peek()
+	if i == 0 {
 		return TaggedEvent{}, false
 	}
-	root := e.events[0]
-	return TaggedEvent{At: root.at, Tag: root.tag}, true
+	s := &e.q.slots[i]
+	return TaggedEvent{At: s.at, Tag: s.tag}, true
 }
 
 // PendingTagged appends the pending events to dst in firing order (cycle,
@@ -294,20 +262,30 @@ func (e *Engine) Next() (ev TaggedEvent, ok bool) {
 // the order Step would fire them if nothing else were scheduled, which is
 // what makes it usable as part of a canonical machine-state fingerprint.
 // Reusing dst across calls makes the inspection allocation-free.
+//
+// The wheel's buckets are walked in cycle order, each already sorted,
+// and merged with the far heap, which is sorted in place first (a sorted
+// array is still a valid heap).
 func (e *Engine) PendingTagged(dst []TaggedEvent) []TaggedEvent {
-	n := len(dst)
-	for _, ev := range e.events {
-		dst = append(dst, TaggedEvent{At: ev.at, Tag: ev.tag, owner: ev.owner, cnt: ev.cnt})
+	q := &e.q
+	q.live()
+	q.sortFar()
+	far := q.far
+	f := 0
+	b := int(e.now) & wheelMask
+	for left := e.n - len(far); left > 0; b = (b + 1) & wheelMask {
+		b = q.first(b)
+		for i := q.lists.head[b]; i != 0; i = q.slots[i].next {
+			for ; f < len(far) && q.before(far[f], i); f++ {
+				dst = append(dst, TaggedEvent{At: q.slots[far[f]].at, Tag: q.slots[far[f]].tag})
+			}
+			dst = append(dst, TaggedEvent{At: q.slots[i].at, Tag: q.slots[i].tag})
+			left--
+		}
 	}
-	slices.SortFunc(dst[n:], func(a, b TaggedEvent) int {
-		if c := cmp.Compare(a.At, b.At); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.owner, b.owner); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.cnt, b.cnt)
-	})
+	for _, i := range far[f:] {
+		dst = append(dst, TaggedEvent{At: q.slots[i].at, Tag: q.slots[i].tag})
+	}
 	return dst
 }
 
@@ -318,44 +296,56 @@ func (e *Engine) PendingTagged(dst []TaggedEvent) []TaggedEvent {
 // its storage: its state is overwritten and its pending events are
 // dropped without firing. The first error remap returns aborts the copy
 // and is returned; dst then holds no usable state.
+//
+// The slab, the occupied buckets' links and the far heap are copied as
+// they are, so the copy's queue has the original's exact shape; only
+// the live slots are then remapped, in firing order within the wheel.
 func (e *Engine) CloneInto(dst *Engine, remap func(c Caller, tag any) (Caller, any, error)) (*Engine, error) {
 	c := dst
 	if c == nil {
-		c = &Engine{}
+		c = &Engine{q: newQueue()}
 	}
-	for _, ev := range c.events {
-		c.release(ev)
-	}
-	c.events = c.events[:0]
-	c.now, c.seq, c.fired, c.Observer = e.now, e.seq, 0, nil
+	src, q := &e.q, &c.q
+	src.live()
+	q.live()
+	c.now, c.seq, c.fired, c.n, c.Observer = e.now, e.seq, 0, e.n, nil
 	if e.streams == nil {
 		c.streams = nil
 	} else {
 		c.streams = append(c.streams[:0], e.streams...)
 	}
-	for i, ev := range e.events {
-		call, tag, err := remap(ev.call, ev.tag)
-		if err != nil {
+	if stale := len(q.slots); stale > len(src.slots) {
+		// Slots past the copy's end would otherwise keep dst's dropped
+		// receivers reachable.
+		clear(q.slots[len(src.slots):stale])
+	}
+	q.slots = append(q.slots[:0], src.slots...)
+	q.free = src.free
+	q.far = append(q.far[:0], src.far...)
+	q.occ = src.occ
+	remapSlot := func(i int32) error {
+		s := &q.slots[i]
+		call, tag, err := remap(s.call, s.tag)
+		s.call, s.tag = call, tag
+		return err
+	}
+	b := int(e.now) & wheelMask
+	for left := e.n - len(q.far); left > 0; b = (b + 1) & wheelMask {
+		b = src.first(b)
+		q.lists.head[b], q.lists.tail[b] = src.lists.head[b], src.lists.tail[b]
+		for i := q.lists.head[b]; i != 0; i = q.slots[i].next {
+			if err := remapSlot(i); err != nil {
+				return nil, err
+			}
+			left--
+		}
+	}
+	for _, i := range q.far {
+		if err := remapSlot(i); err != nil {
 			return nil, err
 		}
-		var ne *scheduledEvent
-		if n := len(c.free); n > 0 {
-			ne = c.free[n-1]
-			c.free[n-1] = nil
-			c.free = c.free[:n-1]
-		} else {
-			ne = new(scheduledEvent)
-		}
-		*ne = scheduledEvent{at: ev.at, owner: ev.owner, cnt: ev.cnt, call: call, tag: tag, index: i}
-		c.events = append(c.events, ne)
 	}
 	return c, nil
-}
-
-// release returns a fired event slot to the free list.
-func (e *Engine) release(ev *scheduledEvent) {
-	ev.call, ev.tag = nil, nil
-	e.free = append(e.free, ev)
 }
 
 // Step fires the next event, advancing the clock to its cycle. It returns
@@ -363,53 +353,64 @@ func (e *Engine) release(ev *scheduledEvent) {
 //
 //swex:hotpath
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	i, b := e.peek()
+	if i == 0 {
 		return false
 	}
-	ev := e.events.pop()
-	e.now = ev.at
-	e.fired++
-	call := ev.call
-	e.release(ev)
-	call.Fire()
-	if e.Observer != nil {
-		e.Observer(e.now, len(e.events))
-	}
+	e.fire(i, b)
 	return true
 }
 
-// Run fires events until the queue drains or the clock passes limit.
-// A limit of zero means no limit. It returns the cycle at which the engine
-// stopped and whether the queue drained (as opposed to hitting the limit).
+// Run fires events until the queue drains or the next event lies past
+// limit, and then moves the clock up to limit. A limit of zero means no
+// limit. It returns the cycle at which the engine stopped and whether
+// the queue drained (as opposed to hitting the limit).
 //
 //swex:hotpath
 func (e *Engine) Run(limit Cycle) (Cycle, bool) {
-	for len(e.events) > 0 {
-		if limit != 0 && e.events[0].at > limit {
-			e.now = limit
+	for {
+		i, b := e.peek()
+		if i == 0 {
+			return e.now, true
+		}
+		if limit != 0 && e.q.slots[i].at > limit {
+			e.stopAt(limit)
 			return e.now, false
 		}
-		e.Step()
+		e.fire(i, b)
 	}
-	return e.now, true
 }
 
 // RunUntil fires events while cond returns false, stopping as soon as cond
-// is true (checked after each event) or the queue drains or the hard cycle
-// limit is exceeded. It returns true if cond was satisfied.
+// is true (checked after each event) or the queue drains or the next
+// event lies past the hard cycle limit, which the clock then moves up
+// to. It returns true if cond was satisfied.
 func (e *Engine) RunUntil(cond func() bool, limit Cycle) bool {
 	if cond() {
 		return true
 	}
-	for len(e.events) > 0 {
-		if limit != 0 && e.events[0].at > limit {
-			e.now = limit
+	for {
+		i, b := e.peek()
+		if i == 0 {
 			return false
 		}
-		e.Step()
+		if limit != 0 && e.q.slots[i].at > limit {
+			e.stopAt(limit)
+			return false
+		}
+		e.fire(i, b)
 		if cond() {
 			return true
 		}
 	}
-	return false
+}
+
+// stopAt moves the clock to a run limit that the next event lies past.
+// A limit already behind the clock leaves it where it is: the clock
+// never runs backward, which the wheel's one-cycle-per-bucket layout
+// relies on.
+func (e *Engine) stopAt(limit Cycle) {
+	if limit > e.now {
+		e.now = limit
+	}
 }

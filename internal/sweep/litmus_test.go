@@ -8,6 +8,7 @@ import (
 	"swex/internal/litmus"
 	"swex/internal/machine"
 	"swex/internal/proto"
+	"swex/internal/sim"
 )
 
 // litmusMatrix returns the corpus compiled into jobs on a 4-node
@@ -50,8 +51,9 @@ func TestLitmusJobCapturesObservations(t *testing.T) {
 
 // TestReusedCacheStorageIsInvisible sweeps the litmus corpus on three
 // protocols twice with two workers, each pass on a fresh runner so every
-// job executes, on cache storage released by earlier jobs and handed
-// between workers by the pool. Both passes must equal a one-worker sweep.
+// job executes, on cache and engine queue storage released by earlier
+// jobs and handed between workers by the pools. Both passes must equal a
+// one-worker sweep.
 func TestReusedCacheStorageIsInvisible(t *testing.T) {
 	var jobs []Job
 	for _, alias := range []string{"full", "h1ack", "dir1sw"} {
@@ -78,6 +80,67 @@ func TestReusedCacheStorageIsInvisible(t *testing.T) {
 		return results
 	}
 	want := sweep(1)
+	for pass := 1; pass <= 2; pass++ {
+		if got := sweep(2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d with two workers differs from the one-worker sweep", pass)
+		}
+	}
+}
+
+// TestReusedEngineStorageIsInvisible sweeps the litmus corpus twice with
+// two workers, each pass on a fresh runner, with every job also run
+// under cycle limits that stop it part way. Those runs fail with events
+// still pending, so later jobs start on engine queue storage that was
+// released full (sim.Engine.Release). Both passes, failures and their
+// messages included, must equal a one-worker sweep.
+func TestReusedEngineStorageIsInvisible(t *testing.T) {
+	var jobs []Job
+	for _, alias := range []string{"full", "h1ack", "dir1sw"} {
+		spec, err := litmus.SpecByAlias(alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range litmus.Corpus() {
+			if len(tc.Prog.Threads) > 4 || !litmus.CompatibleBase(tc.Prog, spec) {
+				continue
+			}
+			for _, limit := range []sim.Cycle{0, 30, 70} {
+				j := LitmusJob(tc.Prog, machine.DefaultConfig(4, spec))
+				j.Limit = limit
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	type outcome struct {
+		Result Result
+		Err    string
+	}
+	sweep := func(workers int) []outcome {
+		r := MustNewRunner(Config{Workers: workers})
+		defer r.Close()
+		var out []outcome
+		for _, o := range r.Sweep(context.Background(), jobs) {
+			var msg string
+			if o.Err != nil {
+				msg = o.Err.Error()
+			}
+			out = append(out, outcome{o.Result, msg})
+		}
+		if r.TotalExecs() != len(jobs) {
+			t.Fatalf("runner executed %d of %d jobs", r.TotalExecs(), len(jobs))
+		}
+		return out
+	}
+	want := sweep(1)
+	failed := 0
+	for _, o := range want {
+		if o.Err != "" {
+			failed++
+		}
+	}
+	if failed == 0 || failed == len(want) {
+		t.Fatalf("%d of %d jobs hit their limit; the test needs both kinds", failed, len(want))
+	}
 	for pass := 1; pass <= 2; pass++ {
 		if got := sweep(2); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d with two workers differs from the one-worker sweep", pass)
