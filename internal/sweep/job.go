@@ -3,7 +3,9 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"swex/internal/apps"
@@ -138,11 +140,18 @@ func LitmusJob(p litmus.Program, cfg machine.Config) Job {
 	return Job{Program: ProgramRef{App: LitmusName, Litmus: p.String()}, Config: cfg}
 }
 
+// ErrKeyField reports a string the job key would embed that contains one
+// of the key's metacharacters, '|' or '='. Such a string could render two
+// different jobs as one key, so the job is not hashable.
+var ErrKeyField = errors.New("sweep: key field contains a key metacharacter ('|' or '=')")
+
 // Key renders the job as a canonical string: every field that influences
 // the simulation outcome, in a fixed order, plus the code-version salt.
 // Configurations that cannot be described canonically (an installed trace
 // sink or custom protocol software) are rejected — their behavior is not
 // captured by the key, so caching them would alias distinct computations.
+// So is a salt, program field or spec name containing '|' or '='
+// (ErrKeyField).
 func (j Job) Key(salt string) (string, error) {
 	if j.Config.Trace != nil {
 		return "", fmt.Errorf("sweep: job %s has a trace sink installed; traced runs are not cacheable", j.Program.App)
@@ -150,72 +159,100 @@ func (j Job) Key(salt string) (string, error) {
 	if j.Config.CustomSoftware != nil {
 		return "", fmt.Errorf("sweep: job %s has custom protocol software installed; its identity cannot be hashed", j.Program.App)
 	}
-	for _, f := range []string{j.Program.App, j.Program.Litmus, j.Program.FullMapRegion} {
-		if strings.ContainsAny(f, "|=") {
-			return "", fmt.Errorf("sweep: program field %q contains key metacharacters", f)
-		}
-	}
 	c := j.Config
 	s := c.Spec
 	t := c.Timing
-	var b strings.Builder
+	for _, f := range [...]struct{ name, v string }{
+		{"salt", salt}, {"app", j.Program.App}, {"litmus", j.Program.Litmus},
+		{"fmregion", j.Program.FullMapRegion}, {"spec", s.Name},
+	} {
+		if strings.ContainsAny(f.v, "|=") {
+			return "", fmt.Errorf("%w: %s %q", ErrKeyField, f.name, f.v)
+		}
+	}
+	var b keyBuilder
 	// Size the buffer once: the fixed fields fit in 512 bytes, and growing
 	// by doubling would allocate a chain of buffers and keep up to twice
 	// the key's length alive in every Outcome.
 	b.Grow(512 + len(salt) + len(j.Program.App) + len(j.Program.Litmus) + len(j.Program.FullMapRegion) + len(s.Name))
-	put := func(field string, v any) {
-		fmt.Fprintf(&b, "|%s=%v", field, v)
-	}
 	b.WriteString(codeVersion)
-	put("salt", salt)
-	put("app", j.Program.App)
-	put("quick", j.Program.Quick)
-	put("set", j.Program.SetSize)
-	put("iters", j.Program.Iters)
-	put("cico", j.Program.CICO)
-	put("litmus", j.Program.Litmus)
-	put("fmregion", j.Program.FullMapRegion)
-	put("nodes", c.Nodes)
-	put("loseinv", c.LoseInv)
-	put("spec", s.Name)
-	put("hw", s.HWPointers)
-	put("fullmap", s.FullMap)
-	put("localbit", s.LocalBit)
-	put("ack", int(s.AckMode))
-	put("bcast", s.Broadcast)
-	put("swonly", s.SoftwareOnly)
-	put("dls", s.Directoryless)
-	put("soft", int(c.Software))
-	put("victim", c.VictimLines)
-	put("pifetch", c.PerfectIfetch)
-	put("batch", c.BatchReads)
-	put("parinv", c.ParallelInv)
-	put("mig", c.MigratoryDetect)
-	put("threads", c.ThreadsPerNode)
-	put("clines", c.CacheLines)
-	put("cways", c.CacheWays)
-	put("tmem", int64(t.MemLatency))
-	put("thome", int64(t.HomeProc))
-	put("tfill", int64(t.CacheFill))
-	put("tretry", int64(t.RetryDelay))
-	put("freq", t.ReqFlits)
-	put("fdata", t.DataFlits)
-	put("fctl", t.CtlFlits)
+	b.putStr("salt", salt)
+	b.putStr("app", j.Program.App)
+	b.putBool("quick", j.Program.Quick)
+	b.putInt("set", int64(j.Program.SetSize))
+	b.putInt("iters", int64(j.Program.Iters))
+	b.putBool("cico", j.Program.CICO)
+	b.putStr("litmus", j.Program.Litmus)
+	b.putStr("fmregion", j.Program.FullMapRegion)
+	b.putInt("nodes", int64(c.Nodes))
+	b.putInt("loseinv", int64(c.LoseInv))
+	b.putStr("spec", s.Name)
+	b.putInt("hw", int64(s.HWPointers))
+	b.putBool("fullmap", s.FullMap)
+	b.putBool("localbit", s.LocalBit)
+	b.putInt("ack", int64(s.AckMode))
+	b.putBool("bcast", s.Broadcast)
+	b.putBool("swonly", s.SoftwareOnly)
+	b.putBool("dls", s.Directoryless)
+	b.putInt("soft", int64(c.Software))
+	b.putInt("victim", int64(c.VictimLines))
+	b.putBool("pifetch", c.PerfectIfetch)
+	b.putBool("batch", c.BatchReads)
+	b.putBool("parinv", c.ParallelInv)
+	b.putBool("mig", c.MigratoryDetect)
+	b.putInt("threads", int64(c.ThreadsPerNode))
+	b.putInt("clines", int64(c.CacheLines))
+	b.putInt("cways", int64(c.CacheWays))
+	b.putInt("tmem", int64(t.MemLatency))
+	b.putInt("thome", int64(t.HomeProc))
+	b.putInt("tfill", int64(t.CacheFill))
+	b.putInt("tretry", int64(t.RetryDelay))
+	b.putInt("freq", int64(t.ReqFlits))
+	b.putInt("fdata", int64(t.DataFlits))
+	b.putInt("fctl", int64(t.CtlFlits))
 	mt := c.MemTier
-	put("mtkind", int(mt.Kind))
-	put("mthops", mt.Far.Hops)
-	put("mthopcyc", int64(mt.Far.HopCycles))
-	put("mtflitcyc", int64(mt.Far.FlitCycles))
-	put("mtflits", mt.Far.Flits)
-	put("mtmemcyc", int64(mt.Far.MemCycles))
-	put("mtdread", int64(mt.DRAMRead))
-	put("mtdwrite", int64(mt.DRAMWrite))
-	put("mtnread", int64(mt.NVMRead))
-	put("mtnwrite", int64(mt.NVMWrite))
-	put("mtdblocks", mt.DRAMBlocks)
-	put("mtpromote", mt.PromoteAfter)
-	put("limit", int64(j.Limit))
+	b.putInt("mtkind", int64(mt.Kind))
+	b.putInt("mthops", int64(mt.Far.Hops))
+	b.putInt("mthopcyc", int64(mt.Far.HopCycles))
+	b.putInt("mtflitcyc", int64(mt.Far.FlitCycles))
+	b.putInt("mtflits", int64(mt.Far.Flits))
+	b.putInt("mtmemcyc", int64(mt.Far.MemCycles))
+	b.putInt("mtdread", int64(mt.DRAMRead))
+	b.putInt("mtdwrite", int64(mt.DRAMWrite))
+	b.putInt("mtnread", int64(mt.NVMRead))
+	b.putInt("mtnwrite", int64(mt.NVMWrite))
+	b.putInt("mtdblocks", int64(mt.DRAMBlocks))
+	b.putInt("mtpromote", int64(mt.PromoteAfter))
+	b.putInt("limit", int64(j.Limit))
 	return b.String(), nil
+}
+
+// keyBuilder renders a key's "|field=value" pairs. Values are written
+// as fmt's %v would print them (decimal integers, true/false), so the
+// key bytes of every job, and with them existing cache directories, are
+// those of the fmt-based renderer this replaced.
+type keyBuilder struct{ strings.Builder }
+
+func (b *keyBuilder) field(name string) {
+	b.WriteByte('|')
+	b.WriteString(name)
+	b.WriteByte('=')
+}
+
+func (b *keyBuilder) putStr(name, v string) {
+	b.field(name)
+	b.WriteString(v)
+}
+
+func (b *keyBuilder) putInt(name string, v int64) {
+	b.field(name)
+	var num [20]byte
+	b.Write(strconv.AppendInt(num[:0], v, 10))
+}
+
+func (b *keyBuilder) putBool(name string, v bool) {
+	b.field(name)
+	b.WriteString(strconv.FormatBool(v))
 }
 
 // HashKey returns the content address of a canonical key: the hex SHA-256.

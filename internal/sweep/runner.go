@@ -186,7 +186,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 			o.Err = err
 			return
 		}
-		res, err := r.execute(t.job, t.key)
+		res, err := r.execute(t.job, t.hash)
 		if err != nil {
 			o.Err = err
 			if r.cache != nil {
@@ -248,9 +248,9 @@ func (r *Runner) lookup(key, hash string) (Result, bool) {
 	return res, ok
 }
 
-// execute counts and runs one simulation under panic recovery and the
-// cycle budget.
-func (r *Runner) execute(job Job, key string) (res Result, err error) {
+// execute counts and runs one simulation, whose key hashes to hash, under
+// panic recovery and the cycle budget.
+func (r *Runner) execute(job Job, hash string) (res Result, err error) {
 	defer func() {
 		//lint:allow panic-hygiene(a panicking OnExecute hook must become a failure record, not a crashed sweep; the stack is preserved in the error)
 		if rec := recover(); rec != nil {
@@ -258,7 +258,6 @@ func (r *Runner) execute(job Job, key string) (res Result, err error) {
 		}
 	}()
 	r.mu.Lock()
-	hash := HashKey(key)
 	r.execs[hash]++
 	r.total++
 	r.mu.Unlock()

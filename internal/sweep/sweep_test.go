@@ -82,6 +82,54 @@ func TestKeyRejectsUnserializableConfig(t *testing.T) {
 	}
 }
 
+// TestKeyRejectsMetacharacters requires every string Key embeds to be
+// free of '|' and '='. A crafted salt and a crafted spec name can
+// otherwise render two different jobs as one key: each smuggles the
+// other job's program fields into the key text.
+func TestKeyRejectsMetacharacters(t *testing.T) {
+	cfg := machine.Config{Nodes: 4, Spec: proto.FullMap()}
+	a, b := WorkerJob(1, 1, cfg), WorkerJob(2, 3, cfg)
+	programFields := func(j Job) string {
+		k, err := j.Key("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k[strings.Index(k, "|app=")+len("|app=") : strings.Index(k, "|spec=")]
+	}
+	name := cfg.Spec.Name
+	crafted := a
+	crafted.Config.Spec.Name = name + "|app=" + programFields(b) + "|spec=" + name
+	craftedSalt := "x|app=" + programFields(a) + "|spec=" + name
+	// Rendered without the check, crafted under salt "x" and b under
+	// craftedSalt both read "...|salt=x|app=<a's fields>|spec=<name>
+	// |app=<b's fields>|spec=<name>|hw=...".
+	if _, err := crafted.Key("x"); !errors.Is(err, ErrKeyField) {
+		t.Errorf("crafted spec name: err = %v, want ErrKeyField", err)
+	}
+	if _, err := b.Key(craftedSalt); !errors.Is(err, ErrKeyField) {
+		t.Errorf("crafted salt: err = %v, want ErrKeyField", err)
+	}
+
+	fields := map[string]func(*Job){
+		"app":      func(j *Job) { j.Program.App = "WORKER=1" },
+		"litmus":   func(j *Job) { j.Program.Litmus = "v1|t0" },
+		"fmregion": func(j *Job) { j.Program.FullMapRegion = "r=1" },
+		"spec":     func(j *Job) { j.Config.Spec.Name = "DirnH5SNB|x" },
+	}
+	for field, set := range fields {
+		j := a
+		set(&j)
+		if _, err := j.Key(""); !errors.Is(err, ErrKeyField) {
+			t.Errorf("%s with a metacharacter: err = %v, want ErrKeyField", field, err)
+		}
+	}
+	for _, salt := range []string{"a=b", "a|b"} {
+		if _, err := a.Key(salt); !errors.Is(err, ErrKeyField) {
+			t.Errorf("salt %q: err = %v, want ErrKeyField", salt, err)
+		}
+	}
+}
+
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	jobs := smallMatrix(8)
 	run := func(workers int) []Outcome {
