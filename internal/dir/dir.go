@@ -247,16 +247,25 @@ func New(caps int) *Directory {
 	return &Directory{caps: caps, entries: make(map[mem.Block]*Entry)}
 }
 
+// Reset empties the directory, keeping its storage, and gives the
+// entries it creates from now on caps hardware pointers: it then behaves
+// exactly as New(caps). CloneInto resets its destination this way, and a
+// released home controller's directory is reset for the next machine.
+func (d *Directory) Reset(caps int) {
+	d.caps = caps
+	if len(d.entries) > 0 {
+		clear(d.entries)
+	}
+}
+
 // CloneInto returns an independent copy of the directory and its
 // entries, reusing dst's storage when dst is not nil: dst's entries are
 // overwritten, and the entry copies it made earlier are reused.
 func (d *Directory) CloneInto(dst *Directory) *Directory {
 	if dst == nil {
 		dst = New(d.caps)
-	}
-	dst.caps = d.caps
-	if len(dst.entries) > 0 {
-		clear(dst.entries)
+	} else {
+		dst.Reset(d.caps)
 	}
 	keys := dst.keys[:0]
 	for b := range d.entries {

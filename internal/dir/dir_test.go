@@ -1,10 +1,13 @@
 package dir
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"swex/internal/mem"
+	"swex/internal/sim"
 )
 
 func TestPointerSetAddUntilOverflow(t *testing.T) {
@@ -202,6 +205,64 @@ func TestStateString(t *testing.T) {
 	} {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), want)
+		}
+	}
+}
+
+// exerciseDirectory applies n seeded random operations to d and returns
+// a log of every result, ending with every entry in block order.
+func exerciseDirectory(d *Directory, r *sim.Rand, n int) []string {
+	log := make([]string, 0, n+2)
+	for i := 0; i < n; i++ {
+		b := mem.Block(r.Intn(16))
+		switch r.Intn(4) {
+		case 0:
+			e := d.Entry(b)
+			ok := e.Ptrs.Add(mem.NodeID(r.Intn(8)))
+			e.State = State(r.Intn(int(SWait) + 1))
+			e.NoteSharers()
+			log = append(log, fmt.Sprintf("entry %d: %+v %v", b, *e, ok))
+		case 1:
+			e := d.EntryWithCap(b, r.Intn(4))
+			e.Epoch++
+			log = append(log, fmt.Sprintf("entry %d with cap: %+v", b, *e))
+		case 2:
+			e, ok := d.Peek(b)
+			var got Entry
+			if ok {
+				got = *e
+			}
+			log = append(log, fmt.Sprintf("peek %d: %+v %v", b, got, ok))
+		case 3:
+			log = append(log, fmt.Sprintf("len %d cap %d", d.Len(), d.PointerCap()))
+		}
+	}
+	d.ForEach(func(b mem.Block, e *Entry) { log = append(log, fmt.Sprintf("%d: %+v", b, *e)) })
+	return log
+}
+
+// Property: a directory Reset to a capacity is indistinguishable from
+// New of that capacity, whatever it held and whatever CloneInto left in
+// its storage: a second random sequence produces the same results on
+// both.
+func TestPropertyResetDirectoryIsFresh(t *testing.T) {
+	for seed := uint64(1); seed <= 100; seed++ {
+		r := sim.NewRand(seed)
+		d := New(r.Intn(6))
+		exerciseDirectory(d, r, r.Intn(60))
+		if r.Intn(2) == 0 {
+			src := New(r.Intn(6))
+			exerciseDirectory(src, r, r.Intn(60))
+			d = src.CloneInto(d)
+		}
+		caps := r.Intn(6)
+		d.Reset(caps)
+		want := New(caps)
+		replay := r.Uint64()
+		gotLog := exerciseDirectory(d, sim.NewRand(replay), 80)
+		wantLog := exerciseDirectory(want, sim.NewRand(replay), 80)
+		if !slices.Equal(gotLog, wantLog) {
+			t.Fatalf("seed %d: reset directory diverges from a new one:\n%v\n%v", seed, gotLog, wantLog)
 		}
 	}
 }

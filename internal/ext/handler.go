@@ -2,6 +2,7 @@ package ext
 
 import (
 	"fmt"
+	"sync"
 
 	"swex/internal/mem"
 	"swex/internal/proto"
@@ -73,9 +74,34 @@ func New(n int, spec proto.Spec, cost CostModel) (*Handlers, error) {
 		sharers:  make([]mem.NodeID, n),
 	}
 	for i := range h.nodes {
-		h.nodes[i].table = newHashTable(256)
+		t, ok := tablePool.Get().(*hashTable)
+		if !ok {
+			t = newHashTable(tableBuckets)
+		}
+		h.nodes[i].table = t
 	}
 	return h, nil
+}
+
+// tableBuckets sizes each node's extended-directory hash table.
+const tableBuckets = 256
+
+// tablePool holds the emptied hash tables of released Handlers.
+var tablePool sync.Pool
+
+// Release returns every node's hash table, emptied, for reuse by later
+// Handlers; the bucket array is what a table costs to build. The free
+// lists are not pooled: the cost model charges a recycled entry
+// differently from a fresh one, so each machine's lists start empty. The
+// Handlers are dead afterwards: any handler call panics rather than
+// reach another machine's table. The Ledger stays readable.
+func (h *Handlers) Release() {
+	for i := range h.nodes {
+		t := h.nodes[i].table
+		t.reset()
+		h.nodes[i] = nodeSW{}
+		tablePool.Put(t)
+	}
 }
 
 // Cost exposes the active cost model.

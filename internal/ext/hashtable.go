@@ -20,6 +20,16 @@ func newHashTable(buckets int) *hashTable {
 	return &hashTable{buckets: make([]*entry, buckets)}
 }
 
+// reset empties the table, keeping its bucket array. The chained entries
+// are dropped, not recycled. A table holding no entries has only nil
+// buckets, so it needs no clearing.
+func (h *hashTable) reset() {
+	if h.n > 0 {
+		clear(h.buckets)
+		h.n = 0
+	}
+}
+
 func (h *hashTable) bucket(b mem.Block) int {
 	// Multiplicative hash; blocks are sequential in each node's segment,
 	// so a plain modulus would cluster.

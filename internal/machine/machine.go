@@ -313,13 +313,18 @@ func (m *Machine) run(program func(*proc.Env), limit, interval sim.Cycle, sample
 	return m.result(), nil
 }
 
-// Release returns every node's cache storage (cache.Cache.Release) and
-// the engine's queue storage (sim.Engine.Release) for reuse by later
-// machines. The machine is dead afterwards: read everything needed from
-// it and its Result first, and do not run, inspect or release it again.
+// Release returns the machine's storage for reuse by later machines: the
+// fabric's home and cache controllers with their directories and cache
+// lines (proto.Fabric.Release), the extension software's hash tables
+// (ext.Handlers.Release) and the engine's queue (sim.Engine.Release).
+// The machine is dead afterwards: read everything needed from it and its
+// Result first, and do not run, inspect or release it again. Running or
+// releasing it, or any path through its controllers, tables or engine,
+// panics rather than reach the machine that reuses its storage.
 func (m *Machine) Release() {
-	for i := range m.Nodes {
-		m.Fabric.Cache(mem.NodeID(i)).Cache().Release()
+	m.Fabric.Release()
+	if m.Soft != nil {
+		m.Soft.Release()
 	}
 	m.Engine.Release()
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -370,5 +371,57 @@ func TestConfigureBlockThroughMachine(t *testing.T) {
 	}
 	if res.Traps != 0 {
 		t.Fatalf("full-map-configured block trapped %d times with 8 readers", res.Traps)
+	}
+}
+
+// TestReleasedMachine checks both sides of Release: a Result read before
+// it stays intact while a later machine runs on the released storage, and
+// every use of the released machine panics rather than reach that later
+// machine.
+func TestReleasedMachine(t *testing.T) {
+	cfg := DefaultConfig(8, proto.LimitLESS(2))
+	run := func(m *Machine) Result {
+		a := m.Mem.AllocOn(0, 1)
+		res, err := m.Run(func(env *proc.Env) {
+			env.Read(a)
+			env.FetchAdd(a, 1)
+		}, 10_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	render := func(r Result) string {
+		return fmt.Sprintf("%d %v %d %d %d %s %s %d", r.Time, r.Finish, r.Traps, r.HandlerCycles,
+			r.Messages, r.Counters, r.WorkerSets, r.Ledger.N())
+	}
+	m := MustNew(cfg)
+	res := run(m)
+	want := render(res)
+	m.Release()
+	if got := render(run(MustNew(cfg))); got != want {
+		t.Fatalf("a machine on released storage ran differently:\n%s\nwant:\n%s", got, want)
+	}
+	if got := render(res); got != want {
+		t.Fatalf("a result read before Release changed:\n%s\nwant:\n%s", got, want)
+	}
+
+	uses := map[string]func(m *Machine){
+		"Run":            func(m *Machine) { run(m) },
+		"ConfigureBlock": func(m *Machine) { m.ConfigureBlock(0, proto.FullMap()) },
+		"Release":        func(m *Machine) { m.Release() },
+	}
+	for name, use := range uses {
+		m := MustNew(cfg)
+		run(m)
+		m.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released machine did not panic", name)
+				}
+			}()
+			use(m)
+		}()
 	}
 }

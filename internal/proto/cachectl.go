@@ -138,16 +138,41 @@ type CacheCtl struct {
 	IfetchStall sim.Cycle
 }
 
+// newCacheCtl builds node's cache controller for fabric f.
 func newCacheCtl(f *Fabric, node mem.NodeID, cfg CacheConfig) *CacheCtl {
-	return &CacheCtl{
-		f:        f,
-		node:     node,
-		c:        cache.New(cfg.Cache),
-		cfg:      cfg,
+	cc := &CacheCtl{
 		txns:     make(map[mem.Block]*txn),
 		watchers: make(map[mem.Block][]watcher),
 		direct:   make(map[mem.NodeID][]pendingOp),
 	}
+	cc.bind(f, node, cfg)
+	return cc
+}
+
+// bind attaches an empty controller, new or reset, to fabric f as node's,
+// with a new cache of the configured geometry.
+func (cc *CacheCtl) bind(f *Fabric, node mem.NodeID, cfg CacheConfig) {
+	cc.f, cc.node, cc.cfg = f, node, cfg
+	cc.c = cache.New(cfg.Cache)
+}
+
+// reset empties the controller and detaches it from its fabric: no miss
+// transactions, parked watchers, directoryless accesses or statistics.
+// It keeps the storage (maps, the per-home access queues, carrier free
+// lists and copied transaction records), so bound again it behaves
+// exactly as newCacheCtl's. The cache is not touched: CloneInto
+// overwrites it, and Fabric.Release releases it first.
+func (cc *CacheCtl) reset() {
+	clearMap(cc.txns)
+	clearMap(cc.watchers)
+	for i := range cc.f.Nodes() {
+		if q := cc.direct[mem.NodeID(i)]; len(q) > 0 {
+			clear(q)
+			cc.direct[mem.NodeID(i)] = q[:0]
+		}
+	}
+	cc.f = nil
+	cc.Retries, cc.IfetchStall = 0, 0
 }
 
 // Cache exposes the underlying cache (statistics, tests).

@@ -221,6 +221,8 @@ func (h *HomeCtl) cloneInto(dst *HomeCtl, f *Fabric) *HomeCtl {
 	c := dst
 	if c == nil {
 		c = newHomeCtl(f, h.node, len(f.homes))
+	} else {
+		c.reset()
 	}
 	c.f, c.node = f, h.node
 	c.dir = h.dir.CloneInto(c.dir)
@@ -229,14 +231,10 @@ func (h *HomeCtl) cloneInto(dst *HomeCtl, f *Fabric) *HomeCtl {
 	copyMap(c.reads, h.reads)
 	copyMap(c.pendingWrite, h.pendingWrite)
 	copyMap(c.overrides, h.overrides)
-	if len(c.mig) > 0 {
-		clear(c.mig)
-	}
 	for _, b := range sortedKeys(f, h.mig) {
 		st := *h.mig[b]
 		c.mig[b] = &st
 	}
-	c.Traps, c.BusySent, c.StrayAcks = 0, 0, 0
 	return c
 }
 
@@ -246,15 +244,14 @@ func (cc *CacheCtl) cloneInto(dst *CacheCtl, f *Fabric) (*CacheCtl, error) {
 	c := dst
 	if c == nil {
 		c = newCacheCtl(f, cc.node, cc.cfg)
+	} else {
+		c.reset()
 	}
 	c.f, c.node, c.cfg = f, cc.node, cc.cfg
 	c.c = cc.c.CloneInto(c.c)
 	// An operation completing through a Done callback would complete in
 	// the clone through the same callback: refuse rather than alias it.
 	callback := false
-	if len(c.txns) > 0 {
-		clear(c.txns)
-	}
 	for i, b := range sortedKeys(f, cc.txns) {
 		t := cc.txns[b]
 		callback = callback || hasCallback(t.waiters)
@@ -265,30 +262,24 @@ func (cc *CacheCtl) cloneInto(dst *CacheCtl, f *Fabric) (*CacheCtl, error) {
 		*nt = txn{write: t.write, addr: t.addr, waiters: append(nt.waiters[:0], t.waiters...), retries: t.retries}
 		c.txns[b] = nt
 	}
-	for _, b := range sortedKeys(f, c.watchers) {
-		if _, ok := cc.watchers[b]; !ok {
-			delete(c.watchers, b)
-		}
-	}
 	for _, b := range sortedKeys(f, cc.watchers) {
 		ws := cc.watchers[b]
 		for _, w := range ws {
 			callback = callback || w.op.Done != nil
 		}
-		c.watchers[b] = append(c.watchers[b][:0], ws...)
+		c.watchers[b] = slices.Clone(ws)
 	}
 	for i := 0; i < f.Nodes(); i++ {
 		home := mem.NodeID(i)
 		q := cc.direct[home]
 		callback = callback || hasCallback(q)
-		if len(q) > 0 || len(c.direct[home]) > 0 {
-			c.direct[home] = append(c.direct[home][:0], q...)
+		if len(q) > 0 {
+			c.direct[home] = append(c.direct[home], q...)
 		}
 	}
 	if callback {
 		return nil, fmt.Errorf("%w: outstanding operation with a Done callback", ErrNotCopyable)
 	}
-	c.Retries, c.IfetchStall = 0, 0
 	return c, nil
 }
 
@@ -302,15 +293,19 @@ func hasCallback(ws []pendingOp) bool {
 	return false
 }
 
-// copyMap overwrites dst with src's entries. The length checks skip the
+// copyMap copies src's entries into dst. The length check skips the
 // empty maps most copies meet, which would otherwise still pay for a
 // randomized iteration start.
 func copyMap[K comparable, V any](dst, src map[K]V) {
-	if len(dst) > 0 {
-		clear(dst)
-	}
 	if len(src) > 0 {
 		maps.Copy(dst, src)
+	}
+}
+
+// clearMap empties m, skipping the clear of a map already empty.
+func clearMap[K comparable, V any](m map[K]V) {
+	if len(m) > 0 {
+		clear(m)
 	}
 }
 

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"sync"
 
 	"swex/internal/mem"
 	"swex/internal/memtier"
@@ -205,13 +206,66 @@ func NewFabric(engine *sim.Engine, net *mesh.Network, memory *mem.Memory,
 		Soft:     soft,
 		Counters: stats.NewCounters(),
 	}
-	f.homes = make([]*HomeCtl, n)
-	f.caches = make([]*CacheCtl, n)
+	ctl, reused := controllerPool(n).Get().(*controllers)
+	if !reused {
+		ctl = &controllers{homes: make([]*HomeCtl, n), caches: make([]*CacheCtl, n)}
+	}
+	f.homes, f.caches = ctl.homes, ctl.caches
 	for i := 0; i < n; i++ {
-		f.homes[i] = newHomeCtl(f, mem.NodeID(i), n)
-		f.caches[i] = newCacheCtl(f, mem.NodeID(i), cacheCfg)
+		id := mem.NodeID(i)
+		if reused {
+			f.homes[i].bind(f, id)
+			f.caches[i].bind(f, id, cacheCfg)
+		} else {
+			f.homes[i] = newHomeCtl(f, id, n)
+			f.caches[i] = newCacheCtl(f, id, cacheCfg)
+		}
 	}
 	return f, nil
+}
+
+// controllers is one fabric's home and cache controllers, by node.
+type controllers struct {
+	homes  []*HomeCtl
+	caches []*CacheCtl
+}
+
+var (
+	controllerPoolsMu sync.Mutex
+	controllerPools   = map[int]*sync.Pool{} // released controllers by node count
+)
+
+func controllerPool(nodes int) *sync.Pool {
+	controllerPoolsMu.Lock()
+	defer controllerPoolsMu.Unlock()
+	p := controllerPools[nodes]
+	if p == nil {
+		p = new(sync.Pool)
+		controllerPools[nodes] = p
+	}
+	return p
+}
+
+// Release returns the fabric's controllers, emptied (HomeCtl.reset,
+// CacheCtl.reset), and their caches' line storage (cache.Cache.Release)
+// for reuse by later fabrics of the same node count. Pending work is
+// dropped: release the engine too (sim.Engine.Release). The fabric is
+// dead afterwards: Home, Cache and every path through them panic rather
+// than reach the fabric that reuses the controllers, as does a second
+// Release, so do not keep a controller across it. Counters and the other
+// fields it does not pool stay readable.
+func (f *Fabric) Release() {
+	if f.homes == nil {
+		panic("proto: release of a released fabric")
+	}
+	for i, cc := range f.caches {
+		cc.c.Release()
+		cc.c = nil
+		cc.reset()
+		f.homes[i].reset()
+	}
+	controllerPool(len(f.homes)).Put(&controllers{homes: f.homes, caches: f.caches})
+	f.homes, f.caches = nil, nil
 }
 
 // Nodes reports the machine size.

@@ -96,11 +96,11 @@ type readChain struct {
 	end        sim.Cycle // completion of the chain's last segment
 }
 
+// newHomeCtl builds node's home controller for fabric f, an n-node
+// machine.
 func newHomeCtl(f *Fabric, node mem.NodeID, nodes int) *HomeCtl {
 	h := &HomeCtl{
-		f:            f,
-		node:         node,
-		dir:          dir.New(f.Spec.PointerCapacity(nodes)),
+		dir:          dir.New(0),
 		swTxn:        make(map[mem.Block]bool),
 		reads:        make(map[mem.Block]readChain),
 		pendingWrite: make(map[mem.Block]mem.NodeID),
@@ -109,7 +109,35 @@ func newHomeCtl(f *Fabric, node mem.NodeID, nodes int) *HomeCtl {
 		invSeen:      make([]uint32, nodes),
 	}
 	h.invAddFn = h.invAdd
+	h.bind(f, node)
 	return h
+}
+
+// bind attaches an empty controller, new or reset, to fabric f as node's.
+func (h *HomeCtl) bind(f *Fabric, node mem.NodeID) {
+	h.f, h.node = f, node
+	h.dir.Reset(f.Spec.PointerCapacity(len(h.invSeen)))
+}
+
+// reset empties the controller and detaches it from its fabric: no
+// directory entries, software transactions, read chains, parked writes,
+// block overrides, detector state, union stamps or statistics. It keeps
+// only storage (maps, directory, carrier free lists and scratch slices),
+// so bound again it behaves exactly as newHomeCtl's. CloneInto resets
+// the controller it overwrites, and Fabric.Release the controllers it
+// pools.
+func (h *HomeCtl) reset() {
+	h.f = nil
+	h.dir.Reset(0)
+	h.srv = sim.Server{}
+	clearMap(h.swTxn)
+	clearMap(h.reads)
+	clearMap(h.pendingWrite)
+	clearMap(h.overrides)
+	clearMap(h.mig)
+	clear(h.invSeen)
+	h.invGen, h.invReq, h.invOut = 0, 0, nil
+	h.Traps, h.BusySent, h.StrayAcks = 0, 0, 0
 }
 
 // Deliver queues an incoming protocol message for hardware processing.

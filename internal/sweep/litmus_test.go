@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"swex/internal/litmus"
@@ -194,5 +195,83 @@ func TestLitmusJobKeyDistinguishesFaultInjection(t *testing.T) {
 	}
 	if kw == kc {
 		t.Fatal("lost-invalidation config shares a cache key with the clean one")
+	}
+}
+
+// TestReusedMachineStorageIsInvisible runs one two-worker Runner over
+// litmus jobs that alternate protocol (full map, LimitLESS with software
+// acknowledgments, Dir1SW, software-only, directoryless), machine size,
+// threads per node, and cycle limits that stop some runs with work
+// pending, so nearly every job runs on controllers, directories, hash
+// tables, cache lines and engine queues some earlier job released, often
+// one of another size or protocol, on the other worker. Every outcome
+// must equal Execute on storage made fresh: two collections empty every
+// sync.Pool, which is the state a new process starts in.
+func TestReusedMachineStorageIsInvisible(t *testing.T) {
+	progs := make([]litmus.Program, 0, 24)
+	for _, tc := range litmus.Corpus() {
+		progs = append(progs, tc.Prog)
+	}
+	rnd := sim.NewRand(7)
+	for len(progs) < cap(progs) {
+		progs = append(progs, litmus.Generate(rnd, litmus.GenConfig{
+			Threads: 2 + rnd.Intn(3), Vars: 2 + rnd.Intn(2), SpecAliases: []string{"h1ack", "dir1sw"},
+		}))
+	}
+	var jobs []Job
+	for i, p := range progs {
+		for s, alias := range []string{"full", "h1ack", "dir1sw", "h0", "dls"} {
+			spec, err := litmus.SpecByAlias(alias)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := i + s
+			cfg := machine.DefaultConfig(4+4*(k%2), spec)
+			cfg.ThreadsPerNode = 1 + k/2%2
+			if len(p.Threads) > cfg.Nodes || !litmus.CompatibleBase(p, spec) {
+				continue
+			}
+			j := LitmusJob(p, cfg)
+			if k%3 == 0 {
+				j.Limit = sim.Cycle(20 + 15*(k%4))
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	type outcome struct {
+		Result Result
+		Err    string
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	// The budget turns a run that storage reuse sends astray into a
+	// failed outcome instead of a hang.
+	const budget = 1_000_000
+	r := MustNewRunner(Config{Workers: 2, CycleBudget: budget})
+	defer r.Close()
+	got := r.Sweep(context.Background(), jobs)
+	if r.TotalExecs() != len(jobs) {
+		t.Fatalf("runner executed %d of %d jobs", r.TotalExecs(), len(jobs))
+	}
+	failed := 0
+	for i, j := range jobs {
+		runtime.GC()
+		runtime.GC()
+		res, err := Execute(j, budget)
+		want := outcome{res, errText(err)}
+		if err != nil {
+			failed++
+		}
+		if o := (outcome{got[i].Result, errText(got[i].Err)}); !reflect.DeepEqual(o, want) {
+			t.Fatalf("job %d (%s, %d threads per node): on released storage %+v, on fresh storage %+v",
+				i, j, j.Config.ThreadsPerNode, o, want)
+		}
+	}
+	if failed == 0 || failed == len(jobs) {
+		t.Fatalf("%d of %d jobs hit their limit; the test needs both kinds", failed, len(jobs))
 	}
 }
