@@ -29,9 +29,9 @@ vet:
 # machine. The core is single-threaded by contract — application threads
 # are coroutines that alternate with the engine and start no goroutines —
 # so a report there means something broke the lockstep. The interesting
-# schedules are in the pool merge, the result cache's journal, and cache
-# line storage that one sweep worker releases and another reuses
-# (TestReusedCacheStorageIsInvisible).
+# schedules are in the pool merge, the result cache's journal, and machine
+# storage that one sweep worker releases and another reuses
+# (TestReusedMachineStorageIsInvisible).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/proc/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/litmus/...
 
@@ -88,9 +88,12 @@ sweep-smoke:
 # litmus package's oracle suite (verdict tables, cross-validation of the
 # two exact decision procedures), then a seeded swexfuzz campaign cold and
 # warm over one cache directory — the warm run must execute zero
-# simulations and print byte-identical stdout — and finally the negative
-# control: a machine weakened to drop an invalidation must be flagged by
-# the oracle, proving the pipeline can see a coherence bug.
+# simulations and print byte-identical stdout — then the same campaign
+# uncached on one and on two workers, which must print that stdout too:
+# released machine storage crosses sweep workers, so reuse must not be
+# visible at any worker count. Finally the negative control: a machine
+# weakened to drop an invalidation must be flagged by the oracle, proving
+# the pipeline can see a coherence bug.
 fuzz-smoke:
 	$(GO) test ./internal/litmus/ -count=1
 	d=$$(mktemp -d) && \
@@ -98,6 +101,10 @@ fuzz-smoke:
 	  $(GO) run ./cmd/swexfuzz -seed 1 -programs 50 -cache $$d 2>$$d/warm.err >$$d/warm.out && \
 	  cmp $$d/cold.out $$d/warm.out && \
 	  grep -q ' 0 simulation' $$d/warm.err && \
+	  $(GO) run ./cmd/swexfuzz -seed 1 -programs 50 -workers 1 >$$d/workers1.out && \
+	  $(GO) run ./cmd/swexfuzz -seed 1 -programs 50 -workers 2 >$$d/workers2.out && \
+	  cmp $$d/cold.out $$d/workers1.out && \
+	  cmp $$d/cold.out $$d/workers2.out && \
 	  rm -rf $$d
 	$(GO) run ./cmd/swexfuzz -weakened >/dev/null
 
