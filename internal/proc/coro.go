@@ -8,14 +8,14 @@ import (
 )
 
 // stopPanic is the sentinel that unwinds a thread stopped while suspended
-// in do (see Node.Stop). Only the stopped thread's coroutine body
+// (see Node.Stop). Only the stopped thread's coroutine body
 // recovers it.
 const stopPanic = "proc: thread stopped before it finished"
 
 // start makes fn the thread's coroutine body. Nothing runs until the first
 // pull.
 func (t *thread) start(fn func(*Env), env *Env) {
-	t.pull, t.stop = iter.Pull(func(yield func(request) bool) {
+	t.pull, t.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if !t.stopping {
 				return // a finished thread, or a panic that must propagate
@@ -30,15 +30,13 @@ func (t *thread) start(fn func(*Env), env *Env) {
 	})
 }
 
-// do issues one operation and suspends the thread until the simulator
-// replies. Every Env operation funnels through here; it is the thread-side
-// half of the alternation whose engine side is thread.next. When the
-// thread is stopped instead of resumed, do unwinds it.
-func (e *Env) do(r request) uint64 {
-	t := e.thread
-	if !t.yield(r) {
+// suspend is the thread-side half of the alternation whose engine side is
+// thread.next: it hands control back to the simulator until the queue has
+// drained. When the thread is stopped instead of resumed, suspend unwinds
+// it.
+func (t *thread) suspend() {
+	if !t.yield(struct{}{}) {
 		t.stopping = true
 		panic(stopPanic)
 	}
-	return t.result
 }
