@@ -65,6 +65,10 @@ func main() {
 	if strings.ToLower(*software) == "asm" {
 		cfg.Software = machine.TunedASM
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "swexrun:", err)
+		os.Exit(2)
+	}
 
 	var app swex.App
 	switch {

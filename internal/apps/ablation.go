@@ -76,11 +76,7 @@ func MissStream(blocksPerThread int) Program {
 		Name: "miss-stream",
 		Setup: func(m *machine.Machine) Instance {
 			P := m.Cfg.Nodes
-			threads := m.Cfg.ThreadsPerNode
-			if threads < 1 {
-				threads = 1
-			}
-			total := threads * blocksPerThread
+			total := m.Cfg.Threads() * blocksPerThread
 			bases := make([]mem.Addr, P)
 			for n := 0; n < P; n++ {
 				bases[n] = m.Mem.AllocOn(mem.NodeID(n), total*mem.WordsPerBlock)

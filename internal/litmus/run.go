@@ -108,10 +108,7 @@ func (p Program) setup(m *machine.Machine) apps.Instance {
 	if len(p.Threads) > nodes {
 		panic(fmt.Sprintf("litmus: %d threads on a %d-node machine", len(p.Threads), nodes))
 	}
-	tpn := m.Cfg.ThreadsPerNode
-	if tpn < 1 {
-		tpn = 1
-	}
+	tpn := m.Cfg.Threads()
 	// One block per variable, homes striped across nodes. The pad before
 	// each allocation staggers the block index within the segment, so no
 	// two variables ever map to the same direct-mapped cache set — a

@@ -59,8 +59,9 @@ type Config struct {
 	// MigratoryDetect enables migratory-data adaptation (see proto).
 	MigratoryDetect bool
 	// ThreadsPerNode runs several hardware contexts per node (Sparcle's
-	// block multithreading for latency tolerance). 0 or 1 matches the
-	// paper's single-threaded experiments.
+	// block multithreading for latency tolerance), at most
+	// proc.MaxContexts. 0 or 1 matches the paper's single-threaded
+	// experiments; Threads resolves the zero.
 	ThreadsPerNode int
 	// CacheLines overrides the 4096-line cache (0 = default). The
 	// application studies shrink this so scaled-down working sets still
@@ -265,10 +266,7 @@ func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) 
 // the engine runs straight to completion or the limit; otherwise it stops
 // every interval cycles to call sample.
 func (m *Machine) run(program func(*proc.Env), limit, interval sim.Cycle, sample func()) (Result, error) {
-	threads := m.Cfg.ThreadsPerNode
-	if threads < 1 {
-		threads = 1
-	}
+	threads := m.Cfg.Threads()
 	for _, n := range m.Nodes {
 		n.StartThreads(threads, program)
 	}

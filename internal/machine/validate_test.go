@@ -26,6 +26,10 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-nodes", base(func(c *Config) { c.Nodes = 0 }), ErrNodes},
 		{"negative-nodes", base(func(c *Config) { c.Nodes = -4 }), ErrNodes},
 		{"negative-loseinv", base(func(c *Config) { c.LoseInv = -1 }), ErrLoseInv},
+		{"four-threads", base(func(c *Config) { c.ThreadsPerNode = 4 }), nil},
+		{"five-threads", base(func(c *Config) { c.ThreadsPerNode = 5 }), ErrThreads},
+		{"negative-threads", base(func(c *Config) { c.ThreadsPerNode = -1 }), ErrThreads},
+		{"huge-threads", base(func(c *Config) { c.ThreadsPerNode = 1 << 30 }), ErrThreads},
 		{"two-way", base(func(c *Config) { c.CacheWays = 2 }), nil},
 		{"small-four-way", base(func(c *Config) { c.CacheLines, c.CacheWays = 8, 4 }), nil},
 		{"negative-victim", base(func(c *Config) { c.VictimLines = -2 }), ErrCacheGeometry},
@@ -61,6 +65,14 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want errors.Is(%v)", err, tc.want)
 			}
 		})
+	}
+}
+
+func TestConfigThreads(t *testing.T) {
+	for tpn, want := range []int{1, 1, 2, 3, 4} {
+		if got := (Config{ThreadsPerNode: tpn}).Threads(); got != want {
+			t.Errorf("ThreadsPerNode %d: Threads() = %d, want %d", tpn, got, want)
+		}
 	}
 }
 
