@@ -119,13 +119,22 @@ memtier-smoke:
 	$(GO) test ./internal/litmus/ -run 'MemTier|WeakenedFixtureStillCaught' -count=1
 	$(GO) run ./cmd/swex -quick tiers >/dev/null
 
-# trace-smoke exercises the tracing pipeline end to end: a traced run must
-# export, export deterministically, and round-trip the profile view. The
-# per-package tests assert the details; this is the `make check` wiring.
+# trace-smoke exercises the tracing pipeline end to end through swexrun's
+# three modes: a traced run must export, export the same bytes when run
+# again, and round-trip the profile view, and a report-mode run must pass
+# under the coherence invariant checker. The per-package tests assert the
+# details; this is the `make check` wiring.
+TRACE_SMOKE_RUN = -worker 4 -iters 2 -nodes 4 -protocol h2
 trace-smoke:
 	$(GO) test ./internal/trace/
-	$(GO) run ./cmd/swextrace -worker 4 -iters 2 -nodes 4 -protocol h2 -o /tmp/swextrace-smoke.json
-	$(GO) run ./cmd/swextrace profile -worker 4 -iters 2 -nodes 4 -protocol h2 >/dev/null
+	d=$$(mktemp -d) && \
+	  $(GO) build -o $$d/swexrun ./cmd/swexrun && \
+	  $$d/swexrun trace $(TRACE_SMOKE_RUN) -o $$d/a.json && \
+	  $$d/swexrun trace $(TRACE_SMOKE_RUN) -o $$d/b.json && \
+	  cmp $$d/a.json $$d/b.json && \
+	  $$d/swexrun profile $(TRACE_SMOKE_RUN) >/dev/null && \
+	  $$d/swexrun $(TRACE_SMOKE_RUN) -verify >/dev/null && \
+	  rm -rf $$d
 
 # bench-smoke runs every perfbench workload for one second and requires
 # each run's last line to report "correct":true and "failed":0. That puts

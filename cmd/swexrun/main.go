@@ -1,19 +1,42 @@
-// Command swexrun runs a single workload on a single machine configuration
-// and reports everything the simulator observed: run time, per-node finish
-// spread, traps, handler occupancy, message mix, cache behavior, and the
-// worker-set histogram. It is the interactive counterpart of cmd/swex's
-// batch experiments — the tool for exploring one configuration in depth.
+// Command swexrun runs a single workload on a single machine configuration.
+// It is the interactive counterpart of cmd/swex's batch experiments — the
+// tool for exploring one configuration in depth. An optional mode word
+// picks what it shows of the run:
+//
+//	swexrun [flags] [preset]          print everything the simulator observed:
+//	                                  run time, per-node finish spread, traps,
+//	                                  handler occupancy, message mix, cache
+//	                                  behavior, and the worker-set histogram
+//	swexrun trace [flags] [preset]    write the run's structured trace
+//	                                  (internal/trace) as Chrome trace-event JSON
+//	swexrun profile [flags] [preset]  print the trace's critical-path profile
+//
+// The optional positional preset names a canned configuration:
+//
+//	fig2-point   WORKER set size 8, 10 iterations, 16 nodes, Dir_nH_5S_NB
+//	table2       alias of fig2-point (the paper's Table 2 measurement run)
 //
 // Examples:
 //
 //	swexrun -app WATER -nodes 64 -protocol h5 -victim 8
 //	swexrun -worker 8 -iters 10 -nodes 16 -protocol h1ack
-//	swexrun -app TSP -nodes 64 -protocol h0 -trace 40
+//	swexrun trace -o trace.json fig2-point
+//	swexrun trace -ring 40 -app TSP -nodes 64 -protocol h0
+//	swexrun profile fig2-point
+//
+// Every mode is deterministic: the same arguments produce byte-identical
+// output. Open trace JSON in https://ui.perfetto.dev or chrome://tracing;
+// memory transactions are correlated across nodes as flows, and messages
+// appear as async spans on each source node's net track. A bad flag,
+// preset, protocol, application or configuration exits 2 with the error.
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -23,33 +46,70 @@ import (
 	"swex/internal/litmus"
 	"swex/internal/machine"
 	"swex/internal/mem"
-	"swex/internal/proto"
+	"swex/internal/trace"
+)
+
+// Usage errors beyond those the machine, protocol and application
+// lookups name themselves.
+var (
+	errPreset   = errors.New("unknown preset (want fig2-point or table2)")
+	errSoftware = errors.New("-software must be c or asm")
+	errIters    = errors.New("-iters must be at least 1")
+	errRing     = errors.New("-ring must be non-negative")
+	errWorkload = errors.New("need -app, -worker, or a preset")
 )
 
 func main() {
+	args := os.Args[1:]
+	mode := ""
+	if len(args) > 0 && (args[0] == "trace" || args[0] == "profile") {
+		mode, args = args[0], args[1:]
+	}
+
+	fs := flag.NewFlagSet(strings.TrimSpace("swexrun "+mode), flag.ExitOnError)
 	var (
-		appName   = flag.String("app", "", "application: TSP AQ SMGRID EVOLVE MP3D WATER")
-		workerK   = flag.Int("worker", 0, "run WORKER with this worker-set size instead of -app")
-		iters     = flag.Int("iters", 10, "WORKER iterations")
-		nodes     = flag.Int("nodes", 16, "machine size")
-		protoStr  = flag.String("protocol", "h5", "protocol alias: "+strings.Join(litmus.SpecAliases(), " "))
-		victim    = flag.Int("victim", 0, "victim cache lines (0 = off)")
-		ways      = flag.Int("ways", 0, "cache associativity (0/1 = direct-mapped)")
-		threads   = flag.Int("threads", 1, "hardware contexts per node")
-		pifetch   = flag.Bool("pifetch", false, "perfect instruction fetch")
-		software  = flag.String("software", "c", "protocol software: c or asm")
-		batch     = flag.Bool("batch", false, "read-burst batching enhancement")
-		parinv    = flag.Bool("parinv", false, "parallel invalidation enhancement")
-		migratory = flag.Bool("migratory", false, "migratory-data adaptation")
-		traceN    = flag.Int("trace", 0, "dump the last N protocol events")
-		profile   = flag.Int("profile", 0, "sample a timeline every N cycles")
-		verify    = flag.Bool("verify", false, "run with the coherence invariant checker")
+		appName   = fs.String("app", "", "application: TSP AQ SMGRID EVOLVE MP3D WATER")
+		workerK   = fs.Int("worker", 0, "run WORKER with this worker-set size instead of -app")
+		iters     = fs.Int("iters", 10, "WORKER iterations")
+		nodes     = fs.Int("nodes", 16, "machine size")
+		protoStr  = fs.String("protocol", "h5", "protocol alias: "+strings.Join(litmus.SpecAliases(), " "))
+		victim    = fs.Int("victim", 0, "victim cache lines (0 = off)")
+		ways      = fs.Int("ways", 0, "cache associativity (0/1 = direct-mapped)")
+		threads   = fs.Int("threads", 1, "hardware contexts per node")
+		pifetch   = fs.Bool("pifetch", false, "perfect instruction fetch")
+		software  = fs.String("software", "c", "protocol software: c or asm")
+		batch     = fs.Bool("batch", false, "read-burst batching enhancement")
+		parinv    = fs.Bool("parinv", false, "parallel invalidation enhancement")
+		migratory = fs.Bool("migratory", false, "migratory-data adaptation")
+		verify    = fs.Bool("verify", false, "run with the coherence invariant checker")
+		ring, out = new(int), new(string)
 	)
-	flag.Parse()
+	if mode != "" {
+		fs.IntVar(ring, "ring", 0, "keep only the last N events (0 = unbounded)")
+		fs.StringVar(out, "o", "", `output file ("-" or empty = stdout)`)
+	}
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: swexrun [trace | profile] [flags] [fig2-point | table2]")
+		fs.PrintDefaults()
+	}
+	fs.Parse(args) // ExitOnError: a bad flag exits 2
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
+		os.Exit(2)
+	}
+
+	// A positional preset overrides the workload flags.
+	switch strings.ToLower(strings.Join(fs.Args(), " ")) {
+	case "":
+	case "fig2-point", "table2":
+		*workerK, *iters, *nodes, *protoStr = 8, 10, 16, "h5"
+	default:
+		usage(fmt.Errorf("%w: %q", errPreset, strings.Join(fs.Args(), " ")))
+	}
 
 	spec, err := litmus.SpecByAlias(strings.ToLower(*protoStr))
 	if err != nil {
-		log.Fatalf("unknown protocol %q", *protoStr)
+		usage(err)
 	}
 	cfg := machine.Config{
 		Nodes:           *nodes,
@@ -62,60 +122,99 @@ func main() {
 		MigratoryDetect: *migratory,
 		ThreadsPerNode:  *threads,
 	}
-	if strings.ToLower(*software) == "asm" {
+	switch strings.ToLower(*software) {
+	case "c":
+	case "asm":
 		cfg.Software = machine.TunedASM
+	default:
+		usage(fmt.Errorf("%w: got %q", errSoftware, *software))
 	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "swexrun:", err)
-		os.Exit(2)
+	if *ring < 0 {
+		usage(fmt.Errorf("%w: got %d", errRing, *ring))
+	}
+	var sink *trace.Collector
+	if mode != "" {
+		if *ring > 0 {
+			sink = trace.NewRing(*ring)
+		} else {
+			sink = trace.NewCollector()
+		}
+		cfg.Trace = sink
 	}
 
 	var app swex.App
 	switch {
 	case *workerK > 0:
+		if *iters < 1 {
+			usage(fmt.Errorf("%w: got %d", errIters, *iters))
+		}
 		app = swex.Worker(*workerK, *iters)
 	case *appName != "":
-		var err error
-		app, err = swex.AppByName(strings.ToUpper(*appName))
-		if err != nil {
-			log.Fatal(err)
+		if app, err = swex.AppByName(strings.ToUpper(*appName)); err != nil {
+			usage(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "swexrun: need -app or -worker")
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		usage(errWorkload)
 	}
 
+	// machine.New validates the configuration before it builds anything.
 	m, err := machine.New(cfg)
 	if err != nil {
-		log.Fatal(err)
-	}
-	var tracer *proto.RingTracer
-	if *traceN > 0 {
-		tracer = proto.NewRingTracer(*traceN)
-		m.Fabric.Trace = tracer
+		usage(err)
 	}
 	if *verify {
 		m.Fabric.EnableChecker()
 	}
-
-	inst := app.Setup(m)
-	var res machine.Result
-	var timeline *machine.Timeline
-	if *profile > 0 {
-		var err2 error
-		res, timeline, err2 = m.RunProfiled(inst.Thread, 0, swex.Cycle(*profile))
-		if err2 != nil {
-			log.Fatal(err2)
-		}
-	} else {
-		var err2 error
-		res, err2 = m.Run(inst.Thread, 0)
-		if err2 != nil {
-			log.Fatal(err2)
-		}
+	res, err := m.Run(app.Setup(m).Thread, 0)
+	if err != nil {
+		log.Fatal(err)
 	}
 
+	if mode == "" {
+		report(app, m, res)
+		return
+	}
+	w := os.Stdout
+	if *out != "" && *out != "-" {
+		if w, err = os.Create(*out); err != nil {
+			log.Fatal(err)
+		}
+	}
+	events := sink.Events()
+	if mode == "trace" {
+		err = trace.WritePerfetto(w, events, cfg.Nodes)
+	} else {
+		err = profile(w, app, cfg, res, events)
+	}
+	if err == nil && w != os.Stdout {
+		err = w.Close()
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if mode == "trace" {
+		fmt.Fprintf(os.Stderr, "swexrun trace: %s on %d nodes, %s: %d cycles, %d events (%d collected)\n",
+			app.Name, cfg.Nodes, cfg.Spec.Name, res.Time, sink.Total(), len(events))
+	}
+}
+
+// profile prints the critical-path attribution of a traced run.
+func profile(w io.Writer, app swex.App, cfg machine.Config, res machine.Result, events []trace.Event) error {
+	bw := bufio.NewWriter(w)
+	recs := trace.Attribute(events)
+	prof := trace.Summarize(recs)
+	fmt.Fprintf(bw, "%s on %d nodes, %s (%s software): %d cycles, %d transactions\n\n",
+		app.Name, cfg.Nodes, cfg.Spec.Name, cfg.Software, res.Time, len(recs))
+	fmt.Fprintf(bw, "%s\n", prof.PathTable())
+	fmt.Fprintf(bw, "%s\n", prof.WorkTable())
+	return bw.Flush()
+}
+
+// report prints the run's statistics: timing, traps, cache behavior, the
+// message mix and the worker-set histogram.
+func report(app swex.App, m *machine.Machine, res machine.Result) {
+	cfg := m.Cfg
 	fmt.Printf("%s on %d nodes, %s (%s software)\n", app.Name, cfg.Nodes, cfg.Spec.Name, cfg.Software)
 	fmt.Printf("  run time          %d cycles (%.3f ms at 33 MHz)\n", res.Time, 1000*res.Time.Seconds())
 	min, max := res.Finish[0], res.Finish[0]
@@ -179,23 +278,4 @@ func main() {
 		fmt.Printf(" %d:%d", b, res.WorkerSets.Count(b))
 	}
 	fmt.Println()
-
-	if timeline != nil {
-		fmt.Printf("\ntimeline (every %d cycles): messages | traps\n", timeline.Interval)
-		var peak uint64 = 1
-		for _, v := range timeline.Messages {
-			if v > peak {
-				peak = v
-			}
-		}
-		for i := range timeline.Messages {
-			bar := int(timeline.Messages[i] * 40 / peak)
-			fmt.Printf("%10d  %-40s %6d | %d\n", swex.Cycle(i+1)*timeline.Interval,
-				strings.Repeat("#", bar), timeline.Messages[i], timeline.Traps[i])
-		}
-	}
-
-	if tracer != nil {
-		fmt.Printf("\nlast %d protocol events:\n%s", tracer.Len(), tracer.Dump())
-	}
 }

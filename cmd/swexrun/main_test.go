@@ -50,17 +50,52 @@ func swexrun(t *testing.T, args ...string) (int, string) {
 	}
 }
 
-// TestThreadsOutOfRangeExits2 pins that a context count outside
-// 0..proc.MaxContexts is a usage error that names machine.ErrThreads,
-// reported before any machine (and so any thread) is built.
+// TestThreadsOutOfRangeExits2 pins that, in every mode, a context count
+// outside 0..proc.MaxContexts is a usage error that names
+// machine.ErrThreads, reported before any machine (and so any thread) is
+// built.
 func TestThreadsOutOfRangeExits2(t *testing.T) {
-	for _, threads := range []string{"-1", "5", "1000000"} {
-		code, stderr := swexrun(t, "-worker", "2", "-nodes", "2", "-threads", threads)
-		if code != 2 {
-			t.Errorf("-threads %s: exit status %d, want 2 (stderr %q)", threads, code, stderr)
+	for _, mode := range []string{"", "trace", "profile"} {
+		for _, threads := range []string{"-1", "5", "1000000"} {
+			args := []string{"-worker", "2", "-nodes", "2", "-threads", threads}
+			if mode != "" {
+				args = append([]string{mode}, args...)
+			}
+			code, stderr := swexrun(t, args...)
+			if code != 2 {
+				t.Errorf("%q -threads %s: exit status %d, want 2 (stderr %q)", mode, threads, code, stderr)
+			}
+			if !strings.Contains(stderr, machine.ErrThreads.Error()) {
+				t.Errorf("%q -threads %s: stderr %q does not name ErrThreads", mode, threads, stderr)
+			}
 		}
-		if !strings.Contains(stderr, machine.ErrThreads.Error()) {
-			t.Errorf("-threads %s: stderr %q does not name ErrThreads", threads, stderr)
+	}
+}
+
+// TestBadInputExits2 pins that each kind of bad input is a usage error
+// (exit 2) whose message names what was wrong, rather than a crash, a
+// silent default or a degenerate run.
+func TestBadInputExits2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-worker", "2", "-nodes", "2", "-protocol", "h9"}, "unknown protocol alias"},
+		{[]string{"-app", "NOPE", "-nodes", "2"}, "unknown application"},
+		{[]string{"trace", "fig3-point"}, errPreset.Error()},
+		{[]string{"-worker", "2", "-nodes", "2", "-software", "bogus"}, errSoftware.Error()},
+		{[]string{"-worker", "2", "-nodes", "2", "-iters", "-3"}, errIters.Error()},
+		{[]string{"trace", "-worker", "2", "-nodes", "2", "-ring", "-1"}, errRing.Error()},
+		{[]string{"-worker", "2", "-nodes", "2", "-protocol", "h2", "-software", "asm"}, "hand-tuned assembly"},
+		{[]string{"-nodes", "2"}, errWorkload.Error()},
+		{[]string{"-worker", "2", "-o", "x.json"}, "flag provided but not defined: -o"},
+	} {
+		code, stderr := swexrun(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit status %d, want 2 (stderr %q)", tc.args, code, stderr)
+		}
+		if !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: stderr %q does not contain %q", tc.args, stderr, tc.want)
 		}
 	}
 }

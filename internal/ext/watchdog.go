@@ -116,11 +116,6 @@ func (w *WatchdogTraps) Reserve(node mem.NodeID, cost sim.Cycle) sim.Cycle {
 	return start + cost
 }
 
-// FreeAt implements proto.TrapScheduler: the end of the handler backlog.
-func (w *WatchdogTraps) FreeAt(node mem.NodeID) sim.Cycle {
-	return w.nodes[node].handlerFree
-}
-
 // HandlerBusy reports cycles node's processor spent in protocol handlers.
 func (w *WatchdogTraps) HandlerBusy(node mem.NodeID) sim.Cycle {
 	return w.nodes[node].handlerBusy

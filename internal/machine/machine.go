@@ -259,13 +259,6 @@ type Result struct {
 // run summary. The limit bounds simulated cycles (0 = none); exceeding it
 // or deadlocking returns an error identifying the stuck nodes.
 func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) {
-	return m.run(program, limit, 0, nil)
-}
-
-// run is the one run loop behind Run and RunProfiled. With interval zero
-// the engine runs straight to completion or the limit; otherwise it stops
-// every interval cycles to call sample.
-func (m *Machine) run(program func(*proc.Env), limit, interval sim.Cycle, sample func()) (Result, error) {
 	threads := m.Cfg.Threads()
 	for _, n := range m.Nodes {
 		n.StartThreads(threads, program)
@@ -281,32 +274,19 @@ func (m *Machine) run(program func(*proc.Env), limit, interval sim.Cycle, sample
 		}
 		return true
 	}
-	for !finished() {
-		segEnd := limit
-		if interval != 0 {
-			segEnd = m.Engine.Now() + interval
-			if limit != 0 && segEnd > limit {
-				segEnd = limit
+	// RunUntil stops short of finished only when the event queue drains
+	// (a deadlock: simulated time can no longer advance) or the limit
+	// is reached.
+	if !m.Engine.RunUntil(finished, limit) {
+		var stuck []mem.NodeID
+		for _, n := range m.Nodes {
+			if !n.Done() {
+				stuck = append(stuck, n.ID)
 			}
 		}
-		m.Engine.RunUntil(finished, segEnd)
-		if sample != nil {
-			sample()
-		}
-		// A drained event queue with unfinished threads is a deadlock:
-		// simulated time can no longer advance toward the limit.
-		deadlocked := m.Engine.Pending() == 0 && !finished()
-		if deadlocked || (limit != 0 && m.Engine.Now() >= limit && !finished()) {
-			var stuck []mem.NodeID
-			for _, n := range m.Nodes {
-				if !n.Done() {
-					stuck = append(stuck, n.ID)
-				}
-			}
-			m.stopThreads()
-			return Result{}, fmt.Errorf("machine: run did not complete at cycle %d (stuck nodes: %v, pending events: %d)",
-				m.Engine.Now(), stuck, m.Engine.Pending())
-		}
+		m.stopThreads()
+		return Result{}, fmt.Errorf("machine: run did not complete at cycle %d (stuck nodes: %v, pending events: %d)",
+			m.Engine.Now(), stuck, m.Engine.Pending())
 	}
 	return m.result(), nil
 }
@@ -357,37 +337,4 @@ func (m *Machine) result() Result {
 		r.Ledger = &m.Soft.Ledger
 	}
 	return r
-}
-
-// Timeline is a coarse profile of a run: protocol activity sampled at
-// fixed simulated-time intervals, for seeing the phases of an application
-// (ramp-up, steady state, termination) at a glance.
-type Timeline struct {
-	// Interval is the sample spacing in cycles.
-	Interval sim.Cycle
-	// Messages and Traps hold the per-interval deltas.
-	Messages []uint64
-	Traps    []uint64
-}
-
-// RunProfiled is Run with periodic sampling every interval cycles
-// (0 = 10,000).
-func (m *Machine) RunProfiled(program func(*proc.Env), limit sim.Cycle, interval sim.Cycle) (Result, *Timeline, error) {
-	if interval == 0 {
-		interval = 10_000
-	}
-	tl := &Timeline{Interval: interval}
-	var lastMsgs, lastTraps uint64
-	sample := func() {
-		msgs := m.Net.Messages
-		var traps uint64
-		for i := 0; i < m.Cfg.Nodes; i++ {
-			traps += m.Fabric.Home(mem.NodeID(i)).Traps
-		}
-		tl.Messages = append(tl.Messages, msgs-lastMsgs)
-		tl.Traps = append(tl.Traps, traps-lastTraps)
-		lastMsgs, lastTraps = msgs, traps
-	}
-	res, err := m.run(program, limit, interval, sample)
-	return res, tl, err
 }

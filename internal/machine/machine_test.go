@@ -233,11 +233,11 @@ func TestFailedRunsReleaseThreads(t *testing.T) {
 	}
 	m = MustNew(DefaultConfig(4, proto.FullMap()))
 	a = m.Mem.AllocOn(0, 1)
-	if _, _, err := m.RunProfiled(func(env *proc.Env) {
+	if _, err := m.Run(func(env *proc.Env) {
 		defer func() { unwound++ }()
 		env.WaitChange(a, 0)
-	}, 100_000, 1_000); err == nil {
-		t.Fatal("deadlocked profiled run reported success")
+	}, 0); err == nil {
+		t.Fatal("deadlocked unlimited run reported success")
 	}
 	if unwound != 12 {
 		t.Fatalf("%d of 12 stuck threads unwound", unwound)
@@ -310,52 +310,6 @@ func TestIfetchModeledWhenEnabled(t *testing.T) {
 	st := m.Fabric.Cache(0).Cache().Stats
 	if st.IMisses == 0 || st.IHits == 0 {
 		t.Fatalf("ifetch not modeled: %d hits, %d misses", st.IHits, st.IMisses)
-	}
-}
-
-func TestRunProfiledTimeline(t *testing.T) {
-	m := MustNew(DefaultConfig(8, proto.LimitLESS(2)))
-	a := m.Mem.AllocOn(0, 1)
-	res, tl, err := m.RunProfiled(func(env *proc.Env) {
-		for i := 0; i < 10; i++ {
-			env.Read(a)
-			env.FetchAdd(a, 1)
-			env.Compute(500)
-		}
-	}, 0, 2_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Time == 0 {
-		t.Fatal("no result")
-	}
-	if len(tl.Messages) < 2 {
-		t.Fatalf("timeline has %d samples, want several", len(tl.Messages))
-	}
-	var total uint64
-	for _, v := range tl.Messages {
-		total += v
-	}
-	if total != res.Messages {
-		t.Fatalf("timeline messages sum %d != result %d", total, res.Messages)
-	}
-	var traps uint64
-	for _, v := range tl.Traps {
-		traps += v
-	}
-	if traps != res.Traps {
-		t.Fatalf("timeline traps sum %d != result %d", traps, res.Traps)
-	}
-}
-
-func TestRunProfiledDetectsStuck(t *testing.T) {
-	m := MustNew(DefaultConfig(2, proto.FullMap()))
-	a := m.Mem.AllocOn(0, 1)
-	_, _, err := m.RunProfiled(func(env *proc.Env) {
-		env.WaitChange(a, 0)
-	}, 50_000, 10_000)
-	if err == nil {
-		t.Fatal("stuck profiled run reported success")
 	}
 }
 

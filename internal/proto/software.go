@@ -53,17 +53,16 @@ type Software interface {
 }
 
 // TrapScheduler serializes protocol handler execution on a node's
-// processor. Handlers steal cycles from user code: the processor model
-// consults FreeAt before issuing user operations, so every cycle granted
-// to a handler is a cycle the application loses. Implementations may defer
-// handler starts to break livelock (the flexible interface's watchdog).
+// processor. Handlers steal cycles from user computation: Reserve pushes
+// each Compute past the handler windows it would overlap, so a cycle
+// granted to a handler is a compute cycle the application loses. Memory
+// operations are not held back: they issue while the node's own handler
+// runs. Implementations may defer handler starts to break livelock (the
+// flexible interface's watchdog).
 type TrapScheduler interface {
 	// Schedule books the node's processor for a handler costing cost
 	// cycles, returning the cycle at which the handler completes.
 	Schedule(node mem.NodeID, cost sim.Cycle) (done sim.Cycle)
-	// FreeAt reports when the node's processor is free of handler (and
-	// user compute) reservations.
-	FreeAt(node mem.NodeID) sim.Cycle
 	// Reserve books the node's processor for user computation, returning
 	// the cycle at which it completes. User work and handlers share the
 	// processor, which is how handler storms starve applications.
@@ -156,11 +155,6 @@ func NewImmediateTraps(engine *sim.Engine, n int) *ImmediateTraps {
 func (t *ImmediateTraps) Schedule(node mem.NodeID, cost sim.Cycle) sim.Cycle {
 	start := t.servers[node].Reserve(t.engine.Now(), cost)
 	return start + cost
-}
-
-// FreeAt implements TrapScheduler.
-func (t *ImmediateTraps) FreeAt(node mem.NodeID) sim.Cycle {
-	return t.servers[node].FreeAt()
 }
 
 // Reserve implements TrapScheduler.

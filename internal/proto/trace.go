@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"strings"
 
 	"swex/internal/sim"
 )
@@ -13,68 +12,6 @@ import (
 type Tracer interface {
 	// Event records one protocol event at the given cycle.
 	Event(cycle sim.Cycle, kind string, detail string)
-}
-
-// RingTracer keeps the most recent N events in a ring buffer, for
-// post-mortem inspection of deadlocks and protocol bugs.
-type RingTracer struct {
-	events []tracedEvent
-	next   int
-	filled bool
-	// Total counts all events seen, including overwritten ones.
-	Total uint64
-}
-
-type tracedEvent struct {
-	cycle  sim.Cycle
-	kind   string
-	detail string
-}
-
-// NewRingTracer creates a tracer holding the last capacity events.
-func NewRingTracer(capacity int) *RingTracer {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &RingTracer{events: make([]tracedEvent, capacity)}
-}
-
-// Event implements Tracer.
-func (r *RingTracer) Event(cycle sim.Cycle, kind, detail string) {
-	r.events[r.next] = tracedEvent{cycle, kind, detail}
-	r.next++
-	r.Total++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.filled = true
-	}
-}
-
-// Len reports how many events are currently held.
-func (r *RingTracer) Len() int {
-	if r.filled {
-		return len(r.events)
-	}
-	return r.next
-}
-
-// Dump renders the held events oldest-first.
-func (r *RingTracer) Dump() string {
-	var b strings.Builder
-	emit := func(e tracedEvent) {
-		if e.kind != "" {
-			fmt.Fprintf(&b, "%10d  %-8s %s\n", e.cycle, e.kind, e.detail)
-		}
-	}
-	if r.filled {
-		for i := r.next; i < len(r.events); i++ {
-			emit(r.events[i])
-		}
-	}
-	for i := 0; i < r.next; i++ {
-		emit(r.events[i])
-	}
-	return b.String()
 }
 
 // traceMsg hooks message injection.

@@ -173,7 +173,7 @@ const (
 
 // TraceSink receives structured span events from a traced run; install one
 // through MachineConfig.Trace. See internal/trace for the event model,
-// critical-path attribution, and the Perfetto exporter behind cmd/swextrace.
+// critical-path attribution, and the Perfetto exporter behind `swexrun trace`.
 type TraceSink = trace.Sink
 
 // TraceEvent is one span in a trace.
