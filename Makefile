@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke bench-smoke
+.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke bench-smoke full-golden
 
 all: build test
 
@@ -136,6 +136,19 @@ trace-smoke:
 	  $$d/swexrun $(TRACE_SMOKE_RUN) -verify >/dev/null && \
 	  rm -rf $$d
 
+# full-golden runs every exhibit in full mode, the mode every comparison
+# with the paper is made in, and compares the report with
+# testdata/full_exhibits.golden byte for byte (about 20 s on two cores;
+# tier-1 `go test` pins only the quick mode). After an intended change to
+# simulated behaviour, regenerate the golden with
+# `go run ./cmd/swex all > testdata/full_exhibits.golden` and review the
+# diff row by row.
+full-golden:
+	d=$$(mktemp -d) && \
+	  $(GO) run ./cmd/swex all >$$d/full.out && \
+	  cmp $$d/full.out testdata/full_exhibits.golden && \
+	  rm -rf $$d
+
 # bench-smoke runs every perfbench workload for one second and requires
 # each run's last line to report "correct":true and "failed":0. That puts
 # the benchmark's gate in CI: every simulated result is checked against
@@ -150,4 +163,4 @@ bench-smoke:
 	    { echo "bench-smoke: $$w did not pass its gate" >&2; exit 1; }; \
 	done
 
-check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke
+check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke full-golden
