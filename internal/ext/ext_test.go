@@ -9,7 +9,6 @@ import (
 
 	"swex/internal/mem"
 	"swex/internal/proto"
-	"swex/internal/sim"
 	"swex/internal/stats"
 )
 
@@ -453,57 +452,6 @@ func TestSoftwareOnlyLocalRequestKind(t *testing.T) {
 	}
 }
 
-func TestWatchdogDefersUnderStorm(t *testing.T) {
-	engine := sim.NewEngine()
-	w := NewWatchdogTraps(engine, 1)
-	w.Threshold = 100
-	w.Grace = 50
-	// Build a backlog beyond the threshold.
-	var last sim.Cycle
-	for i := 0; i < 10; i++ {
-		last = w.Schedule(0, 40)
-	}
-	if w.TotalActivations() == 0 {
-		t.Fatal("watchdog never engaged under a 400-cycle backlog")
-	}
-	// The backlog must include at least one grace window.
-	if last < 400+w.Grace {
-		t.Fatalf("handler completion %d shows no grace insertion", last)
-	}
-}
-
-func TestWatchdogIdleNoDeferral(t *testing.T) {
-	engine := sim.NewEngine()
-	w := NewWatchdogTraps(engine, 1)
-	done := w.Schedule(0, 40)
-	if done != 40 {
-		t.Fatalf("idle handler completes at %d, want 40", done)
-	}
-	if w.TotalActivations() != 0 {
-		t.Fatal("watchdog engaged with no backlog")
-	}
-}
-
-func TestWatchdogUserReservationIgnoresHold(t *testing.T) {
-	engine := sim.NewEngine()
-	w := NewWatchdogTraps(engine, 1)
-	w.Threshold = 10
-	w.Grace = 1000
-	w.Schedule(0, 40)
-	w.Schedule(0, 40) // backlog 40 > 10: hold set, second handler deferred
-	// User compute gets the grace window: it runs as soon as the first
-	// handler finishes, while the deferred handler waits out the hold.
-	doneUser := w.Reserve(0, 10)
-	if doneUser != 50 {
-		t.Fatalf("user compute completes at %d, want 50 (inside grace window)", doneUser)
-	}
-	// The deferred handler waited out the hold (40 + Grace = 1040).
-	doneH := w.Schedule(0, 40)
-	if doneH < 1080 {
-		t.Fatalf("handler after watchdog completes at %d, want >= 1080", doneH)
-	}
-}
-
 func TestReadBatchedIncremental(t *testing.T) {
 	h, _ := New(16, proto.LimitLESS(5), FlexibleC())
 	full := h.ReadOverflow(7, []mem.NodeID{1, 2, 3, 4, 5}, 6)
@@ -538,21 +486,5 @@ func TestParallelInvReducesWriteCost(t *testing.T) {
 	}
 	if seqH.Cost().Name != "C" {
 		t.Fatal("Cost accessor broken")
-	}
-}
-
-func TestWatchdogAccessors(t *testing.T) {
-	engine := sim.NewEngine()
-	w := NewWatchdogTraps(engine, 2)
-	w.Schedule(0, 100)
-	w.Reserve(0, 50)
-	if w.HandlerBusy(0) != 100 {
-		t.Fatalf("HandlerBusy = %d, want 100", w.HandlerBusy(0))
-	}
-	if w.UserBusy(0) != 50 {
-		t.Fatalf("UserBusy = %d, want 50", w.UserBusy(0))
-	}
-	if w.TotalHandlerBusy() != 100 {
-		t.Fatalf("TotalHandlerBusy = %d, want 100", w.TotalHandlerBusy())
 	}
 }

@@ -114,7 +114,6 @@ type Machine struct {
 	Mem    *mem.Memory
 	Fabric *proto.Fabric
 	Soft   *ext.Handlers // nil for full-map
-	Traps  *ext.WatchdogTraps
 	Nodes  []*proc.Node
 }
 
@@ -130,7 +129,6 @@ func New(cfg Config) (*Machine, error) {
 	engine.SetStreams(make([]uint64, cfg.Nodes))
 	net := mesh.New(engine, mesh.DefaultConfig(cfg.Nodes))
 	memory := mem.New(cfg.Nodes)
-	traps := ext.NewWatchdogTraps(engine, cfg.Nodes)
 
 	var soft *ext.Handlers
 	if cfg.Spec.UsesSoftware() && cfg.CustomSoftware == nil {
@@ -160,7 +158,7 @@ func New(cfg Config) (*Machine, error) {
 	if soft != nil {
 		softIface = soft
 	}
-	fabric, err := proto.NewFabric(engine, net, memory, cfg.Spec, timing, traps,
+	fabric, err := proto.NewFabric(engine, net, memory, cfg.Spec, timing,
 		softIface, proto.CacheConfig{Cache: ccfg, PerfectIfetch: cfg.PerfectIfetch})
 	if err != nil {
 		return nil, err
@@ -184,7 +182,6 @@ func New(cfg Config) (*Machine, error) {
 		Mem:    memory,
 		Fabric: fabric,
 		Soft:   soft,
-		Traps:  traps,
 		Nodes:  make([]*proc.Node, cfg.Nodes),
 	}
 	for i := range m.Nodes {
@@ -329,7 +326,7 @@ func (m *Machine) result() Result {
 	}
 	for i := 0; i < m.Cfg.Nodes; i++ {
 		r.Traps += m.Fabric.Home(mem.NodeID(i)).Traps
-		r.HandlerCycles += m.Traps.HandlerBusy(mem.NodeID(i))
+		r.HandlerCycles += m.Fabric.Traps.HandlerBusy(mem.NodeID(i))
 		r.BusyRetries += m.Fabric.Cache(mem.NodeID(i)).Retries
 	}
 	r.Messages = m.Net.Messages

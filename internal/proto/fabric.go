@@ -22,7 +22,7 @@ type Fabric struct {
 	Mem    *mem.Memory
 	Timing Timing
 	Spec   Spec
-	Traps  TrapScheduler
+	Traps  Traps
 	Soft   Software
 	// MigratoryDetect enables the migratory-data adaptation (paper
 	// Section 7 "dynamic detection"): blocks observed to hop
@@ -184,7 +184,7 @@ func (t *procTag) Fire() {
 // NewFabric builds the fabric and both controllers for every node.
 // Software may be nil only for the full-map protocol.
 func NewFabric(engine *sim.Engine, net *mesh.Network, memory *mem.Memory,
-	spec Spec, timing Timing, traps TrapScheduler, soft Software,
+	spec Spec, timing Timing, soft Software,
 	cacheCfg CacheConfig) (*Fabric, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -202,7 +202,7 @@ func NewFabric(engine *sim.Engine, net *mesh.Network, memory *mem.Memory,
 		Mem:      memory,
 		Timing:   timing,
 		Spec:     spec,
-		Traps:    traps,
+		Traps:    newTraps(engine, n),
 		Soft:     soft,
 		Counters: stats.NewCounters(),
 	}

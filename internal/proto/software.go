@@ -52,23 +52,6 @@ type Software interface {
 	LastAckTrap(b mem.Block) sim.Cycle
 }
 
-// TrapScheduler serializes protocol handler execution on a node's
-// processor. Handlers steal cycles from user computation: Reserve pushes
-// each Compute past the handler windows it would overlap, so a cycle
-// granted to a handler is a compute cycle the application loses. Memory
-// operations are not held back: they issue while the node's own handler
-// runs. Implementations may defer handler starts to break livelock (the
-// flexible interface's watchdog).
-type TrapScheduler interface {
-	// Schedule books the node's processor for a handler costing cost
-	// cycles, returning the cycle at which the handler completes.
-	Schedule(node mem.NodeID, cost sim.Cycle) (done sim.Cycle)
-	// Reserve books the node's processor for user computation, returning
-	// the cycle at which it completes. User work and handlers share the
-	// processor, which is how handler storms starve applications.
-	Reserve(node mem.NodeID, cost sim.Cycle) (done sim.Cycle)
-}
-
 // NopSoftware is a Software that charges a fixed cost (zero by default)
 // and remembers sharers as sorted per-block lists. It stands in for
 // protocol software in hardware-focused unit tests; the real
@@ -137,33 +120,3 @@ func (s *NopSoftware) AckTrap(mem.Block, bool) sim.Cycle { return s.FixedCost }
 
 // LastAckTrap implements Software at the fixed cost.
 func (s *NopSoftware) LastAckTrap(mem.Block) sim.Cycle { return s.FixedCost }
-
-// ImmediateTraps is a TrapScheduler backed by per-node servers with no
-// watchdog, suitable for tests and for the hand-tuned software
-// configuration (whose handlers never livelock in the measured workloads).
-type ImmediateTraps struct {
-	engine  *sim.Engine
-	servers []sim.Server
-}
-
-// NewImmediateTraps returns a scheduler for n nodes.
-func NewImmediateTraps(engine *sim.Engine, n int) *ImmediateTraps {
-	return &ImmediateTraps{engine: engine, servers: make([]sim.Server, n)}
-}
-
-// Schedule implements TrapScheduler.
-func (t *ImmediateTraps) Schedule(node mem.NodeID, cost sim.Cycle) sim.Cycle {
-	start := t.servers[node].Reserve(t.engine.Now(), cost)
-	return start + cost
-}
-
-// Reserve implements TrapScheduler.
-func (t *ImmediateTraps) Reserve(node mem.NodeID, cost sim.Cycle) sim.Cycle {
-	start := t.servers[node].Reserve(t.engine.Now(), cost)
-	return start + cost
-}
-
-// HandlerBusy reports total cycles node spent in handlers and user compute.
-func (t *ImmediateTraps) HandlerBusy(node mem.NodeID) sim.Cycle {
-	return t.servers[node].Busy
-}

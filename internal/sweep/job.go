@@ -30,7 +30,10 @@ const LitmusName = litmus.AppName
 // swex-sim-v4: canonical (owner, cnt) event keys replaced issue-order
 // sequencing for same-cycle events (DESIGN.md §8), shifting cycle
 // counts by under a percent on every exhibit.
-const codeVersion = "swex-sim-v4"
+// swex-sim-v5: the livelock watchdog, which deferred handler starts on a
+// node whose handler backlog passed 2,000 cycles, was deleted; handler
+// timing moved in every run it had fired in.
+const codeVersion = "swex-sim-v5"
 
 // Names of the ablation workloads (internal/apps) a ProgramRef can carry in
 // App, beside WorkerName, LitmusName, and the six paper applications.
