@@ -89,6 +89,10 @@ func TestBadInputExits2(t *testing.T) {
 		{[]string{"-worker", "2", "-nodes", "2", "-protocol", "h2", "-software", "asm"}, "hand-tuned assembly"},
 		{[]string{"-nodes", "2"}, errWorkload.Error()},
 		{[]string{"-worker", "2", "-o", "x.json"}, "flag provided but not defined: -o"},
+		{[]string{"profile", "-nodes", "64", "-protocol", "h0", "fig2-point"}, errConflict.Error() + ": preset fig2-point sets -nodes"},
+		{[]string{"-iters", "3", "table2"}, errConflict.Error() + ": preset table2 sets -iters"},
+		{[]string{"-worker", "2", "-app", "WATER"}, errConflict.Error() + ": -worker and -app"},
+		{[]string{"-app", "WATER", "fig2-point"}, errConflict.Error() + ": -worker and -app"},
 	} {
 		code, stderr := swexrun(t, tc.args...)
 		if code != 2 {
