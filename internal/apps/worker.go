@@ -34,7 +34,9 @@ type WorkerParams struct {
 // its readers are the SetSize nodes following i in ring order. Every read
 // misses (the previous write invalidated it) and every write sends one
 // invalidation per reader, giving the completely deterministic access
-// pattern the paper uses as a controlled experiment.
+// pattern the paper uses as a controlled experiment. It runs one context
+// per node: on a multithreaded machine the further contexts return at
+// once.
 func Worker(p WorkerParams) Program {
 	return Program{
 		Name: "WORKER",
@@ -66,6 +68,11 @@ func Worker(p WorkerParams) Program {
 			// worker sets are exactly the benchmark's.
 			bar := shm.NewTreeBarrierArity(m.Mem, P, 2)
 			thread := func(env *proc.Env) {
+				if env.Thread() > 0 {
+					// The access pattern is one context per node; the
+					// barrier counts nodes, so further contexts idle.
+					return
+				}
 				id := int(env.ID())
 				env.SetCode(proc.CodeSpace+3000*mem.WordsPerBlock, 8)
 				// Initialization phase: each node writes its blocks.
