@@ -109,13 +109,12 @@ fuzz-smoke:
 	$(GO) run ./cmd/swexfuzz -weakened >/dev/null
 
 # memtier-smoke exercises the memory-tier subsystem end to end: the model's
-# unit suite, the model checker's cross-family equivalence and
-# directoryless goldens, the litmus corpus under tiered timing with the
-# sequential-consistency oracle, and the machine-spectrum exhibit through
-# the CLI (all three families plus the directoryless machine in one sweep).
+# unit suite, the litmus corpus under tiered timing and on the
+# directoryless machine with the sequential-consistency oracle, and the
+# machine-spectrum exhibit through the CLI (all three families plus the
+# directoryless machine in one sweep).
 memtier-smoke:
 	$(GO) test ./internal/memtier/ -count=1
-	$(GO) test ./internal/mc/ -run 'MemTier|Directoryless' -count=1
 	$(GO) test ./internal/litmus/ -run 'MemTier|WeakenedFixtureStillCaught' -count=1
 	$(GO) run ./cmd/swex -quick tiers >/dev/null
 

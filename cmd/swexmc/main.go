@@ -9,20 +9,24 @@
 // Usage:
 //
 //	swexmc [-spec all] [-nodes 2] [-blocks 1] [-ops 4] [-dfs] [-por]
-//	       [-watch] [-configure spec,spec,...] [-mig] [-batch]
+//	       [-watch] [-configure alias,alias,...] [-mig] [-batch]
 //	       [-max-states N] [-drop-inv N]
 //
-// With -spec all (the default) every protocol in the paper's spectrum is
-// checked, plus the Dir1SW cooperative-shared-memory variant. -watch adds
-// the producer–consumer pair to the alphabet. -configure gives block i
-// the i-th named protocol as a per-block override (an empty element keeps
-// the machine default), checking a mixed-spec machine. -por enables
-// sleep-set partial-order reduction, which preserves every verdict and
-// every quiescent state while pruning equivalent interleavings; the
-// pruned-edge count is printed per run. -drop-inv N seeds a protocol bug
-// — the Nth invalidation message is silently dropped — and the checker
-// finds the shortest interleaving that turns the lost message into an
-// invariant violation, demonstrating the counterexample machinery.
+// Protocols are named by the litmus.SpecAliases() vocabulary that swexrun
+// and swexfuzz take (full, h5..h2, h1, h1lack, h1ack, h0, dir1sw). With
+// -spec all (the default) every protocol in the paper's spectrum is
+// checked, plus the Dir1SW cooperative-shared-memory variant; the
+// directoryless dls machine caches nothing and is not model-checked.
+// -watch adds the producer–consumer pair to the alphabet. -configure
+// gives block i the i-th named protocol as a per-block override (an empty
+// element keeps the machine default), checking a mixed-spec machine.
+// -por enables sleep-set partial-order reduction, which preserves every
+// verdict and every quiescent state while pruning equivalent
+// interleavings; the pruned-edge count is printed per run. -drop-inv N
+// seeds a protocol bug — the Nth invalidation message is silently
+// dropped — and the checker finds the shortest interleaving that turns
+// the lost message into an invariant violation, demonstrating the
+// counterexample machinery.
 //
 // Exit status: 0 when every checked protocol satisfies the invariants,
 // 1 when a violation was found (the counterexample is printed), 2 on
@@ -35,12 +39,13 @@ import (
 	"os"
 	"strings"
 
+	"swex/internal/litmus"
 	"swex/internal/mc"
 	"swex/internal/proto"
 )
 
 func main() {
-	spec := flag.String("spec", "all", "protocol name to check, or \"all\" for the full spectrum")
+	spec := flag.String("spec", "all", "protocol alias to check, or \"all\" for the full spectrum")
 	nodes := flag.Int("nodes", 2, "machine size (2..8; exhaustive runs want 2 or 3)")
 	blocks := flag.Int("blocks", 1, "tracked blocks (1..4), block i homed on node i mod nodes")
 	ops := flag.Int("ops", 4, "operation budget per trace (exploration depth)")
@@ -48,7 +53,7 @@ func main() {
 	dfs := flag.Bool("dfs", false, "explore depth-first instead of breadth-first")
 	por := flag.Bool("por", false, "enable sleep-set partial-order reduction (BFS only)")
 	watch := flag.Bool("watch", false, "add the watch action (producer-consumer pairs) to the alphabet")
-	configure := flag.String("configure", "", "comma-separated per-block protocol overrides; empty element keeps the machine default")
+	configure := flag.String("configure", "", "comma-separated per-block protocol aliases; empty element keeps the machine default")
 	mig := flag.Bool("mig", false, "enable migratory-data detection on the checked machine")
 	batch := flag.Bool("batch", false, "enable read-burst batching on the checked machine")
 	dropInv := flag.Int("drop-inv", 0, "seed a bug: silently drop the Nth invalidation message")
@@ -83,9 +88,7 @@ func main() {
 			Overrides:       overrides,
 			MigratoryDetect: *mig,
 			BatchReads:      *batch,
-		}
-		if *dropInv > 0 {
-			cfg.Fault = proto.Fault{Kind: proto.MsgINV, Nth: *dropInv}
+			Fault:           proto.Fault{Kind: proto.MsgINV, Nth: *dropInv},
 		}
 		res, err := mc.Check(cfg)
 		if err != nil {
@@ -116,21 +119,16 @@ func main() {
 }
 
 // resolveSpecs maps the -spec flag to the protocols to check: "all" means
-// the paper's spectrum plus Dir1SW; anything else must name one protocol
-// (matched case-insensitively against Spec.Name).
-func resolveSpecs(name string) ([]proto.Spec, error) {
-	known := append(proto.Spectrum(), proto.Dir1SW())
-	if name == "all" {
-		return known, nil
+// the paper's spectrum plus Dir1SW; anything else must be one alias.
+func resolveSpecs(alias string) ([]proto.Spec, error) {
+	if alias == "all" {
+		return append(proto.Spectrum(), proto.Dir1SW()), nil
 	}
-	var names []string
-	for _, s := range known {
-		if strings.EqualFold(s.Name, name) {
-			return []proto.Spec{s}, nil
-		}
-		names = append(names, s.Name)
+	s, err := litmus.SpecByAlias(alias)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown protocol %q; known: %s, all", name, strings.Join(names, ", "))
+	return []proto.Spec{s}, nil
 }
 
 // resolveOverrides parses the -configure flag into per-block protocol
@@ -141,20 +139,17 @@ func resolveOverrides(arg string) ([]proto.Spec, error) {
 		return nil, nil
 	}
 	var out []proto.Spec
-	for _, name := range strings.Split(arg, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
+	for _, alias := range strings.Split(arg, ",") {
+		alias = strings.TrimSpace(alias)
+		if alias == "" {
 			out = append(out, proto.Spec{})
 			continue
 		}
-		specs, err := resolveSpecs(name)
+		s, err := litmus.SpecByAlias(alias)
 		if err != nil {
 			return nil, fmt.Errorf("-configure: %v", err)
 		}
-		if len(specs) != 1 {
-			return nil, fmt.Errorf("-configure: %q names %d protocols; overrides need exactly one each", name, len(specs))
-		}
-		out = append(out, specs[0])
+		out = append(out, s)
 	}
 	return out, nil
 }

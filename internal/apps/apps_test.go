@@ -264,12 +264,9 @@ func TestWaterWideReadSharing(t *testing.T) {
 	}
 }
 
-func TestAllAppsCompleteOnSpectrum(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full spectrum sweep")
-	}
-	// Small instances of every application across the protocol extremes.
-	progs := []Program{
+// tinyPrograms returns small instances of every application.
+func tinyPrograms() []Program {
+	return []Program{
 		TSP(TSPParams{Cities: 6, SpawnDepth: 2, Seed: 42, ExpandCycles: 5}),
 		AQ(AQParams{Tolerance: 0.01, MaxLevel: 5, SpawnLevel: 2, EvalCycles: 5}),
 		SMGrid(SMGridParams{Size: 9, Levels: 2, VCycles: 1, Sweeps: 1, PointCycles: 3}),
@@ -277,6 +274,14 @@ func TestAllAppsCompleteOnSpectrum(t *testing.T) {
 		MP3D(MP3DParams{Particles: 32, CellsPerSide: 4, Steps: 1, MoveCycles: 5, Seed: 3}),
 		Water(WaterParams{Molecules: 8, Steps: 1, PairCycles: 5, Seed: 5}),
 	}
+}
+
+func TestAllAppsCompleteOnSpectrum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full spectrum sweep")
+	}
+	// Small instances of every application across the protocol extremes.
+	progs := tinyPrograms()
 	specs := []proto.Spec{
 		proto.FullMap(), proto.LimitLESS(5), proto.LimitLESS(2),
 		proto.OnePointer(proto.AckHW), proto.OnePointer(proto.AckLACK),
@@ -291,6 +296,24 @@ func TestAllAppsCompleteOnSpectrum(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAppsCompleteWithTwoContexts pins that every application runs to
+// completion on a machine with two contexts per node: the programs
+// partition their work and synchronize by node, so the extra contexts
+// must idle rather than join a barrier or a termination count sized for
+// one context per node and hang it.
+func TestAppsCompleteWithTwoContexts(t *testing.T) {
+	for _, prog := range tinyPrograms() {
+		t.Run(prog.Name, func(t *testing.T) {
+			m := machine.MustNew(machine.Config{
+				Nodes: 4, Spec: proto.LimitLESS(5), VictimLines: 8, ThreadsPerNode: 2,
+			})
+			if _, _, err := prog.Run(m, 20_000_000); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

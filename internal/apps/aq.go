@@ -64,6 +64,11 @@ func AQ(p AQParams) Program {
 			result := shm.NewReducer(m.Mem, mem.NodeID(2%P))
 
 			thread := func(env *proc.Env) {
+				if env.Thread() > 0 {
+					// The program runs one context per node; the barrier and the
+					// termination detector count nodes, so further contexts idle.
+					return
+				}
 				id := env.ID()
 				env.SetCode(proc.CodeSpace+3100*mem.WordsPerBlock, 10)
 				if id == 0 {

@@ -70,6 +70,11 @@ func MP3D(p MP3DParams) Program {
 			space := side * 1024 // fixed-point coordinate space per axis
 
 			thread := func(env *proc.Env) {
+				if env.Thread() > 0 {
+					// The program runs one context per node; the barrier and the
+					// particle partition count nodes, so further contexts idle.
+					return
+				}
 				id := int(env.ID())
 				env.SetCode(proc.CodeSpace+3500*mem.WordsPerBlock, 12)
 				mine := perNode

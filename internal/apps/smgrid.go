@@ -72,6 +72,11 @@ func SMGrid(p SMGridParams) Program {
 			}
 
 			thread := func(env *proc.Env) {
+				if env.Thread() > 0 {
+					// The program runs one context per node; the barrier and the
+					// strip partition count nodes, so further contexts idle.
+					return
+				}
 				id := int(env.ID())
 				env.SetCode(proc.CodeSpace+3300*mem.WordsPerBlock, 14)
 

@@ -154,6 +154,11 @@ func TSP(p TSPParams) Program {
 			}
 
 			thread := func(env *proc.Env) {
+				if env.Thread() > 0 {
+					// The program runs one context per node; the barrier and the
+					// termination detector count nodes, so further contexts idle.
+					return
+				}
 				id := env.ID()
 				// Initialization code region: harmless sets.
 				env.SetCode(proc.CodeSpace+3200*mem.WordsPerBlock, 12)

@@ -26,8 +26,6 @@ func TestCloneMatchesReplay(t *testing.T) {
 		{"limitless", Config{Spec: h5, Nodes: 2, Blocks: 2, MaxOps: 2}},
 		{"software-only", smoke(proto.SoftwareOnly())},
 		{"watch", Config{Spec: proto.OnePointer(proto.AckLACK), Nodes: 2, Blocks: 1, MaxOps: 3, Watch: true}},
-		{"directoryless", Config{Spec: proto.Directoryless(), Nodes: 2, Blocks: 2, MaxOps: 2}},
-		{"memtier", Config{Spec: proto.SoftwareOnly(), Nodes: 2, Blocks: 1, MaxOps: 2, MemTier: zeroTiered()}},
 		{"overrides", Config{Spec: h5, Nodes: 2, Blocks: 2, MaxOps: 2, Overrides: []proto.Spec{proto.FullMap()}}},
 		{"mig-batch", Config{Spec: proto.OnePointer(proto.AckSW), Nodes: 3, Blocks: 1, MaxOps: 2, MigratoryDetect: true, BatchReads: true}},
 		{"fault", Config{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 3,

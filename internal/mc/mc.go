@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"swex/internal/mem"
-	"swex/internal/memtier"
 	"swex/internal/proto"
 )
 
@@ -145,15 +144,6 @@ type Config struct {
 	// proto.Fault). Used to seed protocol bugs the checker should catch.
 	// Its progress is part of each state's fingerprint.
 	Fault proto.Fault
-	// MemTier installs a memory-hierarchy model (internal/memtier) behind
-	// the home directories of every explored world. Use zero-latency tier
-	// configurations (memtier.New builds them without validation): the
-	// checker's state fingerprints deliberately exclude simulated time, so
-	// a tier that advances the clock would fold timing-distinct states.
-	// What this checks is the protocol logic on the tier's access paths —
-	// the write-occupancy hooks and the directoryless direct-access path —
-	// not the tier's timing, which the deterministic simulator covers.
-	MemTier memtier.Config
 
 	// independence, when non-nil, replaces the POR independence relation
 	// over tracked-block indices (por.go, (*porCtx).independentBlocks).
@@ -387,6 +377,9 @@ func (r *Result) noteQuiescent(w *world, key []byte) {
 
 // validate rejects configurations the checker cannot exhaust.
 func validate(cfg Config) error {
+	if cfg.Spec.Directoryless {
+		return fmt.Errorf("mc: a directoryless machine is not model-checked: it caches nothing, so it is coherent by construction; the SC litmus oracle covers it")
+	}
 	if err := cfg.Spec.Validate(); err != nil {
 		return err
 	}
@@ -399,6 +392,12 @@ func validate(cfg Config) error {
 	if cfg.MaxOps < 1 {
 		return fmt.Errorf("mc: operation budget %d; need at least 1", cfg.MaxOps)
 	}
+	if cfg.MaxStates < 0 {
+		return fmt.Errorf("mc: state bound %d; need 0 (the default) or more", cfg.MaxStates)
+	}
+	if cfg.Fault.Nth < 0 {
+		return fmt.Errorf("mc: fault drops message %d; need 0 (disarmed) or more", cfg.Fault.Nth)
+	}
 	seen := make(map[Action]bool)
 	for _, a := range cfg.Actions {
 		if a < 0 || a >= numActions {
@@ -408,20 +407,6 @@ func validate(cfg Config) error {
 			return fmt.Errorf("mc: duplicate action %s in alphabet", a)
 		}
 		seen[a] = true
-		if cfg.Spec.Directoryless && a != ActRead && a != ActWrite {
-			return fmt.Errorf("mc: action %s is meaningless under a directoryless spec (no cached copies to evict, direct, or watch)", a)
-		}
-	}
-	if cfg.Spec.Directoryless {
-		// Directoryless accesses from one node to same-home blocks share a
-		// per-(node, home) response FIFO, so same-home injections do not
-		// commute and the POR independence relation would be unsound.
-		if cfg.POR {
-			return fmt.Errorf("mc: POR is unsound under a directoryless spec (same-home direct accesses share a response FIFO and do not commute)")
-		}
-		if cfg.Watch {
-			return fmt.Errorf("mc: ActWatch under a directoryless spec polls forever in frozen time; use the direct read/write alphabet")
-		}
 	}
 	if cfg.Actions != nil && len(cfg.Actions) == 0 {
 		return fmt.Errorf("mc: empty action alphabet")
@@ -452,12 +437,6 @@ func (cfg Config) alphabet() []Action {
 	}
 	for a := ActRead; a < numActions; a++ {
 		if a == ActWatch && !cfg.Watch {
-			continue
-		}
-		// A directoryless machine caches nothing, so only the direct
-		// read/write actions can change state (validate rejects the rest
-		// when named explicitly).
-		if cfg.Spec.Directoryless && a != ActRead && a != ActWrite {
 			continue
 		}
 		acts = append(acts, a)

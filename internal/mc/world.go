@@ -7,7 +7,6 @@ import (
 
 	"swex/internal/cache"
 	"swex/internal/mem"
-	"swex/internal/memtier"
 	"swex/internal/mesh"
 	"swex/internal/proto"
 	"swex/internal/sim"
@@ -72,7 +71,6 @@ func newWorld(cfg Config) (*world, error) {
 	}
 	f.MigratoryDetect = cfg.MigratoryDetect
 	f.BatchReads = cfg.BatchReads
-	f.Tier = memtier.New(engine, cfg.Nodes, cfg.MemTier)
 	f.Fault = cfg.Fault
 	l := &layout{cfg: cfg, acts: cfg.alphabet(), blockIdx: make(map[mem.Block]int)}
 	for i := 0; i < cfg.Blocks; i++ {

@@ -3,8 +3,6 @@ package memtier
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 
 	"swex/internal/mem"
 	"swex/internal/mesh"
@@ -122,9 +120,8 @@ func DefaultTiered() Config {
 
 // Validate reports configuration errors with named, matchable causes. A
 // flat configuration is always valid. Model construction does not
-// validate (the model checker deliberately runs zero-latency tiers to
-// freeze simulated time); machine.Config.Validate is the gate real
-// machines pass through.
+// validate; machine.Config.Validate is the gate real machines pass
+// through.
 func (c Config) Validate() error {
 	switch c.Kind {
 	case KindFlat:
@@ -195,8 +192,7 @@ type Model struct {
 
 // New builds a model for a machine of n nodes. A KindFlat configuration
 // returns nil — the fabric's "no model" representation. New does not
-// validate timing (see Config.Validate): the model checker runs tiers at
-// zero latency on purpose.
+// validate timing (see Config.Validate).
 func New(engine *sim.Engine, n int, cfg Config) *Model {
 	if cfg.Kind == KindFlat {
 		return nil
@@ -223,30 +219,6 @@ func New(engine *sim.Engine, n int, cfg Config) *Model {
 		panic(fmt.Sprintf("memtier: unknown kind %d", int(cfg.Kind)))
 	}
 	return m
-}
-
-// Clone returns a model over engine with this one's configuration, link
-// and channel schedules, and block placement; statistics start at zero.
-// Cloning a nil (flat) model returns nil.
-func (m *Model) Clone(engine *sim.Engine) *Model {
-	if m == nil {
-		return nil
-	}
-	c := &Model{cfg: m.cfg, engine: engine}
-	for i := range m.far {
-		c.far = append(c.far, m.far[i].Fresh())
-	}
-	for i := range m.ch {
-		c.ch = append(c.ch, m.ch[i].Fresh())
-	}
-	for _, t := range m.tiers {
-		c.tiers = append(c.tiers, homeTier{
-			touches: maps.Clone(t.touches),
-			dram:    maps.Clone(t.dram),
-			order:   slices.Clone(t.order),
-		})
-	}
-	return c
 }
 
 // Kind reports the model's configured kind.

@@ -89,8 +89,8 @@ func TestDisaggregatedLatencyAndQueueing(t *testing.T) {
 }
 
 func TestDisaggregatedZeroLatencyIsFree(t *testing.T) {
-	// The model checker runs tiers at zero latency to freeze time; the
-	// model must accept that and charge nothing.
+	// New does not validate timing, so a zero-latency tier must build
+	// and charge nothing.
 	m := New(sim.NewEngine(), 2, Config{Kind: KindDisaggregated})
 	for i := 0; i < 4; i++ {
 		if got := m.Access(0, mem.Block(i), i%2 == 0); got != 0 {

@@ -58,7 +58,3 @@ func (l *TierLink) Transfer(now sim.Cycle) (queue, transit sim.Cycle) {
 
 // FreeAt reports when the link next falls idle (testing and statistics).
 func (l *TierLink) FreeAt() sim.Cycle { return l.srv.FreeAt() }
-
-// Fresh returns a link with this one's configuration and schedule and
-// zeroed statistics.
-func (l *TierLink) Fresh() TierLink { return TierLink{cfg: l.cfg, srv: l.srv.Fresh()} }

@@ -14,15 +14,18 @@ import (
 // ErrNotCopyable reports that Clone met state it cannot copy: a pending
 // event whose receiver the fabric does not own (a processor thread's
 // continuation, an instruction fetch resuming one), an operation carrying
-// a Done callback, or installed Software other than NopSoftware.
+// a Done callback, installed Software other than NopSoftware, a
+// directoryless (DLS) machine, or a memory tier.
 var ErrNotCopyable = errors.New("proto: fabric state is not copyable")
 
 // Clone returns an independent fabric in the same simulated state: the
 // engine's clock, key streams and pending queue, every directory, cache,
-// miss transaction, parked watcher and direct-access queue, the in-flight
-// registry, memory, the mesh and trap scheduler timelines, the software's
-// sharer lists, the memory tier and the fault's progress. Driven
-// identically, the clone behaves exactly as this fabric would.
+// miss transaction and parked watcher, the in-flight registry, memory,
+// the mesh and trap scheduler timelines, the software's sharer lists and
+// the fault's progress. Driven identically, the clone behaves exactly as
+// this fabric would. Only the model checker forks machines, and it checks
+// the directory spectrum over flat memory, so a directoryless fabric or
+// one with a memory tier is refused rather than half copied.
 //
 // Statistics start at zero, observers (Trace, Sink, the engine's
 // Observer, the mesh's Obs) are not carried, and completions of the
@@ -39,6 +42,12 @@ func (f *Fabric) Clone(completer Completer) (*Fabric, error) {
 // checker forks thousands of worlds a second this way without
 // allocating. After an error dst holds no usable state.
 func (f *Fabric) CloneInto(dst *Fabric, completer Completer) (*Fabric, error) {
+	if f.Spec.Directoryless {
+		return nil, fmt.Errorf("%w: directoryless machine", ErrNotCopyable)
+	}
+	if f.Tier != nil {
+		return nil, fmt.Errorf("%w: memory tier", ErrNotCopyable)
+	}
 	switch f.Soft.(type) {
 	case nil, *NopSoftware:
 	default:
@@ -97,7 +106,6 @@ func (f *Fabric) CloneInto(dst *Fabric, completer Completer) (*Fabric, error) {
 	n.Engine = engine
 	n.Net = f.Net.CloneInto(n.Net, engine)
 	f.Traps.cloneInto(&n.Traps, engine)
-	n.Tier = f.Tier.Clone(engine)
 	switch s := f.Soft.(type) {
 	case nil:
 		n.Soft = nil
@@ -262,14 +270,6 @@ func (cc *CacheCtl) cloneInto(dst *CacheCtl, f *Fabric) (*CacheCtl, error) {
 			callback = callback || w.op.Done != nil
 		}
 		c.watchers[b] = slices.Clone(ws)
-	}
-	for i := 0; i < f.Nodes(); i++ {
-		home := mem.NodeID(i)
-		q := cc.direct[home]
-		callback = callback || hasCallback(q)
-		if len(q) > 0 {
-			c.direct[home] = append(c.direct[home], q...)
-		}
 	}
 	if callback {
 		return nil, fmt.Errorf("%w: outstanding operation with a Done callback", ErrNotCopyable)
