@@ -43,6 +43,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,6 +51,11 @@ import (
 
 	"swex"
 	"swex/internal/sweep"
+)
+
+var (
+	errNegative = errors.New("must be non-negative")
+	errNoCache  = errors.New("no such cache directory")
 )
 
 func main() {
@@ -64,10 +70,15 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 	// swex.Cycle is unsigned: a negative budget would wrap to about 2^64.
-	if *cycleBudget < 0 {
-		fmt.Fprintf(os.Stderr, "swex: -cycle-budget %d: must be non-negative\n\n", *cycleBudget)
-		usage()
-		os.Exit(2)
+	for _, c := range []struct {
+		flag string
+		v    int64
+	}{{"cycle-budget", *cycleBudget}, {"workers", int64(*workers)}} {
+		if c.v < 0 {
+			fmt.Fprintf(os.Stderr, "swex: -%s %d: %v\n\n", c.flag, c.v, errNegative)
+			usage()
+			os.Exit(2)
+		}
 	}
 
 	if *status {
@@ -75,6 +86,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "swex: -status needs -cache DIR")
 			os.Exit(2)
 		}
+		mustExist(*cacheDir)
 		failed, err := printStatus(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swex: %v\n", err)
@@ -91,6 +103,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "swex: compact needs -cache DIR")
 			os.Exit(2)
 		}
+		mustExist(*cacheDir)
 		if err := compact(*cacheDir); err != nil {
 			fmt.Fprintf(os.Stderr, "swex: %v\n", err)
 			os.Exit(1)
@@ -163,6 +176,16 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "swex: %d simulation(s) executed on %d worker(s)\n",
 		sweeper.TotalExecs(), sweeper.Workers())
+}
+
+// mustExist exits with status 2 unless dir is a directory. -status and
+// compact only read and rewrite an existing cache; opening one would
+// create a mistyped directory and report it empty.
+func mustExist(dir string) {
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		fmt.Fprintf(os.Stderr, "swex: -cache %s: %v\n", dir, errNoCache)
+		os.Exit(2)
+	}
 }
 
 // printStatus summarizes a cache directory's manifest journal and returns

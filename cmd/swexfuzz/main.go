@@ -59,6 +59,12 @@ func main() {
 // for a flag the flag package itself rejects.
 type usageError struct{ error }
 
+var (
+	errNegative = errors.New("must be non-negative")
+	errChecker  = errors.New("unknown checker (want auto, exhaustive, or constraints)")
+	errThreads  = errors.New("generated programs run one thread per node")
+)
+
 // checkerFn is one of the oracle's decision procedures.
 type checkerFn func(litmus.Program, [][]uint64) (litmus.Verdict, error)
 
@@ -93,16 +99,24 @@ func run(args []string) error {
 	if *nodes < 2 {
 		return usageError{fmt.Errorf("-nodes %d: need at least 2 nodes to exercise coherence", *nodes)}
 	}
-	if *programs < 0 {
-		return usageError{fmt.Errorf("-programs %d: must be non-negative", *programs)}
+	// sim.Cycle is unsigned: a negative -limit would wrap to about 2^64.
+	for _, c := range []struct {
+		flag string
+		v    int64
+	}{
+		{"programs", int64(*programs)}, {"threads", int64(*threads)}, {"vars", int64(*vars)},
+		{"ops", int64(*ops)}, {"workers", int64(*workers)}, {"limit", *limit},
+	} {
+		if c.v < 0 {
+			return usageError{fmt.Errorf("-%s %d: %w", c.flag, c.v, errNegative)}
+		}
 	}
-	// sim.Cycle is unsigned: a negative budget would wrap to about 2^64.
-	if *limit < 0 {
-		return usageError{fmt.Errorf("-limit %d: must be non-negative", *limit)}
+	if *threads > *nodes {
+		return usageError{fmt.Errorf("-threads %d on %d node(s): %w", *threads, *nodes, errThreads)}
 	}
 	judge, err := judgeFor(*checker)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	if *weakened {
 		return runWeakened(*nodes, sim.Cycle(*limit))
@@ -110,7 +124,7 @@ func run(args []string) error {
 
 	aliases, specList, err := resolveSpecs(*specs)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	entries, dropped, err := buildPrograms(*seed, *programs, *nodes, *threads, *vars, *ops, *overrides, aliases, specList)
 	if err != nil {
@@ -210,7 +224,7 @@ func judgeFor(name string) (checkerFn, error) {
 	case "constraints":
 		return litmus.CheckConstraints, nil
 	}
-	return nil, fmt.Errorf("-checker %q: want auto, exhaustive, or constraints", name)
+	return nil, fmt.Errorf("-checker %q: %w", name, errChecker)
 }
 
 // resolveSpecs parses the -specs list into aliases and their specs.
@@ -224,7 +238,7 @@ func resolveSpecs(list string) ([]string, []proto.Spec, error) {
 		}
 		spec, err := litmus.SpecByAlias(alias)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("-specs: %w", err)
 		}
 		aliases = append(aliases, alias)
 		specs = append(specs, spec)
@@ -240,9 +254,6 @@ func resolveSpecs(list string) ([]string, []proto.Spec, error) {
 // per-variable overrides draw from the software-capable subset of the
 // swept aliases, so every override has at least one base that can run it.
 func buildPrograms(seed uint64, count, nodes, threads, vars, ops int, overrides bool, aliases []string, specs []proto.Spec) ([]entry, int, error) {
-	if threads > nodes {
-		return nil, 0, fmt.Errorf("-threads %d: generated programs run one thread per node, machine has %d", threads, nodes)
-	}
 	// The override pool excludes software-only specs: an h0 override is
 	// expressible only on an h0 base, where in turn no other software
 	// override is, so admitting it would generate programs no swept base

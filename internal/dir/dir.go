@@ -13,7 +13,6 @@ package dir
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"swex/internal/mem"
@@ -232,19 +231,39 @@ func (e *Entry) NoteSharers() {
 }
 
 // Directory is one node's collection of hardware entries for the blocks it
-// is home to. Entries are created on first reference.
+// is home to. Entries are created on first reference and live until
+// Reset.
+//
+// Every message the home processes looks its block up here, so the
+// directory is its own open-addressed hash table rather than a Go map:
+// a multiplicative hash of the block, linear probing at a load of at
+// most three quarters, and no deletion (entries are only dropped all at
+// once, by Reset). A cell points at its entry, which never moves, so an
+// *Entry stays valid until Reset; Reset keeps the entries for reuse. A
+// home's entries number in the tens to hundreds, far fewer than the
+// blocks of its segment, so the table is sized by entries, not by the
+// segment.
 type Directory struct {
-	caps    int
-	entries map[mem.Block]*Entry
-	// keys and copies are CloneInto's storage: the sorted block list and
-	// the copied entries the map points into.
-	keys   []mem.Block
-	copies []Entry
+	caps  int
+	slots []slot   // open-addressed table; len is zero or a power of two
+	shift uint     // 64 - log2(len(slots)): the hash keeps the top bits
+	n     int      // entries in use
+	free  []*Entry // entries released by Reset, reused before allocating
 }
+
+// slot is one table cell: a block and its entry; a nil entry marks an
+// empty cell.
+type slot struct {
+	b mem.Block
+	e *Entry
+}
+
+// minSlots is the smallest table.
+const minSlots = 8
 
 // New creates a directory whose entries hold caps hardware pointers.
 func New(caps int) *Directory {
-	return &Directory{caps: caps, entries: make(map[mem.Block]*Entry)}
+	return &Directory{caps: caps}
 }
 
 // Reset empties the directory, keeping its storage, and gives the
@@ -253,34 +272,38 @@ func New(caps int) *Directory {
 // released home controller's directory is reset for the next machine.
 func (d *Directory) Reset(caps int) {
 	d.caps = caps
-	if len(d.entries) > 0 {
-		clear(d.entries)
+	if d.n == 0 {
+		return
 	}
+	for _, s := range d.slots {
+		if s.e != nil {
+			d.free = append(d.free, s.e)
+		}
+	}
+	clear(d.slots)
+	d.n = 0
 }
 
 // CloneInto returns an independent copy of the directory and its
-// entries, reusing dst's storage when dst is not nil: dst's entries are
-// overwritten, and the entry copies it made earlier are reused.
+// entries, reusing dst's storage when dst is not nil. The copy has the
+// same table layout, so it is a cell-by-cell copy, not a rehash.
 func (d *Directory) CloneInto(dst *Directory) *Directory {
 	if dst == nil {
 		dst = New(d.caps)
-	} else {
-		dst.Reset(d.caps)
 	}
-	keys := dst.keys[:0]
-	for b := range d.entries {
-		keys = append(keys, b)
+	dst.Reset(d.caps)
+	if cap(dst.slots) < len(d.slots) {
+		dst.slots = make([]slot, len(d.slots))
 	}
-	slices.Sort(keys)
-	dst.keys = keys
-	if cap(dst.copies) < len(keys) {
-		dst.copies = make([]Entry, len(keys))
+	dst.slots = dst.slots[:len(d.slots)]
+	for i, s := range d.slots {
+		if s.e != nil {
+			e := dst.fresh()
+			*e = *s.e
+			dst.slots[i] = slot{b: s.b, e: e}
+		}
 	}
-	dst.copies = dst.copies[:len(keys)]
-	for i, b := range keys {
-		dst.copies[i] = *d.entries[b]
-		dst.entries[b] = &dst.copies[i]
-	}
+	dst.shift, dst.n = d.shift, d.n
 	return dst
 }
 
@@ -294,34 +317,94 @@ func (d *Directory) Entry(b mem.Block) *Entry {
 	return d.EntryWithCap(b, d.caps)
 }
 
+// home returns b's first table cell.
+func (d *Directory) home(b mem.Block) int {
+	return int(uint64(b) * 0x9E3779B97F4A7C15 >> d.shift)
+}
+
 // EntryWithCap returns the entry for block b, creating it with the given
 // pointer capacity if absent (per-block protocol reconfiguration).
 func (d *Directory) EntryWithCap(b mem.Block, caps int) *Entry {
-	e, ok := d.entries[b]
-	if !ok {
-		e = &Entry{Ptrs: NewPointerSet(caps)}
-		d.entries[b] = e
+	if e, ok := d.Peek(b); ok {
+		return e
 	}
+	return d.insert(b, caps)
+}
+
+// insert creates b's entry, which must be absent, first doubling the
+// table when one more entry would load it past three quarters.
+func (d *Directory) insert(b mem.Block, caps int) *Entry {
+	if 4*(d.n+1) > 3*len(d.slots) {
+		d.rehash(max(minSlots, 2*len(d.slots)))
+	}
+	e := d.fresh()
+	*e = Entry{Ptrs: NewPointerSet(caps)}
+	d.place(slot{b: b, e: e})
+	d.n++
 	return e
+}
+
+// fresh takes an entry for reuse from the ones Reset released, or
+// allocates one. The caller overwrites it.
+func (d *Directory) fresh() *Entry {
+	if k := len(d.free); k > 0 {
+		e := d.free[k-1]
+		d.free = d.free[:k-1]
+		return e
+	}
+	return new(Entry)
+}
+
+// place puts s in the first free cell of its probe sequence.
+func (d *Directory) place(s slot) {
+	mask := len(d.slots) - 1
+	i := d.home(s.b)
+	for d.slots[i].e != nil {
+		i = (i + 1) & mask
+	}
+	d.slots[i] = s
+}
+
+// rehash moves the table's cells into a new table of size cells, a power
+// of two.
+func (d *Directory) rehash(size int) {
+	old := d.slots
+	d.slots = make([]slot, size)
+	d.shift = uint(65 - bits.Len(uint(size)))
+	for _, s := range old {
+		if s.e != nil {
+			d.place(s)
+		}
+	}
 }
 
 // Peek returns the entry for b only if it exists.
 func (d *Directory) Peek(b mem.Block) (*Entry, bool) {
-	e, ok := d.entries[b]
-	return e, ok
+	if d.n == 0 {
+		return nil, false
+	}
+	mask := len(d.slots) - 1
+	for i := d.home(b); d.slots[i].e != nil; i = (i + 1) & mask {
+		if d.slots[i].b == b {
+			return d.slots[i].e, true
+		}
+	}
+	return nil, false
 }
 
 // Len reports how many blocks have entries.
-func (d *Directory) Len() int { return len(d.entries) }
+func (d *Directory) Len() int { return d.n }
 
 // ForEach visits all entries in ascending block order (deterministic).
 func (d *Directory) ForEach(fn func(mem.Block, *Entry)) {
-	blocks := make([]mem.Block, 0, len(d.entries))
-	for b := range d.entries {
-		blocks = append(blocks, b)
+	used := make([]slot, 0, d.n)
+	for _, s := range d.slots {
+		if s.e != nil {
+			used = append(used, s)
+		}
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
-		fn(b, d.entries[b])
+	sort.Slice(used, func(i, j int) bool { return used[i].b < used[j].b })
+	for _, s := range used {
+		fn(s.b, s.e)
 	}
 }

@@ -266,3 +266,130 @@ func TestPropertyResetDirectoryIsFresh(t *testing.T) {
 		}
 	}
 }
+
+// randomBlock draws a block the way homes see them: mostly low segment
+// offsets, some at the top of a segment, across several homes.
+func randomBlock(r *sim.Rand) mem.Block {
+	const segBlocks = mem.SegWords / mem.WordsPerBlock
+	home := mem.Block(r.Intn(4)) * segBlocks
+	switch r.Intn(3) {
+	case 0:
+		return home + mem.Block(r.Intn(64))
+	case 1:
+		return home + segBlocks - 1 - mem.Block(r.Intn(64))
+	default:
+		return home + mem.Block(r.Intn(segBlocks))
+	}
+}
+
+// checkAgainstModel compares every observable of d with the reference
+// map: Len, Peek of every modeled block and of absent ones, and ForEach's
+// ascending walk.
+func checkAgainstModel(t *testing.T, seed uint64, d *Directory, model map[mem.Block]Entry, r *sim.Rand) {
+	t.Helper()
+	if d.Len() != len(model) {
+		t.Fatalf("seed %d: Len = %d, model has %d", seed, d.Len(), len(model))
+	}
+	for b, want := range model {
+		e, ok := d.Peek(b)
+		if !ok || *e != want {
+			t.Fatalf("seed %d: Peek(%d) = %+v %v, want %+v", seed, b, e, ok, want)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		b := randomBlock(r)
+		if _, in := model[b]; !in {
+			if e, ok := d.Peek(b); ok {
+				t.Fatalf("seed %d: Peek(%d) found %+v for an absent block", seed, b, *e)
+			}
+		}
+	}
+	want := make([]mem.Block, 0, len(model))
+	for b := range model {
+		want = append(want, b)
+	}
+	slices.Sort(want)
+	var got []mem.Block
+	d.ForEach(func(b mem.Block, e *Entry) {
+		if *e != model[b] {
+			t.Fatalf("seed %d: ForEach(%d) = %+v, want %+v", seed, b, *e, model[b])
+		}
+		got = append(got, b)
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("seed %d: ForEach visits %v, want ascending %v", seed, got, want)
+	}
+}
+
+// Property: the open-addressed directory reads exactly as a map of
+// entries under random creation (both capacities), mutation, CloneInto
+// into fresh and reused directories, and Reset; the pointer Entry
+// returns stays valid as later entries are added; and a clone is
+// independent of its source.
+func TestPropertyDirectoryMatchesMapModel(t *testing.T) {
+	spare := New(0) // reused across seeds as a CloneInto destination
+	for seed := uint64(1); seed <= 60; seed++ {
+		r := sim.NewRand(seed)
+		caps := r.Intn(6)
+		d := New(caps)
+		model := map[mem.Block]Entry{}
+		held := map[mem.Block]*Entry{}
+		for i := 0; i < 600; i++ {
+			b := randomBlock(r)
+			switch op := r.Intn(20); {
+			case op < 8:
+				e := d.Entry(b)
+				if _, in := model[b]; !in {
+					if e.Ptrs.Cap() != caps || e.State != Uncached || e.Ptrs.Count() != 0 {
+						t.Fatalf("seed %d: new entry %d is not fresh: %+v", seed, b, *e)
+					}
+				}
+				e.Ptrs.Add(mem.NodeID(r.Intn(MaxNodes)))
+				e.Epoch++
+				model[b] = *e
+				held[b] = e
+			case op < 12:
+				c := r.Intn(6)
+				_, in := model[b]
+				e := d.EntryWithCap(b, c)
+				if !in && e.Ptrs.Cap() != c {
+					t.Fatalf("seed %d: EntryWithCap(%d, %d) made capacity %d", seed, b, c, e.Ptrs.Cap())
+				}
+				e.AckCount++
+				model[b] = *e
+				held[b] = e
+			case op < 18:
+				e, ok := d.Peek(b)
+				want, in := model[b]
+				if ok != in || ok && *e != want {
+					t.Fatalf("seed %d: Peek(%d) = %v, model %v", seed, b, ok, in)
+				}
+			case op == 18:
+				dst := spare
+				if r.Intn(2) == 0 {
+					dst = nil
+				}
+				c := d.CloneInto(dst)
+				checkAgainstModel(t, seed, c, model, r)
+				// The clone is independent: mutating it leaves d alone.
+				c.Entry(b).Epoch += 7
+				c.Entry(randomBlock(r))
+				checkAgainstModel(t, seed, d, model, r)
+				if dst != nil {
+					spare = c
+				}
+			default:
+				caps = r.Intn(6)
+				d.Reset(caps)
+				clear(model)
+				clear(held)
+			}
+			for hb, e := range held {
+				if p, _ := d.Peek(hb); p != e {
+					t.Fatalf("seed %d: the entry of %d moved after it was returned", seed, hb)
+				}
+			}
+		}
+		checkAgainstModel(t, seed, d, model, r)
+	}
+}

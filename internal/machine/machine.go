@@ -260,21 +260,10 @@ func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) 
 	for _, n := range m.Nodes {
 		n.StartThreads(threads, program)
 	}
-	// Done is monotone, so the check resumes at the first node it has
-	// not yet seen finish instead of rescanning from node 0 per event.
-	unfinished := 0
-	finished := func() bool {
-		for ; unfinished < len(m.Nodes); unfinished++ {
-			if !m.Nodes[unfinished].Done() {
-				return false
-			}
-		}
-		return true
-	}
-	// RunUntil stops short of finished only when the event queue drains
-	// (a deadlock: simulated time can no longer advance) or the limit
-	// is reached.
-	if !m.Engine.RunUntil(finished, limit) {
+	// RunUntil stops short of every thread finishing only when the event
+	// queue drains (a deadlock: simulated time can no longer advance) or
+	// the limit is reached.
+	if !m.Engine.RunUntil(proc.Finished(m.Fabric), limit) {
 		var stuck []mem.NodeID
 		for _, n := range m.Nodes {
 			if !n.Done() {

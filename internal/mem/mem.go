@@ -52,15 +52,20 @@ func SegBase(n NodeID) Addr { return Addr(n) * SegWords }
 // allocator per node segment. It holds word values only; all timing lives
 // in the cache and protocol models.
 //
-// The store is split by home segment — one map per node, indexed by
-// HomeOf, which is a divide by a constant. A single machine-wide map
-// measured about 3% slower on the worker64-h0 benchmark workload (64-node
-// WORKER under the software-only directory, 2-core host), so the
-// per-home maps stay.
+// The store keeps one entry per written block, not one per word: the
+// protocol moves whole blocks (a data reply reads one, a writeback writes
+// one), so a block access is one map lookup instead of four, and a
+// written block costs one entry. It is split by home segment — one map
+// per node, indexed by HomeOf, a divide by a constant — because the home
+// segment is what a home controller touches. Maps rather than dense
+// per-segment arrays: a dense array sized to each segment's allocated
+// blocks nearly tripled the allocation of the 256-node TSP run (Figure
+// 5; 7.98 to 22 MB), and a reused array must be zeroed, not just copied
+// over, by CloneInto.
 type Memory struct {
 	nodes int
-	data  []map[Addr]uint64 // per-home-segment word store
-	brk   []Addr            // per-node allocation cursor, relative to segment base
+	data  []map[Block][WordsPerBlock]uint64 // per-home-segment block store
+	brk   []Addr                            // per-node allocation cursor, relative to segment base
 }
 
 // New creates the backing store for an n-node machine.
@@ -68,9 +73,9 @@ func New(n int) *Memory {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: machine with %d nodes", n))
 	}
-	data := make([]map[Addr]uint64, n)
+	data := make([]map[Block][WordsPerBlock]uint64, n)
 	for i := range data {
-		data[i] = make(map[Addr]uint64)
+		data[i] = make(map[Block][WordsPerBlock]uint64)
 	}
 	return &Memory{
 		nodes: n,
@@ -100,29 +105,26 @@ func (m *Memory) CloneInto(dst *Memory) *Memory {
 func (m *Memory) Nodes() int { return m.nodes }
 
 // Read returns the word at addr (zero if never written).
-func (m *Memory) Read(a Addr) uint64 { return m.data[HomeOf(a)][a] }
+func (m *Memory) Read(a Addr) uint64 {
+	return m.data[HomeOf(a)][BlockOf(a)][a%WordsPerBlock]
+}
 
 // Write stores v at addr.
-func (m *Memory) Write(a Addr, v uint64) { m.data[HomeOf(a)][a] = v }
+func (m *Memory) Write(a Addr, v uint64) {
+	seg, b := m.data[HomeOf(a)], BlockOf(a)
+	w := seg[b]
+	w[a%WordsPerBlock] = v
+	seg[b] = w
+}
 
-// ReadBlock copies the block's words into a fresh slice.
+// ReadBlock returns a copy of the block's words.
 func (m *Memory) ReadBlock(b Block) [WordsPerBlock]uint64 {
-	var w [WordsPerBlock]uint64
-	base := b.Base()
-	seg := m.data[HomeOf(base)]
-	for i := range w {
-		w[i] = seg[base+Addr(i)]
-	}
-	return w
+	return m.data[HomeOfBlock(b)][b]
 }
 
 // WriteBlock stores a block's words.
 func (m *Memory) WriteBlock(b Block, w [WordsPerBlock]uint64) {
-	base := b.Base()
-	seg := m.data[HomeOf(base)]
-	for i, v := range w {
-		seg[base+Addr(i)] = v
-	}
+	m.data[HomeOfBlock(b)][b] = w
 }
 
 // AllocOn reserves words contiguous words in node n's segment, aligned to

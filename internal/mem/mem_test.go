@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -179,5 +180,73 @@ func TestMappingPropertyConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: the block store reads as a word map. Every word written
+// reads back, and every other word reads 0 — in a block partly written,
+// after CloneInto, and after CloneInto reuses a store holding other
+// words.
+func TestPropertyStoreMatchesWordModel(t *testing.T) {
+	const nodes = 3
+	rng := rand.New(rand.NewSource(27))
+	addr := func() Addr {
+		off := Addr(rng.Intn(64))
+		if rng.Intn(2) == 0 {
+			off = SegWords - 1 - off
+		}
+		return SegBase(NodeID(rng.Intn(nodes))) + off
+	}
+	fill := func(m *Memory, n int) map[Addr]uint64 {
+		model := map[Addr]uint64{}
+		for i := 0; i < n; i++ {
+			a := addr()
+			if rng.Intn(4) == 0 {
+				var w [WordsPerBlock]uint64
+				for j := range w {
+					w[j] = rng.Uint64()
+					model[BlockOf(a).Base()+Addr(j)] = w[j]
+				}
+				m.WriteBlock(BlockOf(a), w)
+			} else {
+				v := rng.Uint64()
+				m.Write(a, v)
+				model[a] = v
+			}
+		}
+		return model
+	}
+	check := func(what string, m *Memory, model map[Addr]uint64) {
+		t.Helper()
+		for i := 0; i < 400; i++ {
+			a := addr()
+			if got := m.Read(a); got != model[a] {
+				t.Fatalf("%s: Read(%d) = %d, want %d", what, a, got, model[a])
+			}
+			w := m.ReadBlock(BlockOf(a))
+			for j, v := range w {
+				if want := model[BlockOf(a).Base()+Addr(j)]; v != want {
+					t.Fatalf("%s: ReadBlock(%d)[%d] = %d, want %d", what, BlockOf(a), j, v, want)
+				}
+			}
+		}
+		for a, v := range model {
+			if got := m.Read(a); got != v {
+				t.Fatalf("%s: Read(%d) = %d, want %d", what, a, got, v)
+			}
+		}
+	}
+	var reused *Memory
+	for round := 0; round < 20; round++ {
+		src := New(nodes)
+		model := fill(src, 80)
+		check("source", src, model)
+		check("fresh clone", src.CloneInto(nil), model)
+		if reused == nil {
+			reused = New(nodes)
+		}
+		fill(reused, 80) // words the clone must not keep
+		reused = src.CloneInto(reused)
+		check("reused clone", reused, model)
 	}
 }

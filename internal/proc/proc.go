@@ -181,9 +181,11 @@ func (t *thread) complete(v uint64) {
 }
 
 // completions resolves a fabric's operation completions to the issuing
-// thread: an operation's ID is its thread's index on the node.
+// thread: an operation's ID is its thread's index on the node. It also
+// counts the fabric's live threads, started and not yet finished.
 type completions struct {
 	nodes []*Node
+	live  int
 }
 
 // Complete implements proto.Completer.
@@ -196,6 +198,7 @@ func (c *completions) Complete(node mem.NodeID, id uint64, v uint64) {
 type Node struct {
 	ID      mem.NodeID
 	f       *proto.Fabric
+	c       *completions
 	threads []*thread
 
 	// Ops counts operations executed; MemOps counts reads/writes/RMWs.
@@ -207,7 +210,6 @@ type Node struct {
 // registers it to receive its threads' operation completions: the
 // processors of one fabric share its Completer.
 func NewNode(f *proto.Fabric, id mem.NodeID) *Node {
-	n := &Node{ID: id, f: f}
 	c, ok := f.Completer.(*completions)
 	if !ok {
 		if f.Completer != nil {
@@ -219,9 +221,25 @@ func NewNode(f *proto.Fabric, id mem.NodeID) *Node {
 	for len(c.nodes) <= int(id) {
 		c.nodes = append(c.nodes, nil)
 	}
+	n := &Node{ID: id, f: f, c: c}
 	c.nodes[id] = n
 	return n
 }
+
+// Finished returns the stop condition of a run on fabric f: whether every
+// thread started on f's nodes has finished. It reads a count the threads
+// keep as they start and finish, so the engine can test it after every
+// event without visiting the nodes. f must have nodes (NewNode).
+func Finished(f *proto.Fabric) func() bool {
+	c, ok := f.Completer.(*completions)
+	if !ok {
+		panic("proc: Finished on a fabric with no nodes")
+	}
+	return c.finished
+}
+
+// finished reports whether every started thread has finished.
+func (c *completions) finished() bool { return c.live == 0 }
 
 // Start launches fn as this node's (single) thread. The simulation must be
 // driven by the fabric's engine after all nodes have started.
@@ -248,6 +266,7 @@ func (n *Node) StartThreads(count int, fn func(*Env)) {
 		t.executeEv = threadEvent{t, stepExecute}
 		t.replyEv = threadEvent{t, stepReply}
 		n.threads = append(n.threads, t)
+		n.c.live++
 		t.start(fn, &Env{thread: t, P: n.f.Nodes()})
 		eng := n.f.Engine
 		eng.OwnedAtCall(int(n.ID), eng.Now(), nil, &t.nextEv)
@@ -302,6 +321,7 @@ func (t *thread) next() {
 		}
 		if t.n == 0 {
 			t.done = true
+			t.node.c.live--
 			t.fin = t.node.f.Engine.Now()
 			return
 		}

@@ -505,7 +505,7 @@ func (cc *CacheCtl) dlsAccess(w pendingOp) {
 
 // onDResp completes the oldest outstanding direct access to the replying
 // home (see the direct field for why head-of-queue matching is sound).
-func (cc *CacheCtl) onDResp(m Msg) {
+func (cc *CacheCtl) onDResp(m *Msg) {
 	q := cc.direct[m.Src]
 	if len(q) == 0 {
 		// Static message: the deterministic engine makes the failing cycle
@@ -560,7 +560,7 @@ func (cc *CacheCtl) install(l cache.Line) {
 	if !was {
 		return
 	}
-	cc.f.Counters.Inc("cache.evictions")
+	cc.f.Counters.Inc(ctrEvictions)
 	if evicted.Dirty {
 		cc.f.Send(Msg{
 			Kind: MsgWB, Src: cc.node, Dst: mem.HomeOfBlock(evicted.Block),
@@ -575,7 +575,7 @@ func (cc *CacheCtl) install(l cache.Line) {
 // Deliver handles a protocol message addressed to this cache.
 //
 //swex:hotpath
-func (cc *CacheCtl) Deliver(m Msg) {
+func (cc *CacheCtl) Deliver(m *Msg) {
 	switch m.Kind {
 	case MsgRDATA:
 		cc.fill(m, cache.Shared)
@@ -593,7 +593,7 @@ func (cc *CacheCtl) Deliver(m Msg) {
 }
 
 // fill installs arrived data and replays the transaction's waiters.
-func (cc *CacheCtl) fill(m Msg, st cache.LineState) {
+func (cc *CacheCtl) fill(m *Msg, st cache.LineState) {
 	b := m.Block
 	t, ok := cc.txns[b]
 	if !ok {
@@ -654,14 +654,14 @@ func (r *retryTag) Fire() {
 }
 
 // onBusy retries the transaction after the configured delay.
-func (cc *CacheCtl) onBusy(m Msg) {
+func (cc *CacheCtl) onBusy(m *Msg) {
 	t, ok := cc.txns[m.Block]
 	if !ok {
 		return // transaction already satisfied (should not happen)
 	}
 	t.retries++
 	cc.Retries++
-	cc.f.Counters.Inc("cache.busy_retries")
+	cc.f.Counters.Inc(ctrBusyRetries)
 	b := m.Block
 	if cc.f.Sink != nil && t.id != 0 {
 		now := cc.f.Engine.Now()
@@ -684,7 +684,7 @@ func (cc *CacheCtl) onBusy(m Msg) {
 // onInv invalidates the local copy and acknowledges: UPDATE with the data
 // if the copy was dirty, ACK otherwise (including the stale-pointer case
 // where the copy is already gone).
-func (cc *CacheCtl) onInv(m Msg) {
+func (cc *CacheCtl) onInv(m *Msg) {
 	home := mem.HomeOfBlock(m.Block)
 	line, had := cc.c.Invalidate(m.Block)
 	if had && line.Dirty {

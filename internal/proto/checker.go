@@ -151,7 +151,7 @@ func (f *Fabric) AgreementViolation(b mem.Block) string {
 // The model checker asserts this at every reachable state with an empty
 // event queue.
 func (f *Fabric) QuiescenceViolation(blocks []mem.Block) string {
-	if n := len(f.inflight); n > 0 {
+	if n := f.inflight.n; n > 0 {
 		return fmt.Sprintf("%d messages still in flight: %v", n, f.InFlight())
 	}
 	for i := 0; i < f.Nodes(); i++ {

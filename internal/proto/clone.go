@@ -85,10 +85,10 @@ func (f *Fabric) CloneInto(dst *Fabric, completer Completer) (*Fabric, error) {
 		}
 		n.caches[i] = c
 	}
-	for _, fl := range f.inflight {
+	for fl := f.inflight.head; fl != nil; fl = fl.next {
 		c := n.grabFlight()
 		c.m = fl.m
-		n.inflight = append(n.inflight, c)
+		n.inflight.push(c)
 	}
 	engine, err := f.Engine.CloneInto(n.Engine, func(c sim.Caller, tag any) (sim.Caller, any, error) {
 		r, err := f.remap(n, c)
@@ -120,11 +120,12 @@ func (f *Fabric) CloneInto(dst *Fabric, completer Completer) (*Fabric, error) {
 // pools, ahead of CloneInto overwriting the fabric: the work is dropped,
 // so the receivers are free.
 func (f *Fabric) reclaim() {
-	for i, fl := range f.inflight {
-		fl.next, f.flightFree = f.flightFree, fl
-		f.inflight[i] = nil
+	for fl := f.inflight.head; fl != nil; {
+		next := fl.next
+		fl.prev, fl.next, f.flightFree = nil, f.flightFree, fl
+		fl = next
 	}
-	f.inflight = f.inflight[:0]
+	f.inflight = flightList{}
 	f.snapEvents = f.Engine.PendingTagged(f.snapEvents[:0])
 	for _, ev := range f.snapEvents {
 		switch r := ev.Tag.(type) {
@@ -147,27 +148,18 @@ func (f *Fabric) reclaim() {
 	clear(f.snapEvents)
 }
 
-// grabFlight takes an in-flight registry entry from the free list, or
-// allocates one.
-func (f *Fabric) grabFlight() *flight {
-	fl := f.flightFree
-	if fl == nil {
-		return &flight{f: f}
-	}
-	f.flightFree, fl.next = fl.next, nil
-	return fl
-}
-
 // remap maps one of f's pending event receivers onto clone n, taking the
 // copy from n's pools.
 func (f *Fabric) remap(n *Fabric, c sim.Caller) (sim.Caller, error) {
 	switch r := c.(type) {
 	case *flight:
-		i := slices.Index(f.inflight, r)
-		if i < 0 {
-			return nil, fmt.Errorf("%w: delivery of %s is not in flight", ErrNotCopyable, r.m)
+		// The copies are linked in the originals' order.
+		for src, dst := f.inflight.head, n.inflight.head; src != nil; src, dst = src.next, dst.next {
+			if src == r {
+				return dst, nil
+			}
 		}
-		return n.inflight[i], nil
+		return nil, fmt.Errorf("%w: delivery of %s is not in flight", ErrNotCopyable, r.m)
 	case *procTag:
 		h := n.homes[r.h.node]
 		t := h.jobFree
@@ -227,7 +219,7 @@ func (h *HomeCtl) cloneInto(dst *HomeCtl, f *Fabric) *HomeCtl {
 		c.reset()
 	}
 	c.f, c.node = f, h.node
-	c.dir = h.dir.CloneInto(c.dir)
+	h.dir.CloneInto(&c.dir)
 	c.srv = h.srv.Fresh()
 	copyMap(c.swTxn, h.swTxn)
 	copyMap(c.reads, h.reads)

@@ -66,7 +66,7 @@ type Fabric struct {
 	homes      []*HomeCtl
 	caches     []*CacheCtl
 	checker    *Checker
-	inflight   []*flight
+	inflight   flightList
 	flightFree *flight // retired entries awaiting reuse, linked by next
 	txnSeq     uint64  // trace transaction ids (tracing enabled only)
 	msgSeq     uint64  // trace message sequence numbers
@@ -83,33 +83,84 @@ type Fabric struct {
 // Entries are pooled on the owning Fabric: a retired flight returns to
 // the flightFree list, so the steady-state send path allocates nothing.
 type flight struct {
-	f    *Fabric
-	m    Msg
-	next *flight // free-list link
+	f          *Fabric
+	m          Msg
+	prev, next *flight // registry links; next is also the free-list link
 }
 
-// Fire delivers the message: it retires the registry entry, returns it to
-// the free list, and hands the message to the destination controller.
-// The return happens before Deliver so nested sends can reuse the slot.
-func (fl *flight) Fire() {
-	f, m := fl.f, fl.m
-	f.retire(fl)
-	fl.next, f.flightFree = f.flightFree, fl
-	if m.Kind.ToHome() {
-		f.homes[m.Dst].Deliver(m)
+// flightList is the in-flight registry: the messages on the wire, linked
+// in send order. Messages are delivered out of send order (different
+// distances, different destinations), and unlinking retires one in O(1)
+// where a slice would shift its tail down.
+type flightList struct {
+	head, tail *flight
+	n          int
+}
+
+// push appends fl, the newest message, to the registry.
+func (l *flightList) push(fl *flight) {
+	fl.prev, fl.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = fl
 	} else {
-		f.caches[m.Dst].Deliver(m)
+		l.head = fl
 	}
+	l.tail = fl
+	l.n++
 }
 
-// msgCounterNames precomputes the per-kind counter keys so the send path
-// does not rebuild "msg.<kind>" strings per message.
-var msgCounterNames = func() (out [numMsgKinds]string) {
-	for k := MsgKind(0); k < numMsgKinds; k++ {
-		out[k] = "msg." + k.String()
+// remove unlinks fl, a registered message, from the registry.
+func (l *flightList) remove(fl *flight) {
+	if fl.prev != nil {
+		fl.prev.next = fl.next
+	} else {
+		l.head = fl.next
 	}
-	return out
-}()
+	if fl.next != nil {
+		fl.next.prev = fl.prev
+	} else {
+		l.tail = fl.prev
+	}
+	fl.prev, fl.next = nil, nil
+	l.n--
+}
+
+// Fire delivers the message: it retires the registry entry, hands the
+// message to the destination controller straight from the entry, and
+// then returns the entry to the free list.
+func (fl *flight) Fire() {
+	f := fl.f
+	f.inflight.remove(fl)
+	if fl.m.Kind.ToHome() {
+		f.homes[fl.m.Dst].Deliver(&fl.m)
+	} else {
+		f.caches[fl.m.Dst].Deliver(&fl.m)
+	}
+	fl.next, f.flightFree = f.flightFree, fl
+}
+
+// The fabric's counter slots (stats.Register), so counting on the
+// message and handler paths indexes a slot instead of hashing a name.
+var (
+	// msgCounters counts sent messages by kind, as "msg.<kind>".
+	msgCounters = func() (out [numMsgKinds]stats.Counter) {
+		for k := MsgKind(0); k < numMsgKinds; k++ {
+			out[k] = stats.Register("msg." + k.String())
+		}
+		return out
+	}()
+	ctrDropped         = stats.Register("msg.dropped")
+	ctrTraps           = stats.Register("home.traps")
+	ctrBatchedReads    = stats.Register("home.batched_reads")
+	ctrHWInvalidations = stats.Register("home.hw_invalidations")
+	ctrSWInvalidations = stats.Register("home.sw_invalidations")
+	ctrCheckins        = stats.Register("home.checkins")
+	ctrMigReadGrants   = stats.Register("home.migratory_read_grants")
+	ctrMigPromotions   = stats.Register("home.migratory_promotions")
+	ctrMigDemotions    = stats.Register("home.migratory_demotions")
+	ctrEvictions       = stats.Register("cache.evictions")
+	ctrBusyRetries     = stats.Register("cache.busy_retries")
+)
 
 // Fault is a deterministic fault injection, as data: it drops the Nth
 // message of one kind the fabric sends. The model checker's seeded-bug
@@ -173,12 +224,14 @@ type procTag struct {
 	next *procTag // free-list link
 }
 
-// Fire processes the queued message, returning the tag to its
-// controller's free list first so nested deliveries can reuse the slot.
+// Fire processes the queued message in place, then returns the tag to
+// its controller's free list. Processing never delivers to a home
+// synchronously (replies travel as events), so no delivery needs the
+// tag while it is in use.
 func (t *procTag) Fire() {
-	h, m := t.h, t.m
+	h := t.h
+	h.process(&t.m)
 	t.next, h.jobFree = h.jobFree, t
-	h.process(m)
 }
 
 // NewFabric builds the fabric and both controllers for every node.
@@ -281,7 +334,7 @@ func (f *Fabric) Cache(id mem.NodeID) *CacheCtl { return f.caches[id] }
 // destination controller when it arrives.
 //
 //swex:hotpath
-func (f *Fabric) Send(m Msg) { f.SendDelayed(m, 0) }
+func (f *Fabric) Send(m Msg) { f.send(&m, 0) }
 
 // SendDelayed injects a message whose contents take extra cycles to
 // produce (a DRAM read feeding a data reply). The message claims its
@@ -290,40 +343,37 @@ func (f *Fabric) Send(m Msg) { f.SendDelayed(m, 0) }
 // data-before-invalidation races rely on.
 //
 //swex:hotpath
-func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) {
-	if f.Fault.Nth > 0 && f.faultDrops(m) {
-		f.Counters.Inc("msg.dropped")
+func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) { f.send(&m, extra) }
+
+// send is Send and SendDelayed, reading the message in place: a message
+// is copied once on its way out, into its registry entry.
+func (f *Fabric) send(m *Msg, extra sim.Cycle) {
+	if f.Fault.Nth > 0 && f.faultDrops(*m) {
+		f.Counters.Inc(ctrDropped)
 		if f.Trace != nil {
 			f.Trace.Event(f.Engine.Now(), "drop", m.String())
 		}
 		return
 	}
-	f.Counters.Inc(msgCounterNames[m.Kind])
-	f.traceMsg(m)
-	fl := f.flightFree
-	if fl != nil {
-		f.flightFree = fl.next
-	} else {
-		fl = &flight{f: f}
+	f.Counters.Inc(msgCounters[m.Kind])
+	if f.Trace != nil {
+		f.traceMsg(*m)
 	}
-	fl.m, fl.next = m, nil
-	f.inflight = append(f.inflight, fl)
+	fl := f.grabFlight()
+	fl.m = *m
+	f.inflight.push(fl)
 	f.Net.SendCall(int(m.Src), int(m.Dst), f.Timing.Flits(m.Kind), extra, fl, fl)
 }
 
-// retire removes a delivered message from the in-flight registry. The
-// shift-down removal preserves send order without reallocating.
-func (f *Fabric) retire(fl *flight) {
-	for i, cur := range f.inflight {
-		if cur == fl {
-			copy(f.inflight[i:], f.inflight[i+1:])
-			last := len(f.inflight) - 1
-			f.inflight[last] = nil
-			f.inflight = f.inflight[:last]
-			return
-		}
+// grabFlight takes an in-flight registry entry from the free list, or
+// allocates one.
+func (f *Fabric) grabFlight() *flight {
+	fl := f.flightFree
+	if fl == nil {
+		return &flight{f: f}
 	}
-	panic("proto: retiring a message that is not in flight")
+	f.flightFree, fl.next = fl.next, nil
+	return fl
 }
 
 // InFlight returns the messages currently in the network, in send order.
@@ -331,9 +381,9 @@ func (f *Fabric) retire(fl *flight) {
 // untracked exactly while its invalidation is racing toward it), and the
 // model checker folds it into the machine-state fingerprint.
 func (f *Fabric) InFlight() []Msg {
-	out := make([]Msg, len(f.inflight))
-	for i, fl := range f.inflight {
-		out[i] = fl.m
+	out := make([]Msg, 0, f.inflight.n)
+	for fl := f.inflight.head; fl != nil; fl = fl.next {
+		out = append(out, fl.m)
 	}
 	return out
 }
@@ -341,7 +391,7 @@ func (f *Fabric) InFlight() []Msg {
 // invInFlight reports whether an invalidation for block b is on the wire
 // toward node id.
 func (f *Fabric) invInFlight(b mem.Block, id mem.NodeID) bool {
-	for _, fl := range f.inflight {
+	for fl := f.inflight.head; fl != nil; fl = fl.next {
 		if fl.m.Kind == MsgINV && fl.m.Block == b && fl.m.Dst == id {
 			return true
 		}

@@ -21,8 +21,8 @@ import (
 type HomeCtl struct {
 	f    *Fabric
 	node mem.NodeID
-	dir  *dir.Directory
-	srv  sim.Server // CMMU hardware occupancy
+	dir  dir.Directory // by value: every message looks its block up here
+	srv  sim.Server    // CMMU hardware occupancy
 
 	// swTxn marks blocks whose in-flight invalidation was initiated by
 	// software, so acknowledgment completion knows whether to trap
@@ -100,7 +100,6 @@ type readChain struct {
 // machine.
 func newHomeCtl(f *Fabric, node mem.NodeID, nodes int) *HomeCtl {
 	h := &HomeCtl{
-		dir:          dir.New(0),
 		swTxn:        make(map[mem.Block]bool),
 		reads:        make(map[mem.Block]readChain),
 		pendingWrite: make(map[mem.Block]mem.NodeID),
@@ -140,10 +139,11 @@ func (h *HomeCtl) reset() {
 	h.Traps, h.BusySent, h.StrayAcks = 0, 0, 0
 }
 
-// Deliver queues an incoming protocol message for hardware processing.
+// Deliver queues a copy of an incoming protocol message for hardware
+// processing.
 //
 //swex:hotpath
-func (h *HomeCtl) Deliver(m Msg) {
+func (h *HomeCtl) Deliver(m *Msg) {
 	if mem.HomeOfBlock(m.Block) != h.node {
 		panic(fmt.Sprintf("proto: node %d received home message for block homed on %d",
 			h.node, mem.HomeOfBlock(m.Block)))
@@ -153,7 +153,7 @@ func (h *HomeCtl) Deliver(m Msg) {
 	if h.f.Sink != nil {
 		h.f.Sink.Emit(trace.Event{
 			Start: start, End: start + h.f.Timing.HomeProc,
-			Txn: h.f.traceTxn(m), Arg: int64(m.Block),
+			Txn: h.f.traceTxn(*m), Arg: int64(m.Block),
 			Node: int32(h.node), Peer: int32(m.Src),
 			Cat: trace.CatHWDir, Op: trace.OpHomeProc, Name: m.Kind.String(),
 		})
@@ -164,7 +164,7 @@ func (h *HomeCtl) Deliver(m Msg) {
 	} else {
 		t = &procTag{h: h, node: h.node}
 	}
-	t.m, t.next = m, nil
+	t.m, t.next = *m, nil
 	e.OwnedAtCall(int(h.node), start+h.f.Timing.HomeProc, t, t)
 }
 
@@ -205,7 +205,7 @@ func (h *HomeCtl) Configure(b mem.Block, s Spec) error {
 	return nil
 }
 
-func (h *HomeCtl) process(m Msg) {
+func (h *HomeCtl) process(m *Msg) {
 	if m.Kind == MsgDREQ {
 		// Dispatched before entry(): a directoryless access must never
 		// materialize a directory entry — there is no directory.
@@ -235,7 +235,7 @@ func (h *HomeCtl) process(m Msg) {
 var maxBatchedReads = 8
 
 // busy sends a retry reply.
-func (h *HomeCtl) busy(m Msg) {
+func (h *HomeCtl) busy(m *Msg) {
 	h.BusySent++
 	h.f.Send(Msg{Kind: MsgBUSY, Src: h.node, Dst: m.Src, Block: m.Block})
 }
@@ -280,7 +280,7 @@ func (h *HomeCtl) sendData(kind MsgKind, dst mem.NodeID, b mem.Block) {
 // tracked — with a single serialized copy per word there is nothing to
 // track. The reply carries the old value for reads and read-modify-
 // writes and the stored value for plain writes, matching Op.Done.
-func (h *HomeCtl) onDirect(m Msg) {
+func (h *HomeCtl) onDirect(m *Msg) {
 	a := m.Block.Base() + mem.Addr(m.Off)
 	old := h.f.Mem.Read(a)
 	v := old
@@ -304,7 +304,7 @@ func (h *HomeCtl) onDirect(m Msg) {
 // handler span).
 func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle) sim.Cycle {
 	h.Traps++
-	h.f.Counters.Inc("home.traps")
+	h.f.Counters.Inc(ctrTraps)
 	h.f.traceTrap(int(h.node), "handler", cost)
 	done := h.f.Traps.Schedule(h.node, cost)
 	if h.f.Sink != nil {
@@ -316,7 +316,7 @@ func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle) sim.Cycle {
 
 // ---------------------------------------------------------------- reads
 
-func (h *HomeCtl) onRead(m Msg, e *dir.Entry) {
+func (h *HomeCtl) onRead(m *Msg, e *dir.Entry) {
 	switch e.State {
 	case dir.SWait, dir.AckWait, dir.Recall:
 		_, writeQueued := h.pendingWrite[m.Block]
@@ -430,7 +430,7 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 	// rather than queueing behind unrelated handlers. The processor time
 	// is still accounted to the node.
 	cost := h.f.Soft.ReadBatched(b, r)
-	h.f.Counters.Inc("home.batched_reads")
+	h.f.Counters.Inc(ctrBatchedReads)
 	h.f.Traps.Schedule(h.node, cost)
 	h.Traps++
 	rc.end += cost
@@ -494,7 +494,7 @@ func (h *HomeCtl) h0Read(b mem.Block, e *dir.Entry, r mem.NodeID) {
 // home's cache is invisible to both the directory and the flush check. A
 // remote request arriving in that window must retry until the fill lands
 // (it will then be flushed like any resident copy).
-func (h *HomeCtl) h0UntrackedFillPending(m Msg, e *dir.Entry) bool {
+func (h *HomeCtl) h0UntrackedFillPending(m *Msg, e *dir.Entry) bool {
 	return h.specFor(m.Block).SoftwareOnly && !e.RemoteBit && m.Src != h.node &&
 		h.f.Cache(h.node).HasTxn(m.Block)
 }
@@ -517,7 +517,7 @@ func (h *HomeCtl) flushLocal(b mem.Block, e *dir.Entry, r mem.NodeID, write bool
 
 // --------------------------------------------------------------- writes
 
-func (h *HomeCtl) onWrite(m Msg, e *dir.Entry) {
+func (h *HomeCtl) onWrite(m *Msg, e *dir.Entry) {
 	switch e.State {
 	case dir.SWait, dir.AckWait, dir.Recall:
 		if h.f.BatchReads && e.State == dir.SWait && h.reads[m.Block].segs > 0 {
@@ -601,7 +601,7 @@ func (h *HomeCtl) hwWrite(b mem.Block, e *dir.Entry, r mem.NodeID) {
 	for _, t := range targets {
 		h.f.Send(Msg{Kind: MsgINV, Src: h.node, Dst: t, Block: b, Epoch: e.Epoch})
 	}
-	h.f.Counters.Addc("home.hw_invalidations", uint64(len(targets)))
+	h.f.Counters.Addc(ctrHWInvalidations, uint64(len(targets)))
 	h.releaseInv(targets)
 }
 
@@ -640,7 +640,7 @@ func (h *HomeCtl) swWriteFaultDone(b mem.Block, e *dir.Entry, r mem.NodeID, targ
 	for _, t := range targets {
 		h.f.Send(Msg{Kind: MsgINV, Src: h.node, Dst: t, Block: b, Epoch: e.Epoch})
 	}
-	h.f.Counters.Addc("home.sw_invalidations", uint64(len(targets)))
+	h.f.Counters.Addc(ctrSWInvalidations, uint64(len(targets)))
 	h.releaseInv(targets)
 	if h.specFor(b).AckMode == AckSW {
 		// Software fields every acknowledgment: the block stays
@@ -750,7 +750,7 @@ func (h *HomeCtl) startRecall(b mem.Block, e *dir.Entry, r mem.NodeID, write boo
 
 // ------------------------------------------------- acks and writebacks
 
-func (h *HomeCtl) onAck(m Msg, e *dir.Entry) {
+func (h *HomeCtl) onAck(m *Msg, e *dir.Entry) {
 	if m.Epoch != e.Epoch {
 		h.StrayAcks++
 		return
@@ -806,7 +806,7 @@ func (h *HomeCtl) swAck(b mem.Block, e *dir.Entry) {
 	h.trap(t, "ack", cost)
 }
 
-func (h *HomeCtl) onUpdate(m Msg, e *dir.Entry) {
+func (h *HomeCtl) onUpdate(m *Msg, e *dir.Entry) {
 	if e.State != dir.Recall || e.Owner != m.Src || m.Epoch != e.Epoch {
 		h.StrayAcks++
 		return
@@ -836,7 +836,7 @@ func (h *HomeCtl) completeRecall(b mem.Block, e *dir.Entry) {
 	h.addReader(b, e, r)
 }
 
-func (h *HomeCtl) onWB(m Msg, e *dir.Entry) {
+func (h *HomeCtl) onWB(m *Msg, e *dir.Entry) {
 	switch e.State {
 	case dir.Exclusive:
 		if e.Owner != m.Src {
@@ -915,7 +915,7 @@ func (h *HomeCtl) entry(b mem.Block) *dir.Entry {
 // cost a trap); the stale entry is harmless — the eventual invalidation is
 // acknowledged by the absent cache. Relinquishing during a transaction is
 // ignored for the same reason.
-func (h *HomeCtl) onRel(m Msg, e *dir.Entry) {
+func (h *HomeCtl) onRel(m *Msg, e *dir.Entry) {
 	switch e.State {
 	case dir.Shared, dir.Uncached:
 		if m.Src == h.node {
@@ -925,7 +925,7 @@ func (h *HomeCtl) onRel(m Msg, e *dir.Entry) {
 		if e.State == dir.Shared && e.Ptrs.Count() == 0 && !e.LocalBit && !e.SwExt {
 			e.State = dir.Uncached
 		}
-		h.f.Counters.Inc("home.checkins")
+		h.f.Counters.Inc(ctrCheckins)
 	case dir.Exclusive, dir.AckWait, dir.Recall, dir.SWait:
 		// Mid-transaction check-in: drop; the copy was already
 		// invalidated or is about to be.

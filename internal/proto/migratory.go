@@ -60,7 +60,7 @@ func (h *HomeCtl) migReadGrant(b mem.Block, e *dir.Entry, spec Spec) bool {
 		return false
 	}
 	st.lastGrantRead = true
-	h.f.Counters.Inc("home.migratory_read_grants")
+	h.f.Counters.Inc(ctrMigReadGrants)
 	return true
 }
 
@@ -82,7 +82,7 @@ func (h *HomeCtl) migObserveWrite(b mem.Block, e *dir.Entry, r mem.NodeID) {
 		st.score++
 		if st.score >= migScoreThreshold {
 			if !st.migratory {
-				h.f.Counters.Inc("home.migratory_promotions")
+				h.f.Counters.Inc(ctrMigPromotions)
 			}
 			st.migratory = true
 		}
@@ -105,7 +105,7 @@ func (h *HomeCtl) migRecallClean(b mem.Block) {
 		st.score = 0
 		st.migratory = false
 		st.lastGrantRead = false
-		h.f.Counters.Inc("home.migratory_demotions")
+		h.f.Counters.Inc(ctrMigDemotions)
 	}
 }
 

@@ -438,7 +438,7 @@ func TestEpochFiltersStrayAcks(t *testing.T) {
 	b := mem.BlockOf(a)
 	r.write(1, a, 9)
 	// Home believes node 1 owns the block. Deliver a stale-epoch ACK.
-	r.f.Home(0).Deliver(Msg{Kind: MsgACK, Src: 1, Dst: 0, Block: b, Epoch: 999})
+	r.f.Home(0).Deliver(&Msg{Kind: MsgACK, Src: 1, Dst: 0, Block: b, Epoch: 999})
 	r.engine.Run(0)
 	if r.f.Home(0).StrayAcks == 0 {
 		t.Fatal("stale-epoch ACK was not filtered")

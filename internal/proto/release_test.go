@@ -148,7 +148,7 @@ func TestReleasedControllersAreFresh(t *testing.T) {
 func TestReleasedFabricPanics(t *testing.T) {
 	uses := map[string]func(f *Fabric){
 		"Access":  func(f *Fabric) { f.Cache(1).Access(0, Op{}) },
-		"Deliver": func(f *Fabric) { f.Home(0).Deliver(Msg{Kind: MsgRREQ, Src: 1}) },
+		"Deliver": func(f *Fabric) { f.Home(0).Deliver(&Msg{Kind: MsgRREQ, Src: 1}) },
 		"Release": func(f *Fabric) { f.Release() },
 	}
 	for name, use := range uses {

@@ -14,11 +14,10 @@ type Tracer interface {
 	Event(cycle sim.Cycle, kind string, detail string)
 }
 
-// traceMsg hooks message injection.
+// traceMsg hooks message injection; the send path calls it only when a
+// tracer is installed, so an untraced send does not copy the message.
 func (f *Fabric) traceMsg(m Msg) {
-	if f.Trace != nil {
-		f.Trace.Event(f.Engine.Now(), "msg", m.String())
-	}
+	f.Trace.Event(f.Engine.Now(), "msg", m.String())
 }
 
 // traceTrap hooks software handler invocation.

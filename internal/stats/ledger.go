@@ -113,15 +113,24 @@ type HandlerRecord struct {
 // Handler invocations repeat a handful of distinct records (a run of
 // hundreds of thousands of invocations typically produces a few dozen),
 // so the ledger interns each distinct record once and stores one id per
-// invocation, in invocation order.
+// invocation, in invocation order. An invocation mostly repeats the last
+// record of its kind, so Record compares with that one before it hashes.
 type Ledger struct {
 	ids      []uint32
 	distinct []HandlerRecord
 	intern   map[HandlerRecord]uint32
+	// last holds, by request kind, the id plus one of the kind's last
+	// record; zero means none yet.
+	last [NumRequestKinds]uint32
 }
 
 // Record appends one handler invocation.
 func (l *Ledger) Record(r HandlerRecord) {
+	known := r.Kind >= 0 && r.Kind < NumRequestKinds
+	if known && l.last[r.Kind] != 0 && l.distinct[l.last[r.Kind]-1] == r {
+		l.ids = append(l.ids, l.last[r.Kind]-1)
+		return
+	}
 	id, ok := l.intern[r]
 	if !ok {
 		if l.intern == nil {
@@ -130,6 +139,9 @@ func (l *Ledger) Record(r HandlerRecord) {
 		id = uint32(len(l.distinct))
 		l.distinct = append(l.distinct, r)
 		l.intern[r] = id
+	}
+	if known {
+		l.last[r.Kind] = id + 1
 	}
 	l.ids = append(l.ids, id)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Sample accumulates scalar observations and reports summary statistics.
@@ -147,34 +148,99 @@ func (h *Hist) String() string {
 	return b.String()
 }
 
-// Counters is a named set of monotonically increasing event counters.
+// Counter is a registered counter name's slot: the index every Counters
+// set keeps that counter's value at. Hot paths register their names once
+// (Register, at package initialization) and count by slot, so counting
+// is an index, not a string hash.
+type Counter uint32
+
+// registry maps counter names to slots, process-wide. It only grows:
+// a name keeps its slot for the life of the process.
+var registry struct {
+	mu    sync.Mutex
+	names []string
+	slots map[string]Counter
+}
+
+// Register returns name's counter slot, allocating the next free one on
+// a name's first registration. It is safe for concurrent use.
+func Register(name string) Counter {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	if id, ok := registry.slots[name]; ok {
+		return id
+	}
+	if registry.slots == nil {
+		registry.slots = make(map[string]Counter)
+	}
+	id := Counter(len(registry.names))
+	registry.names = append(registry.names, name)
+	registry.slots[name] = id
+	return id
+}
+
+// counterSlot is one counter's value and whether it was ever touched:
+// Names lists a counter once it is touched, even if only by Addc(id, 0).
+type counterSlot struct {
+	n       uint64
+	touched bool
+}
+
+// Counters is a named set of monotonically increasing event counters,
+// stored by registered slot.
 type Counters struct {
-	m map[string]uint64
+	slots []counterSlot
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]uint64)}
-}
+func NewCounters() *Counters { return &Counters{} }
 
 // Reset zeroes every counter.
-func (c *Counters) Reset() { clear(c.m) }
+func (c *Counters) Reset() { clear(c.slots) }
 
-// Inc adds one to the named counter.
-func (c *Counters) Inc(name string) { c.m[name]++ }
+// Inc adds one to a counter.
+func (c *Counters) Inc(id Counter) { c.Addc(id, 1) }
 
-// Addc adds n to the named counter.
-func (c *Counters) Addc(name string, n uint64) { c.m[name] += n }
+// Addc adds n to a counter.
+func (c *Counters) Addc(id Counter, n uint64) {
+	if int(id) >= len(c.slots) {
+		c.grow(id)
+	}
+	s := &c.slots[id]
+	s.n += n
+	s.touched = true
+}
+
+// grow extends the slot array to hold id, and every slot registered so
+// far, so growth happens once per set rather than once per new slot.
+func (c *Counters) grow(id Counter) {
+	registry.mu.Lock()
+	n := max(len(registry.names), int(id)+1)
+	registry.mu.Unlock()
+	c.slots = append(c.slots, make([]counterSlot, n-len(c.slots))...)
+}
 
 // Get returns the value of the named counter (0 if never touched).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
+func (c *Counters) Get(name string) uint64 {
+	registry.mu.Lock()
+	id, ok := registry.slots[name]
+	registry.mu.Unlock()
+	if !ok || int(id) >= len(c.slots) {
+		return 0
+	}
+	return c.slots[id].n
+}
 
 // Names returns all touched counter names in sorted order.
 func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
+	names := make([]string, 0)
+	registry.mu.Lock()
+	for id, s := range c.slots {
+		if s.touched {
+			names = append(names, registry.names[id])
+		}
 	}
+	registry.mu.Unlock()
 	sort.Strings(names)
 	return names
 }
@@ -183,7 +249,7 @@ func (c *Counters) Names() []string {
 func (c *Counters) String() string {
 	var b strings.Builder
 	for _, k := range c.Names() {
-		fmt.Fprintf(&b, "%-40s %d\n", k, c.m[k])
+		fmt.Fprintf(&b, "%-40s %d\n", k, c.Get(k))
 	}
 	return b.String()
 }

@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -115,9 +118,9 @@ func TestHist(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	c := NewCounters()
-	c.Inc("traps")
-	c.Inc("traps")
-	c.Addc("messages", 10)
+	c.Inc(Register("traps"))
+	c.Inc(Register("traps"))
+	c.Addc(Register("messages"), 10)
 	if c.Get("traps") != 2 {
 		t.Fatalf("traps = %d, want 2", c.Get("traps"))
 	}
@@ -326,4 +329,141 @@ func TestLedgerMatchesPlainRecords(t *testing.T) {
 		l.Reset()
 		plain = plain[:0]
 	}
+}
+
+// TestLedgerRepeatedRecords runs the ledger over streams of repeated
+// records, the case Record answers from its last interned record,
+// across a Reset that keeps the interned records: every invocation must
+// still count, in order.
+func TestLedgerRepeatedRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var l Ledger
+	for round := 0; round < 3; round++ {
+		var plain []HandlerRecord
+		r := HandlerRecord{Kind: ReadRequest, Cycles: 100}
+		for i := 0; i < 2000; i++ {
+			if rng.Intn(4) == 0 {
+				r = HandlerRecord{
+					Kind:    RequestKind(rng.Intn(int(NumRequestKinds))),
+					Cycles:  uint64(100 + rng.Intn(4)),
+					Sharers: rng.Intn(3),
+				}
+			}
+			l.Record(r)
+			plain = append(plain, r)
+		}
+		if l.N() != len(plain) {
+			t.Fatalf("round %d: N = %d, want %d", round, l.N(), len(plain))
+		}
+		for kind := RequestKind(0); kind < NumRequestKinds; kind++ {
+			want := 0
+			for _, p := range plain {
+				if p.Kind == kind {
+					want++
+				}
+			}
+			if got := l.Count(kind); got != want {
+				t.Fatalf("round %d: Count(%v) = %d, want %d", round, kind, got, want)
+			}
+		}
+		for i, id := range l.ids {
+			if l.distinct[id] != plain[i] {
+				t.Fatalf("round %d: invocation %d recorded %+v, want %+v", round, i, l.distinct[id], plain[i])
+			}
+		}
+		l.Reset()
+	}
+}
+
+// refCounters is the map-backed counter set Counters replaced, kept as
+// the reference model.
+type refCounters map[string]uint64
+
+func (c refCounters) names() []string {
+	names := make([]string, 0, len(c))
+	for k := range c {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func (c refCounters) String() string {
+	var b strings.Builder
+	for _, k := range c.names() {
+		fmt.Fprintf(&b, "%-40s %d\n", k, c[k])
+	}
+	return b.String()
+}
+
+// Property: slot-indexed counters read exactly as the map-backed model
+// under random increments, zero additions, resets and names registered
+// after the set was created: Get, Names and String agree byte for byte,
+// and a counter touched only by Addc(id, 0) is still listed.
+func TestPropertyCountersMatchMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewCounters()
+		ref := refCounters{}
+		pool := []string{"msg.RREQ", "msg.WREQ", "home.traps", "cache.evictions", "zzz.last", "aaa.first"}
+		for i := 0; i < 300; i++ {
+			name := pool[rng.Intn(len(pool))]
+			if rng.Intn(20) == 0 {
+				// A name first registered mid-run, after c has grown.
+				name = fmt.Sprintf("late.%d.%d", seed, rng.Intn(5))
+				pool = append(pool, name)
+			}
+			switch op := rng.Intn(10); {
+			case op < 5:
+				c.Inc(Register(name))
+				ref[name]++
+			case op < 7:
+				n := uint64(rng.Intn(3)) // zero included
+				c.Addc(Register(name), n)
+				ref[name] += n
+			case op < 8 && rng.Intn(4) == 0:
+				c.Reset()
+				clear(ref)
+			default:
+				if got, want := c.Get(name), ref[name]; got != want {
+					t.Fatalf("seed %d: Get(%q) = %d, want %d", seed, name, got, want)
+				}
+			}
+		}
+		if got, want := c.Names(), ref.names(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Names = %v, want %v", seed, got, want)
+		}
+		if got, want := c.String(), ref.String(); got != want {
+			t.Fatalf("seed %d: String =\n%s\nwant\n%s", seed, got, want)
+		}
+		if c.Get("never.registered") != 0 {
+			t.Fatalf("seed %d: an unregistered name reads nonzero", seed)
+		}
+	}
+}
+
+// TestCountersConcurrentRegistry uses the process-wide name registry
+// from several goroutines at once, as parallel sweep workers do: each
+// registers names (some shared, some its own) and reads its own set.
+// Run under -race it checks the registry's locking.
+func TestCountersConcurrentRegistry(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewCounters()
+			for i := 0; i < 200; i++ {
+				c.Inc(Register("shared.counter"))
+				c.Addc(Register(fmt.Sprintf("own.%d.%d", g, i%7)), 2)
+			}
+			if got := c.Get("shared.counter"); got != 200 {
+				t.Errorf("goroutine %d: shared.counter = %d, want 200", g, got)
+			}
+			if n := len(c.Names()); n != 8 {
+				t.Errorf("goroutine %d: %d names, want 8", g, n)
+			}
+		}()
+	}
+	wg.Wait()
 }
