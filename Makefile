@@ -70,18 +70,26 @@ mc-por-smoke:
 # directory, on a figure and two ablations (one with check-in annotations,
 # one with a block-by-block protocol region), with the journal summarized
 # and compacted in between — on the warm runs every exhibit's line and the
-# closing total must report zero executed simulations.
+# closing total must report zero executed simulations. Last, one cached
+# object's run time is corrupted in place: the next run must re-execute
+# exactly that simulation and print the cold run's stdout byte for byte.
 SMOKE_MATRICES = fig2 ablate-cico ablate-dataspec
 ALL_WARM = awk '/^swex: 0 simulation\(s\) executed / {next} / executed,/ {n++} !/ 0 executed,/ {bad=1} END {exit bad || n != 3}'
 sweep-smoke:
-	$(GO) test ./internal/sweep/ -run 'TestCrashResume|TestCacheRoundTrip|TestCompact' -count=1
-	$(GO) test . -run 'TestSweepOutputDeterministic|TestSharedBaselineComputedOnce' -count=1
+	$(GO) test ./internal/sweep/ -run 'TestCrashResume|TestCacheRoundTrip|TestCompact|TestCacheServesOnlyDigestedRecords' -count=1
+	$(GO) test . -run 'TestSweepOutputDeterministic|TestSharedBaselineComputedOnce|TestCorruptedObjectIsAMiss' -count=1
 	d=$$(mktemp -d) && \
-	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) >/dev/null && \
+	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) >$$d/cold.out && \
 	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
 	  $(GO) run ./cmd/swex -status -cache $$d >/dev/null && \
 	  $(GO) run ./cmd/swex -cache $$d compact >/dev/null && \
 	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
+	  obj=$$(ls $$d/objects/*/*.json | head -n 1) && \
+	  sed 's/"Time": \([0-9]\)/"Time": 9\1/' $$obj >$$d/corrupt.json && \
+	  ! cmp -s $$obj $$d/corrupt.json && mv $$d/corrupt.json $$obj && \
+	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>$$d/corrupt.err >$$d/corrupt.out && \
+	  cmp $$d/cold.out $$d/corrupt.out && \
+	  grep -q '^swex: 1 simulation(s) executed ' $$d/corrupt.err && \
 	  rm -rf $$d
 
 # fuzz-smoke exercises the memory-model fuzzing pipeline end to end: the

@@ -18,18 +18,19 @@
 // preserve every qualitative shape. -json prints each experiment's
 // assembled data instead of its rendered table.
 //
-// All experiments execute through one shared sweep runner (see
-// internal/sweep): -workers bounds the worker pool (default: one per
-// core), and -cache persists finished simulation points to a
-// content-addressed result cache so re-runs and overlapping experiments
-// skip completed work. With -cache, a killed run resumes from the cache's
-// manifest journal, re-running an unchanged experiment executes zero
-// simulations, and several processes may share one cache directory.
-// Output is byte-identical at any worker count.
+// The selected experiments' jobs go to one sweep runner (see
+// internal/sweep) as one submission, so a point they share runs once.
+// -workers bounds the worker pool (default: one per core), and -cache
+// persists finished simulation points to a content-addressed result cache
+// so re-runs skip completed work. With -cache, a killed run resumes from
+// the cache's manifest journal, re-running an unchanged experiment
+// executes zero simulations, and several processes may share one cache
+// directory. Output is byte-identical at any worker count.
 //
-// Standard output is a pure function of the selected experiments. Each
-// experiment's job count, executed simulations, cache hits and host time
-// go to standard error, so two runs' stdout compare equal.
+// Standard output is a pure function of the selected experiments (empty
+// if a job fails). Standard error gets "NAME: N job(s), X executed, Y
+// from cache" per experiment, counting a shared point under the first
+// experiment listing it, then the run's total and host time.
 //
 // -list prints each job's content hash and description without running
 // anything (the matrix as the cache will see it). -status summarizes a
@@ -147,24 +148,21 @@ func main() {
 	defer sweeper.Close()
 
 	opts.Sweep = sweeper
+	start := time.Now()
+	exhibits, err := swex.Render(opts, selected)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swex: %v\n", err)
+		os.Exit(1)
+	}
 	results := map[string]any{}
-	for _, m := range selected {
-		start := time.Now()
-		before := sweeper.TotalExecs()
-		out, data, err := m.Render(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swex: %s: %v\n", m.Name, err)
-			os.Exit(1)
-		}
-		executed := sweeper.TotalExecs() - before
-		jobs := len(m.Jobs(opts))
-		fmt.Fprintf(os.Stderr, "swex: %s: %d job(s), %d executed, %d from cache, %.1fs on %d worker(s)\n",
-			m.Name, jobs, executed, jobs-executed, time.Since(start).Seconds(), sweeper.Workers())
+	for _, e := range exhibits {
+		fmt.Fprintf(os.Stderr, "swex: %s: %d job(s), %d executed, %d from cache\n",
+			e.Name, e.Jobs, e.Executed, e.Jobs-e.Executed)
 		if *asJSON {
-			results[m.Name] = data
+			results[e.Name] = e.Data
 			continue
 		}
-		fmt.Printf("== %s: %s\n\n%s\n", m.Name, m.Caption, out)
+		fmt.Printf("== %s: %s\n\n%s\n", e.Name, e.Caption, e.Text)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -174,8 +172,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "swex: %d simulation(s) executed on %d worker(s)\n",
-		sweeper.TotalExecs(), sweeper.Workers())
+	fmt.Fprintf(os.Stderr, "swex: %d simulation(s) executed on %d worker(s) in %.1fs\n",
+		sweeper.TotalExecs(), sweeper.Workers(), time.Since(start).Seconds())
 }
 
 // mustExist exits with status 2 unless dir is a directory. -status and

@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -114,5 +116,63 @@ func TestListRunsNothing(t *testing.T) {
 	}
 	if stderr != "" {
 		t.Fatalf("stderr %q: -list reported running something", stderr)
+	}
+}
+
+// TestExecutedCountsSumToTotal pins the stderr accounting of one run: a
+// point that several exhibits list counts as executed under the first of
+// them only, so on a cold cache the per-exhibit executed counts sum to the
+// closing total, and Figure 4 pays only for the points Table 3 lacks.
+func TestExecutedCountsSumToTotal(t *testing.T) {
+	code, stdout, stderr := runSwex(t, "-quick", "-cache", t.TempDir(), "table3", "fig4")
+	if code != 0 {
+		t.Fatalf("exit status %d, want 0 (stderr %q)", code, stderr)
+	}
+	if !strings.Contains(stdout, "== table3: ") || !strings.Contains(stdout, "== fig4: ") {
+		t.Fatalf("stdout %q lacks an exhibit", stdout)
+	}
+	line := regexp.MustCompile(`(?m)^swex: (\S+): (\d+) job\(s\), (\d+) executed, (\d+) from cache$`)
+	total := regexp.MustCompile(`(?m)^swex: (\d+) simulation\(s\) executed on \d+ worker\(s\) in \d+\.\ds$`)
+	lines := line.FindAllStringSubmatch(stderr, -1)
+	closing := total.FindStringSubmatch(stderr)
+	if len(lines) != 2 || lines[0][1] != "table3" || lines[1][1] != "fig4" || closing == nil {
+		t.Fatalf("stderr %q: want a table3 line, a fig4 line and a closing total", stderr)
+	}
+	n := func(s string) int {
+		v, err := strconv.Atoi(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	sum := 0
+	for _, l := range lines {
+		jobs, executed, cached := n(l[2]), n(l[3]), n(l[4])
+		if executed+cached != jobs {
+			t.Errorf("%s: %d executed + %d from cache != %d job(s)", l[1], executed, cached, jobs)
+		}
+		sum += executed
+	}
+	if got := n(closing[1]); sum != got {
+		t.Errorf("per-exhibit executed counts sum to %d, the closing total is %d", sum, got)
+	}
+	if table3 := n(lines[0][2]); n(lines[0][3]) != table3 || n(lines[1][4]) < table3 {
+		t.Errorf("stderr %q: table3's %d cold points must execute under table3 and be reused by fig4", stderr, table3)
+	}
+}
+
+// TestFailedJobPrintsNothing pins the failure path: the exhibits run as
+// one sweep, so a failed job leaves stdout empty, and the error names the
+// first failing exhibit and its own job index.
+func TestFailedJobPrintsNothing(t *testing.T) {
+	code, stdout, stderr := runSwex(t, "-quick", "-cycle-budget", "1000", "table1", "fig2")
+	if code != 1 {
+		t.Fatalf("exit status %d, want 1 (stderr %q)", code, stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("printed %q after a failed job", stdout)
+	}
+	if want := "swex: table1: sweep: job 0 ("; !strings.HasPrefix(stderr, want) {
+		t.Fatalf("stderr %q does not start with %q", stderr, want)
 	}
 }

@@ -23,11 +23,10 @@ import (
 // the point's result will have), and returns the assembler: a closure
 // that shapes the results, read through the indices it kept, into the
 // paper's table or figure. The registry (Matrices) derives each exhibit's
-// job list and its rendering from that one function. Running several
-// exhibits through one shared Runner (as cmd/swex does) deduplicates the
-// simulation points they share — for example the sequential baselines
-// common to Table 3, Figure 4, Figure 5, and the scaling study run once,
-// not four times.
+// job list and its rendering from that one function. Render submits the
+// jobs of every exhibit it is given as one sweep, so the simulation points
+// they share — for example the sequential baselines common to Table 3,
+// Figure 4, Figure 5, and the scaling study — run once, not four times.
 
 // Options controls how an experiment runs.
 type Options struct {
@@ -35,10 +34,10 @@ type Options struct {
 	// completes in a few seconds, preserving every qualitative shape.
 	// Used by tests and short benchmark runs.
 	Quick bool
-	// Sweep is the runner experiments execute on. Nil uses a private
-	// in-memory runner with one worker per core. Sharing one runner
-	// across experiments shares its result cache (and, when configured
-	// with a cache directory, persists results across processes).
+	// Sweep is the runner Render submits to. Nil uses a private
+	// in-memory runner with one worker per core. A runner configured
+	// with a cache directory serves finished points from disk, so results
+	// persist across Render calls and across processes.
 	Sweep *Sweeper
 }
 
@@ -115,22 +114,6 @@ func newPlan[D any](o Options, build func(*plan) assembler[D]) ([]sweep.Job, ass
 	p := &plan{Options: o}
 	assemble := build(p)
 	return p.jobs, assemble
-}
-
-// runPlan executes an exhibit's matrix through o.Sweep with fail-fast
-// semantics and assembles the results.
-func runPlan[D any](o Options, build func(*plan) assembler[D]) (D, error) {
-	jobs, assemble := newPlan(o, build)
-	runner := o.Sweep
-	if runner == nil {
-		runner = sweep.MustNewRunner(sweep.Config{})
-	}
-	results, err := runner.Run(context.Background(), jobs)
-	if err != nil {
-		var zero D
-		return zero, err
-	}
-	return assemble(results)
 }
 
 // --------------------------------------------------------------- Table 1
@@ -745,40 +728,99 @@ func (d *TiersData) Table() *report.Table {
 // Matrix names one exhibit: a job matrix paired with the renderer that
 // turns its results into the paper's table, figure, or ablation. The
 // registry is the single exhibit list cmd/swex resolves names against —
-// every Jobs() element is a canonical, hashable sweep.Job.
+// every Jobs element is a canonical, hashable sweep.Job.
 type Matrix struct {
 	// Name is the CLI-facing exhibit name ("table1" .. "ablate-mthread").
 	Name string
 	// Caption is the one-line human description of the exhibit.
 	Caption string
-	// Jobs enumerates the matrix's simulation points in submission order.
-	Jobs func(Options) []SweepJob
-	// Render runs the matrix through Options.Sweep and returns the
-	// rendered exhibit plus the assembled data behind it (for JSON
-	// output). Both are pure functions of the job results, so they are
-	// byte-identical at any worker count and with or without a warm cache.
-	Render func(Options) (string, any, error)
+	// plan walks the exhibit's plan function: its jobs in submission
+	// order and the renderer of their results.
+	plan func(Options) ([]sweep.Job, renderer)
+}
+
+// renderer shapes an exhibit's results, in submission order, into its
+// rendered text and the assembled data behind it.
+type renderer func([]sweep.Result) (string, any, error)
+
+// Jobs enumerates the matrix's simulation points in submission order.
+func (m Matrix) Jobs(o Options) []SweepJob {
+	jobs, _ := m.plan(o)
+	return jobs
 }
 
 // exhibit builds a registry entry from an exhibit's plan function and the
-// view that renders its data. Both Matrix fields come from the one plan;
-// errors carry the exhibit's name.
+// view that renders its data.
 func exhibit[D any, V fmt.Stringer](name, caption string, build func(*plan) assembler[D], view func(D) V) Matrix {
 	return Matrix{
 		Name:    name,
 		Caption: caption,
-		Jobs: func(o Options) []sweep.Job {
-			jobs, _ := newPlan(o, build)
-			return jobs
-		},
-		Render: func(o Options) (string, any, error) {
-			d, err := runPlan(o, build)
-			if err != nil {
-				return "", nil, fmt.Errorf("%s: %w", name, err)
+		plan: func(o Options) ([]sweep.Job, renderer) {
+			jobs, assemble := newPlan(o, build)
+			return jobs, func(r []sweep.Result) (string, any, error) {
+				d, err := assemble(r)
+				if err != nil {
+					return "", nil, err
+				}
+				return view(d).String(), d, nil
 			}
-			return view(d).String(), d, nil
 		},
 	}
+}
+
+// Exhibit is one matrix as Render rendered it.
+type Exhibit struct {
+	Name, Caption string
+	// Text is the rendered table or figure, Data the assembled data
+	// behind it (for JSON output).
+	Text string
+	Data any
+	// Jobs counts the matrix's simulation points, and Executed the
+	// simulations run for points no earlier exhibit of the call lists.
+	Jobs, Executed int
+}
+
+// Render runs the exhibits' jobs through o.Sweep as one submission, so a
+// point several exhibits list runs once, and renders each exhibit from
+// its own slice of the results. On failure it renders nothing and names
+// the first failing exhibit and that exhibit's own job index.
+func Render(o Options, ms []Matrix) ([]Exhibit, error) {
+	runner := o.Sweep
+	if runner == nil {
+		runner = sweep.MustNewRunner(sweep.Config{})
+	}
+	var all []sweep.Job
+	out := make([]Exhibit, len(ms))
+	renders := make([]renderer, len(ms))
+	for i, m := range ms {
+		var jobs []sweep.Job
+		jobs, renders[i] = m.plan(o)
+		all = append(all, jobs...)
+		out[i] = Exhibit{Name: m.Name, Caption: m.Caption, Jobs: len(jobs)}
+	}
+	outcomes := runner.Sweep(context.Background(), all)
+	seen := make(map[string]bool)
+	for i := range out {
+		e := &out[i]
+		own := outcomes[:e.Jobs]
+		outcomes = outcomes[e.Jobs:]
+		results := make([]sweep.Result, len(own))
+		for j, oc := range own {
+			if oc.Err != nil {
+				return nil, fmt.Errorf("%s: sweep: job %d (%s): %w", e.Name, j, oc.Job, oc.Err)
+			}
+			results[j] = oc.Result
+			if !oc.Cached && !seen[oc.Hash] {
+				e.Executed++
+			}
+			seen[oc.Hash] = true
+		}
+		var err error
+		if e.Text, e.Data, err = renders[i](results); err != nil {
+			return nil, fmt.Errorf("%s: %w", e.Name, err)
+		}
+	}
+	return out, nil
 }
 
 // titled renders ablation rows under the given table title.

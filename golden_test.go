@@ -1,7 +1,7 @@
 package swex
 
 // Exhibit golden: every quick exhibit in the registry — the tables,
-// figures, and ablations — rendered serially, must match a committed
+// figures, and ablations — rendered in registry order, must match a committed
 // fixture byte for byte. Any change to simulated behaviour, event ordering
 // or report formatting shows up here as a diff against a fixed commit,
 // which makes refactors of the simulator mechanically safe.
@@ -14,17 +14,18 @@ import (
 	"testing"
 )
 
-// renderAll renders every registry exhibit in quick mode on the default
-// private runner and returns the concatenated reports.
+// renderAll renders every registry exhibit in quick mode, in one Render
+// call on the default private runner, and returns the concatenated
+// reports.
 func renderAll(t *testing.T) string {
 	t.Helper()
+	exhibits, err := Render(Options{Quick: true}, Matrices())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out string
-	for _, m := range Matrices() {
-		text, _, err := m.Render(Options{Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
-		out += "== " + m.Name + "\n" + text + "\n"
+	for _, e := range exhibits {
+		out += "== " + e.Name + "\n" + e.Text + "\n"
 	}
 	return out
 }

@@ -56,9 +56,11 @@
 // # Invariants
 //
 // After every transition the checker asserts, for every tracked block:
-// single writer (an Exclusive copy is the only copy), identical readers
-// (all Shared copies hold the same words), and directory–cache agreement
-// (proto.Fabric.AgreementViolation). Whenever the event queue is empty it
+// single writer (an Exclusive copy is the only copy,
+// proto.Fabric.SingleWriterViolation), identical readers (all Shared
+// copies hold the same words, proto.Fabric.IdenticalReadersViolation),
+// and directory–cache agreement (proto.Fabric.AgreementViolation) — the
+// predicates the runtime checker (proto.Checker) evaluates too. Whenever the event queue is empty it
 // additionally asserts quiescence — no in-flight messages, no outstanding
 // miss transactions, no incomplete operations beyond parked watchers, and
 // every directory entry in a stable state — and lost-wakeup: a watcher

@@ -253,10 +253,10 @@ func (w *world) fingerprint(dst []byte) []byte {
 // returning the failed invariant's name and a description, or "", "".
 func (w *world) invariantViolation() (string, string) {
 	for bi, b := range w.blocks {
-		if d := w.copiesViolation(b); d != "" {
+		if d := w.fabric.SingleWriterViolation(b); d != "" {
 			return "single-writer", d
 		}
-		if d := w.readersViolation(b); d != "" {
+		if d := w.fabric.IdenticalReadersViolation(b); d != "" {
 			return "identical-readers", d
 		}
 		if d := w.fabric.AgreementViolation(b); d != "" {
@@ -335,53 +335,4 @@ func (w *world) coherentWord(bi int, addr mem.Addr) uint64 {
 		}
 	}
 	return w.fabric.Mem.ReadBlock(b)[off]
-}
-
-// copiesViolation checks single-writer for one block: an Exclusive copy
-// must be the only copy anywhere.
-func (w *world) copiesViolation(b mem.Block) string {
-	var exclusiveAt, copies []mem.NodeID
-	for n := 0; n < w.cfg.Nodes; n++ {
-		id := mem.NodeID(n)
-		l, ok := w.fabric.Cache(id).HasBlock(b)
-		if !ok || l.State == cache.Invalid {
-			continue
-		}
-		copies = append(copies, id)
-		if l.State == cache.Exclusive {
-			exclusiveAt = append(exclusiveAt, id)
-		}
-	}
-	if len(exclusiveAt) > 1 {
-		return fmt.Sprintf("block %d exclusive at nodes %v", b, exclusiveAt)
-	}
-	if len(exclusiveAt) == 1 && len(copies) > 1 {
-		return fmt.Sprintf("block %d exclusive at node %d but cached at %v",
-			b, exclusiveAt[0], copies)
-	}
-	return ""
-}
-
-// readersViolation checks identical-readers for one block: all Shared
-// copies must hold the same words.
-func (w *world) readersViolation(b mem.Block) string {
-	var first *cache.Line
-	var firstAt mem.NodeID
-	for n := 0; n < w.cfg.Nodes; n++ {
-		id := mem.NodeID(n)
-		l, ok := w.fabric.Cache(id).HasBlock(b)
-		if !ok || l.State != cache.Shared {
-			continue
-		}
-		if first == nil {
-			l := l
-			first, firstAt = &l, id
-			continue
-		}
-		if l.Words != first.Words {
-			return fmt.Sprintf("block %d shared copies diverge: node %d has %v, node %d has %v",
-				b, firstAt, first.Words, id, l.Words)
-		}
-	}
-	return ""
 }

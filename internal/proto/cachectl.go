@@ -20,11 +20,6 @@ type CacheConfig struct {
 	PerfectIfetch bool
 }
 
-// DefaultCacheConfig is the Alewife node cache without a victim cache.
-func DefaultCacheConfig() CacheConfig {
-	return CacheConfig{Cache: cache.DefaultConfig()}
-}
-
 // Op is one processor memory operation presented to the cache controller.
 type Op struct {
 	// Write requests exclusive ownership and stores a value.

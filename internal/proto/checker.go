@@ -11,15 +11,18 @@ import (
 // Checker validates coherence invariants while a simulation runs. It is a
 // verification harness, not part of the modeled machine: when enabled, the
 // fabric calls it after every event that changes a block's cached state,
-// and it scans the machine for violations of the two properties every
-// invalidation-based protocol must maintain:
+// and it scans the machine for violations of the properties every
+// invalidation-based protocol must maintain, each a Fabric predicate the
+// model checker evaluates too:
 //
-//  1. Single writer: an Exclusive copy is the only copy.
-//  2. Identical readers: all Shared copies of a block hold the same words.
+//  1. Single writer: an Exclusive copy is the only copy
+//     (SingleWriterViolation).
+//  2. Identical readers: all Shared copies of a block hold the same words
+//     (IdenticalReadersViolation).
 //  3. Directory–cache agreement: every cached copy is tracked by the home
 //     (hardware pointer, local bit, software sharer list, broadcast bit,
 //     or exclusive ownership) or has an invalidation already racing
-//     toward it.
+//     toward it (AgreementViolation).
 //
 // Violations panic immediately with a full description — in a
 // deterministic simulator the panic point is exactly reproducible, which
@@ -33,51 +36,69 @@ type Checker struct {
 // newChecker attaches a checker to the fabric.
 func newChecker(f *Fabric) *Checker { return &Checker{f: f} }
 
-// verify scans every cache's view of block b.
+// verify checks the three invariants for block b.
 func (c *Checker) verify(b mem.Block, context string) {
 	c.Checks++
-	var exclusiveAt []mem.NodeID
-	var copies []mem.NodeID
-	var shared []cache.Line
-	var sharedAt []mem.NodeID
-	for i := 0; i < c.f.Nodes(); i++ {
-		id := mem.NodeID(i)
-		l, ok := c.f.Cache(id).HasBlock(b)
-		if !ok {
-			continue
-		}
-		switch l.State {
-		case cache.Invalid:
-			// An invalid line holds no copy; nothing to cross-check.
-		case cache.Exclusive:
-			copies = append(copies, id)
-			exclusiveAt = append(exclusiveAt, id)
-		case cache.Shared:
-			copies = append(copies, id)
-			shared = append(shared, l)
-			sharedAt = append(sharedAt, id)
-		default:
-			panic(fmt.Sprintf("proto: checker: unknown cache line state %d at node %d", l.State, id))
-		}
+	v := c.f.SingleWriterViolation(b)
+	if v == "" {
+		v = c.f.IdenticalReadersViolation(b)
 	}
-	if len(exclusiveAt) > 1 {
-		panic(fmt.Sprintf("proto: coherence violation (%s): block %d exclusive at nodes %v at cycle %d",
-			context, b, exclusiveAt, c.f.Engine.Now()))
+	if v == "" {
+		v = c.f.AgreementViolation(b)
 	}
-	if len(exclusiveAt) == 1 && len(copies) > 1 {
-		panic(fmt.Sprintf("proto: coherence violation (%s): block %d exclusive at node %d but cached at %v at cycle %d",
-			context, b, exclusiveAt[0], copies, c.f.Engine.Now()))
-	}
-	for i := 1; i < len(shared); i++ {
-		if shared[i].Words != shared[0].Words {
-			panic(fmt.Sprintf("proto: coherence violation (%s): block %d shared copies diverge (node %d has %v, node %d has %v) at cycle %d",
-				context, b, sharedAt[0], shared[0].Words, sharedAt[i], shared[i].Words, c.f.Engine.Now()))
-		}
-	}
-	if v := c.f.AgreementViolation(b); v != "" {
+	if v != "" {
 		panic(fmt.Sprintf("proto: coherence violation (%s): %s at cycle %d",
 			context, v, c.f.Engine.Now()))
 	}
+}
+
+// SingleWriterViolation checks the single-writer invariant for block b:
+// an Exclusive copy must be the only copy anywhere. It returns a
+// description of the violation, or "".
+func (f *Fabric) SingleWriterViolation(b mem.Block) string {
+	var exclusiveAt, copies []mem.NodeID
+	for i, cc := range f.caches {
+		l, ok := cc.HasBlock(b)
+		if !ok || l.State == cache.Invalid {
+			continue
+		}
+		copies = append(copies, mem.NodeID(i))
+		if l.State == cache.Exclusive {
+			exclusiveAt = append(exclusiveAt, mem.NodeID(i))
+		}
+	}
+	if len(exclusiveAt) > 1 {
+		return fmt.Sprintf("block %d exclusive at nodes %v", b, exclusiveAt)
+	}
+	if len(exclusiveAt) == 1 && len(copies) > 1 {
+		return fmt.Sprintf("block %d exclusive at node %d but cached at %v",
+			b, exclusiveAt[0], copies)
+	}
+	return ""
+}
+
+// IdenticalReadersViolation checks the identical-readers invariant for
+// block b: all Shared copies must hold the same words. It returns a
+// description of the first divergence, or "".
+func (f *Fabric) IdenticalReadersViolation(b mem.Block) string {
+	var first cache.Line
+	var firstAt mem.NodeID
+	found := false
+	for i, cc := range f.caches {
+		l, ok := cc.HasBlock(b)
+		if !ok || l.State != cache.Shared {
+			continue
+		}
+		if !found {
+			first, firstAt, found = l, mem.NodeID(i), true
+			continue
+		}
+		if l.Words != first.Words {
+			return fmt.Sprintf("block %d shared copies diverge: node %d has %v, node %d has %v",
+				b, firstAt, first.Words, i, l.Words)
+		}
+	}
+	return ""
 }
 
 // AgreementViolation checks the directory–cache agreement invariant for

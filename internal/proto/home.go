@@ -232,7 +232,7 @@ func (h *HomeCtl) process(m *Msg) {
 }
 
 // maxBatchedReads bounds a read handler's drain loop.
-var maxBatchedReads = 8
+const maxBatchedReads = 8
 
 // busy sends a retry reply.
 func (h *HomeCtl) busy(m *Msg) {
@@ -941,6 +941,3 @@ func (h *HomeCtl) Entry(b mem.Block) *dir.Entry { return h.entry(b) }
 func (h *HomeCtl) forEachEntry(fn func(b mem.Block, maxSharers int)) {
 	h.dir.ForEach(func(b mem.Block, e *dir.Entry) { fn(b, e.MaxSharers) })
 }
-
-// SetMaxBatchedReads adjusts the read-batching bound (experiments only).
-func SetMaxBatchedReads(n int) { maxBatchedReads = n }

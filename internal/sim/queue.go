@@ -39,9 +39,6 @@ func (s *Server) Reserve(now Cycle, dur Cycle) (start Cycle) {
 // FreeAt reports the cycle at which the server next becomes idle.
 func (s *Server) FreeAt() Cycle { return s.freeAt }
 
-// IdleAt reports whether the server is idle at the given cycle.
-func (s *Server) IdleAt(now Cycle) bool { return s.freeAt <= now }
-
 // Reset clears the server's schedule and statistics.
 func (s *Server) Reset() { *s = Server{} }
 

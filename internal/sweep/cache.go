@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,10 +23,12 @@ import (
 // An object is written to a temporary file and renamed into place, then a
 // manifest line is appended and synced, so a crash leaves at worst one
 // unjournaled (but valid) object and never a journaled, half-written one.
-// On open, the manifest is replayed: "done" entries whose objects are
-// readable become immediate cache hits, a truncated final line (the
-// signature of a crash mid-append) is ignored, and "failed" entries are
-// remembered only for reporting — failures always re-execute.
+// A "done" record carries the SHA-256 of its object's bytes, so an object
+// changed after it was journaled is a miss, never a wrong hit. On open,
+// the manifest is replayed: "done" entries become cache hits, a truncated
+// final line (the signature of a crash mid-append) is ignored, and
+// "failed" entries are remembered only for reporting — failures always
+// re-execute.
 //
 // The directory is the only state several processes share: each may open
 // it, serve hits from it and journal into it. Every record names its key
@@ -35,8 +39,8 @@ type Cache struct {
 
 	mu       sync.Mutex
 	manifest *os.File
-	done     map[string]string  // key hash -> canonical key
-	failed   map[string]Failure // key hash -> last journaled failure
+	done     map[string]manifestLine // key hash -> latest "done" record
+	failed   map[string]Failure      // key hash -> last journaled failure
 }
 
 // manifestLine is one journal record.
@@ -45,6 +49,9 @@ type manifestLine struct {
 	Key    string `json:"k"`
 	Status string `json:"s"` // "done" or "failed"
 	Err    string `json:"e,omitempty"`
+	// Digest is the SHA-256 of a "done" record's object bytes. A record
+	// without one (written before objects were digested) is never served.
+	Digest string `json:"d,omitempty"`
 }
 
 // valid reports whether a decoded record is one the cache writes: a known
@@ -61,7 +68,7 @@ func OpenCache(dir string) (*Cache, error) {
 	}
 	c := &Cache{
 		dir:    dir,
-		done:   make(map[string]string),
+		done:   make(map[string]manifestLine),
 		failed: make(map[string]Failure),
 	}
 	if err := c.replay(); err != nil {
@@ -116,7 +123,7 @@ func (c *Cache) replay() error {
 		}
 		switch m.Status {
 		case "done":
-			c.done[m.Hash] = m.Key
+			c.done[m.Hash] = m
 			delete(c.failed, m.Hash)
 		case "failed":
 			c.failed[m.Hash] = Failure{Key: m.Key, Err: m.Err}
@@ -129,29 +136,40 @@ func (c *Cache) replay() error {
 }
 
 // Get returns the cached result for a canonical key, if the journal marks
-// it done and its object is present and consistent. A missing or
-// mismatched object (a collision, or a crash before the object rename)
-// degrades to a miss.
+// it done and its object is present and holds the bytes the journal
+// digested. A missing or mismatched object (a collision, a crash before
+// the object rename, or an object changed after it was journaled) and a
+// record without a digest degrade to a miss, so the job re-executes and
+// is journaled again.
 func (c *Cache) Get(key string) (Result, bool) {
 	hash := HashKey(key)
 	c.mu.Lock()
-	journaledKey, ok := c.done[hash]
+	rec, ok := c.done[hash]
 	c.mu.Unlock()
-	if !ok || journaledKey != key {
+	if !ok || rec.Key != key {
 		return Result{}, false
 	}
 	data, err := os.ReadFile(c.objectPath(hash))
-	if err != nil {
+	if err != nil || digest(data) != rec.Digest {
 		return Result{}, false
 	}
-	var obj struct {
-		Key    string
-		Result Result
-	}
+	var obj object
 	if err := json.Unmarshal(data, &obj); err != nil || obj.Key != key {
 		return Result{}, false
 	}
 	return obj.Result, true
+}
+
+// object is the on-disk form of one finished job.
+type object struct {
+	Key    string
+	Result Result
+}
+
+// digest is the hex SHA-256 of an object's bytes.
+func digest(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // Put stores a finished result and journals the completion.
@@ -161,18 +179,16 @@ func (c *Cache) Put(key string, res Result) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
-	data, err := json.MarshalIndent(struct {
-		Key    string
-		Result Result
-	}{key, res}, "", " ")
+	data, err := json.MarshalIndent(object{key, res}, "", " ")
 	if err != nil {
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
+	data = append(data, '\n')
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+hash+".tmp*")
 	if err != nil {
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	serr := tmp.Sync()
 	cerr := tmp.Close()
 	if err := errors.Join(werr, serr, cerr); err != nil {
@@ -183,11 +199,12 @@ func (c *Cache) Put(key string, res Result) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
-	if err := c.journal(manifestLine{Hash: hash, Key: key, Status: "done"}); err != nil {
+	rec := manifestLine{Hash: hash, Key: key, Status: "done", Digest: digest(data)}
+	if err := c.journal(rec); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.done[hash] = key
+	c.done[hash] = rec
 	delete(c.failed, hash)
 	c.mu.Unlock()
 	return nil
@@ -259,7 +276,7 @@ func (c *Cache) Compact() (records int, err error) {
 	}
 	sort.Strings(hashes)
 	for _, h := range hashes {
-		lines = append(lines, manifestLine{Hash: h, Key: c.done[h], Status: "done"})
+		lines = append(lines, c.done[h])
 	}
 	hashes = hashes[:0]
 	for h := range c.failed {

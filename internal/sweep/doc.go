@@ -12,13 +12,15 @@
 //
 //   - a Job is a canonical, hashable description of one run;
 //   - a Runner executes jobs on a bounded worker pool with per-job panic
-//     recovery, cycle/wall budgets, a retry policy, and context
-//     cancellation, merging results back in submission (matrix) order so
-//     sweep output is byte-identical to a serial run at any worker count;
-//   - a Cache persists each finished result under the SHA-256 of its
-//     job key, journaled in an append-only JSONL manifest, so a killed
-//     sweep resumes by skipping finished jobs and an unchanged matrix
-//     re-runs as pure cache hits.
+//     recovery, a cycle budget, and context cancellation, running each
+//     distinct job of a submission once and merging results back in
+//     submission (matrix) order so sweep output is byte-identical to a
+//     serial run at any worker count;
+//   - a Cache, the only result store, persists each finished result under
+//     the SHA-256 of its job key, journaled with a digest of the stored
+//     bytes in an append-only JSONL manifest, so a killed sweep resumes
+//     by skipping finished jobs and an unchanged matrix re-runs as pure
+//     cache hits.
 //
 // The package is part of the lint-enforced simulation core: everything
 // outside the explicitly annotated worker-pool handoff follows the

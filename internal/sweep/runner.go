@@ -35,26 +35,21 @@ type Config struct {
 	OnExecute func(Job)
 }
 
-// Runner executes job matrices. It memoizes results in process, optionally
-// persists them through a Cache, and is safe for use from one goroutine at
-// a time (the worker pool is internal).
+// Runner executes job matrices. It deduplicates identical jobs within one
+// submission, optionally persists results through a Cache (its only
+// result store), and is safe for use from one goroutine at a time (the
+// worker pool is internal).
 type Runner struct {
 	cfg   Config
 	cache *Cache
 
 	mu    sync.Mutex
-	memo  map[string]Result // key hash -> finished result
-	execs map[string]int    // key hash -> simulation executions
-	total int
+	total int // simulation executions
 }
 
 // NewRunner builds a runner, opening the disk cache when configured.
 func NewRunner(cfg Config) (*Runner, error) {
-	r := &Runner{
-		cfg:   cfg,
-		memo:  make(map[string]Result),
-		execs: make(map[string]int),
-	}
+	r := &Runner{cfg: cfg}
 	if cfg.CacheDir != "" {
 		c, err := OpenCache(cfg.CacheDir)
 		if err != nil {
@@ -108,8 +103,9 @@ type Outcome struct {
 	// Err records an invalid description, a panic, a budget violation, a
 	// simulation error, or context cancellation.
 	Err error
-	// Cached marks results served without executing a simulation (from
-	// the in-process memo or the disk cache).
+	// Cached marks results served from the disk cache without executing
+	// a simulation. Copies of one job within a submission share a
+	// verdict, Cached included.
 	Cached bool
 	// CacheErr records a failure to persist an otherwise valid result;
 	// Result still holds.
@@ -165,10 +161,10 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 		tasks = append(tasks, t)
 	}
 
-	// Serve memo and disk-cache hits without scheduling.
+	// Serve disk-cache hits without scheduling.
 	var pending []*task
 	for _, t := range tasks {
-		if res, ok := r.lookup(t.key, t.hash); ok {
+		if res, ok := r.lookup(t.key); ok {
 			for _, i := range t.indices {
 				outcomes[i].Result, outcomes[i].Cached = res, true
 			}
@@ -186,7 +182,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 			o.Err = err
 			return
 		}
-		res, err := r.execute(t.job, t.hash)
+		res, err := r.execute(t.job)
 		if err != nil {
 			o.Err = err
 			if r.cache != nil {
@@ -195,9 +191,6 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 			return
 		}
 		o.Result = res
-		r.mu.Lock()
-		r.memo[t.hash] = res
-		r.mu.Unlock()
 		if r.cache != nil {
 			o.CacheErr = r.cache.Put(t.key, res)
 		}
@@ -227,30 +220,17 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	return results, nil
 }
 
-// lookup consults the in-process memo, then the disk cache (promoting disk
-// hits into the memo).
-func (r *Runner) lookup(key, hash string) (Result, bool) {
-	r.mu.Lock()
-	res, ok := r.memo[hash]
-	r.mu.Unlock()
-	if ok {
-		return res, true
-	}
+// lookup consults the disk cache, if any.
+func (r *Runner) lookup(key string) (Result, bool) {
 	if r.cache == nil {
 		return Result{}, false
 	}
-	res, ok = r.cache.Get(key)
-	if ok {
-		r.mu.Lock()
-		r.memo[hash] = res
-		r.mu.Unlock()
-	}
-	return res, ok
+	return r.cache.Get(key)
 }
 
-// execute counts and runs one simulation, whose key hashes to hash, under
-// panic recovery and the cycle budget.
-func (r *Runner) execute(job Job, hash string) (res Result, err error) {
+// execute counts and runs one simulation under panic recovery and the
+// cycle budget.
+func (r *Runner) execute(job Job) (res Result, err error) {
 	defer func() {
 		//lint:allow panic-hygiene(a panicking OnExecute hook must become a failure record, not a crashed sweep; the stack is preserved in the error)
 		if rec := recover(); rec != nil {
@@ -258,7 +238,6 @@ func (r *Runner) execute(job Job, hash string) (res Result, err error) {
 		}
 	}()
 	r.mu.Lock()
-	r.execs[hash]++
 	r.total++
 	r.mu.Unlock()
 	if r.cfg.OnExecute != nil {
@@ -324,19 +303,6 @@ func Execute(job Job, defaultLimit sim.Cycle) (res Result, err error) {
 		res.Obs = inst.Observations.Values()
 	}
 	return res, nil
-}
-
-// ExecCount reports how many times the job's simulation actually ran under
-// this runner (cache hits do not count). Invalid jobs report zero.
-func (r *Runner) ExecCount(job Job) int {
-	key, err := job.Key(r.cfg.Salt)
-	if err != nil {
-		return 0
-	}
-	hash := HashKey(key)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.execs[hash]
 }
 
 // TotalExecs reports the runner-wide simulation execution count.

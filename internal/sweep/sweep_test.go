@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -146,8 +147,33 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSweepDedupAndMemo(t *testing.T) {
-	r := MustNewRunner(Config{Workers: 4})
+// execCounts is an OnExecute hook that counts simulation executions per
+// job key.
+type execCounts struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func newExecCounts() *execCounts { return &execCounts{n: make(map[string]int)} }
+
+func (c *execCounts) hook(j Job) {
+	key, _ := j.Key("")
+	c.mu.Lock()
+	c.n[key]++
+	c.mu.Unlock()
+}
+
+// of reports how many times j's simulation ran.
+func (c *execCounts) of(j Job) int {
+	key, _ := j.Key("")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[key]
+}
+
+func TestSweepDedupFansOut(t *testing.T) {
+	execs := newExecCounts()
+	r := MustNewRunner(Config{Workers: 4, OnExecute: execs.hook})
 	defer r.Close()
 	job := smallMatrix(1)[0]
 
@@ -160,16 +186,8 @@ func TestSweepDedupAndMemo(t *testing.T) {
 			t.Fatalf("outcome %d diverges from fan-out", i)
 		}
 	}
-	if got := r.ExecCount(job); got != 1 {
+	if got := execs.of(job); got != 1 {
 		t.Fatalf("duplicate jobs in one sweep executed %d times, want 1", got)
-	}
-
-	again := r.Sweep(context.Background(), []Job{job})
-	if !again[0].Cached {
-		t.Fatal("second sweep must be served from the memo")
-	}
-	if got := r.ExecCount(job); got != 1 {
-		t.Fatalf("memo hit re-executed: %d executions", got)
 	}
 }
 
@@ -211,6 +229,58 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	if got := r2.TotalExecs(); got != 0 {
 		t.Fatalf("warm sweep executed %d simulations, want 0", got)
+	}
+}
+
+// TestCacheServesOnlyDigestedRecords pins that a "done" record without an
+// object digest, as journals written before digests carry, is a miss: the
+// job re-executes and its new record is served from then on.
+func TestCacheServesOnlyDigestedRecords(t *testing.T) {
+	dir := t.TempDir()
+	jobs := smallMatrix(3)
+	r, err := NewRunner(Config{Workers: 1, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	manifest := filepath.Join(dir, "manifest.jsonl")
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy []byte
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		var m manifestLine
+		if line == "" {
+			continue
+		}
+		if err := json.Unmarshal([]byte(line), &m); err != nil || m.Digest == "" {
+			t.Fatalf("record %q: want a digest (err %v)", line, err)
+		}
+		m.Digest = ""
+		enc, _ := json.Marshal(m)
+		legacy = append(append(legacy, enc...), '\n')
+	}
+	if err := os.WriteFile(manifest, legacy, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, want := range []int{len(jobs), 0} {
+		r, err := NewRunner(Config{Workers: 1, CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(context.Background(), jobs); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.TotalExecs(); got != want {
+			t.Fatalf("executed %d simulations, want %d", got, want)
+		}
+		r.Close()
 	}
 }
 
@@ -295,10 +365,12 @@ func TestCrashResume(t *testing.T) {
 	// would. The journal must preserve exactly the completed jobs.
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed atomic.Int64
+	firstExecs := newExecCounts()
 	r, err := NewRunner(Config{
 		Workers:  2,
 		CacheDir: dir,
-		OnExecute: func(Job) {
+		OnExecute: func(j Job) {
+			firstExecs.hook(j)
 			if executed.Add(1) == 4 {
 				cancel()
 			}
@@ -323,16 +395,12 @@ func TestCrashResume(t *testing.T) {
 	if cancelled == 0 {
 		t.Fatal("cancellation reached no job; cannot exercise resume")
 	}
-	firstExecs := make(map[string]int)
-	for _, j := range jobs {
-		key, _ := j.Key("")
-		firstExecs[HashKey(key)] = r.ExecCount(j)
-	}
 	r.Close()
 
 	// Resume: a fresh runner over the same cache completes the matrix,
 	// never re-executing a finished job.
-	r2, err := NewRunner(Config{Workers: 2, CacheDir: dir})
+	resumeExecs := newExecCounts()
+	r2, err := NewRunner(Config{Workers: 2, CacheDir: dir, OnExecute: resumeExecs.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +412,7 @@ func TestCrashResume(t *testing.T) {
 		}
 	}
 	for i, j := range jobs {
-		key, _ := j.Key("")
-		total := firstExecs[HashKey(key)] + r2.ExecCount(j)
+		total := firstExecs.of(j) + resumeExecs.of(j)
 		if total != 1 {
 			t.Fatalf("job %d executed %d times across crash and resume, want exactly 1", i, total)
 		}
@@ -396,7 +463,8 @@ func TestPanicBecomesFailureRecord(t *testing.T) {
 
 	// The failure is journaled for reporting but never served as a result:
 	// a resumed sweep re-executes the job (this time without the poison).
-	r2, err := NewRunner(Config{Workers: 1, CacheDir: dir})
+	execs := newExecCounts()
+	r2, err := NewRunner(Config{Workers: 1, CacheDir: dir, OnExecute: execs.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +479,7 @@ func TestPanicBecomesFailureRecord(t *testing.T) {
 	if _, err := r2.Run(context.Background(), []Job{poison}); err != nil {
 		t.Fatalf("failed job must re-execute on resume: %v", err)
 	}
-	if got := r2.ExecCount(poison); got != 1 {
+	if got := execs.of(poison); got != 1 {
 		t.Fatalf("resume executed the failed job %d times, want 1", got)
 	}
 	if st := r2.Cache().Status(); st.Failed != 0 {

@@ -6,6 +6,12 @@ package swex
 // simulation points that several experiments have in common.
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"swex/internal/sweep"
@@ -59,31 +65,118 @@ func TestSweepOutputDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedBaselineComputedOnce is the dedup regression test: Table 3 and
-// Figure 4 both need each application's sequential baseline; a shared
-// runner must simulate each such point exactly once.
+// TestSharedBaselineComputedOnce is the dedup regression test: Table 3,
+// Figures 4 and 5 and the scaling study all need sequential baselines,
+// and one Render over them must simulate each distinct point exactly once.
 func TestSharedBaselineComputedOnce(t *testing.T) {
-	r := sweep.MustNewRunner(sweep.Config{})
+	var mu sync.Mutex
+	execs := make(map[string]int)
+	r := sweep.MustNewRunner(sweep.Config{OnExecute: func(j sweep.Job) {
+		key, err := j.Key("")
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		execs[key]++
+		mu.Unlock()
+	}})
 	defer r.Close()
 	o := Options{Quick: true, Sweep: r}
-
-	run(t, o, table3)
-	baselineExecs := r.TotalExecs()
-	baselines, _ := newPlan(o, table3)
-	if baselineExecs != len(baselines) {
-		t.Fatalf("table 3 executed %d simulations for %d baselines", baselineExecs, len(baselines))
+	ms, err := SelectMatrices([]string{"table3", "fig4", "fig5", "scaling"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exhibits, err := Render(o, ms)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	run(t, o, figure4)
-	for i, j := range baselines {
-		if got := r.ExecCount(j); got != 1 {
-			t.Errorf("baseline %d (%s) executed %d times across Table 3 + Figure 4, want 1", i, j, got)
+	distinct := make(map[string]bool)
+	listed := 0
+	for _, m := range ms {
+		for _, j := range m.Jobs(o) {
+			key, err := j.Key("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct[key] = true
+			listed++
 		}
 	}
-	// Figure 4 must only have paid for its parallel points.
-	fig4, _ := newPlan(o, figure4)
-	want := baselineExecs + len(fig4) - len(baselines)
-	if got := r.TotalExecs(); got != want {
-		t.Errorf("Table 3 + Figure 4 executed %d simulations, want %d (shared baselines computed once)", got, want)
+	if len(distinct) == listed {
+		t.Fatalf("the four exhibits share no point (%d jobs); the test checks nothing", listed)
+	}
+	for key := range distinct {
+		if got := execs[key]; got != 1 {
+			t.Errorf("%s executed %d times, want 1", key, got)
+		}
+	}
+	if len(execs) != len(distinct) {
+		t.Errorf("executed %d distinct keys, the exhibits list %d", len(execs), len(distinct))
+	}
+	executed := 0
+	for _, e := range exhibits {
+		executed += e.Executed
+	}
+	if executed != len(distinct) || r.TotalExecs() != len(distinct) {
+		t.Errorf("exhibits report %d executed and the runner %d, want %d",
+			executed, r.TotalExecs(), len(distinct))
+	}
+}
+
+// TestCorruptedObjectIsAMiss edits the cached object behind Table 1's
+// assembly read latency from 193 to 999, leaving valid JSON, and requires
+// the next run to re-execute that one job and print the original number.
+func TestCorruptedObjectIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	ms, err := SelectMatrices([]string{"table1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() (string, int) {
+		t.Helper()
+		var execs atomic.Int64
+		r, err := NewSweeper(SweeperConfig{CacheDir: dir, OnExecute: func(sweep.Job) { execs.Add(1) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		exhibits, err := Render(Options{Quick: true, Sweep: r}, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exhibits[0].Text, int(execs.Load())
+	}
+	cold, _ := render()
+	if !strings.Contains(cold, " 193 ") {
+		t.Fatalf("quick Table 1 no longer reads 193; pick another number:\n%s", cold)
+	}
+
+	objects, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := 0
+	for _, path := range objects {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := bytes.Replace(data, []byte(`"ReadMean": 193,`), []byte(`"ReadMean": 999,`), 1); !bytes.Equal(bad, data) {
+			if err := os.WriteFile(path, bad, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			edited++
+		}
+	}
+	if edited != 1 {
+		t.Fatalf("edited %d objects, want 1", edited)
+	}
+
+	if got, execs := render(); got != cold || execs != 1 {
+		t.Fatalf("after the edit: %d execution(s), want 1; report:\n%s", execs, got)
+	}
+	if got, execs := render(); got != cold || execs != 0 {
+		t.Fatalf("re-executed object not journaled again: %d execution(s); report:\n%s", execs, got)
 	}
 }

@@ -19,11 +19,12 @@
 //   - Benchmarks: the WORKER synthetic stress test and the six
 //     applications of the paper's Section 6 (TSP, AQ, SMGRID, EVOLVE,
 //     MP3D, WATER).
-//   - Matrices: the exhibit registry. Each entry regenerates one table
-//     or figure of the paper (table1 .. fig6), one of this reproduction's
-//     scaling, extrapolation and memory-tier studies, or one of the
-//     ablations discussed in the text, as a job matrix run through a
-//     Sweeper plus the renderer of its results.
+//   - Matrices and Render: the exhibit registry. Each entry regenerates
+//     one table or figure of the paper (table1 .. fig6), one of this
+//     reproduction's scaling, extrapolation and memory-tier studies, or
+//     one of the ablations discussed in the text, as a job matrix plus
+//     the renderer of its results; Render runs any selection of them
+//     through a Sweeper as one submission.
 //
 // All simulation is deterministic: a configuration runs to the identical
 // cycle count every time.
@@ -212,8 +213,8 @@ type SweepResult = sweep.Result
 type SweepOutcome = sweep.Outcome
 
 // NewSweeper builds a sweep runner (opening the disk cache when
-// SweeperConfig.CacheDir is set). Pass it through Options.Sweep to share
-// one result cache across experiments, or call its Run/Sweep methods with
+// SweeperConfig.CacheDir is set). Pass it through Options.Sweep to run
+// Render on it, or call its Run/Sweep methods with
 // jobs built by SweepWorkerJob / SweepAppJob or listed by a registry
 // exhibit's Matrix.Jobs.
 func NewSweeper(cfg SweeperConfig) (*Sweeper, error) { return sweep.NewRunner(cfg) }

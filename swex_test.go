@@ -1,18 +1,30 @@
 package swex
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"swex/internal/stats"
+	"swex/internal/sweep"
 )
 
 var quick = Options{Quick: true}
 
-// run runs one exhibit plan and returns its assembled data.
+// run runs one exhibit plan through o.Sweep (a private runner when nil)
+// and returns its assembled data.
 func run[D any](tb testing.TB, o Options, build func(*plan) assembler[D]) D {
 	tb.Helper()
-	d, err := runPlan(o, build)
+	jobs, assemble := newPlan(o, build)
+	runner := o.Sweep
+	if runner == nil {
+		runner = sweep.MustNewRunner(sweep.Config{})
+	}
+	results, err := runner.Run(context.Background(), jobs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d, err := assemble(results)
 	if err != nil {
 		tb.Fatal(err)
 	}
