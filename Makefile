@@ -13,8 +13,9 @@ test:
 	$(GO) test ./...
 
 # lint runs the repository's own static-analysis suite (cmd/swexlint):
-# determinism, exhaustive-enum, cycle-math, and panic-hygiene rules over
-# every non-test package. See the "Determinism contract" in DESIGN.md.
+# determinism, exhaustive-enum, cycle-math, panic-hygiene and exporteddoc
+# rules over every non-test package. See the "Determinism contract" in
+# DESIGN.md.
 lint:
 	$(GO) run ./cmd/swexlint ./...
 

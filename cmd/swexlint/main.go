@@ -1,24 +1,16 @@
 // Command swexlint runs the repository's static-analysis suite: the
-// determinism, exhaustive-enum, cycle-math, panic-hygiene, exporteddoc,
-// and hotalloc rules that back the simulator's reproducibility and
-// allocation contracts (see internal/lint and the "Determinism contract"
-// section of DESIGN.md).
+// determinism, exhaustive-enum, cycle-math, panic-hygiene and exporteddoc
+// rules that back the simulator's reproducibility contract (see
+// internal/lint and the "Determinism contract" section of DESIGN.md).
 //
 // Usage:
 //
-//	swexlint [-analyzers list] [-json] [-write-baseline] [packages]
+//	swexlint [-analyzers list] [packages]
 //
 // Packages are module-relative directories ("./internal/dir") or the
 // recursive pattern "./...". With no arguments the whole module is
 // analyzed. The exit status is 0 when the tree is clean, 1 when any
 // diagnostic is reported, and 2 on a usage or load error.
-//
-// The hotalloc analyzer ratchets against lint-baseline.json at the module
-// root: sites within the baselined counts pass, new sites fail, and
-// -write-baseline regenerates the file from the current tree (including
-// the staleness pass, so the committed counts can only shrink).
-// -json emits diagnostics as one JSON object per line — including
-// suppressed ones, with their allow-state — for CI annotation tooling.
 package main
 
 import (
@@ -33,11 +25,8 @@ import (
 
 func main() {
 	analyzers := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON records (one object per line)")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the hotalloc baseline from the current tree")
-	baselinePath := flag.String("baseline", "", "hotalloc baseline file (default: lint-baseline.json at the module root)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: swexlint [-analyzers list] [-json] [-write-baseline] [./... | ./pkg/dir ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: swexlint [-analyzers list] [./... | ./pkg/dir ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -74,63 +63,16 @@ func main() {
 		pkgs = append(pkgs, loaded...)
 	}
 
-	cfg := lint.DefaultConfig()
-	bpath := *baselinePath
-	if bpath == "" {
-		bpath = filepath.Join(root, lint.BaselineFile)
-	}
-
-	if *writeBaseline {
-		// The baseline is whole-module by definition; scan everything
-		// regardless of the package arguments.
-		all, err := loader.LoadModule()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swexlint:", err)
-			os.Exit(2)
-		}
-		b := lint.ComputeBaseline(cfg, all)
-		if err := b.WriteFile(bpath); err != nil {
-			fmt.Fprintln(os.Stderr, "swexlint:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("swexlint: wrote %d hot-path allocation site(s) to %s\n", b.Total(), bpath)
-		return
-	}
-
-	cfg.Baseline, err = lint.LoadBaseline(bpath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swexlint:", err)
-		os.Exit(2)
-	}
-
-	diags := lint.RunAll(cfg, pkgs, as)
-	failures := 0
+	diags := lint.Run(lint.DefaultConfig(), pkgs, as)
 	for _, d := range diags {
-		if !d.Suppressed {
-			failures++
-		}
-	}
-	rel := func(name string) string {
+		name := d.Pos.Filename
 		if r, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(r, "..") {
-			return r
+			name = r
 		}
-		return name
+		fmt.Printf("%s:%d:%d: %s: %s\n", name, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, cwd, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "swexlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			if d.Suppressed {
-				continue
-			}
-			fmt.Printf("%s:%d:%d: %s: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-		}
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "swexlint: %d violation(s)\n", failures)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "swexlint: %d violation(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -225,8 +225,6 @@ func touch(set []Line, w int) {
 // mutating call. The instruction flag selects which hit/miss counters to
 // charge, matching the combined cache's shared storage but split
 // accounting.
-//
-//swex:hotpath
 func (c *Cache) Lookup(b mem.Block, instruction bool) (*Line, bool) {
 	set := c.set(c.Set(b))
 	if w := c.findWay(set, b); w >= 0 {
@@ -288,8 +286,6 @@ func (c *Cache) touchVictim(i int) {
 // when one is configured; the line that leaves the hierarchy entirely
 // (from the victim cache's LRU slot, or the set when there is no victim
 // cache) is returned so the controller can write it back if dirty.
-//
-//swex:hotpath
 func (c *Cache) Insert(l Line) (evicted Line, wasEvicted bool) {
 	idx := c.Set(l.Block)
 	set := c.set(idx)
@@ -348,8 +344,6 @@ func (c *Cache) Insert(l Line) (evicted Line, wasEvicted bool) {
 // Invalidate removes block b from the hierarchy, returning the line it
 // held if present. The protocol uses the returned contents to build the
 // UPDATE (dirty data) reply to an invalidation.
-//
-//swex:hotpath
 func (c *Cache) Invalidate(b mem.Block) (Line, bool) {
 	set := c.set(c.Set(b))
 	if w := c.findWay(set, b); w >= 0 {

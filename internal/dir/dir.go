@@ -311,8 +311,6 @@ func (d *Directory) CloneInto(dst *Directory) *Directory {
 func (d *Directory) PointerCap() int { return d.caps }
 
 // Entry returns the entry for block b, creating it Uncached if absent.
-//
-//swex:hotpath
 func (d *Directory) Entry(b mem.Block) *Entry {
 	return d.EntryWithCap(b, d.caps)
 }

@@ -52,8 +52,6 @@ func (h *Handlers) LastBreakdown() (stats.Breakdown, bool) {
 
 // record notes one handler invocation in the ledger and remembers its
 // breakdown for LastBreakdown.
-//
-//swex:hotpath
 func (h *Handlers) record(rec stats.HandlerRecord) {
 	h.Ledger.Record(rec)
 	h.last = rec.Breakdown
@@ -132,8 +130,6 @@ func (h *Handlers) smallOpt(e *entry) bool {
 
 // ReadOverflow implements proto.Software: extend the directory with the
 // drained hardware pointers plus the requester.
-//
-//swex:hotpath
 func (h *Handlers) ReadOverflow(b mem.Block, drained []mem.NodeID, requester mem.NodeID) sim.Cycle {
 	ns := h.home(b)
 	e, probes := ns.table.lookup(b)
@@ -172,8 +168,6 @@ func (h *Handlers) ReadOverflow(b mem.Block, drained []mem.NodeID, requester mem
 
 // ReadBatched implements proto.Software: record one more reader from
 // inside the running handler's message-drain loop.
-//
-//swex:hotpath
 func (h *Handlers) ReadBatched(b mem.Block, requester mem.NodeID) sim.Cycle {
 	ns := h.home(b)
 	e, _ := ns.table.lookup(b)
@@ -191,8 +185,6 @@ func (h *Handlers) ReadBatched(b mem.Block, requester mem.NodeID) sim.Cycle {
 
 // SharersOf implements proto.Software. The list lives in a buffer the
 // Handlers own and is valid until the next call into them.
-//
-//swex:hotpath
 func (h *Handlers) SharersOf(b mem.Block) []mem.NodeID {
 	e, _ := h.home(b).table.lookup(b)
 	if e == nil {
@@ -203,8 +195,6 @@ func (h *Handlers) SharersOf(b mem.Block) []mem.NodeID {
 
 // WriteFault implements proto.Software: release the extended entry and
 // charge for walking the sharer set and transmitting the invalidations.
-//
-//swex:hotpath
 func (h *Handlers) WriteFault(b mem.Block, requester mem.NodeID, invs int) sim.Cycle {
 	ns := h.home(b)
 	e, probes := ns.table.remove(b)
@@ -223,8 +213,6 @@ func (h *Handlers) WriteFault(b mem.Block, requester mem.NodeID, invs int) sim.C
 }
 
 // AckTrap implements proto.Software for the S_NB,ACK protocols.
-//
-//swex:hotpath
 func (h *Handlers) AckTrap(b mem.Block, last bool) sim.Cycle {
 	cost, breakdown := h.cost.ackCost(last)
 	h.record(stats.HandlerRecord{
@@ -234,8 +222,6 @@ func (h *Handlers) AckTrap(b mem.Block, last bool) sim.Cycle {
 }
 
 // LastAckTrap implements proto.Software for the S_NB,LACK protocols.
-//
-//swex:hotpath
 func (h *Handlers) LastAckTrap(b mem.Block) sim.Cycle {
 	cost, breakdown := h.cost.ackCost(true)
 	h.record(stats.HandlerRecord{

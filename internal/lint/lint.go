@@ -7,7 +7,7 @@
 // one range over a Go map in the simulation core — so this package turns
 // the conventions into machine-checked rules.
 //
-// Six analyzers ship:
+// Five analyzers ship:
 //
 //   - determinism: no wall-clock time, no global math/rand, no goroutines,
 //     selects, or channel operations, and no unsorted map iteration inside
@@ -22,12 +22,6 @@
 //     (Config.DocPaths) carries a doc comment mentioning it, and each
 //     package has a package overview — the doc comments are where those
 //     packages' determinism contracts are stated.
-//   - hotalloc: whole-program allocation analysis. A CHA-style call graph
-//     rooted at //swex:hotpath annotations computes which functions run
-//     per simulated event; every allocation site inside them (new, make,
-//     composite literals, append, interface boxing, closures, string
-//     building, channel ops) is reported and ratcheted against the
-//     committed lint-baseline.json so hot-path garbage only shrinks.
 //
 // A violating line can be suppressed with an escape hatch comment naming
 // the analyzer and a reason:
@@ -55,10 +49,6 @@ type Diagnostic struct {
 	Analyzer string
 	// Message states the violation in one line.
 	Message string
-	// Suppressed marks a violation silenced by a //lint:allow comment.
-	// Run drops suppressed diagnostics; RunAll keeps them so machine
-	// consumers (swexlint -json) can report the allow-state.
-	Suppressed bool
 }
 
 // String renders the diagnostic in file:line:col: analyzer: message form.
@@ -72,17 +62,6 @@ type Analyzer interface {
 	Name() string
 	// Check returns the rule violations found in pkg.
 	Check(cfg *Config, pkg *Package) []Diagnostic
-}
-
-// ModuleAnalyzer is an Analyzer that additionally needs the whole module
-// at once — the hotalloc rule builds a cross-package call graph, so
-// per-package Check cannot see its reachability roots. Run detects the
-// interface and calls CheckModule once over the full package list
-// instead of Check per package.
-type ModuleAnalyzer interface {
-	Analyzer
-	// CheckModule returns the rule violations found across all packages.
-	CheckModule(cfg *Config, pkgs []*Package) []Diagnostic
 }
 
 // Config scopes the analyzers to the packages each rule governs.
@@ -104,14 +83,6 @@ type Config struct {
 	// whose exported surface embodies a determinism contract that lives
 	// in doc comments. A subset of CorePaths.
 	DocPaths []string
-	// HotReportPaths lists the packages whose hot-reachable allocation
-	// sites the hotalloc rule reports. Reachability is computed over every
-	// analyzed package; this only scopes where diagnostics are emitted.
-	HotReportPaths []string
-	// Baseline, when non-nil, is the hotalloc ratchet: sites within the
-	// baselined per-key counts are tolerated, anything beyond fails.
-	// Nil reports every site (the -write-baseline scan mode).
-	Baseline *Baseline
 }
 
 // DefaultConfig returns the production scoping for this repository.
@@ -147,16 +118,6 @@ func DefaultConfig() *Config {
 			"swex/internal/sweep",
 			"swex/internal/trace",
 		},
-		HotReportPaths: []string{
-			"swex/internal/sim",
-			"swex/internal/mesh",
-			"swex/internal/proc",
-			"swex/internal/cache",
-			"swex/internal/dir",
-			"swex/internal/proto",
-			"swex/internal/ext",
-			"swex/internal/machine",
-		},
 	}
 }
 
@@ -186,7 +147,6 @@ func Analyzers() []Analyzer {
 		CycleMath{},
 		PanicHygiene{},
 		ExportedDoc{},
-		HotAlloc{},
 	}
 }
 
@@ -214,47 +174,15 @@ func AnalyzersByName(names string) ([]Analyzer, error) {
 }
 
 // Run applies the analyzers to every package, drops diagnostics suppressed
-// by allow comments, and returns the rest sorted by position. Analyzers
-// that implement ModuleAnalyzer run once over the full package list.
+// by allow comments, and returns the rest sorted by position.
 func Run(cfg *Config, pkgs []*Package, analyzers []Analyzer) []Diagnostic {
-	all := RunAll(cfg, pkgs, analyzers)
-	out := all[:0]
-	for _, d := range all {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// RunAll is Run without dropping suppressions: silenced diagnostics are
-// kept with Suppressed set, so machine consumers can report allow-state.
-func RunAll(cfg *Config, pkgs []*Package, analyzers []Analyzer) []Diagnostic {
-	allowFor := make(map[string]allowSet, len(pkgs))
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			pos := p.Fset.Position(f.Package)
-			allowFor[pos.Filename] = p.allows
-		}
-	}
-	mark := func(name string, d *Diagnostic) {
-		if set, ok := allowFor[d.Pos.Filename]; ok {
-			d.Suppressed = set.suppressed(name, d.Pos)
-		}
-	}
 	var out []Diagnostic
 	for _, a := range analyzers {
-		if ma, ok := a.(ModuleAnalyzer); ok {
-			for _, d := range ma.CheckModule(cfg, pkgs) {
-				mark(a.Name(), &d)
-				out = append(out, d)
-			}
-			continue
-		}
 		for _, p := range pkgs {
 			for _, d := range a.Check(cfg, p) {
-				mark(a.Name(), &d)
-				out = append(out, d)
+				if !p.allows.suppressed(a.Name(), d.Pos) {
+					out = append(out, d)
+				}
 			}
 		}
 	}

@@ -41,49 +41,8 @@ func TestRepositoryIsClean(t *testing.T) {
 			t.Errorf("%s: type error: %v", core, terr)
 		}
 	}
-	cfg.Baseline, err = lint.LoadBaseline(filepath.Join(root, lint.BaselineFile))
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	if cfg.Baseline == nil {
-		t.Fatalf("%s missing at module root; the hotalloc ratchet requires it", lint.BaselineFile)
-	}
 	for _, d := range lint.Run(cfg, pkgs, lint.Analyzers()) {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestBaselineRatchet is the one-way enforcement of lint-baseline.json:
-// a hot-path allocation count above the committed baseline is a
-// regression, and a count below it is staleness — the improvement must be
-// locked in with `swexlint -write-baseline` so the totals only shrink.
-func TestBaselineRatchet(t *testing.T) {
-	root, modPath, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("FindModuleRoot: %v", err)
-	}
-	committed, err := lint.LoadBaseline(filepath.Join(root, lint.BaselineFile))
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	if committed == nil {
-		t.Fatalf("%s missing at module root", lint.BaselineFile)
-	}
-	loader := lint.NewLoader(root, modPath)
-	pkgs, err := loader.LoadModule()
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	current := lint.ComputeBaseline(lint.DefaultConfig(), pkgs)
-	if current.Total() == 0 {
-		t.Fatalf("hotalloc found no sites at all; the call graph lost its roots")
-	}
-	regressions, stale := committed.Diff(current)
-	for _, r := range regressions {
-		t.Errorf("hot-path allocation regression: %s", r)
-	}
-	for _, s := range stale {
-		t.Errorf("stale baseline entry (run `go run ./cmd/swexlint -write-baseline` to ratchet down): %s", s)
 	}
 }
 
@@ -98,35 +57,6 @@ func fixtureConfig() *lint.Config {
 	}
 }
 
-// hotallocConfig scopes the hotalloc fixture: the fixture package is the
-// whole program and its own report target, and the per-package rules are
-// kept out of the way (the fixture's channels and fmt calls exist to be
-// allocation sites, not determinism violations).
-func hotallocConfig() *lint.Config {
-	return &lint.Config{
-		CycleType:      "swex/internal/sim.Cycle",
-		HotReportPaths: []string{"fixture/hotalloc"},
-	}
-}
-
-// loadHotallocFixture loads the hotalloc fixture package.
-func loadHotallocFixture(t *testing.T) *lint.Package {
-	t.Helper()
-	root, modPath, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("FindModuleRoot: %v", err)
-	}
-	loader := lint.NewLoader(root, modPath)
-	pkg, err := loader.Load(filepath.Join("testdata", "src", "hotalloc"), "fixture/hotalloc")
-	if err != nil {
-		t.Fatalf("Load(hotalloc fixture): %v", err)
-	}
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("fixture type error: %v", terr)
-	}
-	return pkg
-}
-
 // TestFixtures checks each analyzer against its golden fixture: every
 // `// want "substr"` comment must be matched by exactly one diagnostic on
 // that line, and no diagnostic may appear on an unmarked line.
@@ -135,7 +65,7 @@ func TestFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FindModuleRoot: %v", err)
 	}
-	for _, name := range []string{"determinism", "exhaustive", "cyclemath", "panichygiene", "exporteddoc", "hotalloc"} {
+	for _, name := range []string{"determinism", "exhaustive", "cyclemath", "panichygiene", "exporteddoc"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", name)
 			loader := lint.NewLoader(root, modPath)
@@ -146,12 +76,8 @@ func TestFixtures(t *testing.T) {
 			for _, terr := range pkg.TypeErrors {
 				t.Errorf("fixture type error: %v", terr)
 			}
-			cfg, analyzers := fixtureConfig(), lint.Analyzers()
-			if name == "hotalloc" {
-				cfg, analyzers = hotallocConfig(), []lint.Analyzer{lint.HotAlloc{}}
-			}
 			wants := parseWants(t, dir)
-			diags := lint.Run(cfg, []*lint.Package{pkg}, analyzers)
+			diags := lint.Run(fixtureConfig(), []*lint.Package{pkg}, lint.Analyzers())
 			for _, d := range diags {
 				if !wants.match(filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message) {
 					t.Errorf("unexpected diagnostic: %s", d)

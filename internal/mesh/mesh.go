@@ -183,8 +183,6 @@ func abs(v int) int {
 // for inspection: the protocol fabric's pooled in-flight message entries
 // are both tag and receiver, so the model checker can enumerate what is
 // on the wire and the per-message send path allocates nothing.
-//
-//swex:hotpath
 func (n *Network) SendCall(src, dst, size int, extra sim.Cycle, tag any, deliver sim.Caller) sim.Cycle {
 	done := n.reserve(src, dst, size, extra, tag)
 	n.engine.OwnedAtCall(src, done, tag, deliver)

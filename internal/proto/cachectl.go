@@ -192,8 +192,6 @@ func (cc *CacheCtl) complete(op *Op, v uint64) {
 // Access presents one data operation. It completes (see Op.ID) when it
 // commits; for misses that is when the fill (or ownership grant) arrives
 // and the operation replays.
-//
-//swex:hotpath
 func (cc *CacheCtl) Access(a mem.Addr, op Op) { cc.access(pendingOp{addr: a, op: op}) }
 
 // access presents one operation and, on a hit, finishes it.
@@ -322,8 +320,6 @@ func (t *ifetchTag) Fire() {
 // Instructions are read-only and homed locally, so a miss fills from local
 // memory without coherence traffic; what matters is that fills occupy a
 // line in the combined cache and can displace shared data.
-//
-//swex:hotpath
 func (cc *CacheCtl) Ifetch(pc mem.Addr, done sim.Caller) {
 	if cc.cfg.PerfectIfetch {
 		done.Fire()
@@ -568,8 +564,6 @@ func (cc *CacheCtl) install(l cache.Line) {
 }
 
 // Deliver handles a protocol message addressed to this cache.
-//
-//swex:hotpath
 func (cc *CacheCtl) Deliver(m *Msg) {
 	switch m.Kind {
 	case MsgRDATA:

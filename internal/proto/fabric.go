@@ -332,8 +332,6 @@ func (f *Fabric) Cache(id mem.NodeID) *CacheCtl { return f.caches[id] }
 
 // Send injects a protocol message into the network and delivers it to the
 // destination controller when it arrives.
-//
-//swex:hotpath
 func (f *Fabric) Send(m Msg) { f.send(&m, 0) }
 
 // SendDelayed injects a message whose contents take extra cycles to
@@ -341,8 +339,6 @@ func (f *Fabric) Send(m Msg) { f.send(&m, 0) }
 // place in the network queues immediately, so per-destination delivery
 // order always follows call order — the invariant the protocol's
 // data-before-invalidation races rely on.
-//
-//swex:hotpath
 func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) { f.send(&m, extra) }
 
 // send is Send and SendDelayed, reading the message in place: a message

@@ -141,8 +141,6 @@ func (h *HomeCtl) reset() {
 
 // Deliver queues a copy of an incoming protocol message for hardware
 // processing.
-//
-//swex:hotpath
 func (h *HomeCtl) Deliver(m *Msg) {
 	if mem.HomeOfBlock(m.Block) != h.node {
 		panic(fmt.Sprintf("proto: node %d received home message for block homed on %d",

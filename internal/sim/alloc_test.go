@@ -1,9 +1,8 @@
 // The allocs-per-op ratchet: steady-state event scheduling must stay
-// allocation-free. The hotalloc analyzer proves the *sites* are gone
-// statically; this test proves the *runtime* behavior, so a regression
-// that sneaks past the call graph (say, an interface box the analyzer
-// mismodels) still fails go test. Excluded under the race detector, whose
-// instrumentation allocates on its own account.
+// allocation-free, measured at run time, so an interface box or a
+// closure added to the scheduling path fails go test. Whole runs are held
+// to their own ceilings in internal/machine. Excluded under the race
+// detector, whose instrumentation allocates on its own account.
 //
 //go:build !race
 

@@ -164,8 +164,6 @@ func (e *Engine) SetStreams(streams []uint64) { e.streams = streams }
 // next stream position, or the unkeyed fallback when no streams are
 // installed (standalone engine users never install streams, and their
 // owned calls then behave exactly like the unkeyed forms).
-//
-//swex:hotpath
 func (e *Engine) ownedKey(owner int) (int32, uint64) {
 	if e.streams == nil {
 		return unkeyedOwner, e.seq
@@ -178,8 +176,6 @@ func (e *Engine) ownedKey(owner int) (int32, uint64) {
 // OwnedAtCall schedules a Caller at the absolute cycle at with a
 // canonical (owner, cnt) key drawn from owner's stream (see the package
 // comment and AtCall).
-//
-//swex:hotpath
 func (e *Engine) OwnedAtCall(owner int, at Cycle, tag any, c Caller) {
 	o, cnt := e.ownedKey(owner)
 	e.schedule(at, o, cnt, tag, c)
@@ -187,8 +183,6 @@ func (e *Engine) OwnedAtCall(owner int, at Cycle, tag any, c Caller) {
 
 // OwnedAfterCall schedules a Caller delay cycles from now with a
 // canonical key (see OwnedAtCall).
-//
-//swex:hotpath
 func (e *Engine) OwnedAfterCall(owner int, delay Cycle, tag any, c Caller) {
 	e.OwnedAtCall(owner, e.now+delay, tag, c)
 }
@@ -350,8 +344,6 @@ func (e *Engine) CloneInto(dst *Engine, remap func(c Caller, tag any) (Caller, a
 
 // Step fires the next event, advancing the clock to its cycle. It returns
 // false if the queue is empty.
-//
-//swex:hotpath
 func (e *Engine) Step() bool {
 	i, b := e.peek()
 	if i == 0 {
@@ -365,8 +357,6 @@ func (e *Engine) Step() bool {
 // limit, and then moves the clock up to limit. A limit of zero means no
 // limit. It returns the cycle at which the engine stopped and whether
 // the queue drained (as opposed to hitting the limit).
-//
-//swex:hotpath
 func (e *Engine) Run(limit Cycle) (Cycle, bool) {
 	for {
 		i, b := e.peek()
