@@ -42,8 +42,8 @@ race:
 # and every quiescent state — TestPOREquivalence is the proof). The
 # reduction is what makes the deep configurations (4 nodes x 2 blocks,
 # 3 nodes x 3 blocks, 3 ops) exhaustible: unreduced, the software-only
-# protocol at 3x3 blows through the default state bound. ~10 minutes of
-# work; run before protocol changes.
+# protocol at 3x3 blows through the default state bound. About 2 minutes of
+# work on a 2-core host; run before protocol changes.
 mc:
 	$(GO) run ./cmd/swexmc -por -nodes 2 -blocks 1 -ops 4
 	$(GO) run ./cmd/swexmc -por -nodes 3 -blocks 1 -ops 3

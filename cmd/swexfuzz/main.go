@@ -12,7 +12,6 @@
 //
 //	swexfuzz [-seed N] [-programs N] [-nodes N] [-specs full,h1ack,dir1sw]
 //	         [-threads N] [-vars N] [-ops N] [-overrides] [-limit N]
-//	         [-checker auto|exhaustive|constraints]
 //	         [-cache DIR] [-workers N]
 //	swexfuzz -weakened [-nodes N]
 //
@@ -61,12 +60,8 @@ type usageError struct{ error }
 
 var (
 	errNegative = errors.New("must be non-negative")
-	errChecker  = errors.New("unknown checker (want auto, exhaustive, or constraints)")
 	errThreads  = errors.New("generated programs run one thread per node")
 )
-
-// checkerFn is one of the oracle's decision procedures.
-type checkerFn func(litmus.Program, [][]uint64) (litmus.Verdict, error)
 
 // entry is one program of the campaign with its display name.
 type entry struct {
@@ -88,7 +83,6 @@ func run(args []string) error {
 	specs := fs.String("specs", "full,h1ack,dir1sw", "comma-separated protocol spectrum aliases to sweep")
 	overrides := fs.Bool("overrides", true, "let generated programs pin variables to other spectrum points")
 	limit := fs.Int64("limit", 50_000_000, "per-run simulated-cycle budget (0 = unbounded)")
-	checker := fs.String("checker", "auto", "decision procedure: auto, exhaustive, or constraints")
 	cacheDir := fs.String("cache", "", "content-addressed result cache directory (empty = no cache)")
 	workers := fs.Int("workers", 0, "concurrent local simulations (0 = GOMAXPROCS)")
 	weakened := fs.Bool("weakened", false, "run the lost-invalidation negative control and require the oracle to flag it")
@@ -113,10 +107,6 @@ func run(args []string) error {
 	}
 	if *threads > *nodes {
 		return usageError{fmt.Errorf("-threads %d on %d node(s): %w", *threads, *nodes, errThreads)}
-	}
-	judge, err := judgeFor(*checker)
-	if err != nil {
-		return usageError{err}
 	}
 	if *weakened {
 		return runWeakened(*nodes, sim.Cycle(*limit))
@@ -177,23 +167,16 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s under %s: %v", e.name, aliases[m.spec], err)
 		}
-		v, err := judge(e.prog, obs)
+		report, err := judge(e, aliases[m.spec], obs)
 		if err != nil {
 			return fmt.Errorf("%s under %s: %v", e.name, aliases[m.spec], err)
 		}
 		runs[m.spec]++
 		total++
-		if !v.OK {
+		if report != "" {
 			violations[m.spec]++
 			bad++
-			witness := v.Witness
-			if witness == "" {
-				if cv, err := litmus.CheckConstraints(e.prog, obs); err == nil {
-					witness = cv.Witness
-				}
-			}
-			fmt.Printf("VIOLATION: %s under %s\n  program: %s\n  observed: %v\n  witness: %s\n",
-				e.name, aliases[m.spec], e.prog, obs, witness)
+			fmt.Print(report)
 		}
 	}
 	for s, alias := range aliases {
@@ -214,17 +197,22 @@ func run(args []string) error {
 	return nil
 }
 
-// judgeFor maps the -checker flag to a decision procedure.
-func judgeFor(name string) (checkerFn, error) {
-	switch name {
-	case "auto":
-		return litmus.CheckSC, nil
-	case "exhaustive":
-		return litmus.CheckExhaustive, nil
-	case "constraints":
-		return litmus.CheckConstraints, nil
+// judge decides one run of e under the spec named alias with the exact
+// SC oracle. It returns "" when the observations are sequentially
+// consistent and the VIOLATION report otherwise. The report's witness
+// is always the constraint checker's: CheckSC decides small programs by
+// exhaustive search, whose verdict names no constraint cycle.
+func judge(e entry, alias string, obs [][]uint64) (string, error) {
+	v, err := litmus.CheckSC(e.prog, obs)
+	if err != nil || v.OK {
+		return "", err
 	}
-	return nil, fmt.Errorf("-checker %q: %w", name, errChecker)
+	cv, err := litmus.CheckConstraints(e.prog, obs)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("VIOLATION: %s under %s\n  program: %s\n  observed: %v\n  witness: %s\n",
+		e.name, alias, e.prog, obs, cv.Witness), nil
 }
 
 // resolveSpecs parses the -specs list into aliases and their specs.

@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"swex/internal/litmus"
 )
 
 // runMainEnv marks a re-executed test binary that runs main with the
@@ -58,7 +60,6 @@ func TestBadInputExits2(t *testing.T) {
 	}{
 		{[]string{"-specs", "nosuch"}, `-specs: litmus: unknown protocol alias "nosuch"`},
 		{[]string{"-specs", ","}, "names no spectrum points"},
-		{[]string{"-checker", "bogus"}, errChecker.Error()},
 		{[]string{"-threads", "-1"}, "-threads -1: " + errNegative.Error()},
 		{[]string{"-vars", "-1"}, "-vars -1: " + errNegative.Error()},
 		{[]string{"-ops", "-1"}, "-ops -1: " + errNegative.Error()},
@@ -103,5 +104,28 @@ func TestWeakenedFlagged(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout, "weakened fixture flagged as expected\n") {
 		t.Fatalf("stdout %q does not report the flagged fixture", stdout)
+	}
+}
+
+// TestViolationWitnessIsConstraintCycle pins the report's witness on a
+// program small enough for CheckSC to decide by exhaustive search: the
+// weakened fixture's stale read must be reported with the constraint
+// checker's cycle, not the exhaustive search's generic note.
+func TestViolationWitnessIsConstraintCycle(t *testing.T) {
+	p, _ := litmus.WeakenedFixture(4)
+	obs := [][]uint64{nil, {0, 2, 0}}
+	cv, err := litmus.CheckConstraints(p, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv.OK || cv.Witness == "" {
+		t.Fatalf("constraint checker judged the stale read %+v", cv)
+	}
+	report, err := judge(entry{name: "weakened", prog: p}, "full", obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "  witness: " + cv.Witness + "\n"; !strings.HasSuffix(report, want) {
+		t.Fatalf("report %q does not end with the constraint witness line %q", report, want)
 	}
 }

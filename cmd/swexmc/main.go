@@ -75,6 +75,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	var actions []mc.Action
+	if *watch {
+		actions = append(mc.DefaultActions(), mc.ActWatch)
+	}
 	for _, s := range specs {
 		cfg := mc.Config{
 			Spec:            s,
@@ -84,7 +88,7 @@ func main() {
 			MaxStates:       *maxStates,
 			DFS:             *dfs,
 			POR:             *por,
-			Watch:           *watch,
+			Actions:         actions,
 			Overrides:       overrides,
 			MigratoryDetect: *mig,
 			BatchReads:      *batch,

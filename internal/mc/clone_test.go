@@ -25,7 +25,7 @@ func TestCloneMatchesReplay(t *testing.T) {
 		{"full-map", Config{Spec: proto.FullMap(), Nodes: 2, Blocks: 2, MaxOps: 2}},
 		{"limitless", Config{Spec: h5, Nodes: 2, Blocks: 2, MaxOps: 2}},
 		{"software-only", smoke(proto.SoftwareOnly())},
-		{"watch", Config{Spec: proto.OnePointer(proto.AckLACK), Nodes: 2, Blocks: 1, MaxOps: 3, Watch: true}},
+		{"watch", Config{Spec: proto.OnePointer(proto.AckLACK), Nodes: 2, Blocks: 1, MaxOps: 3, Actions: watchActions()}},
 		{"overrides", Config{Spec: h5, Nodes: 2, Blocks: 2, MaxOps: 2, Overrides: []proto.Spec{proto.FullMap()}}},
 		{"mig-batch", Config{Spec: proto.OnePointer(proto.AckSW), Nodes: 3, Blocks: 1, MaxOps: 2, MigratoryDetect: true, BatchReads: true}},
 		{"fault", Config{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 3,

@@ -70,13 +70,14 @@
 //
 // # Partial-order reduction
 //
-// Config.POR enables a sleep-set partial-order reduction layer (por.go)
-// over the same fork engine: injections that commute — they touch
-// different blocks, and no software trap can serialize them on a shared
-// home node — are explored in one order instead of all orders. The
-// reduction preserves every invariant verdict and the exact set of
-// quiescent states; TestPOREquivalence proves that against full
-// enumeration on every configuration small enough to run both.
+// Config.POR enables sleep-set partial-order reduction (por.go) in the
+// same search loop: injections that commute — they touch different
+// blocks, and no software trap can serialize them on a shared home node —
+// are explored in one order instead of all orders. The unreduced run is
+// that loop with every sleep set empty. The reduction preserves every
+// invariant verdict and the exact set of quiescent states;
+// TestPOREquivalence proves that against full enumeration on every
+// configuration small enough to run both.
 //
 // Determinism contract: Check is a pure function of its Config — every
 // run of the same configuration explores states in the same order,

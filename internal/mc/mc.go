@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 
 	"swex/internal/mem"
 	"swex/internal/proto"
@@ -113,11 +114,9 @@ type Config struct {
 	// BatchReads toggles the Section 7 read-burst batching enhancement on
 	// the checked machine.
 	BatchReads bool
-	// Watch adds ActWatch to the default alphabet, enabling the
-	// producer–consumer (watch/store) operation pairs. Ignored when
-	// Actions is set explicitly.
-	Watch bool
-	// Actions, when non-nil, replaces the default alphabet entirely.
+	// Actions, when non-nil, replaces the default alphabet
+	// (DefaultActions) entirely; the watch alphabet is
+	// append(DefaultActions(), ActWatch).
 	// Restricting the alphabet steers BFS's shortest counterexample:
 	// with ActRead excluded, for example, the only way to a shared copy
 	// is through a watch, so a seeded invalidation-drop surfaces on the
@@ -146,7 +145,7 @@ type Config struct {
 	Fault proto.Fault
 
 	// independence, when non-nil, replaces the POR independence relation
-	// over tracked-block indices (por.go, (*porCtx).independentBlocks).
+	// over tracked-block indices (por.go, independentBlocks).
 	// Test hook only: the negative fixture installs a deliberately
 	// unsound relation to prove the equivalence test has teeth.
 	independence func(a, b int) bool
@@ -154,6 +153,13 @@ type Config struct {
 
 // DefaultMaxStates bounds the visited set when Config.MaxStates is zero.
 const DefaultMaxStates = 1 << 20
+
+// maxNodes and maxBlocks bound Config.Nodes and Config.Blocks; together
+// with numActions they size opSet.
+const (
+	maxNodes  = 8
+	maxBlocks = 4
+)
 
 // Violation describes an invariant failure, with the shortest trace that
 // reaches it (shortest under BFS; some trace under DFS).
@@ -199,12 +205,14 @@ type Result struct {
 	Violation *Violation
 }
 
-// node is one frontier entry: the trace that reaches a state plus the
+// node is one frontier entry: the trace that reaches a state, the
 // choices available there (computed when the state was first built, so
-// expansion need not rebuild the state to list them).
+// expansion need not rebuild the state to list them) and the sleep set
+// the state is expanded with (always empty without POR).
 type node struct {
 	trace   []Choice
 	choices []Choice
+	sleep   opSet
 }
 
 // Check explores the reachable state space of the configured machine and
@@ -222,15 +230,19 @@ func Check(cfg Config) (*Result, error) {
 	if cfg.CollectQuiescent {
 		res.QuiescentSet = make(map[string]struct{})
 	}
-	if cfg.POR {
-		return res, checkPOR(cfg, maxStates, res)
-	}
-	return res, checkFull(cfg, maxStates, res)
+	return res, search(cfg, maxStates, res)
 }
 
-// checkFull is the unreduced exploration: every enabled choice at every
-// state.
-func checkFull(cfg Config, maxStates int, res *Result) error {
+// search is the exploration: breadth-first (depth-first under
+// Config.DFS) over every enabled choice at every state, less the
+// injections a state's sleep set covers. Sleep sets are computed only
+// under Config.POR (por.go); without it every set is empty, so every
+// enabled choice is expanded and a state is expanded once.
+func search(cfg Config, maxStates int, res *Result) error {
+	var com commuting
+	if cfg.POR {
+		com = newCommuting(cfg)
+	}
 	w, err := newWorld(cfg)
 	if err != nil {
 		return err
@@ -239,12 +251,13 @@ func checkFull(cfg Config, maxStates int, res *Result) error {
 		res.Violation = &Violation{Invariant: inv, Detail: detail}
 		return nil
 	}
+	// visited: fingerprint → sleep set the state was last expanded with.
 	var key []byte
 	key = w.fingerprint(key[:0])
-	visited := map[string]struct{}{string(key): {}}
+	visited := map[string]opSet{string(key): {}}
 	res.States = 1
 	res.noteQuiescent(w, key)
-	frontier := []node{{trace: nil, choices: w.choices()}}
+	frontier := []node{{choices: w.choices()}}
 	path := newPath(w)
 
 	for len(frontier) > 0 {
@@ -260,39 +273,74 @@ func checkFull(cfg Config, maxStates int, res *Result) error {
 		if err != nil {
 			return err
 		}
+		last := -1 // the last choice expanded
 		for i, c := range cur.choices {
+			if !cur.slept(c) {
+				last = i
+			}
+		}
+		depth := len(cur.trace) + 1
+		var prior opSet // injections expanded at this state so far
+		for i, c := range cur.choices {
+			if cur.slept(c) {
+				res.SleptTransitions++
+				continue
+			}
 			// Depth-first order returns to this state's successors, so
 			// only breadth-first lets the last successor take it over.
-			cw, err := path.successor(parent, !cfg.DFS && i == len(cur.choices)-1)
+			cw, err := path.successor(parent, !cfg.DFS && i == last)
 			if err != nil {
 				return err
 			}
+			var sleep opSet
+			if cfg.POR {
+				sleep = com.succSleep(cur.sleep, prior, cw.scopeOf(c))
+				if !c.Step {
+					prior.add(c.Op)
+				}
+			}
 			cw.apply(c)
 			res.Transitions++
-			trace := append(append([]Choice{}, cur.trace...), c)
-			if len(trace) > res.MaxDepth {
-				res.MaxDepth = len(trace)
+			if depth > res.MaxDepth {
+				res.MaxDepth = depth
 			}
 			if inv, detail := cw.invariantViolation(); inv != "" {
-				res.Violation = &Violation{Invariant: inv, Detail: detail, Trace: trace}
+				res.Violation = &Violation{Invariant: inv, Detail: detail, Trace: extend(cur.trace, c)}
 				return nil
 			}
 			key = cw.fingerprint(key[:0])
-			_, seen := visited[string(key)]
+			old, seen := visited[string(key)]
 			switch {
+			case seen && old.subset(sleep):
+				// The earlier expansion explored at least as much. With
+				// empty sleep sets this is every revisit.
 			case seen:
+				// The earlier expansion slept orderings this path needs:
+				// re-expand with the intersection (never larger than
+				// either set, so repeated merges reach a fixpoint).
+				merged := old.and(sleep)
+				visited[string(key)] = merged
+				frontier = append(frontier, node{trace: extend(cur.trace, c), choices: cw.choices(), sleep: merged})
 			case res.States >= uint64(maxStates):
 				res.Bounded = true
 			default:
-				visited[string(key)] = struct{}{}
+				visited[string(key)] = sleep
 				res.States++
 				res.noteQuiescent(cw, key)
-				frontier = append(frontier, node{trace: trace, choices: cw.choices()})
+				frontier = append(frontier, node{trace: extend(cur.trace, c), choices: cw.choices(), sleep: sleep})
 			}
 			path.free(cw)
 		}
 	}
 	return nil
+}
+
+// slept reports whether n's sleep set covers choice c.
+func (n *node) slept(c Choice) bool { return !c.Step && n.sleep.has(c.Op) }
+
+// extend returns a new trace: trace followed by c.
+func extend(trace []Choice, c Choice) []Choice {
+	return append(append(make([]Choice, 0, len(trace)+1), trace...), c)
 }
 
 // path is the fork stack: the worlds along the last materialized trace,
@@ -383,11 +431,11 @@ func validate(cfg Config) error {
 	if err := cfg.Spec.Validate(); err != nil {
 		return err
 	}
-	if cfg.Nodes < 2 || cfg.Nodes > 8 {
-		return fmt.Errorf("mc: %d nodes; exhaustive checking needs 2..8", cfg.Nodes)
+	if cfg.Nodes < 2 || cfg.Nodes > maxNodes {
+		return fmt.Errorf("mc: %d nodes; exhaustive checking needs 2..%d", cfg.Nodes, maxNodes)
 	}
-	if cfg.Blocks < 1 || cfg.Blocks > 4 {
-		return fmt.Errorf("mc: %d blocks; exhaustive checking needs 1..4", cfg.Blocks)
+	if cfg.Blocks < 1 || cfg.Blocks > maxBlocks {
+		return fmt.Errorf("mc: %d blocks; exhaustive checking needs 1..%d", cfg.Blocks, maxBlocks)
 	}
 	if cfg.MaxOps < 1 {
 		return fmt.Errorf("mc: operation budget %d; need at least 1", cfg.MaxOps)
@@ -420,26 +468,26 @@ func validate(cfg Config) error {
 	return nil
 }
 
+// DefaultActions returns the alphabet a nil Config.Actions selects, in
+// canonical order: every action except ActWatch.
+func DefaultActions() []Action {
+	acts := make([]Action, 0, ActWatch)
+	for a := ActRead; a < ActWatch; a++ {
+		acts = append(acts, a)
+	}
+	return acts
+}
+
 // alphabet resolves the run's action alphabet in canonical Action order.
 func (cfg Config) alphabet() []Action {
-	var acts []Action
-	if cfg.Actions != nil {
-		enabled := make(map[Action]bool, len(cfg.Actions))
-		for _, a := range cfg.Actions {
-			enabled[a] = true
-		}
-		for a := ActRead; a < numActions; a++ {
-			if enabled[a] {
-				acts = append(acts, a)
-			}
-		}
-		return acts
+	if cfg.Actions == nil {
+		return DefaultActions()
 	}
+	var acts []Action
 	for a := ActRead; a < numActions; a++ {
-		if a == ActWatch && !cfg.Watch {
-			continue
+		if slices.Contains(cfg.Actions, a) {
+			acts = append(acts, a)
 		}
-		acts = append(acts, a)
 	}
 	return acts
 }

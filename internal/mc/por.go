@@ -1,8 +1,6 @@
 package mc
 
-import (
-	"sort"
-)
+import "swex/internal/mem"
 
 // This file implements sleep-set partial-order reduction over the
 // copy-based fork engine.
@@ -52,74 +50,112 @@ import (
 //
 // # Bookkeeping
 //
-// The visited set maps fingerprint → the sleep set the state was last
-// expanded with. Reaching a visited state with a sleep set that is not a
-// superset of the stored one means some ordering the earlier expansion
-// slept is no longer covered; the state is re-expanded with the
+// A sleep set is an opSet: one bit per (node, block, action), so
+// membership is a bit test, ⊆ is a &^ b == 0 and ∩ is a & b. The search
+// (mc.go) is one loop for both runs; without POR every sleep set is
+// empty. The visited set maps fingerprint → the sleep set the state was
+// last expanded with. Reaching a visited state with a sleep set that is
+// not a superset of the stored one means some ordering the earlier
+// expansion slept is no longer covered; the state is re-expanded with the
 // intersection (standard for sleep sets combined with state matching —
 // monotone, so exploration terminates). Re-expansions revisit edges but
-// never re-count the state.
+// never re-count the state. With empty sets every revisit is covered, so
+// an unreduced run expands each state once.
 
-// pnode is one POR frontier entry: a frontier node plus its sleep set.
-type pnode struct {
-	trace   []Choice
-	choices []Choice
-	sleep   []Op // sorted by (Node, Block, Act)
+// opSet is a set of operations, one bit per (node, block, action). The
+// op space is bounded by validate at maxNodes × maxBlocks × numActions.
+type opSet [(maxNodes*maxBlocks*int(numActions) + 63) / 64]uint64
+
+// opBit is o's bit index in an opSet.
+func opBit(o Op) int {
+	return (int(o.Node)*maxBlocks+o.Block)*int(numActions) + int(o.Act)
 }
 
-// porCtx carries the run-wide reduction context.
-type porCtx struct {
-	cfg Config
-	// softBlock[i] reports whether tracked block i's governing spec can
-	// trap into software (Config.blockSpec — overrides included).
-	softBlock []bool
+// has reports o ∈ s.
+func (s opSet) has(o Op) bool {
+	i := opBit(o)
+	return s[i/64]&(1<<(i%64)) != 0
 }
 
-func newPorCtx(cfg Config) *porCtx {
-	ctx := &porCtx{cfg: cfg, softBlock: make([]bool, cfg.Blocks)}
-	for i := 0; i < cfg.Blocks; i++ {
-		ctx.softBlock[i] = cfg.blockSpec(i).UsesSoftware()
+// add puts o in s.
+func (s *opSet) add(o Op) {
+	i := opBit(o)
+	s[i/64] |= 1 << (i % 64)
+}
+
+// subset reports s ⊆ t.
+func (s opSet) subset(t opSet) bool {
+	for i := range s {
+		if s[i]&^t[i] != 0 {
+			return false
+		}
 	}
-	return ctx
+	return true
+}
+
+// and returns s ∩ t.
+func (s opSet) and(t opSet) opSet {
+	for i := range s {
+		s[i] &= t[i]
+	}
+	return s
+}
+
+// or returns s ∪ t.
+func (s opSet) or(t opSet) opSet {
+	for i := range s {
+		s[i] |= t[i]
+	}
+	return s
+}
+
+// commuting is the run's independence relation as op sets: element b
+// holds every op on a tracked block independent of tracked block b.
+type commuting []opSet
+
+func newCommuting(cfg Config) commuting {
+	com := make(commuting, cfg.Blocks)
+	for a := range com {
+		for b := 0; b < cfg.Blocks; b++ {
+			if !independentBlocks(cfg, a, b) {
+				continue
+			}
+			for n := 0; n < cfg.Nodes; n++ {
+				for act := ActRead; act < numActions; act++ {
+					com[a].add(Op{Node: mem.NodeID(n), Block: b, Act: act})
+				}
+			}
+		}
+	}
+	return com
 }
 
 // independentBlocks is the independence relation over tracked-block
 // indices (see the file comment for the argument).
-func (ctx *porCtx) independentBlocks(a, b int) bool {
-	if ctx.cfg.independence != nil {
-		return ctx.cfg.independence(a, b)
+func independentBlocks(cfg Config, a, b int) bool {
+	if cfg.independence != nil {
+		return cfg.independence(a, b)
 	}
 	if a == b {
 		return false
 	}
-	if a%ctx.cfg.Nodes != b%ctx.cfg.Nodes { // block i is homed on node i mod Nodes
+	if a%cfg.Nodes != b%cfg.Nodes { // block i is homed on node i mod Nodes
 		return true
 	}
-	return !ctx.softBlock[a] && !ctx.softBlock[b]
+	return !cfg.blockSpec(a).UsesSoftware() && !cfg.blockSpec(b).UsesSoftware()
 }
 
 // succSleep builds the successor's sleep set after taking choice c from a
-// state with sleep set sleep, where prior lists the injections already
-// expanded at this state (their orderings are covered by the siblings).
-// scopeBlock is the tracked-block index c operates on, or -1 when c is an
-// event whose scope is unknown (conservative: sleeps nothing).
-func (ctx *porCtx) succSleep(sleep []Op, prior []Op, scopeBlock int) []Op {
+// state with sleep set sleep, where prior holds the injections already
+// expanded at this state (their orderings are covered by the siblings):
+// the ops of either set that commute with c. scopeBlock is the
+// tracked-block index c operates on, or -1 when c is an event whose scope
+// is unknown (conservative: sleeps nothing).
+func (com commuting) succSleep(sleep, prior opSet, scopeBlock int) opSet {
 	if scopeBlock < 0 {
-		return nil
+		return opSet{}
 	}
-	var out []Op
-	for _, o := range sleep {
-		if ctx.independentBlocks(scopeBlock, o.Block) {
-			out = append(out, o)
-		}
-	}
-	for _, o := range prior {
-		if ctx.independentBlocks(scopeBlock, o.Block) {
-			out = append(out, o)
-		}
-	}
-	sortOps(out)
-	return dedupOps(out)
+	return sleep.or(prior).and(com[scopeBlock])
 }
 
 // scopeOf resolves the tracked-block index a choice operates on in world
@@ -137,155 +173,4 @@ func (w *world) scopeOf(c Choice) int {
 		return -1
 	}
 	return bi
-}
-
-func sortOps(ops []Op) {
-	sort.Slice(ops, func(i, j int) bool {
-		a, b := ops[i], ops[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Block != b.Block {
-			return a.Block < b.Block
-		}
-		return a.Act < b.Act
-	})
-}
-
-func dedupOps(ops []Op) []Op {
-	out := ops[:0]
-	for i, o := range ops {
-		if i == 0 || o != ops[i-1] {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// subsetOps reports a ⊆ b for sorted op slices.
-func subsetOps(a, b []Op) bool {
-	j := 0
-	for _, o := range a {
-		for j < len(b) && lessOp(b[j], o) {
-			j++
-		}
-		if j >= len(b) || b[j] != o {
-			return false
-		}
-	}
-	return true
-}
-
-// intersectOps returns a ∩ b for sorted op slices, sorted.
-func intersectOps(a, b []Op) []Op {
-	var out []Op
-	j := 0
-	for _, o := range a {
-		for j < len(b) && lessOp(b[j], o) {
-			j++
-		}
-		if j < len(b) && b[j] == o {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-func lessOp(a, b Op) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	if a.Block != b.Block {
-		return a.Block < b.Block
-	}
-	return a.Act < b.Act
-}
-
-// checkPOR is the sleep-set exploration: BFS over the same transition
-// system as checkFull, pruning injections their sleep sets cover.
-func checkPOR(cfg Config, maxStates int, res *Result) error {
-	ctx := newPorCtx(cfg)
-	w, err := newWorld(cfg)
-	if err != nil {
-		return err
-	}
-	if inv, detail := w.invariantViolation(); inv != "" {
-		res.Violation = &Violation{Invariant: inv, Detail: detail}
-		return nil
-	}
-	// visited: fingerprint → sleep set the state was last expanded with.
-	var key []byte
-	key = w.fingerprint(key[:0])
-	visited := map[string][]Op{string(key): nil}
-	res.States = 1
-	res.noteQuiescent(w, key)
-	frontier := []pnode{{trace: nil, choices: w.choices(), sleep: nil}}
-	path := newPath(w)
-
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		parent, err := path.at(cur.trace)
-		if err != nil {
-			return err
-		}
-		asleep := make(map[Op]bool, len(cur.sleep))
-		for _, o := range cur.sleep {
-			asleep[o] = true
-		}
-		last := -1 // the last choice expanded
-		for i, c := range cur.choices {
-			if c.Step || !asleep[c.Op] {
-				last = i
-			}
-		}
-		var prior []Op // injections expanded at this state so far
-		for i, c := range cur.choices {
-			if !c.Step && asleep[c.Op] {
-				res.SleptTransitions++
-				continue
-			}
-			cw, err := path.successor(parent, i == last)
-			if err != nil {
-				return err
-			}
-			scope := cw.scopeOf(c)
-			cw.apply(c)
-			res.Transitions++
-			trace := append(append([]Choice{}, cur.trace...), c)
-			if len(trace) > res.MaxDepth {
-				res.MaxDepth = len(trace)
-			}
-			if inv, detail := cw.invariantViolation(); inv != "" {
-				res.Violation = &Violation{Invariant: inv, Detail: detail, Trace: trace}
-				return nil
-			}
-			sleep := ctx.succSleep(cur.sleep, prior, scope)
-			if !c.Step {
-				prior = append(prior, c.Op)
-			}
-			key = cw.fingerprint(key[:0])
-			old, seen := visited[string(key)]
-			switch {
-			case seen && subsetOps(old, sleep):
-				// The earlier expansion explored at least as much.
-			case seen:
-				// The earlier expansion slept orderings this path needs:
-				// re-expand with the intersection (never larger than
-				// either set, so repeated merges reach a fixpoint).
-				merged := intersectOps(old, sleep)
-				visited[string(key)] = merged
-				frontier = append(frontier, pnode{trace: trace, choices: cw.choices(), sleep: merged})
-			case res.States >= uint64(maxStates):
-				res.Bounded = true
-			default:
-				visited[string(key)] = sleep
-				res.States++
-				res.noteQuiescent(cw, key)
-				frontier = append(frontier, pnode{trace: trace, choices: cw.choices(), sleep: sleep})
-			}
-			path.free(cw)
-		}
-	}
-	return nil
 }

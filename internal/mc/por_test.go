@@ -1,9 +1,12 @@
 package mc
 
 import (
+	"slices"
 	"testing"
 
+	"swex/internal/mem"
 	"swex/internal/proto"
+	"swex/internal/sim"
 )
 
 // porEquivCases lists every configuration small enough to run both the
@@ -30,7 +33,7 @@ func porEquivCases() []Config {
 		{Spec: proto.SoftwareOnly(), Nodes: 2, Blocks: 3, MaxOps: 2},
 		// Producer–consumer alphabet: watch re-arms schedule delayed
 		// events, the one place simulated time advances.
-		{Spec: proto.FullMap(), Nodes: 2, Blocks: 2, MaxOps: 2, Watch: true},
+		{Spec: proto.FullMap(), Nodes: 2, Blocks: 2, MaxOps: 2, Actions: watchActions()},
 		// Mixed-spec machine: per-block Configure overrides feed
 		// blockSpec, which feeds the softBlock table POR prunes by.
 		{Spec: proto.LimitLESS(5), Nodes: 2, Blocks: 2, MaxOps: 2,
@@ -53,7 +56,7 @@ func TestPOREquivalence(t *testing.T) {
 		if len(cfg.Overrides) > 0 {
 			name += "+overrides"
 		}
-		if cfg.Watch {
+		if slices.Contains(cfg.Actions, ActWatch) {
 			name += "+watch"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -202,4 +205,99 @@ func TestPORSmoke(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOpSetBits holds the sleep-set bitset to the op space validate
+// admits: on the largest admitted machine every (node, block, action)
+// gets its own bit inside the set, and one more node or block is
+// rejected, so no admitted op can index past it.
+func TestOpSetBits(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, blocks int
+		admitted      bool
+	}{
+		{2, 1, true},
+		{maxNodes, maxBlocks, true},
+		{maxNodes + 1, maxBlocks, false},
+		{maxNodes, maxBlocks + 1, false},
+	} {
+		cfg := Config{Spec: proto.FullMap(), Nodes: tc.nodes, Blocks: tc.blocks, MaxOps: 1}
+		if err := validate(cfg); (err == nil) != tc.admitted {
+			t.Fatalf("%d nodes × %d blocks: validate error %v, want admitted=%v", tc.nodes, tc.blocks, err, tc.admitted)
+		}
+		if !tc.admitted {
+			continue
+		}
+		owner := make(map[int]Op)
+		for _, o := range allOps(tc.nodes, tc.blocks) {
+			i := opBit(o)
+			if i < 0 || i >= 64*len(opSet{}) {
+				t.Fatalf("%+v: bit %d outside the %d-bit set", o, i, 64*len(opSet{}))
+			}
+			if prev, dup := owner[i]; dup {
+				t.Fatalf("%+v and %+v share bit %d", prev, o, i)
+			}
+			owner[i] = o
+		}
+	}
+}
+
+// TestOpSetAlgebra checks has, subset and and against a map[Op]bool
+// model on seeded random sets over the largest admitted op space.
+func TestOpSetAlgebra(t *testing.T) {
+	ops := allOps(maxNodes, maxBlocks)
+	r := sim.NewRand(30)
+	random := func() (opSet, map[Op]bool) {
+		var s opSet
+		m := make(map[Op]bool)
+		keep := 1 + r.Intn(8) // densities from every op to about one in eight
+		for _, o := range ops {
+			if r.Intn(keep) == 0 {
+				s.add(o)
+				m[o] = true
+			}
+		}
+		return s, m
+	}
+	for trial := 0; trial < 200; trial++ {
+		a, am := random()
+		b, bm := random()
+		if trial%4 == 0 { // make a ⊆ b hold often enough to test both verdicts
+			a = a.and(b)
+			for o := range am {
+				if !bm[o] {
+					delete(am, o)
+				}
+			}
+		}
+		subset := true
+		for o := range am {
+			subset = subset && bm[o]
+		}
+		if got := a.subset(b); got != subset {
+			t.Fatalf("trial %d: subset = %v, model says %v", trial, got, subset)
+		}
+		meet := a.and(b)
+		for _, o := range ops {
+			if a.has(o) != am[o] {
+				t.Fatalf("trial %d: has(%+v) = %v, model says %v", trial, o, a.has(o), am[o])
+			}
+			if meet.has(o) != (am[o] && bm[o]) {
+				t.Fatalf("trial %d: (a ∩ b).has(%+v) = %v, model says %v", trial, o, meet.has(o), am[o] && bm[o])
+			}
+		}
+	}
+}
+
+// allOps lists every (node, block, action) of a machine.
+func allOps(nodes, blocks int) []Op {
+	var ops []Op
+	for n := 0; n < nodes; n++ {
+		for b := 0; b < blocks; b++ {
+			for a := ActRead; a < numActions; a++ {
+				ops = append(ops, Op{Node: mem.NodeID(n), Block: b, Act: a})
+			}
+		}
+	}
+	return ops
 }

@@ -28,7 +28,10 @@ func TestFingerprintSoundness(t *testing.T) {
 				name += "+watch"
 			}
 			t.Run(name, func(t *testing.T) {
-				cfg := Config{Spec: spec, Nodes: 2, Blocks: 1, MaxOps: 3, Watch: watch}
+				cfg := Config{Spec: spec, Nodes: 2, Blocks: 1, MaxOps: 3}
+				if watch {
+					cfg.Actions = watchActions()
+				}
 				first := make(map[string][]Choice)
 				w, err := newWorld(cfg)
 				if err != nil {

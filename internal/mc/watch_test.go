@@ -7,6 +7,9 @@ import (
 	"swex/internal/proto"
 )
 
+// watchActions is the watch alphabet: the default one plus ActWatch.
+func watchActions() []Action { return append(DefaultActions(), ActWatch) }
+
 // TestWatchSpectrumSmoke exhausts the smoke configuration with the Watch
 // producer–consumer alphabet enabled, for every protocol in the spectrum,
 // pinning the reachable-state counts. Watch is the only action that can
@@ -31,7 +34,7 @@ func TestWatchSpectrumSmoke(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			cfg := smoke(spec)
-			cfg.Watch = true
+			cfg.Actions = watchActions()
 			res, err := Check(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -65,7 +68,7 @@ func TestWatchSpectrumSmoke(t *testing.T) {
 // to come from the cache controller's local-commit hook; losing it would
 // surface as a lost-wakeup violation here.
 func TestWatchSameNodeProducer(t *testing.T) {
-	cfg := Config{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 3, Watch: true}
+	cfg := Config{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 3, Actions: watchActions()}
 	res, err := Check(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,34 +18,6 @@ import (
 	"swex/internal/proto"
 )
 
-// Barrier is a centralized sense-reversing barrier: one counter word and
-// one generation word. Arrivals increment the counter; the last arrival
-// resets it and bumps the generation, releasing the spinners.
-type Barrier struct {
-	count mem.Addr
-	gen   mem.Addr
-	p     int
-}
-
-// NewBarrier allocates a barrier for p participants on the given home node.
-func NewBarrier(m *mem.Memory, home mem.NodeID, p int) *Barrier {
-	base := m.AllocOn(home, 2*mem.WordsPerBlock)
-	// Counter and generation live in separate blocks so release spins do
-	// not collide with arrival increments.
-	return &Barrier{count: base, gen: base + mem.WordsPerBlock, p: p}
-}
-
-// Wait blocks until all p participants have arrived.
-func (b *Barrier) Wait(env *proc.Env) {
-	gen := env.Read(b.gen)
-	if env.FetchAdd(b.count, 1) == uint64(b.p-1) {
-		env.Write(b.count, 0)
-		env.Write(b.gen, gen+1)
-		return
-	}
-	env.WaitChange(b.gen, gen)
-}
-
 // Lock is a test-and-set spin lock with invalidation-based backoff: a
 // blocked acquirer parks on the lock word and retries when the holder's
 // release invalidates its copy.
@@ -178,17 +150,6 @@ func (q *TaskQueue) Pop(env *proc.Env, n mem.NodeID) (uint64, bool) {
 	return task, ok
 }
 
-// Steal tries every other node's queue once, starting after the thief.
-func (q *TaskQueue) Steal(env *proc.Env, thief mem.NodeID) (uint64, bool) {
-	for i := 1; i < q.p; i++ {
-		victim := mem.NodeID((int(thief) + i) % q.p)
-		if t, ok := q.Pop(env, victim); ok {
-			return t, ok
-		}
-	}
-	return 0, false
-}
-
 // StealBatch probes a single victim and, on success, takes up to max
 // tasks (half the victim's queue at most), re-queuing all but the first on
 // the thief's own queue. Batching spreads work exponentially: each
@@ -237,57 +198,6 @@ func (q *TaskQueue) victim(thief mem.NodeID, attempt int) mem.NodeID {
 		v = mem.NodeID((int(v) + 1) % q.p)
 	}
 	return v
-}
-
-// StealOne probes a single victim chosen by the attempt number, walking
-// the machine with a stride coprime to its size. Probing one queue per
-// idle iteration (with backoff) keeps sixty-three simultaneous thieves
-// from saturating the network with emptiness checks — the full Steal scan
-// invalidates every queue's control line machine-wide.
-func (q *TaskQueue) StealOne(env *proc.Env, thief mem.NodeID, attempt int) (uint64, bool) {
-	if q.p == 1 {
-		return 0, false
-	}
-	return q.Pop(env, q.victim(thief, attempt))
-}
-
-// Termination detects distributed quiescence for task-queue computations:
-// a count of outstanding tasks. Work is registered before it is pushed and
-// deregistered after it completes, so a zero count means no task is queued
-// or running anywhere.
-type Termination struct {
-	outstanding mem.Addr
-}
-
-// NewTermination allocates the counter on the given home node.
-func NewTermination(m *mem.Memory, home mem.NodeID) *Termination {
-	return &Termination{outstanding: m.AllocOn(home, mem.WordsPerBlock)}
-}
-
-// Register announces n new tasks.
-func (t *Termination) Register(env *proc.Env, n uint64) { env.FetchAdd(t.outstanding, n) }
-
-// Complete retires one task, reporting whether the computation quiesced.
-func (t *Termination) Complete(env *proc.Env) bool {
-	return env.FetchAdd(t.outstanding, ^uint64(0)) == 1
-}
-
-// Quiesced polls for completion.
-func (t *Termination) Quiesced(env *proc.Env) bool {
-	return env.Read(t.outstanding) == 0
-}
-
-// WaitQuiesced blocks until the computation quiesces.
-func (t *Termination) WaitQuiesced(env *proc.Env) {
-	for {
-		v := env.Read(t.outstanding)
-		if v == 0 {
-			return
-		}
-		if env.WaitChange(t.outstanding, v) == 0 {
-			return
-		}
-	}
 }
 
 // TreeBarrier is a combining-tree barrier with bounded fan-in: no barrier

@@ -41,7 +41,7 @@ func TestBarrierNoEarlyPass(t *testing.T) {
 	const P = 8
 	log := NewObsLog(P, 1)
 	m := run(t, P, proto.FullMap(), func(m *machine.Machine) func(*proc.Env) {
-		bar := NewBarrier(m.Mem, 0, P)
+		bar := NewTreeBarrier(m.Mem, P)
 		pre := m.Mem.AllocOn(1, 1)
 		return func(env *proc.Env) {
 			env.FetchAdd(pre, 1)
@@ -60,11 +60,13 @@ func TestBarrierNoEarlyPass(t *testing.T) {
 }
 
 func TestBarrierReusable(t *testing.T) {
+	// Fan-in two gives four participants a two-level tree, so every
+	// round also climbs past the first group.
 	const P = 4
 	const rounds = 5
 	var violations int
 	run(t, P, proto.LimitLESS(2), func(m *machine.Machine) func(*proc.Env) {
-		bar := NewBarrier(m.Mem, 0, P)
+		bar := NewTreeBarrierArity(m.Mem, P, 2)
 		phase := m.Mem.AllocOn(1, rounds)
 		return func(env *proc.Env) {
 			for r := 0; r < rounds; r++ {
@@ -179,9 +181,10 @@ func TestTaskQueueStealing(t *testing.T) {
 	const P = 4
 	var mm *machine.Machine
 	var sum mem.Addr
+	var elsewhere int // tasks run on nodes other than the producer
 	mm = run(t, P, proto.LimitLESS(2), func(m *machine.Machine) func(*proc.Env) {
 		q := NewTaskQueue(m.Mem, P, 64)
-		term := NewTermination(m.Mem, 0)
+		term := NewDistTermination(m.Mem, P)
 		sum = m.Mem.AllocOn(1, 1)
 		return func(env *proc.Env) {
 			id := env.ID()
@@ -192,14 +195,18 @@ func TestTaskQueueStealing(t *testing.T) {
 					q.Push(env, 0, uint64(i)+1)
 				}
 			}
-			for !term.Quiesced(env) {
+			for attempt := 0; !term.Quiesced(env); {
 				v, ok := q.Pop(env, id)
 				if !ok {
-					v, ok = q.Steal(env, id)
+					v, ok = q.StealBatch(env, id, attempt, 4)
+					attempt++
 				}
 				if !ok {
 					env.Compute(20)
 					continue
+				}
+				if id != 0 {
+					elsewhere++
 				}
 				env.FetchAdd(sum, v)
 				term.Complete(env)
@@ -209,6 +216,9 @@ func TestTaskQueueStealing(t *testing.T) {
 	// sum 1..20 = 210
 	if got := readWord(t, mm, sum); got != 210 {
 		t.Fatalf("stolen task sum = %d, want 210", got)
+	}
+	if elsewhere == 0 {
+		t.Fatal("no task was stolen: node 0 ran all 20")
 	}
 }
 
@@ -235,17 +245,27 @@ func TestTaskQueueFullRejects(t *testing.T) {
 func TestTerminationCounts(t *testing.T) {
 	const P = 4
 	run(t, P, proto.FullMap(), func(m *machine.Machine) func(*proc.Env) {
-		term := NewTermination(m.Mem, 0)
-		bar := NewBarrier(m.Mem, 0, P)
+		term := NewDistTermination(m.Mem, P)
+		bar := NewTreeBarrier(m.Mem, P)
 		return func(env *proc.Env) {
 			term.Register(env, 1)
 			bar.Wait(env)
-			last := term.Complete(env)
+			if term.Quiesced(env) {
+				t.Error("termination quiesced with every task registered and none completed")
+			}
+			bar.Wait(env)
+			term.Complete(env)
 			bar.Wait(env)
 			if !term.Quiesced(env) {
 				t.Error("termination not quiesced after all completions")
 			}
-			_ = last
+			if env.ID() == 0 && !term.Detect(env) {
+				t.Error("detector missed quiescence")
+			}
+			bar.Wait(env)
+			if !term.Done(env) {
+				t.Error("done flag not seen after detection")
+			}
 		}
 	})
 }
