@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke bench-smoke full-golden
+.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke bench-smoke full-golden
 
 all: build test
 
@@ -117,16 +117,6 @@ fuzz-smoke:
 	  rm -rf $$d
 	$(GO) run ./cmd/swexfuzz -weakened >/dev/null
 
-# memtier-smoke exercises the memory-tier subsystem end to end: the model's
-# unit suite, the litmus corpus under tiered timing and on the
-# directoryless machine with the sequential-consistency oracle, and the
-# machine-spectrum exhibit through the CLI (all three families plus the
-# directoryless machine in one sweep).
-memtier-smoke:
-	$(GO) test ./internal/memtier/ -count=1
-	$(GO) test ./internal/litmus/ -run 'MemTier|WeakenedFixtureStillCaught' -count=1
-	$(GO) run ./cmd/swex -quick tiers >/dev/null
-
 # trace-smoke exercises the tracing pipeline end to end through swexrun's
 # three modes: a traced run must export, export the same bytes when run
 # again, and round-trip the profile view, and a report-mode run must pass
@@ -171,4 +161,4 @@ bench-smoke:
 	    { echo "bench-smoke: $$w did not pass its gate" >&2; exit 1; }; \
 	done
 
-check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke memtier-smoke full-golden
+check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke full-golden

@@ -11,8 +11,8 @@
 //
 // The experiments are the exhibits of the package registry
 // (swex.Matrices): the paper's tables and figures, the scaling and
-// extrapolation studies, the memory-tier study, and the ablations. Run
-// swex with no arguments to print them with their captions.
+// extrapolation studies, and the ablations. Run swex with no arguments to
+// print them with their captions.
 //
 // -quick runs reduced problem sizes (seconds instead of minutes) that
 // preserve every qualitative shape. -json prints each experiment's

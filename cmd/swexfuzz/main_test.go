@@ -59,6 +59,7 @@ func TestBadInputExits2(t *testing.T) {
 		want string
 	}{
 		{[]string{"-specs", "nosuch"}, `-specs: litmus: unknown protocol alias "nosuch"`},
+		{[]string{"-specs", "dls"}, "-specs: " + litmus.ErrAlias.Error() + ` "dls"`},
 		{[]string{"-specs", ","}, "names no spectrum points"},
 		{[]string{"-threads", "-1"}, "-threads -1: " + errNegative.Error()},
 		{[]string{"-vars", "-1"}, "-vars -1: " + errNegative.Error()},

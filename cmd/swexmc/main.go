@@ -15,8 +15,7 @@
 // Protocols are named by the litmus.SpecAliases() vocabulary that swexrun
 // and swexfuzz take (full, h5..h2, h1, h1lack, h1ack, h0, dir1sw). With
 // -spec all (the default) every protocol in the paper's spectrum is
-// checked, plus the Dir1SW cooperative-shared-memory variant; the
-// directoryless dls machine caches nothing and is not model-checked.
+// checked, plus the Dir1SW cooperative-shared-memory variant.
 // -watch adds the producer–consumer pair to the alphabet. -configure
 // gives block i the i-th named protocol as a per-block override (an empty
 // element keeps the machine default), checking a mixed-spec machine.

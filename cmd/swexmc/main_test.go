@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"swex/internal/litmus"
 )
 
 // runMainEnv marks a re-executed test binary that runs main with the
@@ -57,7 +59,7 @@ func TestBadInputExits2(t *testing.T) {
 		want string
 	}{
 		{[]string{"-spec", "nosuch"}, "unknown protocol alias"},
-		{[]string{"-spec", "dls"}, "directoryless machine is not model-checked"},
+		{[]string{"-spec", "dls"}, litmus.ErrAlias.Error() + ` "dls"`},
 		{[]string{"-configure", "full,nosuch"}, "-configure: litmus: unknown protocol alias"},
 		{[]string{"-drop-inv", "-3"}, "fault drops message -3"},
 		{[]string{"-max-states", "-5"}, "state bound -5"},

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"swex/internal/litmus"
 	"swex/internal/machine"
 )
 
@@ -81,6 +82,7 @@ func TestBadInputExits2(t *testing.T) {
 		want string
 	}{
 		{[]string{"-worker", "2", "-nodes", "2", "-protocol", "h9"}, "unknown protocol alias"},
+		{[]string{"-worker", "2", "-nodes", "2", "-protocol", "dls"}, litmus.ErrAlias.Error() + ` "dls"`},
 		{[]string{"-app", "NOPE", "-nodes", "2"}, "unknown application"},
 		{[]string{"trace", "fig3-point"}, errPreset.Error()},
 		{[]string{"-worker", "2", "-nodes", "2", "-software", "bogus"}, errSoftware.Error()},

@@ -7,7 +7,6 @@ import (
 
 	"swex/internal/apps"
 	"swex/internal/machine"
-	"swex/internal/memtier"
 	"swex/internal/proto"
 	"swex/internal/report"
 	"swex/internal/sim"
@@ -645,84 +644,6 @@ func (d *ScalingData) Table() *report.Table {
 	return t
 }
 
-// ---------------------------------------------------------------- Tiers
-
-// TiersData holds WORKER run times across the machine-spectrum families
-// (flat, disaggregated, hybrid DRAM/NVM) for each protocol, normalized to
-// the flat machine's full-map time.
-type TiersData struct {
-	Families  []string
-	Protocols []string
-	// Ratio[family][protocol index] = run time / flat full-map run time.
-	Ratio map[string][]float64
-}
-
-// tiers extends the paper's protocol spectrum along the orthogonal
-// memory-system axis: the same software-extended directory spectrum,
-// re-costed on machines the paper's hardware could not build. For each
-// memory-system family (flat first: its full-map point is the
-// normalization base), each protocol runs the same WORKER instance on 16
-// nodes. The protocols are the spectrum's endpoints and middle, plus the
-// directoryless shared-LLC machine — the one protocol point that only
-// exists on the memory-system axis (no sharer tracking at all; every
-// access is a direct home access).
-func tiers(p *plan) assembler[*TiersData] {
-	setSize, iters := 8, 10
-	if p.Quick {
-		setSize, iters = 4, 4
-	}
-	families := []struct {
-		name string
-		cfg  memtier.Config
-	}{
-		{"flat", memtier.Config{}},
-		{"disaggregated", memtier.DefaultDisaggregated()},
-		{"nvm", memtier.DefaultTiered()},
-	}
-	specs := []proto.Spec{
-		proto.FullMap(),
-		proto.OnePointer(proto.AckHW),
-		proto.LimitLESS(5),
-		proto.SoftwareOnly(),
-		proto.Directoryless(),
-	}
-	var names []string
-	runs := make(map[string][]int)
-	for _, fam := range families {
-		names = append(names, fam.name)
-		for _, spec := range specs {
-			runs[fam.name] = append(runs[fam.name], p.add(sweep.WorkerJob(setSize, iters, machine.Config{
-				Nodes: 16, Spec: spec, MemTier: fam.cfg,
-			})))
-		}
-	}
-	return func(r []sweep.Result) (*TiersData, error) {
-		d := &TiersData{Families: names, Protocols: specNames(specs), Ratio: make(map[string][]float64)}
-		base := r[runs["flat"][0]] // flat full-map
-		for _, name := range names {
-			for _, run := range runs[name] {
-				d.Ratio[name] = append(d.Ratio[name], timeRatio(r[run], base))
-			}
-		}
-		return d, nil
-	}
-}
-
-// Table renders the sweep as protocols × families, flat full-map = 1.00.
-func (d *TiersData) Table() *report.Table {
-	headers := append([]string{"Protocol"}, d.Families...)
-	t := report.NewTable("Machine spectrum: WORKER run time across memory-system families (16 nodes, flat full-map = 1.00)",
-		headers...)
-	for si, p := range d.Protocols {
-		row := []string{p}
-		for _, fam := range d.Families {
-			row = append(row, fmt.Sprintf("%.2f", d.Ratio[fam][si]))
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
 // ------------------------------------------------------ matrix registry
 
 // Matrix names one exhibit: a job matrix paired with the renderer that
@@ -829,8 +750,8 @@ func titled(title string) func([]AblationRow) *report.Table {
 }
 
 // Matrices returns every exhibit in paper order: the three tables,
-// Figures 2-6, the scaling study, the 1024-node extrapolation, the
-// machine-spectrum (memory-tier) study, then the ten ablations.
+// Figures 2-6, the scaling study, the 1024-node extrapolation, then the
+// ten ablations.
 func Matrices() []Matrix {
 	return []Matrix{
 		exhibit("table1", "average software-extension latencies (C vs assembly)",
@@ -853,8 +774,6 @@ func Matrices() []Matrix {
 			scalingStudy, (*ScalingData).Figure),
 		exhibit("extrapolation", "TSP at 256/512/1024 nodes, beyond Figure 5",
 			extrapolation, (*ScalingData).Table),
-		exhibit("tiers", "WORKER across memory-system families (flat, disaggregated, NVM, directoryless)",
-			tiers, (*TiersData).Table),
 		exhibit("ablate-localbit", "one-bit local pointer on/off",
 			ablateLocalBit, titled("ablation: local bit disabled")),
 		exhibit("ablate-software", "flexible C vs hand-tuned assembly handlers",

@@ -307,9 +307,6 @@ func (d *Directory) CloneInto(dst *Directory) *Directory {
 	return dst
 }
 
-// PointerCap reports the per-entry hardware pointer capacity.
-func (d *Directory) PointerCap() int { return d.caps }
-
 // Entry returns the entry for block b, creating it Uncached if absent.
 func (d *Directory) Entry(b mem.Block) *Entry {
 	return d.EntryWithCap(b, d.caps)

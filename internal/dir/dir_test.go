@@ -234,7 +234,7 @@ func exerciseDirectory(d *Directory, r *sim.Rand, n int) []string {
 			}
 			log = append(log, fmt.Sprintf("peek %d: %+v %v", b, got, ok))
 		case 3:
-			log = append(log, fmt.Sprintf("len %d cap %d", d.Len(), d.PointerCap()))
+			log = append(log, fmt.Sprintf("len %d", d.Len()))
 		}
 	}
 	d.ForEach(func(b mem.Block, e *Entry) { log = append(log, fmt.Sprintf("%d: %+v", b, *e)) })

@@ -102,9 +102,6 @@ func (h *Handlers) Release() {
 	}
 }
 
-// Cost exposes the active cost model.
-func (h *Handlers) Cost() CostModel { return h.cost }
-
 // SetParallelInv enables the parallel-invalidation enhancement: the write
 // handler overlaps invalidation transmission with the CMMU instead of
 // transmitting sequentially (paper Section 7's dynamic-detection research;

@@ -19,9 +19,8 @@ import (
 //     (sim.Cycle(f * 1.5));
 //   - converting a cycle value to float32/float64 inside a function that
 //     does not itself return a float. Reporting helpers that produce
-//     utilization ratios or seconds (mesh.TxUtilization, Cycle.Seconds)
-//     return floats and are exempt; everything else is accounting and
-//     must stay integral.
+//     ratios or seconds (Cycle.Seconds) return floats and are exempt;
+//     everything else is accounting and must stay integral.
 //
 // The statistics and report packages are exempt wholesale: presentation
 // math is their job.

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -17,9 +18,13 @@ import (
 // layer uses it as the ProgramRef.App marker for litmus jobs.
 const AppName = "LITMUS"
 
+// ErrAlias flags a protocol alias SpecByAlias does not resolve; the error
+// it returns wraps ErrAlias with the alias.
+var ErrAlias = errors.New("litmus: unknown protocol alias")
+
 // SpecByAlias resolves a protocol-spectrum alias — the flag vocabulary of
 // the command-line tools: h0, h1ack, h1lack, h1, h2, h3, h4, h5, full,
-// dir1sw, dls.
+// dir1sw.
 func SpecByAlias(alias string) (proto.Spec, error) {
 	switch alias {
 	case "h0":
@@ -42,18 +47,15 @@ func SpecByAlias(alias string) (proto.Spec, error) {
 		return proto.FullMap(), nil
 	case "dir1sw":
 		return proto.Dir1SW(), nil
-	case "dls":
-		return proto.Directoryless(), nil
 	}
-	return proto.Spec{}, fmt.Errorf("litmus: unknown protocol alias %q", alias)
+	return proto.Spec{}, fmt.Errorf("%w %q", ErrAlias, alias)
 }
 
 // SpecAliases returns every spectrum alias SpecByAlias resolves, ordered
-// from most hardware (full map) to least (software-only, the one-pointer
-// Dir_1 SW variant, and finally the directoryless machine, which has no
-// directory at all).
+// from most hardware (full map) to least (software-only, then the
+// one-pointer Dir_1 SW variant).
 func SpecAliases() []string {
-	return []string{"full", "h5", "h4", "h3", "h2", "h1", "h1lack", "h1ack", "h0", "dir1sw", "dls"}
+	return []string{"full", "h5", "h4", "h3", "h2", "h1", "h1lack", "h1ack", "h0", "dir1sw"}
 }
 
 // CompatibleBase reports whether a machine built on the base spec can
@@ -73,11 +75,6 @@ func CompatibleBase(p Program, base proto.Spec) bool {
 		}
 		spec, err := SpecByAlias(alias)
 		if err != nil {
-			return false
-		}
-		// Directoryless is a machine-wide mode, not a per-block policy: a
-		// block cannot opt in or out of having a directory.
-		if spec.Directoryless != base.Directoryless {
 			return false
 		}
 		if !spec.UsesSoftware() {

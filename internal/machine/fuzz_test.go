@@ -28,14 +28,13 @@ func fuzzSpec(w uint16) proto.Spec {
 		return s
 	}
 	return proto.Spec{
-		Name:          "fuzz",
-		HWPointers:    int(w%8) - 1,
-		FullMap:       w&0x08 != 0,
-		LocalBit:      w&0x10 != 0,
-		AckMode:       proto.AckMode(w >> 5 % 3),
-		Broadcast:     w&0x80 != 0,
-		SoftwareOnly:  w&0x100 != 0,
-		Directoryless: w&0x200 != 0,
+		Name:         "fuzz",
+		HWPointers:   int(w%8) - 1,
+		FullMap:      w&0x08 != 0,
+		LocalBit:     w&0x10 != 0,
+		AckMode:      proto.AckMode(w >> 5 % 3),
+		Broadcast:    w&0x80 != 0,
+		SoftwareOnly: w&0x100 != 0,
 	}
 }
 
@@ -55,7 +54,7 @@ func FuzzConfigRuns(f *testing.F) {
 	f.Add(uint8(7), uint16(7), uint8(3), int8(8), uint8(1), uint8(0), uint8(0))      // h1ack, 2 contexts
 	f.Add(uint8(5), uint16(8), uint8(5), int8(2), uint8(4), uint8(8), uint8(0x02))   // h0, 4 contexts
 	f.Add(uint8(3), uint16(9), uint8(2), int8(0), uint8(0), uint8(0), uint8(0))      // dir1sw
-	f.Add(uint8(2), uint16(10), uint8(1), int8(1), uint8(0), uint8(1), uint8(0))     // dls, 0 contexts
+	f.Add(uint8(2), uint16(4), uint8(1), int8(1), uint8(0), uint8(1), uint8(0))      // h2, 0 contexts
 	f.Add(uint8(0), uint16(6), uint8(2), int8(1), uint8(0), uint8(0), uint8(0x01))   // h1lack, 1 node
 	f.Add(uint8(3), uint16(0), uint8(6), int8(0), uint8(0), uint8(0), uint8(0))      // 5 contexts
 	f.Add(uint8(3), uint16(0), uint8(0), int8(0), uint8(0), uint8(0), uint8(0))      // -1 contexts

@@ -10,7 +10,6 @@ import (
 	"swex/internal/cache"
 	"swex/internal/ext"
 	"swex/internal/mem"
-	"swex/internal/memtier"
 	"swex/internal/mesh"
 	"swex/internal/proc"
 	"swex/internal/proto"
@@ -71,14 +70,6 @@ type Config struct {
 	// as in Alewife; the paper's conclusion names set-associative caches
 	// as the alternative to victim caching).
 	CacheWays int
-	// Timing overrides hardware latencies (zero value = defaults).
-	Timing proto.Timing
-	// MemTier selects the memory system behind the home directories
-	// (internal/memtier): flat per-node DRAM (the zero value, the
-	// paper's machine), rack-scale disaggregated memory over a second
-	// interconnect tier, or hybrid DRAM/NVM with hot-block promotion.
-	// Orthogonal to Spec: any protocol runs over any memory system.
-	MemTier memtier.Config
 	// LoseInv, when positive, deliberately weakens the protocol: the
 	// N-th invalidation message the machine sends (counted machine-wide,
 	// 1-based) is silently dropped, and its acknowledgment is spoofed so
@@ -144,10 +135,6 @@ func New(cfg Config) (*Machine, error) {
 		soft.SetParallelInv(cfg.ParallelInv)
 	}
 
-	timing := cfg.Timing
-	if timing == (proto.Timing{}) {
-		timing = proto.DefaultTiming()
-	}
 	ccfg := cache.DefaultConfig()
 	if cfg.CacheLines > 0 {
 		ccfg.Lines = cfg.CacheLines
@@ -158,14 +145,13 @@ func New(cfg Config) (*Machine, error) {
 	if soft != nil {
 		softIface = soft
 	}
-	fabric, err := proto.NewFabric(engine, net, memory, cfg.Spec, timing,
+	fabric, err := proto.NewFabric(engine, net, memory, cfg.Spec, proto.DefaultTiming(),
 		softIface, proto.CacheConfig{Cache: ccfg, PerfectIfetch: cfg.PerfectIfetch})
 	if err != nil {
 		return nil, err
 	}
 	fabric.BatchReads = cfg.BatchReads
 	fabric.MigratoryDetect = cfg.MigratoryDetect
-	fabric.Tier = memtier.New(engine, cfg.Nodes, cfg.MemTier)
 	// A spoofed acknowledgment lets the home's transaction complete
 	// while the victim's stale copy survives.
 	fabric.Fault = proto.Fault{Kind: proto.MsgINV, Nth: cfg.LoseInv, SpoofAck: true}

@@ -11,8 +11,7 @@ import (
 
 // Named validation errors. Validate wraps these with the offending value,
 // so callers can match the cause with errors.Is while logs still say what
-// was wrong. Spec and memory-tier errors pass through from their own
-// packages (proto.Spec.Validate, memtier.Config.Validate).
+// was wrong. Spec errors pass through from proto.Spec.Validate.
 var (
 	// ErrNodes flags a machine size outside 1..dir.MaxNodes. The upper
 	// bound is the hardware pointer bitset's capacity; a node ID past it
@@ -61,7 +60,7 @@ func (c Config) Validate() error {
 	if c.CacheWays > 1 && lines%c.CacheWays != 0 {
 		return fmt.Errorf("%w: %d lines not divisible by %d ways", ErrCacheGeometry, lines, c.CacheWays)
 	}
-	return c.MemTier.Validate()
+	return nil
 }
 
 // Threads reports how many hardware contexts each node runs: the

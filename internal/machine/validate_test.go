@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"swex/internal/memtier"
 	"swex/internal/proto"
 )
 
@@ -20,9 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		want error // nil = valid; matched with errors.Is
 	}{
 		{"default", base(func(*Config) {}), nil},
-		{"directoryless", base(func(c *Config) { c.Spec = proto.Directoryless() }), nil},
-		{"disaggregated", base(func(c *Config) { c.MemTier = memtier.DefaultDisaggregated() }), nil},
-		{"tiered", base(func(c *Config) { c.MemTier = memtier.DefaultTiered() }), nil},
 		{"zero-nodes", base(func(c *Config) { c.Nodes = 0 }), ErrNodes},
 		{"negative-nodes", base(func(c *Config) { c.Nodes = -4 }), ErrNodes},
 		{"negative-loseinv", base(func(c *Config) { c.LoseInv = -1 }), ErrLoseInv},
@@ -38,19 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		{"three-ways-default-lines", base(func(c *Config) { c.CacheWays = 3 }), ErrCacheGeometry},
 		{"five-ways-default-lines", base(func(c *Config) { c.CacheWays = 5 }), ErrCacheGeometry},
 		{"ways-not-dividing-lines", base(func(c *Config) { c.CacheLines, c.CacheWays = 12, 8 }), ErrCacheGeometry},
-		{"bad-tier-kind", base(func(c *Config) { c.MemTier.Kind = memtier.Kind(99) }), memtier.ErrKind},
-		{"zero-tier-latency", base(func(c *Config) {
-			c.MemTier = memtier.DefaultDisaggregated()
-			c.MemTier.Far.MemCycles = 0
-		}), memtier.ErrTierLatency},
-		{"zero-dram-capacity", base(func(c *Config) {
-			c.MemTier = memtier.DefaultTiered()
-			c.MemTier.DRAMBlocks = 0
-		}), memtier.ErrTierSize},
-		{"zero-promotion", base(func(c *Config) {
-			c.MemTier = memtier.DefaultTiered()
-			c.MemTier.PromoteAfter = 0
-		}), memtier.ErrPromotion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,17 +60,16 @@ func TestConfigThreads(t *testing.T) {
 }
 
 func TestValidateRejectsBadSpec(t *testing.T) {
-	cfg := DefaultConfig(4, proto.Spec{Name: "bad", Directoryless: true, HWPointers: 3})
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("directoryless spec with pointers validated")
+	cfg := DefaultConfig(4, proto.Spec{Name: "bad", SoftwareOnly: true, HWPointers: 3})
+	if err := cfg.Validate(); !errors.Is(err, proto.ErrSpec) {
+		t.Fatalf("Validate() = %v, want errors.Is(ErrSpec)", err)
 	}
 }
 
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	cfg := DefaultConfig(4, proto.FullMap())
-	cfg.MemTier = memtier.DefaultDisaggregated()
-	cfg.MemTier.Far.HopCycles = 0
-	if _, err := New(cfg); !errors.Is(err, memtier.ErrTierLatency) {
-		t.Fatalf("New() = %v, want errors.Is(ErrTierLatency)", err)
+	cfg.CacheLines, cfg.CacheWays = 12, 8
+	if _, err := New(cfg); !errors.Is(err, ErrCacheGeometry) {
+		t.Fatalf("New() = %v, want errors.Is(ErrCacheGeometry)", err)
 	}
 }

@@ -425,9 +425,6 @@ func (r *Result) noteQuiescent(w *world, key []byte) {
 
 // validate rejects configurations the checker cannot exhaust.
 func validate(cfg Config) error {
-	if cfg.Spec.Directoryless {
-		return fmt.Errorf("mc: a directoryless machine is not model-checked: it caches nothing, so it is coherent by construction; the SC litmus oracle covers it")
-	}
 	if err := cfg.Spec.Validate(); err != nil {
 		return err
 	}

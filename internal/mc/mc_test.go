@@ -184,7 +184,6 @@ func TestConfigValidation(t *testing.T) {
 		{Spec: proto.FullMap(), Nodes: 2, Blocks: 5, MaxOps: 1},
 		{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 0},
 		{Spec: proto.Spec{Name: "bad", FullMap: true, SoftwareOnly: true}, Nodes: 2, Blocks: 1, MaxOps: 1},
-		{Spec: proto.Directoryless(), Nodes: 2, Blocks: 1, MaxOps: 1},
 		{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 1, MaxStates: -1},
 		{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 1, Fault: proto.Fault{Kind: proto.MsgINV, Nth: -1}},
 	}

@@ -1,15 +1,19 @@
 // Package memtier models the memory hierarchy behind a node's directory:
 // what it costs, at a given cycle, for the home to read or write a block's
-// backing store. The protocol engine consults it on every directory-side
-// memory access, which makes the memory system a scenario axis orthogonal
-// to the protocol spectrum the paper evaluates.
+// backing store.
+//
+// The simulated machine no longer uses it: the memory-tier wiring in the
+// protocol engine, machine.Config.MemTier and the "tiers" exhibit were
+// retired, because the paper studies only how much of the directory is
+// hardware and how much software. The package, with mesh.TierLink, is
+// kept only for the perfbench microbenchmark rows memtier.access_ns.*;
+// both go when the next benchmark change deletes those rows.
 //
 // Three memory-system kinds are modeled:
 //
 //   - KindFlat: the paper's machine — per-node DRAM at a fixed latency
-//     (proto.Timing.MemLatency). A flat model is the package's zero value
-//     and costs the simulator nothing: the fabric holds a nil *Model and
-//     pays one branch per access.
+//     (proto.Timing.MemLatency). A flat model is the package's zero value,
+//     and New returns a nil *Model for it.
 //   - KindDisaggregated: home blocks live in rack-scale far memory
 //     reached over a second interconnect tier (mesh.TierLink) with its
 //     own hop latency, serialization bandwidth cap, and FIFO queueing —

@@ -227,16 +227,6 @@ func (n *Network) reserve(src, dst, size int, extra sim.Cycle, tag any) sim.Cycl
 	return done
 }
 
-// TxUtilization returns the fraction of elapsed cycles node id's transmit
-// queue was busy. Useful for hot-spot analysis.
-func (n *Network) TxUtilization(id int) float64 {
-	now := n.engine.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(n.tx[id].Busy) / float64(now)
-}
-
 // RxWaited returns the total cycles messages spent waiting in node id's
 // receive queue.
 func (n *Network) RxWaited(id int) sim.Cycle { return n.rx[id].Waited }

@@ -7,7 +7,8 @@ import "swex/internal/sim"
 // It is deliberately simpler than the mesh proper — one shared link per
 // home node, dimensionless hops — because what the experiments need is the
 // first-order effect: a fixed round-trip penalty plus queueing under a
-// bandwidth cap, not a routed topology.
+// bandwidth cap, not a routed topology. Only internal/memtier uses the
+// tier, and it is kept only for perfbench's memtier.access_ns.* rows.
 type TierConfig struct {
 	// Hops is the one-way switch count between the node and its far
 	// memory; a transfer pays the hop latency twice (request + response).

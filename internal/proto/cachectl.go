@@ -75,12 +75,11 @@ const (
 	// otherwise, so a Shared fill of a joined read transaction retries.
 	waitCheckOut
 	// waitWatch is a Watch's compare-and-park waiter: it completes when
-	// the word differs from old and parks (or, directoryless, polls
-	// again) otherwise.
+	// the word differs from old and parks otherwise.
 	waitWatch
 )
 
-// pendingOp is one operation waiting on a transaction or a direct access.
+// pendingOp is one operation waiting on a transaction.
 // The kind and old value are state: a checkout or watch waiter reacts to
 // a fill differently from a plain read, so states differing only in a
 // waiter's kind are not equivalent and the fingerprint encodes it.
@@ -109,13 +108,6 @@ type CacheCtl struct {
 	txns     map[mem.Block]*txn
 	watchers map[mem.Block][]watcher
 
-	// direct holds the outstanding directoryless (DLS) accesses per home,
-	// in issue order. Matching needs no sequence numbers: requests to one
-	// home are served FIFO by its hardware pipeline and both directions
-	// of the network deliver per-destination in send order, so the head
-	// of the queue is always the access the next DRESP answers.
-	direct map[mem.NodeID][]pendingOp
-
 	// Free lists of the event receivers this controller schedules (see
 	// retryTag, watchTag, ifetchTag), linked through their next fields: a
 	// fired receiver returns to its list, so steady-state scheduling
@@ -138,7 +130,6 @@ func newCacheCtl(f *Fabric, node mem.NodeID, cfg CacheConfig) *CacheCtl {
 	cc := &CacheCtl{
 		txns:     make(map[mem.Block]*txn),
 		watchers: make(map[mem.Block][]watcher),
-		direct:   make(map[mem.NodeID][]pendingOp),
 	}
 	cc.bind(f, node, cfg)
 	return cc
@@ -152,20 +143,13 @@ func (cc *CacheCtl) bind(f *Fabric, node mem.NodeID, cfg CacheConfig) {
 }
 
 // reset empties the controller and detaches it from its fabric: no miss
-// transactions, parked watchers, directoryless accesses or statistics.
-// It keeps the storage (maps, the per-home access queues, carrier free
-// lists and copied transaction records), so bound again it behaves
-// exactly as newCacheCtl's. The cache is not touched: CloneInto
-// overwrites it, and Fabric.Release releases it first.
+// transactions, parked watchers or statistics. It keeps the storage
+// (maps, carrier free lists and copied transaction records), so bound
+// again it behaves exactly as newCacheCtl's. The cache is not touched:
+// CloneInto overwrites it, and Fabric.Release releases it first.
 func (cc *CacheCtl) reset() {
 	clearMap(cc.txns)
 	clearMap(cc.watchers)
-	for i := range cc.f.Nodes() {
-		if q := cc.direct[mem.NodeID(i)]; len(q) > 0 {
-			clear(q)
-			cc.direct[mem.NodeID(i)] = q[:0]
-		}
-	}
 	cc.f = nil
 	cc.Retries, cc.IfetchStall = 0, 0
 }
@@ -196,10 +180,6 @@ func (cc *CacheCtl) Access(a mem.Addr, op Op) { cc.access(pendingOp{addr: a, op:
 
 // access presents one operation and, on a hit, finishes it.
 func (cc *CacheCtl) access(w pendingOp) {
-	if cc.f.Spec.Directoryless {
-		cc.dlsAccess(w)
-		return
-	}
 	b := mem.BlockOf(w.addr)
 	off := int(w.addr - b.Base())
 	if line, ok := cc.c.Lookup(b, false); ok {
@@ -248,15 +228,6 @@ func (cc *CacheCtl) finish(w pendingOp, v uint64) {
 	case waitWatch:
 		if v != w.old {
 			cc.complete(&w.op, v)
-			return
-		}
-		if cc.f.Spec.Directoryless {
-			// No copy to park on: poll again after the back-off.
-			delay := cc.f.Timing.RetryDelay
-			if delay == 0 {
-				delay = 1
-			}
-			cc.scheduleWatch(w.addr, w.old, w.op, delay)
 			return
 		}
 		b := mem.BlockOf(w.addr)
@@ -355,14 +326,8 @@ func (cc *CacheCtl) Ifetch(pc mem.Addr, done sim.Caller) {
 // block out before its read-modify-write sequence pays one transaction
 // instead of a read recall followed by an upgrade. The operation (its ID
 // or Done; the rest of op is ignored) completes with value zero when
-// ownership is local. On a directoryless machine there is no ownership to
-// acquire (every access goes to the home), so the directive is a free
-// no-op, exactly like CheckIn against an absent copy.
+// ownership is local.
 func (cc *CacheCtl) CheckOut(a mem.Addr, op Op) {
-	if cc.f.Spec.Directoryless {
-		cc.complete(&op, 0)
-		return
-	}
 	b := mem.BlockOf(a)
 	if line, ok := cc.c.Lookup(b, false); ok && line.State == cache.Exclusive {
 		cc.complete(&op, 0)
@@ -433,21 +398,14 @@ func (cc *CacheCtl) Evict(b mem.Block) bool {
 // parks; an invalidation or eviction of the block re-arms a fresh read, so
 // the coherence traffic of a real spin loop (re-fetch after each
 // invalidation) is modeled without simulating every spin iteration.
-//
-// On a directoryless machine there is no private copy and so no
-// invalidation to park on: the loop re-reads the word through the home
-// after a fixed back-off, which is exactly what a real spin loop over
-// uncached memory does. The back-off keeps the poll traffic bounded and
-// the schedule deterministic.
 func (cc *CacheCtl) Watch(a mem.Addr, old uint64, op Op) {
 	cc.access(pendingOp{addr: a, op: Op{ID: op.ID, Done: op.Done}, kind: waitWatch, old: old})
 }
 
 // watchTag is the inspection tag and receiver of a scheduled watch
 // re-read: the one-cycle re-arm of a parked watcher after a coherence
-// event, or a directoryless watch's back-off between two polls. Its
-// identity (node, address, old value) is what the snapshot layer
-// encodes; the operation handle is not state.
+// event. Its identity (node, address, old value) is what the snapshot
+// layer encodes; the operation handle is not state.
 type watchTag struct {
 	cc   *CacheCtl
 	a    mem.Addr
@@ -468,8 +426,8 @@ func (t *watchTag) label() string {
 	return fmt.Sprintf("watch:%d:a%d:o%d", t.cc.node, t.a, t.old)
 }
 
-// scheduleWatch re-issues a watch delay cycles from now.
-func (cc *CacheCtl) scheduleWatch(a mem.Addr, old uint64, op Op, delay sim.Cycle) {
+// scheduleWatch re-issues a watch one cycle from now.
+func (cc *CacheCtl) scheduleWatch(a mem.Addr, old uint64, op Op) {
 	t := cc.watchFree
 	if t != nil {
 		cc.watchFree = t.next
@@ -477,37 +435,7 @@ func (cc *CacheCtl) scheduleWatch(a mem.Addr, old uint64, op Op, delay sim.Cycle
 		t = &watchTag{cc: cc}
 	}
 	t.a, t.old, t.op, t.next = a, old, op, nil
-	cc.f.Engine.OwnedAfterCall(int(cc.node), delay, t, t)
-}
-
-// dlsAccess issues one directoryless access: the operation rides a DREQ
-// to the home, which applies it to the shared-LLC slice in place and
-// answers with the word. The op parks on the per-home FIFO until its
-// DRESP arrives.
-func (cc *CacheCtl) dlsAccess(w pendingOp) {
-	b := mem.BlockOf(w.addr)
-	home := mem.HomeOfBlock(b)
-	cc.direct[home] = append(cc.direct[home], w)
-	m := Msg{Kind: MsgDREQ, Src: cc.node, Dst: home, Block: b,
-		Off: int(w.addr - b.Base()), DWrite: w.op.Write, RMW: w.op.RMW}
-	m.Words[0] = w.op.Value
-	cc.f.Send(m)
-}
-
-// onDResp completes the oldest outstanding direct access to the replying
-// home (see the direct field for why head-of-queue matching is sound).
-func (cc *CacheCtl) onDResp(m *Msg) {
-	q := cc.direct[m.Src]
-	if len(q) == 0 {
-		// Static message: the deterministic engine makes the failing cycle
-		// reproducible, and a Sprintf here would sit on the access hot path.
-		panic("proto: DRESP with no outstanding direct access")
-	}
-	w := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = pendingOp{}
-	cc.direct[m.Src] = q[:len(q)-1]
-	cc.finish(w, m.Words[0])
+	cc.f.Engine.OwnedAfterCall(int(cc.node), 1, t, t)
 }
 
 // wakeWatchers re-arms every watcher on block b.
@@ -518,7 +446,7 @@ func (cc *CacheCtl) wakeWatchers(b mem.Block) {
 	}
 	delete(cc.watchers, b)
 	for _, w := range ws {
-		cc.scheduleWatch(w.addr, w.old, w.op, 1)
+		cc.scheduleWatch(w.addr, w.old, w.op)
 	}
 }
 
@@ -574,8 +502,6 @@ func (cc *CacheCtl) Deliver(m *Msg) {
 		cc.onBusy(m)
 	case MsgINV:
 		cc.onInv(m)
-	case MsgDRESP:
-		cc.onDResp(m)
 	default:
 		panic(fmt.Sprintf("proto: cache received %s", m.Kind))
 	}
@@ -693,16 +619,6 @@ func (cc *CacheCtl) onInv(m *Msg) {
 
 // OutstandingTxns reports in-flight miss transactions (testing aid).
 func (cc *CacheCtl) OutstandingTxns() int { return len(cc.txns) }
-
-// OutstandingDirect reports in-flight directoryless accesses. The
-// quiescence checker counts them alongside miss transactions.
-func (cc *CacheCtl) OutstandingDirect() int {
-	n := 0
-	for i := 0; i < cc.f.Nodes(); i++ {
-		n += len(cc.direct[mem.NodeID(i)])
-	}
-	return n
-}
 
 // HasTxn reports whether a miss transaction is outstanding for block b.
 // The software-only directory's home controller consults it: a local fill

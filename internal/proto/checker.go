@@ -179,9 +179,6 @@ func (f *Fabric) QuiescenceViolation(blocks []mem.Block) string {
 		if n := f.caches[i].OutstandingTxns(); n > 0 {
 			return fmt.Sprintf("node %d has %d outstanding miss transactions", i, n)
 		}
-		if n := f.caches[i].OutstandingDirect(); n > 0 {
-			return fmt.Sprintf("node %d has %d outstanding direct accesses", i, n)
-		}
 	}
 	for _, b := range blocks {
 		h := f.homes[mem.HomeOfBlock(b)]

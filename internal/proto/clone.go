@@ -14,8 +14,7 @@ import (
 // ErrNotCopyable reports that Clone met state it cannot copy: a pending
 // event whose receiver the fabric does not own (a processor thread's
 // continuation, an instruction fetch resuming one), an operation carrying
-// a Done callback, installed Software other than NopSoftware, a
-// directoryless (DLS) machine, or a memory tier.
+// a Done callback, or installed Software other than NopSoftware.
 var ErrNotCopyable = errors.New("proto: fabric state is not copyable")
 
 // Clone returns an independent fabric in the same simulated state: the
@@ -23,9 +22,7 @@ var ErrNotCopyable = errors.New("proto: fabric state is not copyable")
 // miss transaction and parked watcher, the in-flight registry, memory,
 // the mesh and trap scheduler timelines, the software's sharer lists and
 // the fault's progress. Driven identically, the clone behaves exactly as
-// this fabric would. Only the model checker forks machines, and it checks
-// the directory spectrum over flat memory, so a directoryless fabric or
-// one with a memory tier is refused rather than half copied.
+// this fabric would.
 //
 // Statistics start at zero, observers (Trace, Sink, the engine's
 // Observer, the mesh's Obs) are not carried, and completions of the
@@ -42,12 +39,6 @@ func (f *Fabric) Clone(completer Completer) (*Fabric, error) {
 // checker forks thousands of worlds a second this way without
 // allocating. After an error dst holds no usable state.
 func (f *Fabric) CloneInto(dst *Fabric, completer Completer) (*Fabric, error) {
-	if f.Spec.Directoryless {
-		return nil, fmt.Errorf("%w: directoryless machine", ErrNotCopyable)
-	}
-	if f.Tier != nil {
-		return nil, fmt.Errorf("%w: memory tier", ErrNotCopyable)
-	}
 	switch f.Soft.(type) {
 	case nil, *NopSoftware:
 	default:

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"swex/internal/mem"
-	"swex/internal/memtier"
 	"swex/internal/mesh"
 	"swex/internal/sim"
 	"swex/internal/stats"
@@ -45,12 +44,6 @@ type Fabric struct {
 	// subsystem (see internal/trace and sink.go). Nil disables tracing
 	// at one branch per hook.
 	Sink trace.Sink
-	// Tier, when set, is the memory-hierarchy model behind the home
-	// directories (internal/memtier): it prices every directory-side
-	// block access in place of the flat Timing.MemLatency and makes
-	// concurrent accesses queue on the home's tier link or memory
-	// channel. Nil is the paper's flat machine at one branch per access.
-	Tier *memtier.Model
 	// Fault, when armed (Nth > 0), drops one message before it is
 	// injected into the network (see Fault). Dropped messages are counted
 	// under "msg.dropped".

@@ -194,22 +194,11 @@ func (h *HomeCtl) Configure(b mem.Block, s Spec) error {
 		return fmt.Errorf("proto: block override %s is not expressible by the machine's %s software",
 			s.Name, h.f.Spec.Name)
 	}
-	if s.Directoryless != h.f.Spec.Directoryless {
-		// Directoryless is a machine property (the cache side routes
-		// every access directly), not a per-block protocol choice.
-		return fmt.Errorf("proto: block override %s cannot change the machine's directoryless mode", s.Name)
-	}
 	h.overrides[b] = s
 	return nil
 }
 
 func (h *HomeCtl) process(m *Msg) {
-	if m.Kind == MsgDREQ {
-		// Dispatched before entry(): a directoryless access must never
-		// materialize a directory entry — there is no directory.
-		h.onDirect(m)
-		return
-	}
 	e := h.entry(m.Block)
 	switch m.Kind {
 	case MsgRREQ:
@@ -238,29 +227,6 @@ func (h *HomeCtl) busy(m *Msg) {
 	h.f.Send(Msg{Kind: MsgBUSY, Src: h.node, Dst: m.Src, Block: m.Block})
 }
 
-// memAccess charges one directory-side memory access for block b and
-// returns its latency. On the flat machine that is the fixed DRAM
-// latency; with a memory-hierarchy model installed (Fabric.Tier) the
-// model prices the access — far-tier round trip or DRAM/NVM device time
-// — and occupies the home's link or channel, so concurrent accesses
-// queue behind each other.
-func (h *HomeCtl) memAccess(b mem.Block, write bool) sim.Cycle {
-	if h.f.Tier == nil {
-		return h.f.Timing.MemLatency
-	}
-	lat := h.f.Tier.Access(h.node, b, write)
-	if h.f.Sink != nil {
-		now := h.f.Engine.Now()
-		h.f.Sink.Emit(trace.Event{
-			Start: now, End: now + lat,
-			Arg:  int64(b),
-			Node: int32(h.node), Peer: -1,
-			Cat: trace.CatMemTier, Op: trace.OpTierAccess, Name: "tier-access",
-		})
-	}
-	return lat
-}
-
 // sendData transmits a data reply (RDATA or WDATA). The memory access
 // time is folded into the message's source-side delay so the reply keeps
 // its place in the per-destination delivery order: an invalidation
@@ -269,29 +235,7 @@ func (h *HomeCtl) sendData(kind MsgKind, dst mem.NodeID, b mem.Block) {
 	h.f.SendDelayed(Msg{
 		Kind: kind, Src: h.node, Dst: dst, Block: b,
 		Words: h.f.Mem.ReadBlock(b),
-	}, h.memAccess(b, false)+h.f.Timing.CacheFill)
-}
-
-// onDirect services a directoryless (DLS) access: the home reads,
-// writes, or atomically transforms the word in its shared-LLC slice and
-// replies with it. No directory entry is ever created and no sharer is
-// tracked — with a single serialized copy per word there is nothing to
-// track. The reply carries the old value for reads and read-modify-
-// writes and the stored value for plain writes, matching Op.Done.
-func (h *HomeCtl) onDirect(m *Msg) {
-	a := m.Block.Base() + mem.Addr(m.Off)
-	old := h.f.Mem.Read(a)
-	v := old
-	switch {
-	case m.RMW.Kind != RMWNone:
-		h.f.Mem.Write(a, m.RMW.Apply(old))
-	case m.DWrite:
-		h.f.Mem.Write(a, m.Words[0])
-		v = m.Words[0]
-	}
-	reply := Msg{Kind: MsgDRESP, Src: h.node, Dst: m.Src, Block: m.Block, Off: m.Off}
-	reply.Words[0] = v
-	h.f.SendDelayed(reply, h.memAccess(m.Block, m.DWrite || m.RMW.Kind != RMWNone))
+	}, h.f.Timing.MemLatency+h.f.Timing.CacheFill)
 }
 
 // trap schedules a software handler of the given cost and runs its
@@ -811,9 +755,6 @@ func (h *HomeCtl) onUpdate(m *Msg, e *dir.Entry) {
 	}
 	h.migRecallDirty(m.Block)
 	h.f.Mem.WriteBlock(m.Block, m.Words)
-	// The dirty data lands in memory: occupy the memory channel even
-	// though the staged requester does not wait on the write itself.
-	h.memAccess(m.Block, true)
 	h.completeRecall(m.Block, e)
 }
 
@@ -841,7 +782,6 @@ func (h *HomeCtl) onWB(m *Msg, e *dir.Entry) {
 			return // stale
 		}
 		h.f.Mem.WriteBlock(m.Block, m.Words)
-		h.memAccess(m.Block, true)
 		e.State = dir.Uncached
 		e.Owner = 0
 	case dir.Recall:
@@ -851,7 +791,6 @@ func (h *HomeCtl) onWB(m *Msg, e *dir.Entry) {
 		// The writeback crossed our invalidation; it carries the data
 		// the recall wanted.
 		h.f.Mem.WriteBlock(m.Block, m.Words)
-		h.memAccess(m.Block, true)
 		h.completeRecall(m.Block, e)
 	case dir.Uncached, dir.Shared, dir.AckWait, dir.SWait:
 		// Stale writeback from a closed transaction: drop.

@@ -36,20 +36,11 @@ const (
 	// shared memory work, paper Sections 1 and 7) tells the home to
 	// retire the sender's pointer so later writes invalidate less.
 	MsgREL
-	// MsgDREQ is a directoryless (DLS) direct access: the home applies
-	// the read, write, or read-modify-write to its shared-LLC slice in
-	// place — no copy is granted, no sharer is tracked. Appended after
-	// MsgREL so existing message-kind encodings keep their values.
-	MsgDREQ
-	// MsgDRESP is the home's reply to a MsgDREQ, carrying the accessed
-	// word back to the requester.
-	MsgDRESP
 	numMsgKinds
 )
 
 var msgNames = [numMsgKinds]string{
 	"RREQ", "WREQ", "RDATA", "WDATA", "INV", "ACK", "UPDATE", "BUSY", "WB", "REL",
-	"DREQ", "DRESP",
 }
 
 func (k MsgKind) String() string {
@@ -68,7 +59,7 @@ func (k MsgKind) CarriesEpoch() bool {
 	switch k {
 	case MsgINV, MsgACK, MsgUPDATE:
 		return true
-	case MsgRREQ, MsgWREQ, MsgRDATA, MsgWDATA, MsgBUSY, MsgWB, MsgREL, MsgDREQ, MsgDRESP:
+	case MsgRREQ, MsgWREQ, MsgRDATA, MsgWDATA, MsgBUSY, MsgWB, MsgREL:
 		return false
 	default:
 		panic(fmt.Sprintf("proto: unknown message kind %d", int(k)))
@@ -76,13 +67,11 @@ func (k MsgKind) CarriesEpoch() bool {
 }
 
 // CarriesData reports whether the message includes the block contents.
-// DREQ and DRESP move a single word through Words[0], not a block, and
-// encode it themselves in the snapshot layer.
 func (k MsgKind) CarriesData() bool {
 	switch k {
 	case MsgRDATA, MsgWDATA, MsgUPDATE, MsgWB:
 		return true
-	case MsgRREQ, MsgWREQ, MsgINV, MsgACK, MsgBUSY, MsgREL, MsgDREQ, MsgDRESP:
+	case MsgRREQ, MsgWREQ, MsgINV, MsgACK, MsgBUSY, MsgREL:
 		return false
 	default:
 		panic(fmt.Sprintf("proto: unknown message kind %d", int(k)))
@@ -93,9 +82,9 @@ func (k MsgKind) CarriesData() bool {
 // controller (as opposed to the cache side).
 func (k MsgKind) ToHome() bool {
 	switch k {
-	case MsgRREQ, MsgWREQ, MsgACK, MsgUPDATE, MsgWB, MsgREL, MsgDREQ:
+	case MsgRREQ, MsgWREQ, MsgACK, MsgUPDATE, MsgWB, MsgREL:
 		return true
-	case MsgRDATA, MsgWDATA, MsgINV, MsgBUSY, MsgDRESP:
+	case MsgRDATA, MsgWDATA, MsgINV, MsgBUSY:
 		return false
 	default:
 		panic(fmt.Sprintf("proto: unknown message kind %d", int(k)))
@@ -115,15 +104,6 @@ type Msg struct {
 	// acknowledgments that belong to a completed transaction (the
 	// writeback/invalidate crossing race).
 	Epoch uint32
-	// Off is the word offset within Block of a direct (DREQ) access.
-	Off int
-	// DWrite marks a direct access as a write; Words[0] carries the
-	// value out and the accessed word back (DRESP).
-	DWrite bool
-	// RMW, when set on a DREQ, is applied atomically at the home: the
-	// word is read, transformed, and written in place; the reply carries
-	// the old value.
-	RMW RMW
 }
 
 // RMWKind enumerates the atomic read-modify-write operations.

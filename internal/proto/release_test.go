@@ -9,11 +9,10 @@ import (
 )
 
 // releaseSpecs span every kind of controller state: hardware and software
-// directories, acknowledgment traps, broadcast, and directoryless access
-// queues.
+// directories, acknowledgment traps and broadcast.
 var releaseSpecs = []Spec{
 	FullMap(), LimitLESS(2), OnePointer(AckLACK), OnePointer(AckSW),
-	SoftwareOnly(), Dir1SW(), Directoryless(),
+	SoftwareOnly(), Dir1SW(),
 }
 
 const releaseNodes = 4
@@ -35,7 +34,6 @@ func freshRig(t *testing.T, spec Spec) *rig {
 // batching may be on, and software handlers take a random time. It
 // returns a log of every completion with its cycle.
 func exerciseFabric(r *rig, rnd *sim.Rand, ops int) []string {
-	dls := r.f.Spec.Directoryless
 	r.f.BatchReads = rnd.Intn(2) == 0
 	r.f.MigratoryDetect = rnd.Intn(2) == 0
 	if soft, ok := r.f.Soft.(*NopSoftware); ok {
@@ -45,7 +43,7 @@ func exerciseFabric(r *rig, rnd *sim.Rand, ops int) []string {
 	}
 	base := r.mem.AllocOn(0, 4*mem.WordsPerBlock)
 	addrs := []mem.Addr{base, base + 1, base + mem.WordsPerBlock, base + 2*mem.WordsPerBlock + 3}
-	if !dls && rnd.Intn(2) == 0 {
+	if rnd.Intn(2) == 0 {
 		if err := r.f.Home(0).Configure(mem.BlockOf(base), FullMap()); err != nil {
 			r.t.Fatal(err)
 		}
@@ -59,7 +57,7 @@ func exerciseFabric(r *rig, rnd *sim.Rand, ops int) []string {
 		}}
 		cc := r.f.Cache(n)
 		switch k := rnd.Intn(6); {
-		case k == 0 || dls && k >= 3:
+		case k == 0:
 			cc.Access(a, op)
 		case k == 1:
 			op.Write, op.Value = true, rnd.Uint64()%97

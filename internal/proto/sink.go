@@ -81,9 +81,6 @@ func (f *Fabric) traceTxn(m Msg) uint64 {
 		return 0
 	case MsgWB, MsgREL:
 		return 0
-	case MsgDREQ, MsgDRESP:
-		// Direct accesses open no cache-side transaction to correlate to.
-		return 0
 	default:
 		panic("proto: unknown message kind in trace correlation")
 	}

@@ -201,21 +201,6 @@ func (f *Fabric) snapNode(dst []byte, id mem.NodeID, blocks []mem.Block) []byte 
 			}
 		}
 	}
-	// Outstanding directoryless accesses, per home in node order. An op's
-	// queue position determines which DRESP completes it, so the queues
-	// are state.
-	for hid := 0; hid < f.Nodes(); hid++ {
-		q := cc.direct[mem.NodeID(hid)]
-		if len(q) == 0 {
-			continue
-		}
-		dst = append(dst, 'd')
-		dst = putInt(dst, hid)
-		dst = putInt(dst, len(q))
-		for i := range q {
-			dst = putWaiter(dst, &q[i])
-		}
-	}
 	return append(dst, '.')
 }
 
@@ -296,14 +281,6 @@ func (f *Fabric) snapMsg(dst []byte, m *Msg) []byte {
 	dst = putUint(dst, uint64(delta))
 	if m.Kind.CarriesData() {
 		dst = putWords(dst, &m.Words)
-	}
-	if m.Kind == MsgDREQ || m.Kind == MsgDRESP {
-		// Direct accesses carry a word, an offset, and an operation; all
-		// of it determines behavior, so all of it is state.
-		dst = putInt(dst, m.Off)
-		dst = putBool(dst, m.DWrite)
-		dst = putRMW(dst, m.RMW)
-		dst = putUint(dst, m.Words[0])
 	}
 	return dst
 }

@@ -68,17 +68,11 @@ type Spec struct {
 	// remote-access bit, and software handling of every inter-node (and,
 	// once the bit is set, intra-node) access.
 	SoftwareOnly bool
-	// Directoryless marks the shared-LLC machine (DLS): the home serves
-	// every data read and write directly from its memory-side cache slice
-	// with no sharer tracking, no private data caching, and therefore no
-	// directory state at all. It sits below the spectrum's cheapest
-	// protocol: zero directory hardware, every access a round trip.
-	Directoryless bool
 }
 
 // UsesSoftware reports whether the protocol ever invokes extension
 // software.
-func (s Spec) UsesSoftware() bool { return !s.FullMap && !s.Directoryless }
+func (s Spec) UsesSoftware() bool { return !s.FullMap }
 
 // PointerCapacity returns the hardware pointer capacity for a machine of n
 // nodes: n for full-map, HWPointers otherwise.
@@ -97,10 +91,6 @@ var ErrSpec = errors.New("proto: invalid protocol spec")
 // with zero pointers), wrapping ErrSpec.
 func (s Spec) Validate() error {
 	switch {
-	case s.Directoryless && (s.FullMap || s.SoftwareOnly || s.Broadcast):
-		return fmt.Errorf("%w: %s: directoryless excludes other modes", ErrSpec, s.Name)
-	case s.Directoryless && (s.HWPointers != 0 || s.LocalBit):
-		return fmt.Errorf("%w: %s: directoryless machine has no directory pointers", ErrSpec, s.Name)
 	case s.FullMap && (s.SoftwareOnly || s.Broadcast):
 		return fmt.Errorf("%w: %s: full-map excludes other modes", ErrSpec, s.Name)
 	case s.SoftwareOnly && s.HWPointers != 0:
@@ -154,13 +144,6 @@ func SoftwareOnly() Spec {
 		SoftwareOnly: true,
 		AckMode:      AckSW,
 	}
-}
-
-// Directoryless returns the DLS machine: no directory, no private data
-// caching — the home's shared-LLC slice serves every read and write over
-// the network. The point below the spectrum's cheapest protocol.
-func Directoryless() Spec {
-	return Spec{Name: "DLS", Directoryless: true}
 }
 
 // Dir1SW returns Dir_1H_1S_B,LACK: the cooperative-shared-memory protocol

@@ -45,7 +45,7 @@ func (t Timing) Flits(k MsgKind) int {
 	switch {
 	case k.CarriesData():
 		return t.DataFlits
-	case k == MsgRREQ || k == MsgWREQ || k == MsgDREQ:
+	case k == MsgRREQ || k == MsgWREQ:
 		return t.ReqFlits
 	default:
 		return t.CtlFlits

@@ -368,36 +368,3 @@ func (t *DistTermination) Quiesced(env *proc.Env) bool {
 	}
 	return completed == registered
 }
-
-// FIFOLock is a ticket lock: acquirers are granted the lock in arrival
-// order. It is one of the enhancements the paper reports building with the
-// protocol extension software ("a FIFO lock data type", Section 7); here
-// it is built from the same shared-memory primitives as everything else.
-type FIFOLock struct {
-	next  mem.Addr // ticket dispenser
-	owner mem.Addr // ticket currently being served
-}
-
-// NewFIFOLock allocates the lock's two words (in separate blocks, so
-// ticket dispensing does not collide with release broadcasts).
-func NewFIFOLock(m *mem.Memory, home mem.NodeID) *FIFOLock {
-	base := m.AllocOn(home, 2*mem.WordsPerBlock)
-	return &FIFOLock{next: base, owner: base + mem.WordsPerBlock}
-}
-
-// Acquire takes a ticket and waits until it is served.
-func (l *FIFOLock) Acquire(env *proc.Env) {
-	ticket := env.FetchAdd(l.next, 1)
-	for {
-		cur := env.Read(l.owner)
-		if cur == ticket {
-			return
-		}
-		env.WaitChange(l.owner, cur)
-	}
-}
-
-// Release passes the lock to the next ticket holder.
-func (l *FIFOLock) Release(env *proc.Env) {
-	env.FetchAdd(l.owner, 1)
-}

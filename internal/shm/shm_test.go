@@ -269,53 +269,3 @@ func TestTerminationCounts(t *testing.T) {
 		}
 	})
 }
-
-func TestFIFOLockMutualExclusion(t *testing.T) {
-	const P = 8
-	const iters = 5
-	var mm *machine.Machine
-	var cell mem.Addr
-	mm = run(t, P, proto.LimitLESS(2), func(m *machine.Machine) func(*proc.Env) {
-		lock := NewFIFOLock(m.Mem, 0)
-		cell = m.Mem.AllocOn(1, 1)
-		return func(env *proc.Env) {
-			for i := 0; i < iters; i++ {
-				lock.Acquire(env)
-				v := env.Read(cell)
-				env.Compute(3)
-				env.Write(cell, v+1)
-				lock.Release(env)
-			}
-		}
-	})
-	if got := readWord(t, mm, cell); got != P*iters {
-		t.Fatalf("FIFO-locked counter = %d, want %d", got, P*iters)
-	}
-}
-
-func TestFIFOLockGrantsInTicketOrder(t *testing.T) {
-	// Record the acquisition order: it must be a valid FIFO service
-	// order — every node's acquisitions happen in its own ticket order,
-	// and the global order is exactly 0..N-1 of the service counter.
-	const P = 4
-	var order []uint64
-	run(t, P, proto.FullMap(), func(m *machine.Machine) func(*proc.Env) {
-		lock := NewFIFOLock(m.Mem, 0)
-		return func(env *proc.Env) {
-			for i := 0; i < 3; i++ {
-				lock.Acquire(env)
-				// Inside the lock: single-threaded by mutual exclusion.
-				order = append(order, env.Read(lock.owner))
-				lock.Release(env)
-			}
-		}
-	})
-	if len(order) != P*3 {
-		t.Fatalf("%d acquisitions, want %d", len(order), P*3)
-	}
-	for i, v := range order {
-		if v != uint64(i) {
-			t.Fatalf("acquisition %d served ticket %d; FIFO order violated: %v", i, v, order)
-		}
-	}
-}

@@ -33,7 +33,10 @@ const LitmusName = litmus.AppName
 // swex-sim-v5: the livelock watchdog, which deferred handler starts on a
 // node whose handler backlog passed 2,000 cycles, was deleted; handler
 // timing moved in every run it had fired in.
-const codeVersion = "swex-sim-v5"
+// swex-sim-v6: the directoryless spec flag and the memory-tier and
+// hardware-latency overrides left the machine configuration and the key;
+// no simulated result moved.
+const codeVersion = "swex-sim-v6"
 
 // Names of the ablation workloads (internal/apps) a ProgramRef can carry in
 // App, beside WorkerName, LitmusName, and the six paper applications.
@@ -164,7 +167,6 @@ func (j Job) Key(salt string) (string, error) {
 	}
 	c := j.Config
 	s := c.Spec
-	t := c.Timing
 	for _, f := range [...]struct{ name, v string }{
 		{"salt", salt}, {"app", j.Program.App}, {"litmus", j.Program.Litmus},
 		{"fmregion", j.Program.FullMapRegion}, {"spec", s.Name},
@@ -174,10 +176,10 @@ func (j Job) Key(salt string) (string, error) {
 		}
 	}
 	var b keyBuilder
-	// Size the buffer once: the fixed fields fit in 512 bytes, and growing
+	// Size the buffer once: the fixed fields fit in 384 bytes, and growing
 	// by doubling would allocate a chain of buffers and keep up to twice
 	// the key's length alive in every Outcome.
-	b.Grow(512 + len(salt) + len(j.Program.App) + len(j.Program.Litmus) + len(j.Program.FullMapRegion) + len(s.Name))
+	b.Grow(384 + len(salt) + len(j.Program.App) + len(j.Program.Litmus) + len(j.Program.FullMapRegion) + len(s.Name))
 	b.WriteString(codeVersion)
 	b.putStr("salt", salt)
 	b.putStr("app", j.Program.App)
@@ -196,7 +198,6 @@ func (j Job) Key(salt string) (string, error) {
 	b.putInt("ack", int64(s.AckMode))
 	b.putBool("bcast", s.Broadcast)
 	b.putBool("swonly", s.SoftwareOnly)
-	b.putBool("dls", s.Directoryless)
 	b.putInt("soft", int64(c.Software))
 	b.putInt("victim", int64(c.VictimLines))
 	b.putBool("pifetch", c.PerfectIfetch)
@@ -206,26 +207,6 @@ func (j Job) Key(salt string) (string, error) {
 	b.putInt("threads", int64(c.ThreadsPerNode))
 	b.putInt("clines", int64(c.CacheLines))
 	b.putInt("cways", int64(c.CacheWays))
-	b.putInt("tmem", int64(t.MemLatency))
-	b.putInt("thome", int64(t.HomeProc))
-	b.putInt("tfill", int64(t.CacheFill))
-	b.putInt("tretry", int64(t.RetryDelay))
-	b.putInt("freq", int64(t.ReqFlits))
-	b.putInt("fdata", int64(t.DataFlits))
-	b.putInt("fctl", int64(t.CtlFlits))
-	mt := c.MemTier
-	b.putInt("mtkind", int64(mt.Kind))
-	b.putInt("mthops", int64(mt.Far.Hops))
-	b.putInt("mthopcyc", int64(mt.Far.HopCycles))
-	b.putInt("mtflitcyc", int64(mt.Far.FlitCycles))
-	b.putInt("mtflits", int64(mt.Far.Flits))
-	b.putInt("mtmemcyc", int64(mt.Far.MemCycles))
-	b.putInt("mtdread", int64(mt.DRAMRead))
-	b.putInt("mtdwrite", int64(mt.DRAMWrite))
-	b.putInt("mtnread", int64(mt.NVMRead))
-	b.putInt("mtnwrite", int64(mt.NVMWrite))
-	b.putInt("mtdblocks", int64(mt.DRAMBlocks))
-	b.putInt("mtpromote", int64(mt.PromoteAfter))
 	b.putInt("limit", int64(j.Limit))
 	return b.String(), nil
 }

@@ -10,7 +10,6 @@ import (
 
 	"swex/internal/litmus"
 	"swex/internal/machine"
-	"swex/internal/memtier"
 	"swex/internal/proto"
 )
 
@@ -24,7 +23,7 @@ type pinnedKeyJob struct {
 }
 
 // pinnedKeyJobs covers every kind of field Key renders: strings, bools,
-// ints, enums, cycle counts, the memory-tier block and the limit.
+// ints, enums and the cycle limit.
 func pinnedKeyJobs(t *testing.T) []pinnedKeyJob {
 	t.Helper()
 	h1ack, err := litmus.SpecByAlias("h1ack")
@@ -35,26 +34,20 @@ func pinnedKeyJobs(t *testing.T) []pinnedKeyJob {
 	worker.Program.CICO = true
 	region := AppJob("EVOLVE", true, machine.Config{Nodes: 16, Spec: proto.LimitLESS(2), VictimLines: 8})
 	region.Program.FullMapRegion = "fitness-table"
-	timing := proto.DefaultTiming()
-	timing.RetryDelay += 3
 	return []pinnedKeyJob{
 		{"salted litmus", "branch-x", LitmusJob(litmus.Corpus()[0].Prog, machine.DefaultConfig(4, h1ack))},
 		{"worker", "", worker},
 		{"quick tsp", "", AppJob("TSP", true, machine.Config{
 			Nodes: 16, Spec: proto.FullMap(), VictimLines: 8, PerfectIfetch: true, CacheLines: 512, CacheWays: 2,
 		})},
-		{"tiered memory", "", AppJob("WATER", true, machine.Config{
-			Nodes: 16, Spec: proto.SoftwareOnly(), MemTier: memtier.DefaultTiered(),
-		})},
-		{"disaggregated memory", "", AppJob("AQ", true, machine.Config{
-			Nodes: 8, Spec: proto.Dir1SW(), MemTier: memtier.DefaultDisaggregated(),
-		})},
+		{"software-only", "", AppJob("WATER", true, machine.Config{Nodes: 16, Spec: proto.SoftwareOnly()})},
+		{"broadcast", "", AppJob("AQ", true, machine.Config{Nodes: 8, Spec: proto.Dir1SW()})},
 		{"full-map region", "", region},
 		{"limited", "", Job{
 			Program: ProgramRef{App: TokenRingName, Iters: 3},
 			Config: machine.Config{
 				Nodes: 4, Spec: proto.LimitLESS(5), Software: machine.TunedASM, BatchReads: true,
-				ParallelInv: true, MigratoryDetect: true, LoseInv: 2, Timing: timing,
+				ParallelInv: true, MigratoryDetect: true, LoseInv: 2,
 			},
 			Limit: 123456,
 		}},

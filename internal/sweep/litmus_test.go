@@ -200,7 +200,7 @@ func TestLitmusJobKeyDistinguishesFaultInjection(t *testing.T) {
 
 // TestReusedMachineStorageIsInvisible runs one two-worker Runner over
 // litmus jobs that alternate protocol (full map, LimitLESS with software
-// acknowledgments, Dir1SW, software-only, directoryless), machine size,
+// acknowledgments, Dir1SW, software-only), machine size,
 // threads per node, and cycle limits that stop some runs with work
 // pending, so nearly every job runs on controllers, directories, hash
 // tables, cache lines and engine queues some earlier job released, often
@@ -220,7 +220,7 @@ func TestReusedMachineStorageIsInvisible(t *testing.T) {
 	}
 	var jobs []Job
 	for i, p := range progs {
-		for s, alias := range []string{"full", "h1ack", "dir1sw", "h0", "dls"} {
+		for s, alias := range []string{"full", "h1ack", "dir1sw", "h0"} {
 			spec, err := litmus.SpecByAlias(alias)
 			if err != nil {
 				t.Fatal(err)

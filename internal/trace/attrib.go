@@ -25,9 +25,6 @@ const (
 	CompHWDir
 	// CompSWHandler is protocol extension software execution.
 	CompSWHandler
-	// CompMemTier is memory-hierarchy time behind the directory: far-tier
-	// transit and queueing or DRAM/NVM device time (internal/memtier).
-	CompMemTier
 	// CompOther is window time no traced span accounts for (handler
 	// dispatch latency, same-cycle hand-offs).
 	CompOther
@@ -51,8 +48,6 @@ func (c Component) String() string {
 		return "hw-dir"
 	case CompSWHandler:
 		return "sw-handler"
-	case CompMemTier:
-		return "mem-tier"
 	case CompOther:
 		return "other"
 	case NumComponents:
@@ -69,8 +64,6 @@ func (c Component) String() string {
 func (c Component) priority() int {
 	switch c {
 	case CompSWHandler:
-		return 7
-	case CompMemTier:
 		return 6
 	case CompHWDir:
 		return 5
@@ -108,8 +101,6 @@ func componentOf(c Category) (Component, bool) {
 		return CompHWDir, true
 	case CatSWHandler:
 		return CompSWHandler, true
-	case CatMemTier:
-		return CompMemTier, true
 	case CatMemOp, CatActivity, CatEngine:
 		return CompOther, false
 	case NumCategories:

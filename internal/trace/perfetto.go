@@ -76,7 +76,7 @@ func tidOf(e *Event) int {
 		return tidProc
 	case CatMemOp, CatCache:
 		return tidMem
-	case CatHWDir, CatMemTier:
+	case CatHWDir:
 		return tidCMMU
 	case CatSWHandler, CatActivity:
 		return tidHandlers
@@ -110,7 +110,7 @@ func isSlice(e *Event) bool {
 		return false
 	}
 	switch e.Cat {
-	case CatProc, CatMemOp, CatCache, CatHWDir, CatSWHandler, CatActivity, CatMemTier:
+	case CatProc, CatMemOp, CatCache, CatHWDir, CatSWHandler, CatActivity:
 		return true
 	case CatNetQueue, CatNetTransit, CatEngine:
 		return false
@@ -183,7 +183,7 @@ func writeSlices(item func(string, ...any), events []Event, order []int) {
 		switch e.Op {
 		case OpCompute, OpIfetch:
 			argName = "cycles"
-		case OpMemRead, OpMemWrite, OpRetryWait, OpHomeProc, OpHandler, OpActivity, OpTierAccess:
+		case OpMemRead, OpMemWrite, OpRetryWait, OpHomeProc, OpHandler, OpActivity:
 			// block
 		case OpTxQueue, OpRxQueue, OpDRAM, OpWire, OpRecv, OpPending:
 			panic("trace: op does not render as a slice")
@@ -252,7 +252,7 @@ func writeMessages(item func(string, ...any), events []Event, order []int) {
 		case OpRecv:
 			a.recv += d
 		case OpCompute, OpIfetch, OpMemRead, OpMemWrite, OpRetryWait,
-			OpHomeProc, OpHandler, OpActivity, OpPending, OpTierAccess:
+			OpHomeProc, OpHandler, OpActivity, OpPending:
 			panic("trace: op is not a message component")
 		case NumOps:
 			panic("trace: NumOps is not an op")

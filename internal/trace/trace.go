@@ -33,11 +33,6 @@ const (
 	// CatEngine is simulator-internal instrumentation (counter samples
 	// from the event dispatch loop).
 	CatEngine
-	// CatMemTier is memory-hierarchy time behind the directory: far-tier
-	// transit and queueing for disaggregated memory, DRAM/NVM device and
-	// channel time for tiered memory (internal/memtier). Appended after
-	// CatEngine so existing numeric exports keep their values.
-	CatMemTier
 
 	// NumCategories bounds the enum.
 	NumCategories
@@ -64,8 +59,6 @@ func (c Category) String() string {
 		return "activity"
 	case CatEngine:
 		return "engine"
-	case CatMemTier:
-		return "mem-tier"
 	case NumCategories:
 		panic("trace: NumCategories is not a category")
 	default:
@@ -107,10 +100,6 @@ const (
 	OpActivity
 	// OpPending is an engine counter sample (Arg = pending events).
 	OpPending
-	// OpTierAccess is one directory-side memory access served by the
-	// memory-hierarchy model (CatMemTier). Arg is the block; the span
-	// covers queueing plus device/transit time.
-	OpTierAccess
 
 	// NumOps bounds the enum.
 	NumOps
@@ -147,8 +136,6 @@ func (o Op) String() string {
 		return "activity"
 	case OpPending:
 		return "pending"
-	case OpTierAccess:
-		return "tier-access"
 	case NumOps:
 		panic("trace: NumOps is not an op")
 	default:

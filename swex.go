@@ -21,8 +21,8 @@
 //     MP3D, WATER).
 //   - Matrices and Render: the exhibit registry. Each entry regenerates
 //     one table or figure of the paper (table1 .. fig6), one of this
-//     reproduction's scaling, extrapolation and memory-tier studies, or
-//     one of the ablations discussed in the text, as a job matrix plus
+//     reproduction's scaling and extrapolation studies, or one of the
+//     ablations discussed in the text, as a job matrix plus
 //     the renderer of its results; Render runs any selection of them
 //     through a Sweeper as one submission.
 //
@@ -34,7 +34,6 @@ import (
 	"swex/internal/apps"
 	"swex/internal/machine"
 	"swex/internal/mem"
-	"swex/internal/memtier"
 	"swex/internal/proc"
 	"swex/internal/proto"
 	"swex/internal/sim"
@@ -72,31 +71,8 @@ func SoftwareOnly() Protocol { return proto.SoftwareOnly() }
 // Dir1SW returns Dir_1H_1S_B,LACK: the broadcast protocol.
 func Dir1SW() Protocol { return proto.Dir1SW() }
 
-// Directoryless returns DLS: the directoryless shared-LLC machine, where
-// nothing is cached and every access is served directly by the home node.
-// It trades all coherence hardware and software for a network round trip
-// per access — the far end of the memory-system axis the machine-spectrum
-// study (the "tiers" exhibit) sweeps.
-func Directoryless() Protocol { return proto.Directoryless() }
-
 // Spectrum returns the paper's protocols in increasing hardware cost.
 func Spectrum() []Protocol { return proto.Spectrum() }
-
-// MemTier selects the memory-system family behind the home directories
-// (flat DRAM, disaggregated far memory, or hybrid DRAM/NVM); set it
-// through MachineConfig.MemTier. The zero value is the paper's flat
-// machine. See internal/memtier.
-type MemTier = memtier.Config
-
-// DisaggregatedMemory returns the disaggregated-memory scenario used by
-// the machine-spectrum exhibits: home memory across a second interconnect
-// tier with hop latency, a bandwidth cap, and queueing.
-func DisaggregatedMemory() MemTier { return memtier.DefaultDisaggregated() }
-
-// TieredMemory returns the hybrid DRAM/NVM scenario used by the
-// machine-spectrum exhibits: asymmetric NVM read/write latencies with
-// deterministic hot-block promotion into a bounded per-home DRAM set.
-func TieredMemory() MemTier { return memtier.DefaultTiered() }
 
 // Machine is a fully assembled simulated multiprocessor.
 type Machine = machine.Machine

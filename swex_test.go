@@ -414,44 +414,3 @@ func TestAblateMultithreading(t *testing.T) {
 		t.Errorf("multithreading saved only %.1f%% per miss, want > 30%%", -100*rows[0].Delta())
 	}
 }
-
-func TestTiersShape(t *testing.T) {
-	d := run(t, quick, tiers)
-	if len(d.Families) != 3 || len(d.Protocols) != 5 {
-		t.Fatalf("got %d families × %d protocols, want 3 × 5", len(d.Families), len(d.Protocols))
-	}
-	// The flat full-map point is the normalization base.
-	if d.Ratio["flat"][0] != 1.0 {
-		t.Errorf("flat full-map ratio = %.3f, want exactly 1.0", d.Ratio["flat"][0])
-	}
-	for si, p := range d.Protocols {
-		flat := d.Ratio["flat"][si]
-		disagg := d.Ratio["disaggregated"][si]
-		nvm := d.Ratio["nvm"][si]
-		// Moving home memory across a second interconnect tier can only
-		// slow a protocol down, and by a lot on this stress test.
-		if disagg <= flat {
-			t.Errorf("%s: disaggregated %.2f <= flat %.2f", p, disagg, flat)
-		}
-		// Hybrid DRAM/NVM sits between flat DRAM and disaggregated: the
-		// asymmetric NVM latencies cost something, never more than a
-		// second network tier.
-		if nvm < flat || nvm >= disagg {
-			t.Errorf("%s: nvm %.2f outside [flat %.2f, disaggregated %.2f)", p, nvm, flat, disagg)
-		}
-	}
-	// The directoryless machine skips all coherence traffic, so on the
-	// flat machine this write-heavy stress test runs faster than any
-	// directory protocol — the shared-LLC trade-off the family models.
-	dlsIdx := len(d.Protocols) - 1
-	if d.Protocols[dlsIdx] != "DLS" {
-		t.Fatalf("last protocol = %s, want DLS", d.Protocols[dlsIdx])
-	}
-	if d.Ratio["flat"][dlsIdx] >= 1.0 {
-		t.Errorf("flat DLS ratio = %.2f, want < 1.0 (no coherence traffic)", d.Ratio["flat"][dlsIdx])
-	}
-	tab := d.Table()
-	if tab.Rows() != 5 {
-		t.Fatalf("table has %d rows, want 5", tab.Rows())
-	}
-}
