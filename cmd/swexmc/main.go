@@ -11,6 +11,7 @@
 //	swexmc [-spec all] [-nodes 2] [-blocks 1] [-ops 4] [-dfs] [-por]
 //	       [-watch] [-configure alias,alias,...] [-mig] [-batch]
 //	       [-max-states N] [-drop-inv N]
+//	       [-cpuprofile FILE] [-memprofile FILE]
 //
 // Protocols are named by the litmus.SpecAliases() vocabulary that swexrun
 // and swexfuzz take (full, h5..h2, h1, h1lack, h1ack, h0, dir1sw). With
@@ -25,7 +26,10 @@
 // seeds a protocol bug — the Nth invalidation message is silently
 // dropped — and the checker finds the shortest interleaving that turns
 // the lost message into an invariant violation, demonstrating the
-// counterexample machinery.
+// counterexample machinery. -cpuprofile and -memprofile write a CPU
+// profile of the whole run and a heap profile taken at its end, in
+// runtime/pprof format, to the named files (for `go tool pprof`); they
+// change nothing printed.
 //
 // Exit status: 0 when every checked protocol satisfies the invariants,
 // 1 when a violation was found (the counterexample is printed), 2 on
@@ -36,6 +40,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"swex/internal/litmus"
@@ -43,7 +49,11 @@ import (
 	"swex/internal/proto"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status, so deferred profile
+// writes happen before the process exits.
+func run() int {
 	spec := flag.String("spec", "all", "protocol alias to check, or \"all\" for the full spectrum")
 	nodes := flag.Int("nodes", 2, "machine size (2..8; exhaustive runs want 2 or 3)")
 	blocks := flag.Int("blocks", 1, "tracked blocks (1..4), block i homed on node i mod nodes")
@@ -56,22 +66,35 @@ func main() {
 	mig := flag.Bool("mig", false, "enable migratory-data detection on the checked machine")
 	batch := flag.Bool("batch", false, "enable read-burst batching on the checked machine")
 	dropInv := flag.Int("drop-inv", 0, "seed a bug: silently drop the Nth invalidation message")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "swexmc: unexpected arguments %v\n", flag.Args())
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	specs, err := resolveSpecs(*spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swexmc: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	overrides, err := resolveOverrides(*configure)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swexmc: %v\n", err)
-		os.Exit(2)
+		return 2
+	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "swexmc: %v\n", err)
+			return 2
+		}
+		defer stop()
+	}
+	if *memProfile != "" {
+		defer writeHeapProfile(*memProfile)
 	}
 
 	var actions []mc.Action
@@ -96,7 +119,7 @@ func main() {
 		res, err := mc.Check(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swexmc: %s: %v\n", s.Name, err)
-			os.Exit(2)
+			return 2
 		}
 		bounded := ""
 		if res.Bounded {
@@ -113,11 +136,48 @@ func main() {
 			text, err := mc.Explain(cfg, res.Violation)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "swexmc: replaying counterexample: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			fmt.Print(text)
-			os.Exit(1)
+			return 1
 		}
+	}
+	return 0
+}
+
+// startCPUProfile starts profiling the process's CPU use into the named
+// file and returns the function that stops it and closes the file.
+func startCPUProfile(name string) (stop func(), err error) {
+	f, err := os.Create(name)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "swexmc: -cpuprofile: %v\n", err)
+		}
+	}, nil
+}
+
+// writeHeapProfile writes the heap profile, as of a garbage collection
+// now, to the named file. A failure is reported on stderr; it does not
+// change the exit status, which reports the check.
+func writeHeapProfile(name string) {
+	f, err := os.Create(name)
+	if err == nil {
+		runtime.GC()
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swexmc: -memprofile: %v\n", err)
 	}
 }
 

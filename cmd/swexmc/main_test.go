@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -102,5 +103,37 @@ func TestSeededBugExits1(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "\nVIOLATION agreement: ") {
 		t.Fatalf("stdout %q has no agreement violation", stdout)
+	}
+}
+
+// TestProfilesGoToFiles pins -cpuprofile and -memprofile: both files are
+// written, stdout is byte-identical to the same run without them, and a
+// profile file that cannot be created is a usage error before anything
+// runs.
+func TestProfilesGoToFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-spec", "h5", "-nodes", "2", "-ops", "2"}
+	code, plain, stderr := swexmc(t, args...)
+	if code != 0 {
+		t.Fatalf("exit status %d, want 0 (stderr %q)", code, stderr)
+	}
+	code, profiled, stderr := swexmc(t, append(args, "-cpuprofile", cpu, "-memprofile", heap)...)
+	if code != 0 || stderr != "" {
+		t.Fatalf("profiled run: exit status %d, stderr %q; want 0 and nothing", code, stderr)
+	}
+	if profiled != plain {
+		t.Fatalf("profiling changed stdout:\n%s\nwant\n%s", profiled, plain)
+	}
+	for _, name := range []string{cpu, heap} {
+		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (%v)", name, err)
+		}
+	}
+	missing := filepath.Join(dir, "missing", "cpu.pprof")
+	code, stdout, stderr := swexmc(t, append(args, "-cpuprofile", missing)...)
+	if code != 2 || !strings.Contains(stderr, "-cpuprofile: ") || stdout != "" {
+		t.Fatalf("unwritable -cpuprofile: exit status %d, stdout %q, stderr %q; want 2, nothing, a named error",
+			code, stdout, stderr)
 	}
 }

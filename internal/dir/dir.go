@@ -361,10 +361,16 @@ func (d *Directory) place(s slot) {
 }
 
 // rehash moves the table's cells into a new table of size cells, a power
-// of two.
+// of two. An empty table is cleared in place when its storage holds size
+// cells (CloneInto may leave it shorter than its capacity).
 func (d *Directory) rehash(size int) {
 	old := d.slots
-	d.slots = make([]slot, size)
+	if d.n == 0 && cap(old) >= size {
+		old, d.slots = nil, old[:size]
+		clear(d.slots)
+	} else {
+		d.slots = make([]slot, size)
+	}
 	d.shift = uint(65 - bits.Len(uint(size)))
 	for _, s := range old {
 		if s.e != nil {

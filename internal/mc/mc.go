@@ -343,24 +343,32 @@ func extend(trace []Choice, c Choice) []Choice {
 	return append(append(make([]Choice, 0, len(trace)+1), trace...), c)
 }
 
-// path is the fork stack: the worlds along the last materialized trace,
-// worlds[i] being the state after trace[:i]. Exploration materializes a
-// frontier node's state from the longest prefix it shares with the
-// previous node's trace, copying the deepest stacked world on that prefix
-// and applying the remaining choices one copy at a time. Breadth-first
-// order emits each level in trace order, so consecutive nodes are mostly
-// siblings or cousins and the suffix is short; the stack never holds more
-// than MaxDepth worlds. Dead worlds (popped from the stack, or successors
-// once explored) are kept as spares whose storage the next copy reuses,
-// so forking allocates nothing once a run is warm.
+// path is the fork stack: the worlds of frontier nodes materialized along
+// the last trace, each with its depth (the length of the trace prefix it
+// is the state after), the initial world at depth 0 at the bottom.
+// Exploration materializes a frontier node's state by forking, once, the
+// deepest stacked world within the prefix the node's trace shares with the
+// last one, and applying the rest of the trace to that copy in place.
+// Breadth-first order emits each level in trace order, so consecutive
+// nodes are mostly siblings or cousins and the suffix is short; the stack
+// never holds more than MaxDepth+1 worlds. Dead worlds (popped from the
+// stack, or successors once explored) are kept as spares whose storage
+// the next copy reuses, so forking allocates nothing once a run is warm.
 type path struct {
-	worlds []*world
-	trace  []Choice
-	spare  []*world
+	stack []stacked
+	trace []Choice // the trace of the top world
+	spare []*world
+}
+
+// stacked is one world on the fork stack: the state after depth choices
+// of the stack's trace.
+type stacked struct {
+	w     *world
+	depth int
 }
 
 // newPath starts a stack at the initial world.
-func newPath(w *world) *path { return &path{worlds: []*world{w}} }
+func newPath(w *world) *path { return &path{stack: []stacked{{w: w}}} }
 
 // at returns the world trace reaches. The world belongs to the stack:
 // explore its successors through successor, never apply to it directly.
@@ -369,19 +377,26 @@ func (p *path) at(trace []Choice) (*world, error) {
 	for k < len(p.trace) && k < len(trace) && p.trace[k] == trace[k] {
 		k++
 	}
-	for _, w := range p.worlds[k+1:] {
-		p.free(w)
+	n := len(p.stack)
+	for n > 1 && p.stack[n-1].depth > k {
+		n--
+		p.free(p.stack[n].w)
 	}
-	p.worlds, p.trace = p.worlds[:k+1], p.trace[:k]
-	for _, c := range trace[k:] {
-		w, err := p.fork(p.worlds[len(p.worlds)-1])
-		if err != nil {
-			return nil, err
-		}
+	p.stack = p.stack[:n]
+	top := p.stack[n-1]
+	p.trace = append(p.trace[:top.depth], trace[top.depth:]...)
+	if top.depth == len(trace) {
+		return top.w, nil
+	}
+	w, err := p.fork(top.w)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range trace[top.depth:] {
 		w.apply(c)
-		p.worlds, p.trace = append(p.worlds, w), append(p.trace, c)
 	}
-	return p.worlds[len(p.worlds)-1], nil
+	p.stack = append(p.stack, stacked{w: w, depth: len(trace)})
+	return w, nil
 }
 
 // successor returns a world to apply one of top's choices to, where top
@@ -391,8 +406,9 @@ func (p *path) at(trace []Choice) (*world, error) {
 // state below the one it is expanding, so its last successor may take
 // it over. The initial world is never taken.
 func (p *path) successor(top *world, last bool) (*world, error) {
-	if n := len(p.worlds); last && n > 1 && p.worlds[n-1] == top {
-		p.worlds, p.trace = p.worlds[:n-1], p.trace[:n-2]
+	if n := len(p.stack); last && n > 1 && p.stack[n-1].w == top {
+		p.stack = p.stack[:n-1]
+		p.trace = p.trace[:p.stack[n-2].depth]
 		return top, nil
 	}
 	return p.fork(top)

@@ -51,11 +51,17 @@ type Completer interface {
 }
 
 // txn is one outstanding miss transaction: at most one per block per node.
+// Records are recycled through the controller's free list (see openTxn),
+// so a record's identity does not name a transaction; its gen does.
 type txn struct {
 	write   bool
 	addr    mem.Addr
 	waiters []pendingOp
-	retries int
+	// gen is the controller's generation stamp for this transaction,
+	// unique among its transactions and never zero: a retry captures it
+	// to tell its transaction from a later one in the same record.
+	gen  uint64
+	next *txn // free-list link
 
 	// id and begin exist only while tracing is enabled: id is the trace
 	// transaction (flow) id, begin the request-issue cycle. They are
@@ -107,6 +113,10 @@ type CacheCtl struct {
 
 	txns     map[mem.Block]*txn
 	watchers map[mem.Block][]watcher
+	// txnFree lists the transaction records no block holds, linked
+	// through their next fields; txnGen is the last generation stamped.
+	txnFree *txn
+	txnGen  uint64
 
 	// Free lists of the event receivers this controller schedules (see
 	// retryTag, watchTag, ifetchTag), linked through their next fields: a
@@ -115,9 +125,6 @@ type CacheCtl struct {
 	retryFree  *retryTag
 	watchFree  *watchTag
 	ifetchFree *ifetchTag
-	// copiedTxns holds the transaction records CloneInto made; the next
-	// CloneInto into this controller reuses them.
-	copiedTxns []*txn
 
 	// Retries counts BUSY-induced retransmissions.
 	Retries uint64
@@ -144,13 +151,17 @@ func (cc *CacheCtl) bind(f *Fabric, node mem.NodeID, cfg CacheConfig) {
 
 // reset empties the controller and detaches it from its fabric: no miss
 // transactions, parked watchers or statistics. It keeps the storage
-// (maps, carrier free lists and copied transaction records), so bound
-// again it behaves exactly as newCacheCtl's. The cache is not touched:
-// CloneInto overwrites it, and Fabric.Release releases it first.
+// (maps and free lists: the open transactions' records join txnFree), so
+// bound again it behaves exactly as newCacheCtl's. The cache is not
+// touched: CloneInto overwrites it, and Fabric.Release releases it first.
 func (cc *CacheCtl) reset() {
+	for _, b := range sortedKeys(cc.f, cc.txns) {
+		cc.freeTxn(cc.txns[b])
+	}
 	clearMap(cc.txns)
 	clearMap(cc.watchers)
 	cc.f = nil
+	cc.txnGen = 0
 	cc.Retries, cc.IfetchStall = 0, 0
 }
 
@@ -243,12 +254,41 @@ func (cc *CacheCtl) enqueue(w pendingOp) {
 	b := mem.BlockOf(w.addr)
 	t, ok := cc.txns[b]
 	if !ok {
-		t = &txn{write: w.op.Write, addr: w.addr}
-		cc.beginTrace(t)
-		cc.txns[b] = t
-		cc.issue(b, t)
+		t = cc.openTxn(b, w.op.Write, w.addr)
 	}
 	t.waiters = append(t.waiters, w)
+}
+
+// openTxn opens block b's miss transaction in a record from the free
+// list, stamped with the next generation, and issues its request.
+func (cc *CacheCtl) openTxn(b mem.Block, write bool, a mem.Addr) *txn {
+	t := cc.newTxn()
+	t.write, t.addr = write, a
+	cc.beginTrace(t)
+	cc.txns[b] = t
+	cc.issue(b, t)
+	return t
+}
+
+// newTxn takes an empty record from the free list, or allocates one, and
+// stamps it with the next generation.
+func (cc *CacheCtl) newTxn() *txn {
+	t := cc.txnFree
+	if t != nil {
+		cc.txnFree = t.next
+	} else {
+		t = new(txn)
+	}
+	cc.txnGen++
+	*t = txn{waiters: t.waiters[:0], gen: cc.txnGen}
+	return t
+}
+
+// freeTxn returns a record no block holds any more to the free list. Its
+// waiters are cleared, so the list keeps no operation's Done callback.
+func (cc *CacheCtl) freeTxn(t *txn) {
+	clear(t.waiters)
+	t.waiters, t.next, cc.txnFree = t.waiters[:0], cc.txnFree, t
 }
 
 // beginTrace stamps a new transaction with a trace id (tracing only).
@@ -335,10 +375,7 @@ func (cc *CacheCtl) CheckOut(a mem.Addr, op Op) {
 	}
 	t, ok := cc.txns[b]
 	if !ok {
-		t = &txn{write: true, addr: a}
-		cc.beginTrace(t)
-		cc.txns[b] = t
-		cc.issue(b, t)
+		t = cc.openTxn(b, true, a)
 	}
 	t.write = true // piggyback on (and upgrade) any pending transaction
 	// The joined transaction may have been a read whose RREQ is already
@@ -537,34 +574,39 @@ func (cc *CacheCtl) fill(m *Msg, st cache.LineState) {
 	// ordering), and deferring the replay past it would let ownership be
 	// yanked before the pending write commits, livelocking contended
 	// writes. Reads hit immediately; a write against a Shared fill
-	// re-issues as an upgrade, which is progress.
+	// re-issues as an upgrade, which is progress. The record is freed only
+	// after the replay, which may open the block's next transaction.
 	for _, w := range t.waiters {
 		cc.access(w)
 	}
+	cc.freeTxn(t)
 }
 
 // retryTag is the inspection tag and receiver of a scheduled BUSY retry.
-// The retry's behavior depends on whether the transaction it captured is
-// still the block's current one — a stale retry is a no-op — and the
-// snapshot layer encodes that liveness to keep the state fingerprint
-// sound.
+// The retry's behavior depends on whether the transaction it captured, by
+// generation, is still the block's current one — a stale retry is a
+// no-op — and the snapshot layer encodes that liveness to keep the state
+// fingerprint sound.
 type retryTag struct {
 	cc   *CacheCtl
 	b    mem.Block
-	t    *txn
+	gen  uint64    // the captured transaction's; 0 matches none
 	next *retryTag // free-list link
 }
 
 // live reports whether the retry would re-issue if it fired now.
-func (r *retryTag) live() bool { return r.cc.txns[r.b] == r.t }
+func (r *retryTag) live() bool {
+	t, ok := r.cc.txns[r.b]
+	return ok && t.gen == r.gen
+}
 
 // Fire re-issues the transaction if it is still live, returning the tag
 // to its free list first.
 func (r *retryTag) Fire() {
-	cc, b, t, live := r.cc, r.b, r.t, r.live()
-	r.t, r.next, cc.retryFree = nil, cc.retryFree, r
+	cc, b, live := r.cc, r.b, r.live()
+	r.next, cc.retryFree = cc.retryFree, r
 	if live {
-		cc.issue(b, t)
+		cc.issue(b, cc.txns[b])
 	}
 }
 
@@ -574,7 +616,6 @@ func (cc *CacheCtl) onBusy(m *Msg) {
 	if !ok {
 		return // transaction already satisfied (should not happen)
 	}
-	t.retries++
 	cc.Retries++
 	cc.f.Counters.Inc(ctrBusyRetries)
 	b := m.Block
@@ -592,7 +633,7 @@ func (cc *CacheCtl) onBusy(m *Msg) {
 	} else {
 		r = &retryTag{cc: cc}
 	}
-	r.b, r.t, r.next = b, t, nil
+	r.b, r.gen, r.next = b, t.gen, nil
 	cc.f.Engine.OwnedAfterCall(int(cc.node), cc.f.Timing.RetryDelay, r, r)
 }
 

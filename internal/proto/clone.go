@@ -129,7 +129,7 @@ func (f *Fabric) reclaim() {
 			}
 			r.next, r.h.trapFree = r.h.trapFree, r
 		case *retryTag:
-			r.t, r.next, r.cc.retryFree = nil, r.cc.retryFree, r
+			r.next, r.cc.retryFree = r.cc.retryFree, r
 		case *watchTag:
 			r.op, r.next, r.cc.watchFree = Op{}, r.cc.watchFree, r
 		case *ifetchTag:
@@ -177,9 +177,9 @@ func (f *Fabric) remap(n *Fabric, c sim.Caller) (sim.Caller, error) {
 		} else {
 			t = &retryTag{cc: cc}
 		}
-		t.b, t.t, t.next = r.b, cc.txns[r.b], nil
-		if !r.live() {
-			t.t = &txn{} // stale: matches no transaction, now or later
+		t.b, t.gen, t.next = r.b, 0, nil // stale: gen 0 matches no transaction
+		if r.live() {
+			t.gen = cc.txns[r.b].gen
 		}
 		return t, nil
 	case *watchTag:
@@ -237,14 +237,12 @@ func (cc *CacheCtl) cloneInto(dst *CacheCtl, f *Fabric) (*CacheCtl, error) {
 	// An operation completing through a Done callback would complete in
 	// the clone through the same callback: refuse rather than alias it.
 	callback := false
-	for i, b := range sortedKeys(f, cc.txns) {
+	for _, b := range sortedKeys(f, cc.txns) {
 		t := cc.txns[b]
 		callback = callback || hasCallback(t.waiters)
-		if i == len(c.copiedTxns) {
-			c.copiedTxns = append(c.copiedTxns, new(txn))
-		}
-		nt := c.copiedTxns[i]
-		*nt = txn{write: t.write, addr: t.addr, waiters: append(nt.waiters[:0], t.waiters...), retries: t.retries}
+		nt := c.newTxn()
+		nt.write, nt.addr = t.write, t.addr
+		nt.waiters = append(nt.waiters, t.waiters...)
 		c.txns[b] = nt
 	}
 	for _, b := range sortedKeys(f, cc.watchers) {

@@ -14,10 +14,6 @@ package sim
 type Server struct {
 	freeAt Cycle // first cycle at which the resource is idle
 
-	// Busy accumulates total occupied cycles, for utilization statistics.
-	Busy Cycle
-	// Jobs counts reservations.
-	Jobs uint64
 	// Waited accumulates cycles spent queued (start - arrival).
 	Waited Cycle
 }
@@ -31,8 +27,6 @@ func (s *Server) Reserve(now Cycle, dur Cycle) (start Cycle) {
 	}
 	s.Waited += start - now
 	s.freeAt = start + dur
-	s.Busy += dur
-	s.Jobs++
 	return start
 }
 

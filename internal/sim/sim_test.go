@@ -226,28 +226,25 @@ func TestServerStats(t *testing.T) {
 	s.Reserve(0, 10)
 	s.Reserve(0, 10)
 	s.Reserve(0, 10)
-	if s.Jobs != 3 {
-		t.Fatalf("Jobs = %d, want 3", s.Jobs)
-	}
-	if s.Busy != 30 {
-		t.Fatalf("Busy = %d, want 30", s.Busy)
+	if s.FreeAt() != 30 {
+		t.Fatalf("FreeAt = %d, want 30", s.FreeAt())
 	}
 	if s.Waited != 10+20 {
 		t.Fatalf("Waited = %d, want 30", s.Waited)
 	}
 	s.Reset()
-	if s.Jobs != 0 || s.Busy != 0 || s.FreeAt() != 0 {
+	if s.Waited != 0 || s.FreeAt() != 0 {
 		t.Fatal("Reset did not clear server")
 	}
 }
 
 // Property: service start times are monotone in reservation order and never
-// precede arrival; busy time equals the sum of durations.
+// precede arrival; the server frees when the last job ends, and the time
+// queued is the sum of each job's start minus its arrival.
 func TestServerPropertyMonotone(t *testing.T) {
 	f := func(arrivals []uint16, durs []uint8) bool {
 		var s Server
-		var prevStart Cycle
-		var sum Cycle
+		var prevStart, end, waited Cycle
 		now := Cycle(0)
 		for i, a := range arrivals {
 			now += Cycle(a % 100)
@@ -256,13 +253,13 @@ func TestServerPropertyMonotone(t *testing.T) {
 				d = Cycle(durs[i]%20) + 1
 			}
 			start := s.Reserve(now, d)
-			if start < now || start < prevStart {
+			if start < now || start < prevStart || start < end {
 				return false
 			}
-			prevStart = start
-			sum += d
+			prevStart, end = start, start+d
+			waited += start - now
 		}
-		return s.Busy == sum
+		return s.FreeAt() == end && s.Waited == waited
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
