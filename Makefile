@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke bench-smoke full-golden
+.PHONY: all build test lint vet race check mc mc-smoke trace-smoke sweep-smoke fuzz-smoke bench-smoke full-golden
 
 all: build test
 
@@ -42,8 +42,8 @@ race:
 # and every quiescent state — TestPOREquivalence is the proof). The
 # reduction is what makes the deep configurations (4 nodes x 2 blocks,
 # 3 nodes x 3 blocks, 3 ops) exhaustible: unreduced, the software-only
-# protocol at 3x3 blows through the default state bound. About 2 minutes of
-# work on a 2-core host; run before protocol changes.
+# protocol at 3x3 blows through the default state bound. About a minute
+# of work on a 2-core host; run before protocol changes.
 mc:
 	$(GO) run ./cmd/swexmc -por -nodes 2 -blocks 1 -ops 4
 	$(GO) run ./cmd/swexmc -por -nodes 3 -blocks 1 -ops 3
@@ -55,16 +55,12 @@ mc:
 
 # mc-smoke is the bounded model-checking run wired into `make check`: the
 # 2-node spectrum sweep with golden reachable-state counts, POR off (the
-# goldens pin the *unreduced* state space).
+# goldens pin the *unreduced* state space), and the reduced runs: golden
+# state/transition/slept counts for two fast POR configurations, the
+# POR-vs-full equivalence sweep and the deliberately-unsound-relation
+# fixture that proves the equivalence criteria have teeth.
 mc-smoke:
 	$(GO) test ./internal/mc/
-
-# mc-por-smoke pins the reduced runs: golden state/transition/slept
-# counts for two fast POR configurations, plus the POR-vs-full
-# equivalence sweep and the deliberately-unsound-relation fixture that
-# proves the equivalence criteria have teeth.
-mc-por-smoke:
-	$(GO) test ./internal/mc/ -run 'TestPOR'
 
 # sweep-smoke exercises the sweep orchestrator end to end: the determinism
 # and crash-resume suites, then the swex CLI cold and warm over one cache
@@ -161,4 +157,4 @@ bench-smoke:
 	    { echo "bench-smoke: $$w did not pass its gate" >&2; exit 1; }; \
 	done
 
-check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke fuzz-smoke full-golden
+check: vet lint test race mc-smoke trace-smoke sweep-smoke fuzz-smoke full-golden

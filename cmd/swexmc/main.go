@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	swexmc [-spec all] [-nodes 2] [-blocks 1] [-ops 4] [-dfs] [-por]
+//	swexmc [-spec all] [-nodes 2] [-blocks 1] [-ops 4] [-por]
 //	       [-watch] [-configure alias,alias,...] [-mig] [-batch]
 //	       [-max-states N] [-drop-inv N]
 //	       [-cpuprofile FILE] [-memprofile FILE]
@@ -59,8 +59,7 @@ func run() int {
 	blocks := flag.Int("blocks", 1, "tracked blocks (1..4), block i homed on node i mod nodes")
 	ops := flag.Int("ops", 4, "operation budget per trace (exploration depth)")
 	maxStates := flag.Int("max-states", 0, "visited-set bound (0 = package default)")
-	dfs := flag.Bool("dfs", false, "explore depth-first instead of breadth-first")
-	por := flag.Bool("por", false, "enable sleep-set partial-order reduction (BFS only)")
+	por := flag.Bool("por", false, "enable sleep-set partial-order reduction")
 	watch := flag.Bool("watch", false, "add the watch action (producer-consumer pairs) to the alphabet")
 	configure := flag.String("configure", "", "comma-separated per-block protocol aliases; empty element keeps the machine default")
 	mig := flag.Bool("mig", false, "enable migratory-data detection on the checked machine")
@@ -108,7 +107,6 @@ func run() int {
 			Blocks:          *blocks,
 			MaxOps:          *ops,
 			MaxStates:       *maxStates,
-			DFS:             *dfs,
 			POR:             *por,
 			Actions:         actions,
 			Overrides:       overrides,

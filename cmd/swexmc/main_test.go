@@ -65,7 +65,7 @@ func TestBadInputExits2(t *testing.T) {
 		{[]string{"-drop-inv", "-3"}, "fault drops message -3"},
 		{[]string{"-max-states", "-5"}, "state bound -5"},
 		{[]string{"stray"}, "unexpected arguments [stray]"},
-		{[]string{"-dfs", "-por"}, "POR requires BFS"},
+		{[]string{"-dfs"}, "flag provided but not defined: -dfs"},
 		{[]string{"-nodes", "9"}, "9 nodes; exhaustive checking needs 2..8"},
 		{[]string{"-blocks", "5"}, "5 blocks; exhaustive checking needs 1..4"},
 	} {

@@ -21,7 +21,13 @@ type Verdict struct {
 // exhaustiveLimit is the semantic-operation count up to which CheckSC
 // prefers the exhaustive interleaving search; larger programs use the
 // constraint checker, whose cost grows with events rather than
-// interleavings.
+// interleavings. Each procedure wins on its own side of the limit, so
+// CheckSC keeps both. On perfbench's litmus-campaign programs (2,271
+// verdicts, none over 8 semantic operations) the search took 1.5 µs a
+// verdict and allocated 1.3 MB in all, the constraint checker 6.0 µs and
+// 4.9 MB. On 200 programs of 8 threads × 6 operations the search took
+// 254 ms a verdict on average and 7.0 s at worst, the constraint checker
+// 0.34 ms on average. (Go 1.24 on a 2-core linux/amd64 host.)
 const exhaustiveLimit = 10
 
 // maxEvents bounds the constraint checker's event count (initial writes

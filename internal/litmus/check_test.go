@@ -92,10 +92,13 @@ func TestWeakenedOutcomeWitnessCycle(t *testing.T) {
 
 func TestCheckSCPicksBothPaths(t *testing.T) {
 	// Small program: exhaustive path. Large program (> exhaustiveLimit
-	// semantic ops): constraint path. Both must judge correctly.
+	// semantic ops): constraint path. Both must judge correctly, and a
+	// failed verdict's witness names the procedure that decided it.
 	small := MustParse("v2;t0:W0:1,R1;t1:W1:2,R0")
 	if v, err := CheckSC(small, [][]uint64{{0}, {0}}); err != nil || v.OK {
 		t.Fatalf("small forbidden: verdict %+v err %v", v, err)
+	} else if !strings.HasPrefix(v.Witness, "exhaustive interleaving search: ") {
+		t.Fatalf("small forbidden: witness %q is not the exhaustive search's note", v.Witness)
 	}
 	large := MustParse("v2;t0:W0:1,W1:2,W0:3,W1:4,W0:5,W1:6;t1:R1,R0,R1,R0,R1,R0")
 	if v, err := CheckSC(large, [][]uint64{{}, {2, 1, 4, 3, 6, 5}}); err != nil || !v.OK {
@@ -103,6 +106,8 @@ func TestCheckSCPicksBothPaths(t *testing.T) {
 	}
 	if v, err := CheckSC(large, [][]uint64{{}, {2, 1, 4, 3, 6, 3}}); err != nil || v.OK {
 		t.Fatalf("large stale reread: verdict %+v err %v", v, err)
+	} else if !strings.HasPrefix(v.Witness, "unsatisfiable constraint cycle: ") {
+		t.Fatalf("large stale reread: witness %q is not a constraint cycle", v.Witness)
 	}
 }
 

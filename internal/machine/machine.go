@@ -62,9 +62,8 @@ type Config struct {
 	// proc.MaxContexts. 0 or 1 matches the paper's single-threaded
 	// experiments; Threads resolves the zero.
 	ThreadsPerNode int
-	// CacheLines overrides the 4096-line cache (0 = default). The
-	// application studies shrink this so scaled-down working sets still
-	// exercise the cache the way full-size problems exercised Alewife's.
+	// CacheLines overrides the 4096-line cache (0 = default). Every
+	// exhibit runs the default; only tests shrink it, to reach evictions.
 	CacheLines int
 	// CacheWays sets the cache associativity (0 or 1 = direct-mapped,
 	// as in Alewife; the paper's conclusion names set-associative caches

@@ -8,6 +8,20 @@ import (
 	"swex/internal/proto"
 )
 
+// replay reconstructs the state reached by a trace on a fresh machine.
+// Exploration forks by copy (path); replay is the independent oracle the
+// tests hold copying to.
+func replay(cfg Config, trace []Choice) (*world, error) {
+	w, err := newWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range trace {
+		w.apply(c)
+	}
+	return w, nil
+}
+
 // TestCloneMatchesReplay holds forking by copy to the replay oracle. It
 // walks every state of each smoke configuration breadth-first, keeping
 // each state's world and the trace that reached it, and for every choice
@@ -49,7 +63,7 @@ func TestCloneMatchesReplay(t *testing.T) {
 				cur := frontier[0]
 				frontier = frontier[1:]
 				before := cur.w.fingerprint(nil)
-				for _, c := range cur.w.choices() {
+				for _, c := range cur.w.choices(nil) {
 					cw, err := cur.w.clone(spare)
 					if err != nil {
 						t.Fatal(err)
@@ -64,7 +78,7 @@ func TestCloneMatchesReplay(t *testing.T) {
 					if !bytes.Equal(got, want) {
 						t.Fatalf("after %v the copy fingerprints\n  %q\nbut replay gives\n  %q", trace, got, want)
 					}
-					if g, w := fmt.Sprint(cw.choices()), fmt.Sprint(rw.choices()); g != w {
+					if g, w := fmt.Sprint(cw.choices(nil)), fmt.Sprint(rw.choices(nil)); g != w {
 						t.Fatalf("after %v the copy offers %s but replay offers %s", trace, g, w)
 					}
 					if after := cur.w.fingerprint(nil); !bytes.Equal(before, after) {

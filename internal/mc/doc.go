@@ -16,15 +16,16 @@
 //
 // Every pending event of a machine is a typed receiver holding only data,
 // so proto.Fabric.Clone copies a machine's whole simulated state. The
-// checker keeps a stack of worlds along the last materialized trace (see
-// path): it builds a frontier state by copying the deepest stacked world
-// on the state's trace prefix and applying the remaining choices, and
-// each successor by copying that world and applying one more choice.
-// Breadth-first order emits each level in trace order, so the remainder
-// is short, and at most MaxDepth worlds are held; dead worlds lend their
-// storage to the next copy. Replaying a trace on a fresh machine — the
-// engine is deterministic, so replay reconstructs the state exactly — is
-// the oracle the copies are tested against, and what Explain narrates.
+// search is breadth-first; a frontier entry is a trace and a sleep set.
+// The checker keeps a stack of worlds along the last materialized trace
+// (see path): it builds a frontier state by copying the deepest stacked
+// world on the state's trace prefix and applying the remaining choices,
+// and each successor by copying that world and applying one more choice.
+// Level by level in trace order, the remainder is short, and at most
+// MaxDepth+1 worlds are held; dead worlds lend their storage to the next
+// copy. Replaying a trace on a fresh machine — the engine is
+// deterministic, so replay reconstructs the state exactly — is the
+// oracle the copies are tested against, and how Explain narrates.
 // The visited set is keyed by the canonical state fingerprint
 // (proto.Fabric.AppendSnapshot), so two traces that converge on the same
 // logical state are explored once.
@@ -81,6 +82,6 @@
 //
 // Determinism contract: Check is a pure function of its Config — every
 // run of the same configuration explores states in the same order,
-// returns the same counts, and finds the same (shortest, under BFS)
-// counterexample. See MODELCHECK.md for the full design story.
+// returns the same counts, and finds the same shortest counterexample.
+// See MODELCHECK.md for the full design story.
 package mc

@@ -105,9 +105,6 @@ type Config struct {
 	// MaxStates bounds the visited set (frontier bound); 0 means the
 	// package default. Hitting the bound sets Result.Bounded.
 	MaxStates int
-	// DFS explores depth-first instead of breadth-first. BFS (the
-	// default) guarantees a shortest counterexample.
-	DFS bool
 	// MigratoryDetect toggles the Section 7 migratory-data adaptation on
 	// the checked machine.
 	MigratoryDetect bool
@@ -130,15 +127,10 @@ type Config struct {
 	// cannot express is rejected, exactly as on the real machine.
 	Overrides []proto.Spec
 	// POR enables sleep-set partial-order reduction (see por.go). It
-	// requires BFS and preserves every invariant verdict and the exact
-	// set of quiescent states, but visits fewer of the transient
-	// orderings in between, so States/Transitions shrink.
+	// preserves every invariant verdict and the exact set of quiescent
+	// states, but visits fewer of the transient orderings in between, so
+	// States/Transitions shrink.
 	POR bool
-	// CollectQuiescent records the fingerprint of every quiescent state
-	// in Result.QuiescentSet. The POR equivalence test compares these
-	// sets between reduced and full runs; they are memory-heavy, so
-	// collection is opt-in.
-	CollectQuiescent bool
 	// Fault, when armed, drops one message in every explored world (see
 	// proto.Fault). Used to seed protocol bugs the checker should catch.
 	// Its progress is part of each state's fingerprint.
@@ -149,6 +141,10 @@ type Config struct {
 	// Test hook only: the negative fixture installs a deliberately
 	// unsound relation to prove the equivalence test has teeth.
 	independence func(a, b int) bool
+	// collectQuiescent records the fingerprint of every quiescent state
+	// in Result.quiescentSet. Test hook only: the POR equivalence tests
+	// compare these sets between reduced and full runs.
+	collectQuiescent bool
 }
 
 // DefaultMaxStates bounds the visited set when Config.MaxStates is zero.
@@ -162,7 +158,7 @@ const (
 )
 
 // Violation describes an invariant failure, with the shortest trace that
-// reaches it (shortest under BFS; some trace under DFS).
+// reaches it.
 type Violation struct {
 	// Invariant names the failed predicate.
 	Invariant string
@@ -197,22 +193,20 @@ type Result struct {
 	// enabled injections skipped because a sleep set proved an explored
 	// sibling ordering equivalent. Zero when Config.POR is off.
 	SleptTransitions uint64
-	// QuiescentSet holds the fingerprint of every quiescent state
-	// reached, when Config.CollectQuiescent is set (nil otherwise).
-	QuiescentSet map[string]struct{}
 	// Violation is non-nil if an invariant failed; exploration stops at
 	// the first violation.
 	Violation *Violation
+
+	// quiescentSet holds the fingerprint of every quiescent state
+	// reached, when Config.collectQuiescent is set (nil otherwise).
+	quiescentSet map[string]struct{}
 }
 
-// node is one frontier entry: the trace that reaches a state, the
-// choices available there (computed when the state was first built, so
-// expansion need not rebuild the state to list them) and the sleep set
-// the state is expanded with (always empty without POR).
+// node is one frontier entry: the trace that reaches a state and the
+// sleep set the state is expanded with (always empty without POR).
 type node struct {
-	trace   []Choice
-	choices []Choice
-	sleep   opSet
+	trace []Choice
+	sleep opSet
 }
 
 // Check explores the reachable state space of the configured machine and
@@ -227,17 +221,17 @@ func Check(cfg Config) (*Result, error) {
 		maxStates = DefaultMaxStates
 	}
 	res := &Result{Spec: cfg.Spec}
-	if cfg.CollectQuiescent {
-		res.QuiescentSet = make(map[string]struct{})
+	if cfg.collectQuiescent {
+		res.quiescentSet = make(map[string]struct{})
 	}
 	return res, search(cfg, maxStates, res)
 }
 
-// search is the exploration: breadth-first (depth-first under
-// Config.DFS) over every enabled choice at every state, less the
-// injections a state's sleep set covers. Sleep sets are computed only
-// under Config.POR (por.go); without it every set is empty, so every
-// enabled choice is expanded and a state is expanded once.
+// search is the exploration: breadth-first over every enabled choice at
+// every state, less the injections a state's sleep set covers, so the
+// first violation found has a shortest trace. Sleep sets are computed
+// only under Config.POR (por.go); without it every set is empty, so
+// every enabled choice is expanded and a state is expanded once.
 func search(cfg Config, maxStates int, res *Result) error {
 	var com commuting
 	if cfg.POR {
@@ -257,38 +251,32 @@ func search(cfg Config, maxStates int, res *Result) error {
 	visited := map[string]opSet{string(key): {}}
 	res.States = 1
 	res.noteQuiescent(w, key)
-	frontier := []node{{choices: w.choices()}}
+	frontier := []node{{}}
 	path := newPath(w)
+	var choices []Choice // the expanded state's, reused across states
 
 	for len(frontier) > 0 {
-		var cur node
-		if cfg.DFS {
-			cur = frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-		} else {
-			cur = frontier[0]
-			frontier = frontier[1:]
-		}
+		cur := frontier[0]
+		frontier = frontier[1:]
 		parent, err := path.at(cur.trace)
 		if err != nil {
 			return err
 		}
+		choices = parent.choices(choices[:0])
 		last := -1 // the last choice expanded
-		for i, c := range cur.choices {
+		for i, c := range choices {
 			if !cur.slept(c) {
 				last = i
 			}
 		}
 		depth := len(cur.trace) + 1
 		var prior opSet // injections expanded at this state so far
-		for i, c := range cur.choices {
+		for i, c := range choices {
 			if cur.slept(c) {
 				res.SleptTransitions++
 				continue
 			}
-			// Depth-first order returns to this state's successors, so
-			// only breadth-first lets the last successor take it over.
-			cw, err := path.successor(parent, !cfg.DFS && i == last)
+			cw, err := path.successor(parent, i == last)
 			if err != nil {
 				return err
 			}
@@ -320,14 +308,14 @@ func search(cfg Config, maxStates int, res *Result) error {
 				// either set, so repeated merges reach a fixpoint).
 				merged := old.and(sleep)
 				visited[string(key)] = merged
-				frontier = append(frontier, node{trace: extend(cur.trace, c), choices: cw.choices(), sleep: merged})
+				frontier = append(frontier, node{trace: extend(cur.trace, c), sleep: merged})
 			case res.States >= uint64(maxStates):
 				res.Bounded = true
 			default:
 				visited[string(key)] = sleep
 				res.States++
 				res.noteQuiescent(cw, key)
-				frontier = append(frontier, node{trace: extend(cur.trace, c), choices: cw.choices(), sleep: sleep})
+				frontier = append(frontier, node{trace: extend(cur.trace, c), sleep: sleep})
 			}
 			path.free(cw)
 		}
@@ -401,10 +389,10 @@ func (p *path) at(trace []Choice) (*world, error) {
 
 // successor returns a world to apply one of top's choices to, where top
 // is the world at just returned. Normally that is a copy; for the last
-// choice of a breadth-first expansion (last set) it is top itself,
-// popped from the stack: breadth-first order never comes back to a
-// state below the one it is expanding, so its last successor may take
-// it over. The initial world is never taken.
+// choice of an expansion (last set) it is top itself, popped from the
+// stack: breadth-first order never comes back to a state below the one
+// it is expanding, so its last successor may take it over. The initial
+// world is never taken.
 func (p *path) successor(top *world, last bool) (*world, error) {
 	if n := len(p.stack); last && n > 1 && p.stack[n-1].w == top {
 		p.stack = p.stack[:n-1]
@@ -434,8 +422,8 @@ func (r *Result) noteQuiescent(w *world, key []byte) {
 		return
 	}
 	r.Quiescent++
-	if r.QuiescentSet != nil {
-		r.QuiescentSet[string(key)] = struct{}{}
+	if r.quiescentSet != nil {
+		r.quiescentSet[string(key)] = struct{}{}
 	}
 }
 
@@ -475,9 +463,6 @@ func validate(cfg Config) error {
 	if len(cfg.Overrides) > cfg.Blocks {
 		return fmt.Errorf("mc: %d overrides for %d blocks", len(cfg.Overrides), cfg.Blocks)
 	}
-	if cfg.POR && cfg.DFS {
-		return fmt.Errorf("mc: POR requires BFS (sleep sets assume breadth-first expansion order)")
-	}
 	return nil
 }
 
@@ -512,18 +497,4 @@ func (cfg Config) blockSpec(i int) proto.Spec {
 		return cfg.Overrides[i]
 	}
 	return cfg.Spec
-}
-
-// replay reconstructs the state reached by a trace on a fresh machine.
-// Exploration forks by copy (path); replay is the independent oracle the
-// tests hold copying to, and the basis of Explain's narration.
-func replay(cfg Config, trace []Choice) (*world, error) {
-	w, err := newWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range trace {
-		w.apply(c)
-	}
-	return w, nil
 }

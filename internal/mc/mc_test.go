@@ -105,27 +105,6 @@ func TestEnhancementsSmoke(t *testing.T) {
 	}
 }
 
-// TestBFSAndDFSAgree checks exploration-order independence: breadth-first
-// and depth-first must visit exactly the same reachable set. A difference
-// means the state fingerprint is leaking history (see soundness_test.go
-// for the finer-grained probe).
-func TestBFSAndDFSAgree(t *testing.T) {
-	bfs, err := Check(smoke(proto.SoftwareOnly()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smoke(proto.SoftwareOnly())
-	cfg.DFS = true
-	dfs, err := Check(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bfs.States != dfs.States || bfs.Transitions != dfs.Transitions {
-		t.Fatalf("BFS found %d states / %d transitions, DFS %d / %d",
-			bfs.States, bfs.Transitions, dfs.States, dfs.Transitions)
-	}
-}
-
 // TestSeededDroppedInvCaught seeds the classic lost-invalidation bug — the
 // first INV message is silently dropped — and checks that the checker
 // finds it, that BFS delivers the shortest counterexample, and that the

@@ -60,7 +60,7 @@ func TestPOREquivalence(t *testing.T) {
 			name += "+watch"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg.CollectQuiescent = true
+			cfg.collectQuiescent = true
 			full, err := Check(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -83,11 +83,11 @@ func TestPOREquivalence(t *testing.T) {
 			if por.Quiescent != full.Quiescent {
 				t.Fatalf("quiescent counts differ: full %d, por %d", full.Quiescent, por.Quiescent)
 			}
-			if len(por.QuiescentSet) != len(full.QuiescentSet) {
-				t.Fatalf("quiescent sets differ in size: full %d, por %d", len(full.QuiescentSet), len(por.QuiescentSet))
+			if len(por.quiescentSet) != len(full.quiescentSet) {
+				t.Fatalf("quiescent sets differ in size: full %d, por %d", len(full.quiescentSet), len(por.quiescentSet))
 			}
-			for k := range full.QuiescentSet {
-				if _, ok := por.QuiescentSet[k]; !ok {
+			for k := range full.quiescentSet {
+				if _, ok := por.quiescentSet[k]; !ok {
 					t.Fatalf("quiescent fingerprint reached by full enumeration but not by POR:\n%s", k)
 				}
 			}
@@ -135,7 +135,7 @@ func TestPOREquivalenceUnderFault(t *testing.T) {
 // orders go missing. If this fixture ever stops failing the
 // equivalence criteria, the criteria have gone soft.
 func TestPORNegativeFixture(t *testing.T) {
-	cfg := Config{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 3, CollectQuiescent: true}
+	cfg := Config{Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 3, collectQuiescent: true}
 	full, err := Check(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +153,8 @@ func TestPORNegativeFixture(t *testing.T) {
 		t.Fatal("unsound relation slept nothing; fixture is inert")
 	}
 	var missing int
-	for k := range full.QuiescentSet {
-		if _, ok := por.QuiescentSet[k]; !ok {
+	for k := range full.quiescentSet {
+		if _, ok := por.quiescentSet[k]; !ok {
 			missing++
 		}
 	}
@@ -165,11 +165,10 @@ func TestPORNegativeFixture(t *testing.T) {
 		por.States, full.States, missing)
 }
 
-// TestPORSmoke pins the reduced-run counts on two fast configurations —
-// the goldens behind `make mc-por-smoke`. SleptTransitions is pinned
-// too: it is the reduction's observable output, and a silent change in
-// what gets slept is exactly the kind of drift the smoke gate exists to
-// catch.
+// TestPORSmoke pins the reduced-run counts on two fast configurations.
+// SleptTransitions is pinned too: it is the reduction's observable
+// output, and a silent change in what gets slept is exactly the kind of
+// drift the smoke gate exists to catch.
 func TestPORSmoke(t *testing.T) {
 	cases := []struct {
 		cfg    Config

@@ -38,24 +38,28 @@ func TestFingerprintSoundness(t *testing.T) {
 					t.Fatal(err)
 				}
 				first[string(w.fingerprint(nil))] = nil
-				frontier := []node{{trace: nil, choices: w.choices()}}
+				frontier := [][]Choice{nil}
 				for len(frontier) > 0 {
 					cur := frontier[0]
 					frontier = frontier[1:]
-					for _, c := range cur.choices {
-						cw, err := replay(cfg, cur.trace)
+					pw, err := replay(cfg, cur)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range pw.choices(nil) {
+						cw, err := replay(cfg, cur)
 						if err != nil {
 							t.Fatal(err)
 						}
 						cw.apply(c)
-						trace := append(append([]Choice{}, cur.trace...), c)
+						trace := append(append([]Choice{}, cur...), c)
 						key := string(cw.fingerprint(nil))
 						if prev, seen := first[key]; seen {
 							compareBehavior(t, cfg, prev, trace)
 							continue
 						}
 						first[key] = trace
-						frontier = append(frontier, node{trace: trace, choices: cw.choices()})
+						frontier = append(frontier, trace)
 					}
 				}
 			})
@@ -76,7 +80,7 @@ func compareBehavior(t *testing.T, cfg Config, a, b []Choice) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, cb := wa.choices(), wb.choices()
+	ca, cb := wa.choices(nil), wb.choices(nil)
 	if len(ca) != len(cb) {
 		t.Fatalf("fingerprint collision: traces\n  %v\n  %v\nhave %d vs %d choices", a, b, len(ca), len(cb))
 	}

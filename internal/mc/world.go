@@ -125,11 +125,10 @@ func (w *world) clone(dst *world) (*world, error) {
 	return dst, nil
 }
 
-// choices enumerates the outgoing edges of the current state in a fixed
-// canonical order: the engine step first (when anything is pending), then
-// enabled injections by (node, block, action).
-func (w *world) choices() []Choice {
-	var out []Choice
+// choices appends to out the outgoing edges of the current state in a
+// fixed canonical order: the engine step first (when anything is
+// pending), then enabled injections by (node, block, action).
+func (w *world) choices(out []Choice) []Choice {
 	if w.engine.Pending() > 0 {
 		out = append(out, Choice{Step: true})
 	}
@@ -174,7 +173,7 @@ func (w *world) enabled(id mem.NodeID, bi int, a Action) bool {
 		// a resident copy whose watched word has already changed would
 		// complete synchronously without touching protocol state, so it
 		// is pruned like a read hit.
-		if len(cc.ParkedWatchers(b)) > 0 {
+		if cc.Parked(b) > 0 {
 			return false
 		}
 		return !resident || line.Words[0] == 0
@@ -232,7 +231,7 @@ func (w *world) parkedWatchers() int {
 	for n := 0; n < w.cfg.Nodes; n++ {
 		cc := w.fabric.Cache(mem.NodeID(n))
 		for _, b := range w.blocks {
-			total += len(cc.ParkedWatchers(b))
+			total += cc.Parked(b)
 		}
 	}
 	return total

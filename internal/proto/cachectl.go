@@ -111,8 +111,10 @@ type CacheCtl struct {
 	c    *cache.Cache
 	cfg  CacheConfig
 
-	txns     map[mem.Block]*txn
-	watchers map[mem.Block][]watcher
+	txns map[mem.Block]*txn
+	// watchers lists the parked watchers in park order: at most one per
+	// hardware context (per tracked block in the model checker).
+	watchers []watcher
 	// txnFree lists the transaction records no block holds, linked
 	// through their next fields; txnGen is the last generation stamped.
 	txnFree *txn
@@ -134,10 +136,7 @@ type CacheCtl struct {
 
 // newCacheCtl builds node's cache controller for fabric f.
 func newCacheCtl(f *Fabric, node mem.NodeID, cfg CacheConfig) *CacheCtl {
-	cc := &CacheCtl{
-		txns:     make(map[mem.Block]*txn),
-		watchers: make(map[mem.Block][]watcher),
-	}
+	cc := &CacheCtl{txns: make(map[mem.Block]*txn)}
 	cc.bind(f, node, cfg)
 	return cc
 }
@@ -151,15 +150,17 @@ func (cc *CacheCtl) bind(f *Fabric, node mem.NodeID, cfg CacheConfig) {
 
 // reset empties the controller and detaches it from its fabric: no miss
 // transactions, parked watchers or statistics. It keeps the storage
-// (maps and free lists: the open transactions' records join txnFree), so
-// bound again it behaves exactly as newCacheCtl's. The cache is not
-// touched: CloneInto overwrites it, and Fabric.Release releases it first.
+// (maps, the watcher list and free lists: the open transactions' records
+// join txnFree), so bound again it behaves exactly as newCacheCtl's. The
+// cache is not touched: CloneInto overwrites it, and Fabric.Release
+// releases it first.
 func (cc *CacheCtl) reset() {
 	for _, b := range sortedKeys(cc.f, cc.txns) {
 		cc.freeTxn(cc.txns[b])
 	}
 	clearMap(cc.txns)
-	clearMap(cc.watchers)
+	clear(cc.watchers)
+	cc.watchers = cc.watchers[:0]
 	cc.f = nil
 	cc.txnGen = 0
 	cc.Retries, cc.IfetchStall = 0, 0
@@ -241,8 +242,7 @@ func (cc *CacheCtl) finish(w pendingOp, v uint64) {
 			cc.complete(&w.op, v)
 			return
 		}
-		b := mem.BlockOf(w.addr)
-		cc.watchers[b] = append(cc.watchers[b], watcher{w.addr, w.old, w.op})
+		cc.watchers = append(cc.watchers, watcher{w.addr, w.old, w.op})
 	default:
 		panic("proto: unknown wait kind")
 	}
@@ -475,16 +475,22 @@ func (cc *CacheCtl) scheduleWatch(a mem.Addr, old uint64, op Op) {
 	cc.f.Engine.OwnedAfterCall(int(cc.node), 1, t, t)
 }
 
-// wakeWatchers re-arms every watcher on block b.
+// wakeWatchers re-arms every watcher on block b, in park order. Every
+// exclusive store hit calls it, almost always with no watcher parked.
 func (cc *CacheCtl) wakeWatchers(b mem.Block) {
-	ws := cc.watchers[b]
-	if len(ws) == 0 {
+	if len(cc.watchers) == 0 {
 		return
 	}
-	delete(cc.watchers, b)
-	for _, w := range ws {
-		cc.scheduleWatch(w.addr, w.old, w.op)
+	kept := cc.watchers[:0]
+	for _, w := range cc.watchers {
+		if mem.BlockOf(w.addr) == b {
+			cc.scheduleWatch(w.addr, w.old, w.op)
+		} else {
+			kept = append(kept, w)
+		}
 	}
+	clear(cc.watchers[len(kept):])
+	cc.watchers = kept
 }
 
 // WatchInfo describes one parked watcher: the watched address and the
@@ -502,12 +508,24 @@ type WatchInfo struct {
 // event (invalidation, eviction, displacement, check-in, or a local
 // store commit).
 func (cc *CacheCtl) ParkedWatchers(b mem.Block) []WatchInfo {
-	ws := cc.watchers[b]
-	out := make([]WatchInfo, 0, len(ws))
-	for _, w := range ws {
-		out = append(out, WatchInfo{Addr: w.addr, Old: w.old})
+	var out []WatchInfo
+	for _, w := range cc.watchers {
+		if mem.BlockOf(w.addr) == b {
+			out = append(out, WatchInfo{Addr: w.addr, Old: w.old})
+		}
 	}
 	return out
+}
+
+// Parked counts the watchers parked on block b.
+func (cc *CacheCtl) Parked(b mem.Block) int {
+	n := 0
+	for _, w := range cc.watchers {
+		if mem.BlockOf(w.addr) == b {
+			n++
+		}
+	}
+	return n
 }
 
 // install puts a fill into the cache and disposes of whatever it displaces.

@@ -245,13 +245,10 @@ func (cc *CacheCtl) cloneInto(dst *CacheCtl, f *Fabric) (*CacheCtl, error) {
 		nt.waiters = append(nt.waiters, t.waiters...)
 		c.txns[b] = nt
 	}
-	for _, b := range sortedKeys(f, cc.watchers) {
-		ws := cc.watchers[b]
-		for _, w := range ws {
-			callback = callback || w.op.Done != nil
-		}
-		c.watchers[b] = slices.Clone(ws)
+	for _, w := range cc.watchers {
+		callback = callback || w.op.Done != nil
 	}
+	c.watchers = append(c.watchers, cc.watchers...)
 	if callback {
 		return nil, fmt.Errorf("%w: outstanding operation with a Done callback", ErrNotCopyable)
 	}

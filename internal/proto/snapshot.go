@@ -187,17 +187,19 @@ func (f *Fabric) snapNode(dst []byte, id mem.NodeID, blocks []mem.Block) []byte 
 				dst = putWaiter(dst, &t.waiters[i])
 			}
 		}
-		if ws := cc.watchers[b]; len(ws) > 0 {
+		if n := cc.Parked(b); n > 0 {
 			// Parked watchers are logical state: which address each waits
 			// on and which value it expects to change determine whether a
 			// future coherence event completes or re-parks it, so a bare
 			// count would merge states that diverge.
 			dst = append(dst, 'w')
 			dst = putUint(dst, uint64(b))
-			dst = putInt(dst, len(ws))
-			for _, w := range ws {
-				dst = putUint(dst, uint64(w.addr))
-				dst = putUint(dst, w.old)
+			dst = putInt(dst, n)
+			for _, w := range cc.watchers {
+				if mem.BlockOf(w.addr) == b {
+					dst = putUint(dst, uint64(w.addr))
+					dst = putUint(dst, w.old)
+				}
 			}
 		}
 	}
