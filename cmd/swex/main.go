@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	swex [-quick] [-json] [-workers N] [-cache DIR] <experiment>... | all
+//	swex [-quick] [-json] [-workers N] [-cache DIR]
+//	     [-cpuprofile FILE] [-memprofile FILE] <experiment>... | all
 //	swex -list [-quick] <experiment>... | all
 //	swex -status -cache DIR
 //	swex -cache DIR compact
@@ -32,6 +33,11 @@
 // from cache" per experiment, counting a shared point under the first
 // experiment listing it, then the run's total and host time.
 //
+// -cpuprofile and -memprofile write a CPU profile of the run and a heap
+// profile taken at its end, in runtime/pprof format, to the named files
+// (for `go tool pprof`); they change nothing printed, and a file that
+// cannot be created exits 2 before anything runs.
+//
 // -list prints each job's content hash and description without running
 // anything (the matrix as the cache will see it). -status summarizes a
 // cache directory's manifest journal — distinct completed and failed
@@ -51,6 +57,7 @@ import (
 	"time"
 
 	"swex"
+	"swex/cmd/internal/hostprof"
 	"swex/internal/sweep"
 )
 
@@ -59,7 +66,11 @@ var (
 	errNoCache  = errors.New("no such cache directory")
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status, so deferred profile
+// writes happen before the process exits.
+func run() int {
 	quick := flag.Bool("quick", false, "run reduced problem sizes")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = one per core)")
@@ -68,6 +79,7 @@ func main() {
 	cycleBudget := flag.Int64("cycle-budget", 0, "per-job simulated-cycle limit (0 = unbounded)")
 	list := flag.Bool("list", false, "print the job matrix (hash and description) without running")
 	status := flag.Bool("status", false, "summarize the cache manifest journal and exit (non-zero if failures are journaled)")
+	profiles := hostprof.Register(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 	// swex.Cycle is unsigned: a negative budget would wrap to about 2^64.
@@ -78,45 +90,49 @@ func main() {
 		if c.v < 0 {
 			fmt.Fprintf(os.Stderr, "swex: -%s %d: %v\n\n", c.flag, c.v, errNegative)
 			usage()
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	if *status {
 		if *cacheDir == "" {
 			fmt.Fprintln(os.Stderr, "swex: -status needs -cache DIR")
-			os.Exit(2)
+			return 2
 		}
-		mustExist(*cacheDir)
+		if !cacheExists(*cacheDir) {
+			return 2
+		}
 		failed, err := printStatus(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swex: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if failed > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if flag.NArg() == 1 && flag.Arg(0) == "compact" {
 		if *cacheDir == "" {
 			fmt.Fprintln(os.Stderr, "swex: compact needs -cache DIR")
-			os.Exit(2)
+			return 2
 		}
-		mustExist(*cacheDir)
+		if !cacheExists(*cacheDir) {
+			return 2
+		}
 		if err := compact(*cacheDir); err != nil {
 			fmt.Fprintf(os.Stderr, "swex: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	selected, err := swex.SelectMatrices(flag.Args())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swex: %v\n\n", err)
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	opts := swex.Options{Quick: *quick}
 
@@ -127,13 +143,20 @@ func main() {
 				key, err := job.Key(*salt)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "swex: %s: %v\n", m.Name, err)
-					os.Exit(1)
+					return 1
 				}
 				fmt.Printf("%s  %s\n", sweep.HashKey(key)[:16], job)
 			}
 		}
-		return
+		return 0
 	}
+
+	stopProfiles, err := profiles.Start("swex")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swex: %v\n", err)
+		return 2
+	}
+	defer stopProfiles()
 
 	sweeper, err := swex.NewSweeper(swex.SweeperConfig{
 		Workers:     *workers,
@@ -143,7 +166,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swex: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer sweeper.Close()
 
@@ -152,7 +175,7 @@ func main() {
 	exhibits, err := swex.Render(opts, selected)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swex: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	results := map[string]any{}
 	for _, e := range exhibits {
@@ -169,21 +192,24 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
 			fmt.Fprintf(os.Stderr, "swex: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	fmt.Fprintf(os.Stderr, "swex: %d simulation(s) executed on %d worker(s) in %.1fs\n",
 		sweeper.TotalExecs(), sweeper.Workers(), time.Since(start).Seconds())
+	return 0
 }
 
-// mustExist exits with status 2 unless dir is a directory. -status and
-// compact only read and rewrite an existing cache; opening one would
-// create a mistyped directory and report it empty.
-func mustExist(dir string) {
+// cacheExists reports whether dir is a directory, and says so on stderr
+// when it is not. -status and compact only read and rewrite an existing
+// cache; opening one would create a mistyped directory and report it
+// empty.
+func cacheExists(dir string) bool {
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		fmt.Fprintf(os.Stderr, "swex: -cache %s: %v\n", dir, errNoCache)
-		os.Exit(2)
+		return false
 	}
+	return true
 }
 
 // printStatus summarizes a cache directory's manifest journal and returns

@@ -176,3 +176,36 @@ func TestFailedJobPrintsNothing(t *testing.T) {
 		t.Fatalf("stderr %q does not start with %q", stderr, want)
 	}
 }
+
+// TestProfilesGoToFiles pins -cpuprofile and -memprofile: they write
+// non-empty profiles and change nothing on stdout, and a profile file
+// that cannot be created exits 2 with a named error before anything runs.
+func TestProfilesGoToFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-quick", "table1"}
+	code, plain, stderr := runSwex(t, args...)
+	if code != 0 {
+		t.Fatalf("exit status %d, want 0 (stderr %q)", code, stderr)
+	}
+	code, profiled, stderr := runSwex(t, append([]string{"-cpuprofile", cpu, "-memprofile", heap}, args...)...)
+	if code != 0 {
+		t.Fatalf("profiled run: exit status %d, want 0 (stderr %q)", code, stderr)
+	}
+	if profiled != plain {
+		t.Fatalf("profiling changed stdout:\n%s\nwant\n%s", profiled, plain)
+	}
+	for _, name := range []string{cpu, heap} {
+		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (%v)", name, err)
+		}
+	}
+	missing := filepath.Join(dir, "missing", "p.pprof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		code, stdout, stderr := runSwex(t, append([]string{flag, missing}, args...)...)
+		if code != 2 || !strings.Contains(stderr, flag+": ") || stdout != "" {
+			t.Errorf("unwritable %s: exit status %d, stdout %q, stderr %q; want 2, nothing, a named error",
+				flag, code, stdout, stderr)
+		}
+	}
+}

@@ -40,10 +40,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
+	"swex/cmd/internal/hostprof"
 	"swex/internal/litmus"
 	"swex/internal/mc"
 	"swex/internal/proto"
@@ -65,8 +64,7 @@ func run() int {
 	mig := flag.Bool("mig", false, "enable migratory-data detection on the checked machine")
 	batch := flag.Bool("batch", false, "enable read-burst batching on the checked machine")
 	dropInv := flag.Int("drop-inv", 0, "seed a bug: silently drop the Nth invalidation message")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
+	profiles := hostprof.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "swexmc: unexpected arguments %v\n", flag.Args())
@@ -84,17 +82,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "swexmc: %v\n", err)
 		return 2
 	}
-	if *cpuProfile != "" {
-		stop, err := startCPUProfile(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swexmc: %v\n", err)
-			return 2
-		}
-		defer stop()
+	stopProfiles, err := profiles.Start("swexmc")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swexmc: %v\n", err)
+		return 2
 	}
-	if *memProfile != "" {
-		defer writeHeapProfile(*memProfile)
-	}
+	defer stopProfiles()
 
 	var actions []mc.Action
 	if *watch {
@@ -141,42 +134,6 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// startCPUProfile starts profiling the process's CPU use into the named
-// file and returns the function that stops it and closes the file.
-func startCPUProfile(name string) (stop func(), err error) {
-	f, err := os.Create(name)
-	if err != nil {
-		return nil, fmt.Errorf("-cpuprofile: %w", err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("-cpuprofile: %w", err)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "swexmc: -cpuprofile: %v\n", err)
-		}
-	}, nil
-}
-
-// writeHeapProfile writes the heap profile, as of a garbage collection
-// now, to the named file. A failure is reported on stderr; it does not
-// change the exit status, which reports the check.
-func writeHeapProfile(name string) {
-	f, err := os.Create(name)
-	if err == nil {
-		runtime.GC()
-		err = pprof.WriteHeapProfile(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "swexmc: -memprofile: %v\n", err)
-	}
 }
 
 // resolveSpecs maps the -spec flag to the protocols to check: "all" means

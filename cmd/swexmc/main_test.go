@@ -130,10 +130,12 @@ func TestProfilesGoToFiles(t *testing.T) {
 			t.Errorf("profile %s not written (%v)", name, err)
 		}
 	}
-	missing := filepath.Join(dir, "missing", "cpu.pprof")
-	code, stdout, stderr := swexmc(t, append(args, "-cpuprofile", missing)...)
-	if code != 2 || !strings.Contains(stderr, "-cpuprofile: ") || stdout != "" {
-		t.Fatalf("unwritable -cpuprofile: exit status %d, stdout %q, stderr %q; want 2, nothing, a named error",
-			code, stdout, stderr)
+	missing := filepath.Join(dir, "missing", "p.pprof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		code, stdout, stderr := swexmc(t, append(args, flag, missing)...)
+		if code != 2 || !strings.Contains(stderr, flag+": ") || stdout != "" {
+			t.Errorf("unwritable %s: exit status %d, stdout %q, stderr %q; want 2, nothing, a named error",
+				flag, code, stdout, stderr)
+		}
 	}
 }

@@ -33,6 +33,11 @@
 // preset, protocol, application or configuration, or two inputs that both
 // choose the workload (-worker with -app, a preset with a workload flag),
 // exits 2 with the error.
+//
+// -cpuprofile and -memprofile, in every mode, write a CPU profile of the
+// run and a heap profile taken at its end, in runtime/pprof format, to
+// the named files (for `go tool pprof`); they change nothing printed, and
+// a file that cannot be created exits 2 before anything runs.
 package main
 
 import (
@@ -47,6 +52,7 @@ import (
 	"strings"
 
 	"swex"
+	"swex/cmd/internal/hostprof"
 	"swex/internal/litmus"
 	"swex/internal/machine"
 	"swex/internal/mem"
@@ -64,7 +70,11 @@ var (
 	errConflict = errors.New("conflicting workload inputs")
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status, so deferred profile
+// writes happen before the process exits.
+func run() int {
 	args := os.Args[1:]
 	mode := ""
 	if len(args) > 0 && (args[0] == "trace" || args[0] == "profile") {
@@ -88,6 +98,7 @@ func main() {
 		migratory = fs.Bool("migratory", false, "migratory-data adaptation")
 		verify    = fs.Bool("verify", false, "run with the coherence invariant checker")
 		ring, out = new(int), new(string)
+		profiles  = hostprof.Register(fs)
 	)
 	if mode != "" {
 		fs.IntVar(ring, "ring", 0, "keep only the last N events (0 = unbounded)")
@@ -98,9 +109,9 @@ func main() {
 		fs.PrintDefaults()
 	}
 	fs.Parse(args) // ExitOnError: a bad flag exits 2
-	usage := func(err error) {
+	usage := func(err error) int {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
-		os.Exit(2)
+		return 2
 	}
 
 	// A positional preset sets the workload flags, so it may not be
@@ -108,23 +119,29 @@ func main() {
 	switch preset := strings.ToLower(strings.Join(fs.Args(), " ")); preset {
 	case "":
 	case "fig2-point", "table2":
+		var set string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "worker", "iters", "nodes", "protocol":
-				usage(fmt.Errorf("%w: preset %s sets -%s", errConflict, preset, f.Name))
+				if set == "" {
+					set = f.Name
+				}
 			}
 		})
+		if set != "" {
+			return usage(fmt.Errorf("%w: preset %s sets -%s", errConflict, preset, set))
+		}
 		*workerK, *iters, *nodes, *protoStr = 8, 10, 16, "h5"
 	default:
-		usage(fmt.Errorf("%w: %q", errPreset, strings.Join(fs.Args(), " ")))
+		return usage(fmt.Errorf("%w: %q", errPreset, strings.Join(fs.Args(), " ")))
 	}
 	if *workerK > 0 && *appName != "" {
-		usage(fmt.Errorf("%w: -worker and -app both choose the workload", errConflict))
+		return usage(fmt.Errorf("%w: -worker and -app both choose the workload", errConflict))
 	}
 
 	spec, err := litmus.SpecByAlias(strings.ToLower(*protoStr))
 	if err != nil {
-		usage(err)
+		return usage(err)
 	}
 	cfg := machine.Config{
 		Nodes:           *nodes,
@@ -142,10 +159,10 @@ func main() {
 	case "asm":
 		cfg.Software = machine.TunedASM
 	default:
-		usage(fmt.Errorf("%w: got %q", errSoftware, *software))
+		return usage(fmt.Errorf("%w: got %q", errSoftware, *software))
 	}
 	if *ring < 0 {
-		usage(fmt.Errorf("%w: got %d", errRing, *ring))
+		return usage(fmt.Errorf("%w: got %d", errRing, *ring))
 	}
 	var sink *trace.Collector
 	if mode != "" {
@@ -161,39 +178,49 @@ func main() {
 	switch {
 	case *workerK > 0:
 		if *iters < 1 {
-			usage(fmt.Errorf("%w: got %d", errIters, *iters))
+			return usage(fmt.Errorf("%w: got %d", errIters, *iters))
 		}
 		app = swex.Worker(*workerK, *iters)
 	case *appName != "":
 		if app, err = swex.AppByName(strings.ToUpper(*appName)); err != nil {
-			usage(err)
+			return usage(err)
 		}
 	default:
 		fs.Usage()
-		usage(errWorkload)
+		return usage(errWorkload)
 	}
 
-	// machine.New validates the configuration before it builds anything.
+	// A bad configuration is reported before a profile file is created.
+	if err := cfg.Validate(); err != nil {
+		return usage(err)
+	}
+	stopProfiles, err := profiles.Start(fs.Name())
+	if err != nil {
+		return usage(err)
+	}
+	defer stopProfiles()
 	m, err := machine.New(cfg)
 	if err != nil {
-		usage(err)
+		return usage(err)
 	}
 	if *verify {
 		m.Fabric.EnableChecker()
 	}
 	res, err := m.Run(app.Setup(m).Thread, 0)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 
 	if mode == "" {
 		report(app, m, res)
-		return
+		return 0
 	}
 	w := os.Stdout
 	if *out != "" && *out != "-" {
 		if w, err = os.Create(*out); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 	}
 	events := sink.Events()
@@ -206,12 +233,14 @@ func main() {
 		err = w.Close()
 	}
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	if mode == "trace" {
 		fmt.Fprintf(os.Stderr, "swexrun trace: %s on %d nodes, %s: %d cycles, %d events (%d collected)\n",
 			app.Name, cfg.Nodes, cfg.Spec.Name, res.Time, sink.Total(), len(events))
 	}
+	return 0
 }
 
 // profile prints the critical-path attribution of a traced run.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,24 +31,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// swexrun runs main in a child process and returns its exit status and
-// stderr.
-func swexrun(t *testing.T, args ...string) (int, string) {
+// swexrun runs main in a child process and returns its exit status,
+// stdout and stderr.
+func swexrun(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, args...)...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stderr.String()
+		return 0, stdout.String(), stderr.String()
 	case errors.As(err, &exit):
-		return exit.ExitCode(), stderr.String()
+		return exit.ExitCode(), stdout.String(), stderr.String()
 	default:
 		t.Fatalf("swexrun %v: %v", args, err)
-		return 0, ""
+		return 0, "", ""
 	}
 }
 
@@ -62,7 +63,7 @@ func TestThreadsOutOfRangeExits2(t *testing.T) {
 			if mode != "" {
 				args = append([]string{mode}, args...)
 			}
-			code, stderr := swexrun(t, args...)
+			code, _, stderr := swexrun(t, args...)
 			if code != 2 {
 				t.Errorf("%q -threads %s: exit status %d, want 2 (stderr %q)", mode, threads, code, stderr)
 			}
@@ -96,12 +97,45 @@ func TestBadInputExits2(t *testing.T) {
 		{[]string{"-worker", "2", "-app", "WATER"}, errConflict.Error() + ": -worker and -app"},
 		{[]string{"-app", "WATER", "fig2-point"}, errConflict.Error() + ": -worker and -app"},
 	} {
-		code, stderr := swexrun(t, tc.args...)
+		code, _, stderr := swexrun(t, tc.args...)
 		if code != 2 {
 			t.Errorf("%v: exit status %d, want 2 (stderr %q)", tc.args, code, stderr)
 		}
 		if !strings.Contains(stderr, tc.want) {
 			t.Errorf("%v: stderr %q does not contain %q", tc.args, stderr, tc.want)
+		}
+	}
+}
+
+// TestProfilesGoToFiles pins -cpuprofile and -memprofile: they write
+// non-empty profiles and change nothing printed, and a profile file that
+// cannot be created exits 2 with a named error before anything runs.
+func TestProfilesGoToFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-worker", "2", "-nodes", "4"}
+	code, plain, stderr := swexrun(t, args...)
+	if code != 0 {
+		t.Fatalf("exit status %d, want 0 (stderr %q)", code, stderr)
+	}
+	code, profiled, stderr := swexrun(t, append(args, "-cpuprofile", cpu, "-memprofile", heap)...)
+	if code != 0 || stderr != "" {
+		t.Fatalf("profiled run: exit status %d, stderr %q; want 0 and nothing", code, stderr)
+	}
+	if profiled != plain {
+		t.Fatalf("profiling changed stdout:\n%s\nwant\n%s", profiled, plain)
+	}
+	for _, name := range []string{cpu, heap} {
+		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (%v)", name, err)
+		}
+	}
+	missing := filepath.Join(dir, "missing", "p.pprof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		code, stdout, stderr := swexrun(t, append(args, flag, missing)...)
+		if code != 2 || !strings.Contains(stderr, flag+": ") || stdout != "" {
+			t.Errorf("unwritable %s: exit status %d, stdout %q, stderr %q; want 2, nothing, a named error",
+				flag, code, stdout, stderr)
 		}
 	}
 }

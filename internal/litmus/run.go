@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"swex/internal/apps"
 	"swex/internal/machine"
@@ -96,6 +97,15 @@ func (p Program) AppProgram() apps.Program {
 	return apps.Program{Name: AppName, Setup: p.setup}
 }
 
+// probeNames names each variable's probe, "v0" to "v15", built once
+// rather than formatted per variable per run.
+var probeNames = func() (names [maxVars]string) {
+	for i := range names {
+		names[i] = "v" + strconv.Itoa(i)
+	}
+	return names
+}()
+
 // setup builds the program's shared state on m.
 func (p Program) setup(m *machine.Machine) apps.Instance {
 	if err := p.Validate(); err != nil {
@@ -120,7 +130,7 @@ func (p Program) setup(m *machine.Machine) apps.Instance {
 			m.Mem.AllocOn(home, i*mem.WordsPerBlock)
 		}
 		addrs[i] = m.Mem.AllocOn(home, mem.WordsPerBlock)
-		probes[fmt.Sprintf("v%d", i)] = addrs[i]
+		probes[probeNames[i]] = addrs[i]
 		blocks[i] = mem.BlockOf(addrs[i]).Base()
 	}
 	if len(p.Specs) > 0 {

@@ -190,12 +190,18 @@ func TestRunLimitEnforced(t *testing.T) {
 	}
 }
 
-// settledGoroutines returns runtime.NumGoroutine once it has held steady
-// across ten consecutive short sleeps (at most a bounded number of reads):
-// the previous test's runner goroutine may still be exiting. Sleeping
-// lets this goroutine's processor pick up that goroutine; under -race it
-// was seen to stay runnable through a thousand runtime.Gosched calls.
-func settledGoroutines() int {
+// drainedGoroutines empties the thread pool, then returns
+// runtime.NumGoroutine once it has held steady across ten consecutive
+// short sleeps (at most a bounded number of reads). A finished thread's
+// coroutine stays parked in the pool as a goroutine until two collections
+// drop its handle and the handle's finalizer, queued by the time
+// runtime.GC returns, stops it. The previous test's runner goroutine may
+// still be exiting too. Sleeping lets this goroutine's processor pick up
+// both; under -race the runner was seen to stay runnable through a
+// thousand runtime.Gosched calls.
+func drainedGoroutines() int {
+	runtime.GC()
+	runtime.GC()
 	n := runtime.NumGoroutine()
 	for steady, tries := 0, 0; steady < 10 && tries < 1000; tries++ {
 		time.Sleep(100 * time.Microsecond)
@@ -210,9 +216,11 @@ func settledGoroutines() int {
 
 // TestFailedRunsReleaseThreads checks that a run ending in an error
 // unwinds every unfinished thread: the threads' deferred calls run and no
-// suspended coroutine is left behind.
+// suspended coroutine is left behind. Both goroutine counts are taken
+// with the thread pool drained, so threads that earlier tests finished
+// and pooled are not counted.
 func TestFailedRunsReleaseThreads(t *testing.T) {
-	before := settledGoroutines()
+	before := drainedGoroutines()
 	unwound := 0
 	m := MustNew(DefaultConfig(4, proto.FullMap()))
 	a := m.Mem.AllocOn(0, 1)
@@ -242,7 +250,7 @@ func TestFailedRunsReleaseThreads(t *testing.T) {
 	if unwound != 12 {
 		t.Fatalf("%d of 12 stuck threads unwound", unwound)
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := drainedGoroutines(); after != before {
 		t.Fatalf("goroutines: %d before the failed runs, %d after", before, after)
 	}
 }

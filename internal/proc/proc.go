@@ -17,6 +17,12 @@
 // no goroutines, so the Go scheduler can never perturb simulated time. The
 // simulator and the threads alternate strictly; runs are deterministic.
 //
+// A thread of a small machine (at most 16 threads) that finishes is
+// recycled whole, coroutine included, into a process-wide pool that later
+// StartThreads calls on any machine draw from, so a warm start allocates
+// nothing. A reused thread behaves exactly as a new one; a thread stopped
+// after a failed run is never reused.
+//
 // A thread sees the simulation only through the values its operations
 // return: simulator state read from inside a thread body (the engine's
 // clock, a cache's contents) is the state at the thread's last suspension,
@@ -71,9 +77,8 @@ type request struct {
 // operation always finds a slot. Longer queues save few handoffs: the
 // 256-node TSP run's 479,890 operations take 480,146 handoffs (one per
 // operation plus each thread's return) with one slot, 311,113 with two,
-// 308,995 with four and 308,350 with 64. Two slots keep a thread at 224
-// bytes, which matters to campaigns that build thousands of small
-// machines.
+// 308,995 with four and 308,350 with 64. Two slots keep a thread at 240
+// bytes.
 const queueLen = 2
 
 // ContextSwitchCycles is the cost of switching hardware contexts when a
@@ -85,22 +90,45 @@ const ContextSwitchCycles = 14
 // provides, the most threads StartThreads runs on one node.
 const MaxContexts = 4
 
-// thread is one hardware context's execution state.
+// thread is one hardware context's execution state. A finished thread is
+// recycled whole (see coro.go): its per-run state is emptied, and the
+// record, its continuations, its Env and its coroutine serve a later
+// StartThreads on any node.
 type thread struct {
-	node *Node
-	idx  int
-	done bool
-	fin  sim.Cycle
+	threadRun
 
 	// The coroutine (see coro.go): pull resumes the thread until it
-	// suspends or returns, stop unwinds a suspended thread, yield is the
-	// thread-side suspension point, and result carries the last
-	// completed operation's value to the resumed thread. stopping marks a
-	// thread unwinding after stop; returned marks a body that has
-	// returned, whose queue still drains before the thread is done.
-	pull     func() (struct{}, bool)
-	stop     func()
-	yield    func(struct{}) bool
+	// suspends or its body returns, stop unwinds a suspended thread, and
+	// yield is the thread-side suspension point. h is the pool's handle,
+	// held while the thread is in use.
+	pull  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	h     *threadHandle
+
+	// env is the body's view of the thread; env.thread points back here.
+	env Env
+
+	// Preallocated continuations for the per-operation path. A thread
+	// executes its queued operations one at a time, so one set of event
+	// receivers is reused for every operation.
+	nextEv    threadEvent
+	issueEv   threadEvent
+	executeEv threadEvent
+	replyEv   threadEvent
+}
+
+// threadRun is the state of one run of a thread body; recycling a thread
+// zeroes it.
+type threadRun struct {
+	node *Node
+	idx  int
+	body func(*Env)
+
+	// result carries the last completed operation's value to the resumed
+	// thread. stopping marks a thread unwinding after stop; returned marks
+	// a body that has returned, whose queue still drains before the
+	// thread finishes.
 	result   uint64
 	stopping bool
 	returned bool
@@ -117,14 +145,6 @@ type thread struct {
 	codeBase   mem.Addr
 	codeBlocks int
 	codePos    int
-
-	// Preallocated continuations for the per-operation path. A thread
-	// executes its queued operations one at a time, so one set of event
-	// receivers is reused for every operation.
-	nextEv    threadEvent
-	issueEv   threadEvent
-	executeEv threadEvent
-	replyEv   threadEvent
 }
 
 // step names one of a thread's scheduled continuations.
@@ -182,10 +202,12 @@ func (t *thread) complete(v uint64) {
 
 // completions resolves a fabric's operation completions to the issuing
 // thread: an operation's ID is its thread's index on the node. It also
-// counts the fabric's live threads, started and not yet finished.
+// counts the threads started on the fabric's nodes, and those of them
+// live: started and not yet finished.
 type completions struct {
-	nodes []*Node
-	live  int
+	nodes   []*Node
+	started int
+	live    int
 }
 
 // Complete implements proto.Completer.
@@ -196,10 +218,17 @@ func (c *completions) Complete(node mem.NodeID, id uint64, v uint64) {
 // Node is one processor: the execution engine for its application threads
 // plus its connection to the memory system.
 type Node struct {
-	ID      mem.NodeID
-	f       *proto.Fabric
-	c       *completions
-	threads []*thread
+	ID mem.NodeID
+	f  *proto.Fabric
+	c  *completions
+
+	// threads holds the started contexts, each until it finishes; count
+	// is how many were started, unfinished how many have not finished,
+	// and fin the cycle the last one finished.
+	threads    [MaxContexts]*thread
+	count      int
+	unfinished int
+	fin        sim.Cycle
 
 	// Ops counts operations executed; MemOps counts reads/writes/RMWs.
 	Ops    uint64
@@ -251,60 +280,50 @@ func (n *Node) Start(fn func(*Env)) { n.StartThreads(1, fn) }
 // context-switch cost per memory operation. No goroutine starts: each
 // thread first runs when the engine fires its initial next event, and
 // from then on it runs only between that event's pull and its next
-// suspension.
+// suspension. A thread that finishes returns to a process-wide pool with
+// its coroutine parked, when its fabric started at most 16 threads, and
+// StartThreads takes its threads from that pool before it builds new
+// ones, so a warm start allocates nothing; a thread taken from the pool
+// behaves exactly as a new one.
 func (n *Node) StartThreads(count int, fn func(*Env)) {
-	if len(n.threads) > 0 {
+	if n.count > 0 {
 		panic(fmt.Sprintf("proc: node %d started twice", n.ID))
 	}
 	if count < 1 || count > MaxContexts {
 		panic(fmt.Sprintf("proc: %d contexts on node %d, want 1..%d", count, n.ID, MaxContexts))
 	}
+	n.count, n.unfinished = count, count
+	eng := n.f.Engine
 	for i := 0; i < count; i++ {
-		t := &thread{node: n, idx: i}
-		t.nextEv = threadEvent{t, stepNext}
-		t.issueEv = threadEvent{t, stepIssue}
-		t.executeEv = threadEvent{t, stepExecute}
-		t.replyEv = threadEvent{t, stepReply}
-		n.threads = append(n.threads, t)
+		t := newThread()
+		t.node, t.idx, t.body = n, i, fn
+		t.env.P = n.f.Nodes()
+		n.threads[i] = t
+		n.c.started++
 		n.c.live++
-		t.start(fn, &Env{thread: t, P: n.f.Nodes()})
-		eng := n.f.Engine
 		eng.OwnedAtCall(int(n.ID), eng.Now(), nil, &t.nextEv)
 	}
 }
 
-// Stop unwinds every thread that has not finished, releasing its
-// coroutine. A run that ends early (deadlock or cycle limit) calls it;
-// stopping a finished thread is a no-op.
+// Stop unwinds every thread that has not finished, ending its coroutine.
+// A run that ends early (deadlock or cycle limit) calls it. A stopped
+// thread is never reused.
 func (n *Node) Stop() {
-	for _, t := range n.threads {
-		t.stop()
+	for _, t := range n.threads[:n.count] {
+		if t != nil {
+			t.end()
+		}
 	}
 }
 
 // Threads reports how many contexts the node runs.
-func (n *Node) Threads() int { return len(n.threads) }
+func (n *Node) Threads() int { return n.count }
 
 // Done reports whether every thread has finished.
-func (n *Node) Done() bool {
-	for _, t := range n.threads {
-		if !t.done {
-			return false
-		}
-	}
-	return len(n.threads) > 0
-}
+func (n *Node) Done() bool { return n.count > 0 && n.unfinished == 0 }
 
 // FinishedAt reports the cycle the last thread completed (valid once Done).
-func (n *Node) FinishedAt() sim.Cycle {
-	var fin sim.Cycle
-	for _, t := range n.threads {
-		if t.fin > fin {
-			fin = t.fin
-		}
-	}
-	return fin
-}
+func (n *Node) FinishedAt() sim.Cycle { return n.fin }
 
 // next issues the thread's next queued operation. With the queue drained
 // it first resumes the thread until the thread suspends again or returns;
@@ -315,14 +334,10 @@ func (t *thread) next() {
 	if t.head == t.n {
 		t.head, t.n = 0, 0
 		if !t.returned {
-			if _, ok := t.pull(); !ok {
-				t.returned = true
-			}
+			t.pull()
 		}
 		if t.n == 0 {
-			t.done = true
-			t.node.c.live--
-			t.fin = t.node.f.Engine.Now()
+			t.finish()
 			return
 		}
 	}
@@ -338,6 +353,22 @@ func (t *thread) next() {
 		return
 	}
 	t.node.f.Engine.OwnedAfterCall(int(t.node.ID), 1, nil, &t.executeEv)
+}
+
+// finish records the thread's completion on its node and recycles it,
+// unless its fabric started more than poolLimit threads. The node forgets
+// the thread, so nothing reaches the record once it is pooled.
+func (t *thread) finish() {
+	n := t.node
+	n.c.live--
+	n.unfinished--
+	n.fin = n.f.Engine.Now()
+	n.threads[t.idx] = nil
+	if n.c.started > poolLimit {
+		t.end()
+		return
+	}
+	t.recycle()
 }
 
 // execute performs one operation and schedules its completion. r points
@@ -386,7 +417,7 @@ func (t *thread) execute(r *request) {
 // switches away on every miss); a single-context node resumes directly.
 func (t *thread) memDone(v uint64) {
 	t.result = v
-	if len(t.node.threads) > 1 {
+	if t.node.count > 1 {
 		t.node.f.Engine.OwnedAfterCall(int(t.node.ID), ContextSwitchCycles, nil, &t.replyEv)
 		return
 	}
@@ -402,6 +433,8 @@ func (t *thread) reply(v uint64) {
 
 // Env is the shared-memory programming interface a thread sees: the
 // analog of compiled Sparcle code making loads, stores, and run-time calls.
+// It is valid only while the body it was passed to runs: a finished
+// thread's Env serves the next thread that reuses the record.
 type Env struct {
 	thread *thread
 	// P is the machine size.
@@ -419,7 +452,7 @@ func (e *Env) Thread() int { return e.thread.idx }
 // Observation capture uses it to give every context in the machine a
 // distinct dense index (node*NodeThreads+Thread) without threading the
 // machine configuration through to application code.
-func (e *Env) NodeThreads() int { return len(e.thread.node.threads) }
+func (e *Env) NodeThreads() int { return e.thread.node.count }
 
 // post queues an operation whose result the thread does not read and
 // returns at once, unless that filled the queue: then the thread suspends

@@ -173,11 +173,11 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 		pending = append(pending, t)
 	}
 
-	// Execute the remainder on the pool and fan each verdict out.
-	results := make([]Outcome, len(pending))
+	// Execute the remainder on the pool, each task into the outcome of
+	// its first index, and fan each verdict out to the others.
 	runPool(r.Workers(), len(pending), func(ti int) {
 		t := pending[ti]
-		o := &results[ti]
+		o := &outcomes[t.indices[0]]
 		if err := ctx.Err(); err != nil {
 			o.Err = err
 			return
@@ -195,11 +195,12 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 			o.CacheErr = r.cache.Put(t.key, res)
 		}
 	})
-	for ti, t := range pending {
-		for _, i := range t.indices {
-			outcomes[i].Result = results[ti].Result
-			outcomes[i].Err = results[ti].Err
-			outcomes[i].CacheErr = results[ti].CacheErr
+	for _, t := range pending {
+		first := &outcomes[t.indices[0]]
+		for _, i := range t.indices[1:] {
+			outcomes[i].Result = first.Result
+			outcomes[i].Err = first.Err
+			outcomes[i].CacheErr = first.CacheErr
 		}
 	}
 	return outcomes
