@@ -30,8 +30,9 @@ vet:
 # machine. The core is single-threaded by contract — application threads
 # are coroutines that alternate with the engine and start no goroutines —
 # so a report there means something broke the lockstep. The interesting
-# schedules are in the pool merge, the result cache's journal, and machine
-# storage that one sweep worker releases and another reuses
+# schedules are in the pool merge, two runners writing one cache directory
+# at once (TestTwoRunnersShareOneDirectory), and machine storage that one
+# sweep worker releases and another reuses
 # (TestReusedMachineStorageIsInvisible).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/proc/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/litmus/...
@@ -62,25 +63,23 @@ mc:
 mc-smoke:
 	$(GO) test ./internal/mc/
 
-# sweep-smoke exercises the sweep orchestrator end to end: the determinism
-# and crash-resume suites, then the swex CLI cold and warm over one cache
-# directory, on a figure and two ablations (one with check-in annotations,
-# one with a block-by-block protocol region), with the journal summarized
-# and compacted in between — on the warm runs every exhibit's line and the
-# closing total must report zero executed simulations. Last, one cached
+# sweep-smoke exercises the sweep orchestrator end to end: the determinism,
+# cache and crash-resume suites, then the swex CLI cold and warm over one
+# cache directory, on a figure and two ablations (one with check-in
+# annotations, one with a block-by-block protocol region) — on the warm
+# run every exhibit's line and the closing total must report zero executed
+# simulations — and the directory summarized by -status. Last, one cached
 # object's run time is corrupted in place: the next run must re-execute
 # exactly that simulation and print the cold run's stdout byte for byte.
 SMOKE_MATRICES = fig2 ablate-cico ablate-dataspec
 ALL_WARM = awk '/^swex: 0 simulation\(s\) executed / {next} / executed,/ {n++} !/ 0 executed,/ {bad=1} END {exit bad || n != 3}'
 sweep-smoke:
-	$(GO) test ./internal/sweep/ -run 'TestCrashResume|TestCacheRoundTrip|TestCompact|TestCacheServesOnlyDigestedRecords' -count=1
+	$(GO) test ./internal/sweep/ -run 'TestCrashResume|TestCache|TestStatusReportsLatestState|TestTwoRunnersShareOneDirectory' -count=1
 	$(GO) test . -run 'TestSweepOutputDeterministic|TestSharedBaselineComputedOnce|TestCorruptedObjectIsAMiss' -count=1
 	d=$$(mktemp -d) && \
 	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) >$$d/cold.out && \
 	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
 	  $(GO) run ./cmd/swex -status -cache $$d >/dev/null && \
-	  $(GO) run ./cmd/swex -cache $$d compact >/dev/null && \
-	  $(GO) run ./cmd/swex -quick -workers 4 -cache $$d $(SMOKE_MATRICES) 2>&1 >/dev/null | $(ALL_WARM) && \
 	  obj=$$(ls $$d/objects/*/*.json | head -n 1) && \
 	  sed 's/"Time": \([0-9]\)/"Time": 9\1/' $$obj >$$d/corrupt.json && \
 	  ! cmp -s $$obj $$d/corrupt.json && mv $$d/corrupt.json $$obj && \

@@ -8,7 +8,6 @@
 //	     [-cpuprofile FILE] [-memprofile FILE] <experiment>... | all
 //	swex -list [-quick] <experiment>... | all
 //	swex -status -cache DIR
-//	swex -cache DIR compact
 //
 // The experiments are the exhibits of the package registry
 // (swex.Matrices): the paper's tables and figures, the scaling and
@@ -24,9 +23,9 @@
 // -workers bounds the worker pool (default: one per core), and -cache
 // persists finished simulation points to a content-addressed result cache
 // so re-runs skip completed work. With -cache, a killed run resumes from
-// the cache's manifest journal, re-running an unchanged experiment
-// executes zero simulations, and several processes may share one cache
-// directory. Output is byte-identical at any worker count.
+// the results already in the directory, re-running an unchanged
+// experiment executes zero simulations, and several processes may share
+// one cache directory. Output is byte-identical at any worker count.
 //
 // Standard output is a pure function of the selected experiments (empty
 // if a job fails). Standard error gets "NAME: N job(s), X executed, Y
@@ -40,12 +39,9 @@
 //
 // -list prints each job's content hash and description without running
 // anything (the matrix as the cache will see it). -status summarizes a
-// cache directory's manifest journal — distinct completed and failed
-// jobs, with the failures' journaled errors (stacks included) — and exits
-// non-zero when the journal records failures, so scripts can gate on a
-// clean run. The compact subcommand rewrites the manifest journal down to
-// one record per live entry (the journal is append-only, so re-journaled
-// jobs accumulate superseded lines).
+// cache directory — the completed jobs it would serve and the failed
+// jobs with their recorded errors (stacks included) — and exits non-zero
+// when it records failures, so scripts can gate on a clean run.
 package main
 
 import (
@@ -78,7 +74,7 @@ func run() int {
 	salt := flag.String("salt", "", "extra key material mixed into every job hash")
 	cycleBudget := flag.Int64("cycle-budget", 0, "per-job simulated-cycle limit (0 = unbounded)")
 	list := flag.Bool("list", false, "print the job matrix (hash and description) without running")
-	status := flag.Bool("status", false, "summarize the cache manifest journal and exit (non-zero if failures are journaled)")
+	status := flag.Bool("status", false, "summarize the cache directory and exit (non-zero if it records failures)")
 	profiles := hostprof.Register(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
@@ -108,21 +104,6 @@ func run() int {
 			return 1
 		}
 		if failed > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	if flag.NArg() == 1 && flag.Arg(0) == "compact" {
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "swex: compact needs -cache DIR")
-			return 2
-		}
-		if !cacheExists(*cacheDir) {
-			return 2
-		}
-		if err := compact(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "swex: %v\n", err)
 			return 1
 		}
 		return 0
@@ -201,9 +182,8 @@ func run() int {
 }
 
 // cacheExists reports whether dir is a directory, and says so on stderr
-// when it is not. -status and compact only read and rewrite an existing
-// cache; opening one would create a mistyped directory and report it
-// empty.
+// when it is not. -status only reads an existing cache; opening one would
+// create a mistyped directory and report it empty.
 func cacheExists(dir string) bool {
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		fmt.Fprintf(os.Stderr, "swex: -cache %s: %v\n", dir, errNoCache)
@@ -212,15 +192,17 @@ func cacheExists(dir string) bool {
 	return true
 }
 
-// printStatus summarizes a cache directory's manifest journal and returns
-// the number of journaled failures.
+// printStatus summarizes a cache directory and returns the number of
+// recorded failures.
 func printStatus(dir string) (failed int, err error) {
 	c, err := sweep.OpenCache(dir)
 	if err != nil {
 		return 0, err
 	}
-	defer c.Close()
-	st := c.Status()
+	st, err := c.Status()
+	if err != nil {
+		return 0, err
+	}
 	fmt.Printf("cache %s: %d job(s) done, %d failed\n", dir, st.Done, st.Failed)
 	for _, f := range st.Failures {
 		fmt.Printf("  FAILED %s\n    %s\n", f.Key, f.Err)
@@ -228,27 +210,10 @@ func printStatus(dir string) (failed int, err error) {
 	return st.Failed, nil
 }
 
-// compact rewrites a cache directory's manifest journal down to its live
-// records.
-func compact(dir string) error {
-	c, err := sweep.OpenCache(dir)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	records, err := c.Compact()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cache %s: manifest compacted to %d record(s)\n", dir, records)
-	return nil
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: swex [flags] <experiment>... | all
        swex -list [-quick] <experiment>... | all
        swex -status -cache DIR
-       swex -cache DIR compact
 
 experiments:
 `)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"swex"
 	"swex/internal/sweep"
 )
 
@@ -65,7 +66,6 @@ func TestBadInputExits2(t *testing.T) {
 		{[]string{"-workers", "-1", "table1"}, "-workers -1: " + errNegative.Error()},
 		{[]string{"-cycle-budget", "-1", "table1"}, "-cycle-budget -1: " + errNegative.Error()},
 		{[]string{"-status", "-cache", missing}, errNoCache.Error()},
-		{[]string{"-cache", missing, "compact"}, errNoCache.Error()},
 		{[]string{"-status"}, "-status needs -cache DIR"},
 		{[]string{"nosuch"}, "nosuch"},
 		{nil, "no exhibits named"},
@@ -90,11 +90,9 @@ func TestBadInputExits2(t *testing.T) {
 // with no jobs reports zero and exits 0.
 func TestStatusOfEmptyCache(t *testing.T) {
 	dir := t.TempDir()
-	c, err := sweep.OpenCache(dir)
-	if err != nil {
+	if _, err := sweep.OpenCache(dir); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
 	code, stdout, stderr := runSwex(t, "-status", "-cache", dir)
 	if code != 0 {
 		t.Fatalf("exit status %d, want 0 (stderr %q)", code, stderr)
@@ -163,9 +161,11 @@ func TestExecutedCountsSumToTotal(t *testing.T) {
 
 // TestFailedJobPrintsNothing pins the failure path: the exhibits run as
 // one sweep, so a failed job leaves stdout empty, and the error names the
-// first failing exhibit and its own job index.
+// first failing exhibit and its own job index. The failures land in the
+// cache directory, so -status then exits 1 and lists the first one.
 func TestFailedJobPrintsNothing(t *testing.T) {
-	code, stdout, stderr := runSwex(t, "-quick", "-cycle-budget", "1000", "table1", "fig2")
+	dir := t.TempDir()
+	code, stdout, stderr := runSwex(t, "-quick", "-cycle-budget", "1000", "-cache", dir, "table1", "fig2")
 	if code != 1 {
 		t.Fatalf("exit status %d, want 1 (stderr %q)", code, stderr)
 	}
@@ -174,6 +174,22 @@ func TestFailedJobPrintsNothing(t *testing.T) {
 	}
 	if want := "swex: table1: sweep: job 0 ("; !strings.HasPrefix(stderr, want) {
 		t.Fatalf("stderr %q does not start with %q", stderr, want)
+	}
+
+	ms, err := swex.SelectMatrices([]string{"table1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := ms[0].Jobs(swex.Options{Quick: true})[0].Key("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr = runSwex(t, "-status", "-cache", dir)
+	if code != 1 {
+		t.Fatalf("-status after a failure: exit status %d, want 1 (stderr %q)", code, stderr)
+	}
+	if !strings.HasPrefix(stdout, "cache "+dir+": ") || !strings.Contains(stdout, "  FAILED "+key+"\n") {
+		t.Fatalf("-status stdout %q does not list the failed key %q", stdout, key)
 	}
 }
 

@@ -23,31 +23,31 @@ const AppName = "LITMUS"
 // it returns wraps ErrAlias with the alias.
 var ErrAlias = errors.New("litmus: unknown protocol alias")
 
-// SpecByAlias resolves a protocol-spectrum alias — the flag vocabulary of
-// the command-line tools: h0, h1ack, h1lack, h1, h2, h3, h4, h5, full,
-// dir1sw.
+// specAliases is the protocol-spectrum alias table, the flag vocabulary of
+// the command-line tools, in SpecAliases order. SpecByAlias and
+// SpecAliases both read it, so an alias reaches both or neither.
+var specAliases = []struct {
+	alias string
+	spec  func() proto.Spec
+}{
+	{"full", proto.FullMap},
+	{"h5", func() proto.Spec { return proto.LimitLESS(5) }},
+	{"h4", func() proto.Spec { return proto.LimitLESS(4) }},
+	{"h3", func() proto.Spec { return proto.LimitLESS(3) }},
+	{"h2", func() proto.Spec { return proto.LimitLESS(2) }},
+	{"h1", func() proto.Spec { return proto.OnePointer(proto.AckHW) }},
+	{"h1lack", func() proto.Spec { return proto.OnePointer(proto.AckLACK) }},
+	{"h1ack", func() proto.Spec { return proto.OnePointer(proto.AckSW) }},
+	{"h0", proto.SoftwareOnly},
+	{"dir1sw", proto.Dir1SW},
+}
+
+// SpecByAlias resolves a protocol-spectrum alias (see SpecAliases).
 func SpecByAlias(alias string) (proto.Spec, error) {
-	switch alias {
-	case "h0":
-		return proto.SoftwareOnly(), nil
-	case "h1ack":
-		return proto.OnePointer(proto.AckSW), nil
-	case "h1lack":
-		return proto.OnePointer(proto.AckLACK), nil
-	case "h1":
-		return proto.OnePointer(proto.AckHW), nil
-	case "h2":
-		return proto.LimitLESS(2), nil
-	case "h3":
-		return proto.LimitLESS(3), nil
-	case "h4":
-		return proto.LimitLESS(4), nil
-	case "h5":
-		return proto.LimitLESS(5), nil
-	case "full":
-		return proto.FullMap(), nil
-	case "dir1sw":
-		return proto.Dir1SW(), nil
+	for _, a := range specAliases {
+		if a.alias == alias {
+			return a.spec(), nil
+		}
 	}
 	return proto.Spec{}, fmt.Errorf("%w %q", ErrAlias, alias)
 }
@@ -56,7 +56,11 @@ func SpecByAlias(alias string) (proto.Spec, error) {
 // from most hardware (full map) to least (software-only, then the
 // one-pointer Dir_1 SW variant).
 func SpecAliases() []string {
-	return []string{"full", "h5", "h4", "h3", "h2", "h1", "h1lack", "h1ack", "h0", "dir1sw"}
+	aliases := make([]string, len(specAliases))
+	for i, a := range specAliases {
+		aliases[i] = a.alias
+	}
+	return aliases
 }
 
 // CompatibleBase reports whether a machine built on the base spec can

@@ -3,83 +3,85 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// FuzzOpenCache feeds arbitrary bytes to the manifest replay and to the
-// object of key "k1". Opening must either fail with an error or yield a
-// cache whose Status, Get and Compact work without panicking, that serves
-// k1 only from an object whose bytes match the digest journaled for it,
-// and whose compacted journal reopens to the same state.
+// FuzzOpenCache feeds arbitrary bytes to the object and the failure file
+// of key "k1". Nothing may panic; Get serves k1 only from an object that
+// decodes, names k1 and matches its embedded digest, and serves what that
+// object holds; Status works and counts k1 done exactly when Get serves
+// it, and failed exactly when the failure file decodes, names k1, and k1
+// is not done.
 func FuzzOpenCache(f *testing.F) {
-	record := func(key, status string) string {
-		return fmt.Sprintf(`{"h":%q,"k":%q,"s":%q}`+"\n", HashKey(key), key, status)
+	encode := func(key string, res Result, digest bool) []byte {
+		obj := object{Key: key, Result: res}
+		if digest {
+			obj.Digest, _ = obj.payloadDigest()
+		}
+		data, _ := json.MarshalIndent(obj, "", " ")
+		return append(data, '\n')
 	}
-	obj := []byte(`{"Key":"k1","Result":{"Time":4000,"ReadMean":193}}` + "\n")
-	done := fmt.Sprintf(`{"h":%q,"k":"k1","s":"done","d":%q}`+"\n", HashKey("k1"), digest(obj))
-	for _, seed := range []struct{ manifest, object string }{
-		{"", ""},
-		{record("k1", "done") + record("k2", "done"), string(obj)},
-		{record("k1", "done") + `{"h":"deadbeef","k":"half-wri`, ""},
-		{"garbage not json\n" + record("k1", "done"), string(obj)},
-		{`{"h":"x","k":"not-a-job","s":"done"}` + "\n" + record("k1", "done"), ""},
-		{record("k3", "failed") + record("k3", "done") + record("k4", "failed"), ""},
-		{done, string(obj)},
-		{done, string(bytes.Replace(obj, []byte("193"), []byte("999"), 1))},
-		{done, string(obj[:len(obj)/2])},
-		{record("k1", "failed") + done, string(obj)},
+	good := encode("k1", Result{Time: 4000, ReadMean: 193, Obs: [][]uint64{{1, 2}, {}}}, true)
+	failure := []byte(`{"Key":"k1","Err":"boom"}`)
+	for _, seed := range []struct{ object, failure []byte }{
+		{nil, nil},
+		{good, nil},
+		{good, failure},
+		{nil, failure},
+		{bytes.Replace(good, []byte("193"), []byte("999"), 1), nil},
+		{good[:len(good)/2], failure},
+		{encode("k1", Result{Time: 4000}, false), nil},
+		{encode("k2", Result{Time: 4000}, true), []byte(`{"Key":"k2","Err":"foreign"}`)},
+		{[]byte("garbage not json\n"), []byte("garbage")},
+		{bytes.Replace(good, []byte(" "), nil, -1), []byte(`{"Key":"k1","Err":5}`)},
 	} {
-		f.Add([]byte(seed.manifest), []byte(seed.object))
+		f.Add(seed.object, seed.failure)
 	}
-	f.Fuzz(func(t *testing.T, manifest, k1Object []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), manifest, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		path := (&Cache{dir: dir}).objectPath(HashKey("k1"))
-		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, k1Object, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		c, err := OpenCache(dir)
+	f.Fuzz(func(t *testing.T, k1Object, k1Failure []byte) {
+		c, err := OpenCache(t.TempDir())
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		st := c.Status()
-		for _, rec := range c.done {
-			c.Get(rec.Key)
-		}
-		for _, failure := range st.Failures {
-			c.Get(failure.Key)
-		}
-		if res, ok := c.Get("k1"); ok {
-			if rec := c.done[HashKey("k1")]; digest(k1Object) != rec.Digest {
-				t.Fatalf("served k1 from an object that does not match its journaled digest %q", rec.Digest)
+		hash := HashKey("k1")
+		for _, file := range []struct {
+			tree string
+			data []byte
+		}{{"objects", k1Object}, {"failed", k1Failure}} {
+			path := c.path(file.tree, hash)
+			if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+				t.Fatal(err)
 			}
-			var want object
-			if err := json.Unmarshal(k1Object, &want); err != nil || !reflect.DeepEqual(res, want.Result) {
-				t.Fatalf("served %+v, the object holds %+v (%v)", res, want.Result, err)
+			if err := os.WriteFile(path, file.data, 0o666); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if _, err := c.Compact(); err != nil {
-			t.Fatalf("compact: %v", err)
+		res, served := c.Get("k1")
+		if served {
+			var obj object
+			if err := json.Unmarshal(k1Object, &obj); err != nil || obj.Key != "k1" {
+				t.Fatalf("served k1 from bytes that do not decode to k1's object (%v)", err)
+			}
+			if d, err := obj.payloadDigest(); err != nil || d != obj.Digest {
+				t.Fatalf("served k1 from an object whose digest %q does not match its payload's %q", obj.Digest, d)
+			}
+			if !reflect.DeepEqual(res, obj.Result) {
+				t.Fatalf("served %+v, the object holds %+v", res, obj.Result)
+			}
 		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		c2, err := OpenCache(dir)
+		st, err := c.Status()
 		if err != nil {
-			t.Fatalf("compacted journal does not reopen: %v", err)
+			t.Fatalf("status: %v", err)
 		}
-		defer c2.Close()
-		if got := c2.Status(); !reflect.DeepEqual(got, st) {
-			t.Fatalf("status after compact = %+v, want %+v", got, st)
+		if (st.Done == 1) != served || st.Done > 1 {
+			t.Fatalf("status counts %d done, Get serves k1: %v", st.Done, served)
+		}
+		var fail Failure
+		wantFailed := !served && json.Unmarshal(k1Failure, &fail) == nil && fail.Key == "k1"
+		if (st.Failed == 1) != wantFailed || st.Failed != len(st.Failures) || st.Failed > 1 {
+			t.Fatalf("status %+v, want k1 failed: %v", st, wantFailed)
 		}
 	})
 }

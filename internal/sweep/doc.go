@@ -1,6 +1,6 @@
 // Package sweep is the experiment orchestrator: a deterministic parallel
-// job runner for simulation sweeps with a content-addressed result cache
-// and a crash-safe manifest journal.
+// job runner for simulation sweeps with a crash-safe, content-addressed
+// result cache.
 //
 // The paper's evaluation is a large matrix of independent NWO runs — six
 // applications plus WORKER across the whole protocol spectrum on machines
@@ -16,11 +16,10 @@
 //     distinct job of a submission once and merging results back in
 //     submission (matrix) order so sweep output is byte-identical to a
 //     serial run at any worker count;
-//   - a Cache, the only result store, persists each finished result under
-//     the SHA-256 of its job key, journaled with a digest of the stored
-//     bytes in an append-only JSONL manifest, so a killed sweep resumes
-//     by skipping finished jobs and an unchanged matrix re-runs as pure
-//     cache hits.
+//   - a Cache, the only result store, persists each finished result as a
+//     file named by the SHA-256 of its job key and carrying a digest of
+//     its own payload, so a killed sweep resumes by skipping finished jobs
+//     and an unchanged matrix re-runs as pure cache hits.
 //
 // The package is part of the lint-enforced simulation core: everything
 // outside the explicitly annotated worker-pool handoff follows the

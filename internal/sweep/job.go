@@ -47,7 +47,7 @@ const (
 )
 
 // ProgramRef names a workload canonically, so a job can be hashed,
-// journaled, and re-resolved in a later process.
+// cached, and re-resolved in a later process.
 type ProgramRef struct {
 	// App is WorkerName, LitmusName, an ablation workload
 	// (HomeShareName, TokenRingName, MissStreamName), or one of the paper

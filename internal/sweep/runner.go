@@ -42,9 +42,7 @@ type Config struct {
 type Runner struct {
 	cfg   Config
 	cache *Cache
-
-	mu    sync.Mutex
-	total int // simulation executions
+	total atomic.Int64 // simulation executions
 }
 
 // NewRunner builds a runner, opening the disk cache when configured.
@@ -70,16 +68,10 @@ func MustNewRunner(cfg Config) *Runner {
 	return r
 }
 
-// Close releases the disk cache, if any.
-func (r *Runner) Close() error {
-	if r.cache == nil {
-		return nil
-	}
-	return r.cache.Close()
-}
-
-// Cache exposes the runner's disk cache (nil when memory-only).
-func (r *Runner) Cache() *Cache { return r.cache }
+// Close releases the runner. A disk cache holds no open handle between
+// calls, so there is nothing to release today; Close stays so callers
+// need not know whether a runner has a cache.
+func (r *Runner) Close() error { return nil }
 
 // Workers reports the effective worker count.
 func (r *Runner) Workers() int {
@@ -96,7 +88,7 @@ type Outcome struct {
 	// Key is the job's canonical cache key; empty means the job
 	// description itself was invalid.
 	Key string
-	// Hash is the SHA-256 of Key, the cache and journal identifier.
+	// Hash is the SHA-256 of Key, which names the job's cache files.
 	Hash string
 	// Result is valid when Err is nil.
 	Result Result
@@ -182,7 +174,8 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 			o.Err = err
 			return
 		}
-		res, err := r.execute(t.job)
+		r.total.Add(1)
+		res, err := execute(t.job, r.cfg.CycleBudget, r.cfg.OnExecute)
 		if err != nil {
 			o.Err = err
 			if r.cache != nil {
@@ -229,24 +222,6 @@ func (r *Runner) lookup(key string) (Result, bool) {
 	return r.cache.Get(key)
 }
 
-// execute counts and runs one simulation under panic recovery and the
-// cycle budget.
-func (r *Runner) execute(job Job) (res Result, err error) {
-	defer func() {
-		//lint:allow panic-hygiene(a panicking OnExecute hook must become a failure record, not a crashed sweep; the stack is preserved in the error)
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("sweep: job panicked: %v\n%s", rec, debug.Stack())
-		}
-	}()
-	r.mu.Lock()
-	r.total++
-	r.mu.Unlock()
-	if r.cfg.OnExecute != nil {
-		r.cfg.OnExecute(job)
-	}
-	return Execute(job, r.cfg.CycleBudget)
-}
-
 // Execute runs one job's simulation to completion and captures its
 // cacheable result. It is the single-execution primitive under the Runner
 // (and under benchmarks that time one run): because the simulator is
@@ -258,13 +233,23 @@ func (r *Runner) execute(job Job) (res Result, err error) {
 // Job.Limit is zero (0 = unbounded). On return the job's machine is
 // released (machine.Machine.Release), so its cache storage serves later
 // jobs.
-func Execute(job Job, defaultLimit sim.Cycle) (res Result, err error) {
+func Execute(job Job, defaultLimit sim.Cycle) (Result, error) {
+	return execute(job, defaultLimit, nil)
+}
+
+// execute is Execute with a hook called first, inside the recovered
+// region, so a panicking hook (the runner's OnExecute) becomes a failure
+// record too.
+func execute(job Job, defaultLimit sim.Cycle, hook func(Job)) (res Result, err error) {
 	defer func() {
-		//lint:allow panic-hygiene(a panicking simulation must become a failure record, not a crashed worker; the stack is preserved in the error)
+		//lint:allow panic-hygiene(a panicking simulation or OnExecute hook must become a failure record, not a crashed worker; the stack is preserved in the error)
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("sweep: job panicked: %v\n%s", rec, debug.Stack())
 		}
 	}()
+	if hook != nil {
+		hook(job)
+	}
 	prog, err := job.Program.Resolve()
 	if err != nil {
 		return Result{}, err
@@ -307,11 +292,7 @@ func Execute(job Job, defaultLimit sim.Cycle) (res Result, err error) {
 }
 
 // TotalExecs reports the runner-wide simulation execution count.
-func (r *Runner) TotalExecs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
+func (r *Runner) TotalExecs() int { return int(r.total.Load()) }
 
 // runPool distributes task indices 0..n-1 over a fixed worker pool. Work
 // is handed out through an atomic counter, so no channels are involved and

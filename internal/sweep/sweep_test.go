@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -232,9 +231,10 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCacheServesOnlyDigestedRecords pins that a "done" record without an
-// object digest, as journals written before digests carry, is a miss: the
-// job re-executes and its new record is served from then on.
+// TestCacheServesOnlyDigestedRecords pins that an object without an
+// embedded digest, as cache directories written before objects carried
+// one hold, is a miss: the job re-executes and its rewritten object is
+// served from then on.
 func TestCacheServesOnlyDigestedRecords(t *testing.T) {
 	dir := t.TempDir()
 	jobs := smallMatrix(3)
@@ -245,28 +245,30 @@ func TestCacheServesOnlyDigestedRecords(t *testing.T) {
 	if _, err := r.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
 
-	manifest := filepath.Join(dir, "manifest.jsonl")
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
+	objects := cacheFiles(t, dir, "objects")
+	if len(objects) != len(jobs) {
+		t.Fatalf("%d objects for %d jobs", len(objects), len(jobs))
 	}
-	var legacy []byte
-	for _, line := range strings.SplitAfter(string(data), "\n") {
-		var m manifestLine
-		if line == "" {
-			continue
+	for _, path := range objects {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal([]byte(line), &m); err != nil || m.Digest == "" {
-			t.Fatalf("record %q: want a digest (err %v)", line, err)
+		var obj object
+		if err := json.Unmarshal(data, &obj); err != nil || obj.Digest == "" {
+			t.Fatalf("object %s: want a digest (err %v)", path, err)
 		}
-		m.Digest = ""
-		enc, _ := json.Marshal(m)
-		legacy = append(append(legacy, enc...), '\n')
-	}
-	if err := os.WriteFile(manifest, legacy, 0o666); err != nil {
-		t.Fatal(err)
+		legacy, err := json.MarshalIndent(struct {
+			Key    string
+			Result Result
+		}{obj.Key, obj.Result}, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(legacy, '\n'), 0o666); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for _, want := range []int{len(jobs), 0} {
@@ -280,80 +282,210 @@ func TestCacheServesOnlyDigestedRecords(t *testing.T) {
 		if got := r.TotalExecs(); got != want {
 			t.Fatalf("executed %d simulations, want %d", got, want)
 		}
-		r.Close()
 	}
 }
 
-func TestCacheTolerantOfTruncatedFinalLine(t *testing.T) {
+// cacheFiles lists the files of one tree of a cache directory.
+func cacheFiles(t *testing.T, dir, tree string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, tree, "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestCacheToleratesTornWrites leaves what a crash mid-Put can leave — a
+// half-written temporary file beside the objects — and truncates one
+// object as a torn disk would. The temporary file is ignored, the
+// truncated object re-executes, and every other job stays warm.
+func TestCacheToleratesTornWrites(t *testing.T) {
 	dir := t.TempDir()
+	jobs := smallMatrix(3)
 	r, err := NewRunner(Config{Workers: 1, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := smallMatrix(3)
 	if _, err := r.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
-
-	manifest := filepath.Join(dir, "manifest.jsonl")
-	f, err := os.OpenFile(manifest, os.O_WRONLY|os.O_APPEND, 0)
+	key, _ := jobs[0].Key("")
+	path := (&Cache{dir: dir}).path("objects", HashKey(key))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a torn, unterminated record.
-	if _, err := f.WriteString(`{"h":"deadbeef","k":"half-wri`); err != nil {
+	tmp := filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp123")
+	if err := os.WriteFile(tmp, data[:len(data)/3], 0o666); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	r2, err := NewRunner(Config{Workers: 1, CacheDir: dir})
-	if err != nil {
-		t.Fatalf("truncated final manifest line must be tolerated: %v", err)
+	if err := os.WriteFile(path, data[:len(data)/2], 0o666); err != nil {
+		t.Fatal(err)
 	}
-	defer r2.Close()
+
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Status(); err != nil || st.Done != len(jobs)-1 || st.Failed != 0 {
+		t.Fatalf("status %+v (%v), want %d done", st, err, len(jobs)-1)
+	}
+	execs := newExecCounts()
+	r2, err := NewRunner(Config{Workers: 1, CacheDir: dir, OnExecute: execs.hook})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r2.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.TotalExecs(); got != 0 {
-		t.Fatalf("journaled results lost after torn append: %d re-executions", got)
+	for i, j := range jobs {
+		want := 0
+		if i == 0 {
+			want = 1
+		}
+		if got := execs.of(j); got != want {
+			t.Fatalf("job %d executed %d times after the torn write, want %d", i, got, want)
+		}
 	}
 }
 
-func TestCacheRejectsMidFileCorruption(t *testing.T) {
-	for _, tc := range []struct{ name, bad string }{
-		{"not json", "garbage not json\n"},
-		// A well-formed record whose hash is not the hash of its key.
-		{"foreign hash", `{"h":"x","k":"not-a-job","s":"done"}` + "\n"},
-		{"unknown status", fmt.Sprintf(`{"h":%q,"k":"k1","s":"maybe"}`, HashKey("k1")) + "\n"},
+// TestCacheSkipsMalformedFiles pins that a file holding something other
+// than what its name promises is never served and never counted.
+func TestCacheSkipsMalformedFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// bad rewrites the object of key k1, given the object of k2.
+		bad func(k1, k2 []byte) []byte
+	}{
+		{"not_json", func(k1, _ []byte) []byte { return []byte("garbage not json\n") }},
+		// A valid, self-consistent object filed under another key's hash.
+		{"foreign_hash", func(_, k2 []byte) []byte { return k2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			r, err := NewRunner(Config{Workers: 1, CacheDir: dir})
+			c, err := OpenCache(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Run(context.Background(), smallMatrix(2)); err != nil {
+			for _, key := range []string{"k1", "k2"} {
+				if err := c.Put(key, Result{Time: 7}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p1, p2 := c.path("objects", HashKey("k1")), c.path("objects", HashKey("k2"))
+			k1, err1 := os.ReadFile(p1)
+			k2, err2 := os.ReadFile(p2)
+			if err := errors.Join(err1, err2); err != nil {
 				t.Fatal(err)
 			}
-			r.Close()
-
-			manifest := filepath.Join(dir, "manifest.jsonl")
-			data, err := os.ReadFile(manifest)
-			if err != nil {
+			if err := os.WriteFile(p1, tc.bad(k1, k2), 0o666); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(manifest, []byte(tc.bad+string(data)), 0o666); err != nil {
-				t.Fatal(err)
+			if _, ok := c.Get("k1"); ok {
+				t.Fatal("served k1 from a malformed file")
 			}
-			_, err = OpenCache(dir)
-			if err == nil {
-				t.Fatal("corruption before valid records must fail the open, not drop work silently")
+			if _, ok := c.Get("k2"); !ok {
+				t.Fatal("k2 no longer served")
 			}
-			if !strings.Contains(err.Error(), "line 1 ") {
-				t.Fatalf("error does not name the malformed line: %v", err)
+			if st, err := c.Status(); err != nil || st.Done != 1 {
+				t.Fatalf("status %+v (%v), want 1 done", st, err)
 			}
 		})
+	}
+}
+
+// TestStatusReportsLatestState pins Status over a history with
+// superseded records: k1 completes, k2 fails then succeeds on retry, k3
+// fails twice, and a success of k4 races a failure written after it.
+func TestStatusReportsLatestState(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Result{Time: 7}
+	for _, step := range []struct {
+		key string
+		err error
+	}{
+		{"k1", nil},
+		{"k3", errors.New("boom a")},
+		{"k2", errors.New("first attempt")},
+		{"k2", nil},
+		{"k3", errors.New("boom b")},
+		{"k4", nil},
+		{"k4", errors.New("late failure")},
+		{"k0", errors.New("sorted first")},
+	} {
+		if step.err == nil {
+			err = c.Put(step.key, res)
+		} else {
+			err = c.PutFailure(step.key, step.err)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(cacheFiles(t, c.dir, "failed")); n != 3 {
+		t.Fatalf("%d failure files, want 3 (k0, k3, k4): a Put must remove its key's failure", n)
+	}
+	for _, key := range []string{"k1", "k2", "k4"} {
+		if got, ok := c.Get(key); !ok || !reflect.DeepEqual(got, res) {
+			t.Fatalf("Get(%q) = %+v, %v; want hit", key, got, ok)
+		}
+	}
+	st, err := c.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Status{Done: 3, Failed: 2, Failures: []Failure{{"k0", "sorted first"}, {"k3", "boom b"}}}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("status %+v, want %+v", st, want)
+	}
+}
+
+// TestTwoRunnersShareOneDirectory runs two runners at once on one cache
+// directory over overlapping matrices, as two processes sharing -cache
+// would. A third runner must then serve every job warm, with the results
+// a cacheless Execute computes.
+func TestTwoRunnersShareOneDirectory(t *testing.T) {
+	dir := t.TempDir()
+	jobs := smallMatrix(8)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, part := range [][]Job{jobs[:6], jobs[2:]} {
+		r, err := NewRunner(Config{Workers: 2, CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, o := range r.Sweep(context.Background(), part) {
+				errs[i] = errors.Join(errs[i], o.Err, o.CacheErr)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewRunner(Config{Workers: 2, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := r.Sweep(context.Background(), jobs)
+	if got := r.TotalExecs(); got != 0 {
+		t.Fatalf("third runner executed %d simulations, want 0", got)
+	}
+	for i, o := range warm {
+		want, err := Execute(jobs[i], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !o.Cached || o.Err != nil || !reflect.DeepEqual(o.Result, want) {
+			t.Fatalf("job %d: cached=%v err=%v, result differs from Execute: %v",
+				i, o.Cached, o.Err, !reflect.DeepEqual(o.Result, want))
+		}
 	}
 }
 
@@ -362,7 +494,7 @@ func TestCrashResume(t *testing.T) {
 	jobs := smallMatrix(12)
 
 	// First attempt: cancel the sweep after a few executions, as a crash
-	// would. The journal must preserve exactly the completed jobs.
+	// would. The cache must keep exactly the completed jobs.
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed atomic.Int64
 	firstExecs := newExecCounts()
@@ -461,7 +593,7 @@ func TestPanicBecomesFailureRecord(t *testing.T) {
 	}
 	r.Close()
 
-	// The failure is journaled for reporting but never served as a result:
+	// The failure is recorded for reporting but never served as a result:
 	// a resumed sweep re-executes the job (this time without the poison).
 	execs := newExecCounts()
 	r2, err := NewRunner(Config{Workers: 1, CacheDir: dir, OnExecute: execs.hook})
@@ -469,12 +601,12 @@ func TestPanicBecomesFailureRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	st := r2.Cache().Status()
+	st := cacheStatus(t, dir)
 	if st.Failed != 1 || len(st.Failures) != 1 {
-		t.Fatalf("failure not journaled: %+v", st)
+		t.Fatalf("failure not recorded: %+v", st)
 	}
-	if !strings.Contains(st.Failures[0].Err, "injected test panic") {
-		t.Fatalf("journaled failure lost its error: %q", st.Failures[0].Err)
+	if !strings.Contains(st.Failures[0].Err, "injected test panic") || !strings.Contains(st.Failures[0].Err, "goroutine") {
+		t.Fatalf("recorded failure lost its error or stack: %q", st.Failures[0].Err)
 	}
 	if _, err := r2.Run(context.Background(), []Job{poison}); err != nil {
 		t.Fatalf("failed job must re-execute on resume: %v", err)
@@ -482,9 +614,24 @@ func TestPanicBecomesFailureRecord(t *testing.T) {
 	if got := execs.of(poison); got != 1 {
 		t.Fatalf("resume executed the failed job %d times, want 1", got)
 	}
-	if st := r2.Cache().Status(); st.Failed != 0 {
-		t.Fatalf("success must clear the journaled failure, still %d failed", st.Failed)
+	if st := cacheStatus(t, dir); st.Failed != 0 {
+		t.Fatalf("success must clear the recorded failure, still %d failed", st.Failed)
 	}
+}
+
+// cacheStatus reads a cache directory's status as a separate process
+// would.
+func cacheStatus(t *testing.T, dir string) Status {
+	t.Helper()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestCycleBudget(t *testing.T) {
@@ -532,143 +679,5 @@ func TestRunPoolCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers=%d n=%d: %d calls", workers, n, hits.Load())
 			}
 		}
-	}
-}
-
-func TestCompactRewritesJournalToLiveRecords(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// A history with superseded records: k1 completes, k2 fails then
-	// succeeds on retry, k3 fails twice. Journal: 5 lines, live: 3.
-	res := Result{Time: 7}
-	if err := c.Put("k1", res); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PutFailure("k2", errors.New("first attempt")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("k2", res); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PutFailure("k3", errors.New("boom a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PutFailure("k3", errors.New("boom b")); err != nil {
-		t.Fatal(err)
-	}
-
-	records, err := c.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if records != 3 {
-		t.Fatalf("Compact wrote %d records; want 3 (k1 done, k2 done, k3 failed)", records)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(string(data), "\n"); got != 3 {
-		t.Fatalf("compacted manifest has %d lines; want 3:\n%s", got, data)
-	}
-
-	// The compacted cache still appends: a new completion lands in the
-	// rewritten journal.
-	if err := c.Put("k4", res); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh open over the compacted journal sees exactly the live state.
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatalf("open after compact: %v", err)
-	}
-	defer c2.Close()
-	for _, key := range []string{"k1", "k2", "k4"} {
-		if got, ok := c2.Get(key); !ok || got.Time != res.Time {
-			t.Fatalf("Get(%q) after compact = %+v, %v; want hit", key, got, ok)
-		}
-	}
-	st := c2.Status()
-	if st.Done != 3 || st.Failed != 1 {
-		t.Fatalf("status after compact: %+v; want 3 done, 1 failed", st)
-	}
-	if st.Failures[0].Err != "boom b" {
-		t.Fatalf("failure after compact: %+v; want the latest error kept", st.Failures[0])
-	}
-}
-
-func TestCompactDropsTornFinalLine(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("k1", Result{Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	manifest := filepath.Join(dir, "manifest.jsonl")
-	f, err := os.OpenFile(manifest, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"h":"deadbeef","k":"half-wri`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// The torn line is tolerated at replay and gone after compaction: the
-	// rewritten journal parses strictly, every line.
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatalf("torn final line must be tolerated: %v", err)
-	}
-	if _, err := c2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var m manifestLine
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("compacted manifest line %d unparseable: %q", i+1, line)
-		}
-	}
-	c3, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c3.Close()
-	if got, ok := c3.Get("k1"); !ok || got.Time != 1 {
-		t.Fatalf("Get(k1) after compact = %+v, %v; want hit", got, ok)
-	}
-}
-
-func TestCompactClosedCacheFails(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Compact(); err == nil {
-		t.Fatal("Compact on a closed cache must fail")
 	}
 }

@@ -177,6 +177,6 @@ func TestCorruptedObjectIsAMiss(t *testing.T) {
 		t.Fatalf("after the edit: %d execution(s), want 1; report:\n%s", execs, got)
 	}
 	if got, execs := render(); got != cold || execs != 0 {
-		t.Fatalf("re-executed object not journaled again: %d execution(s); report:\n%s", execs, got)
+		t.Fatalf("re-executed object not rewritten: %d execution(s); report:\n%s", execs, got)
 	}
 }

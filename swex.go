@@ -168,8 +168,8 @@ func NewTraceRing(limit int) *TraceCollector { return trace.NewRing(limit) }
 // Sweeper is the parallel experiment orchestrator: it executes matrices of
 // simulation jobs on a worker pool, deduplicates identical points, and —
 // when configured with a cache directory — persists every finished result
-// in a content-addressed store with a crash-safe manifest journal, so
-// killed sweeps resume and unchanged matrices re-run as pure cache hits.
+// in a crash-safe, content-addressed object directory, so killed sweeps
+// resume and unchanged matrices re-run as pure cache hits.
 // Results merge in submission order, so sweep output is byte-identical to
 // a serial run at any worker count. See internal/sweep.
 type Sweeper = sweep.Runner
