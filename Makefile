@@ -31,9 +31,10 @@ vet:
 # are coroutines that alternate with the engine and start no goroutines —
 # so a report there means something broke the lockstep. The interesting
 # schedules are in the pool merge, two runners writing one cache directory
-# at once (TestTwoRunnersShareOneDirectory), and machine storage that one
-# sweep worker releases and another reuses
-# (TestReusedMachineStorageIsInvisible).
+# at once (TestTwoRunnersShareOneDirectory), and each sweep worker
+# resetting its own machine for its next job while the other runs
+# (TestReusedMachineStorageIsInvisible); no machine storage crosses
+# workers.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/proc/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/litmus/...
 
@@ -94,8 +95,9 @@ sweep-smoke:
 # warm over one cache directory — the warm run must execute zero
 # simulations and print byte-identical stdout — then the same campaign
 # uncached on one and on two workers, which must print that stdout too:
-# released machine storage crosses sweep workers, so reuse must not be
-# visible at any worker count. Finally the negative control: a machine
+# each worker resets one machine for all its jobs, and which jobs share a
+# machine depends on the worker count, so reuse must not be visible at
+# any of them. Finally the negative control: a machine
 # weakened to drop an invalidation must be flagged by the oracle, proving
 # the pipeline can see a coherence bug.
 fuzz-smoke:

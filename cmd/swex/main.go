@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	swex [-quick] [-json] [-workers N] [-cache DIR]
+//	swex [-quick] [-json] [-workers N] [-cache DIR] [-cycle-budget N]
 //	     [-cpuprofile FILE] [-memprofile FILE] <experiment>... | all
 //	swex -list [-quick] <experiment>... | all
 //	swex -status -cache DIR
@@ -16,7 +16,10 @@
 //
 // -quick runs reduced problem sizes (seconds instead of minutes) that
 // preserve every qualitative shape. -json prints each experiment's
-// assembled data instead of its rendered table.
+// assembled data instead of its rendered table. -cycle-budget N fails a
+// job that runs past N simulated cycles with a named error
+// (machine.ErrIncomplete); the default, 396,101,850, is ten times the
+// longest full-mode job, and 0 lifts the limit.
 //
 // The selected experiments' jobs go to one sweep runner (see
 // internal/sweep) as one submission, so a point they share runs once.
@@ -57,6 +60,9 @@ import (
 	"swex/internal/sweep"
 )
 
+// defaultCycleBudget is -cycle-budget's default, derived above its flag.
+const defaultCycleBudget = 396_101_850
+
 var (
 	errNegative = errors.New("must be non-negative")
 	errNoCache  = errors.New("no such cache directory")
@@ -72,7 +78,11 @@ func run() int {
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = one per core)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty = in-memory only)")
 	salt := flag.String("salt", "", "extra key material mixed into every job hash")
-	cycleBudget := flag.Int64("cycle-budget", 0, "per-job simulated-cycle limit (0 = unbounded)")
+	// The default budget is 10 times the longest run of any full-mode
+	// job, TSP on one node at 39,610,185 cycles, measured once from a
+	// `swex all` cache directory: no exhibit job comes near it, and a
+	// machine that livelocks fails by name instead of hanging the sweep.
+	cycleBudget := flag.Int64("cycle-budget", defaultCycleBudget, "per-job simulated-cycle limit (0 = unbounded)")
 	list := flag.Bool("list", false, "print the job matrix (hash and description) without running")
 	status := flag.Bool("status", false, "summarize the cache directory and exit (non-zero if it records failures)")
 	profiles := hostprof.Register(flag.CommandLine)

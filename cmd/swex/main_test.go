@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"swex"
+	"swex/internal/machine"
 	"swex/internal/sweep"
 )
 
@@ -190,6 +192,20 @@ func TestFailedJobPrintsNothing(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout, "cache "+dir+": ") || !strings.Contains(stdout, "  FAILED "+key+"\n") {
 		t.Fatalf("-status stdout %q does not list the failed key %q", stdout, key)
+	}
+}
+
+// TestOverBudgetJobFailsByName pins the cycle budget: a job that runs
+// past it fails with machine.ErrIncomplete's text and the budget's cycle,
+// and the default budget is the derived one, not unbounded.
+func TestOverBudgetJobFailsByName(t *testing.T) {
+	code, _, stderr := runSwex(t, "-quick", "-cycle-budget", "1000", "table1")
+	if want := machine.ErrIncomplete.Error() + " at cycle 1000 "; code != 1 || !strings.Contains(stderr, want) {
+		t.Fatalf("exit status %d, stderr %q; want 1 and %q", code, stderr, want)
+	}
+	code, _, stderr = runSwex(t, "-h")
+	if want := fmt.Sprintf("(default %d)", defaultCycleBudget); code != 0 || !strings.Contains(stderr, want) {
+		t.Fatalf("-h: exit status %d, usage %q does not show %s", code, stderr, want)
 	}
 }
 

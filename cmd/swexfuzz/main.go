@@ -163,7 +163,7 @@ func run(args []string) error {
 	for i, res := range results {
 		m := metas[i]
 		e := entries[m.prog]
-		obs, err := litmus.ThreadObs(e.prog, res.Obs, jobs[i].Config.ThreadsPerNode)
+		obs, err := litmus.ThreadObs(e.prog, res.Obs, jobs[i].Config.Threads())
 		if err != nil {
 			return fmt.Errorf("%s under %s: %v", e.name, aliases[m.spec], err)
 		}
@@ -308,7 +308,7 @@ func runWeakened(nodes int, limit sim.Cycle) error {
 	if err != nil {
 		return fmt.Errorf("weakened fixture: %v", err)
 	}
-	obs, err := litmus.ThreadObs(p, res.Obs, cfg.ThreadsPerNode)
+	obs, err := litmus.ThreadObs(p, res.Obs, cfg.Threads())
 	if err != nil {
 		return fmt.Errorf("weakened fixture: %v", err)
 	}

@@ -16,7 +16,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"swex/internal/mem"
 )
@@ -106,27 +105,27 @@ type store struct {
 	written []uint64
 }
 
-var (
-	poolsMu sync.Mutex
-	pools   = map[int]*sync.Pool{} // released stores by line count
-)
-
-func pool(lines int) *sync.Pool {
-	poolsMu.Lock()
-	defer poolsMu.Unlock()
-	p := pools[lines]
-	if p == nil {
-		p = new(sync.Pool)
-		pools[lines] = p
-	}
-	return p
+// New builds a cache. It panics on degenerate geometry: cache shape is
+// fixed at machine construction.
+func New(cfg Config) *Cache {
+	c := &Cache{}
+	c.Reset(cfg)
+	return c
 }
 
-// New builds a cache. It panics on degenerate geometry: cache shape is
-// fixed at machine construction. The line array comes from a released
-// cache of the same line count when one is pooled, so it may be reused
-// storage; Release guarantees it is all zero Lines again.
-func New(cfg Config) *Cache {
+// Reset returns the cache in place to what New(cfg) builds: every line
+// zero, no victim lines, zero statistics, cfg's geometry. It keeps the
+// line array when cfg has as many lines, and the victim array when it
+// is large enough. It panics on degenerate geometry, as New does.
+//
+// Only the sets marked since the array was last cleared are zeroed. A
+// line enters a set that holds none only through Insert's free-way fill,
+// which marks the set first. Every other write lands in a set that
+// already holds a line: an Insert refill or displacement, a victim-cache
+// hit moved back into the set it was displaced from, and the reordering
+// and zeroing done by Lookup and Invalidate. So every non-zero line lies
+// in a marked set, and the cleared array equals a freshly made one.
+func (c *Cache) Reset(cfg Config) {
 	if cfg.Lines <= 0 {
 		panic(fmt.Sprintf("cache: %d lines", cfg.Lines))
 	}
@@ -137,18 +136,21 @@ func New(cfg Config) *Cache {
 	if cfg.Lines%ways != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by %d ways", cfg.Lines, ways))
 	}
-	st, _ := pool(cfg.Lines).Get().(*store)
-	if st == nil {
-		st = &store{lines: make([]Line, cfg.Lines), written: make([]uint64, (cfg.Lines+63)/64)}
+	if st := c.st; st != nil && len(st.lines) == cfg.Lines {
+		for i, word := range st.written {
+			for ; word != 0; word &= word - 1 {
+				clear(c.set(i*64 + bits.TrailingZeros64(word)))
+			}
+			st.written[i] = 0
+		}
+	} else {
+		c.st = &store{lines: make([]Line, cfg.Lines), written: make([]uint64, (cfg.Lines+63)/64)}
 	}
-	return &Cache{
-		cfg:    cfg,
-		ways:   ways,
-		sets:   cfg.Lines / ways,
-		st:     st,
-		slots:  st.lines,
-		victim: make([]Line, 0, cfg.VictimLines),
+	if cap(c.victim) < cfg.VictimLines {
+		c.victim = make([]Line, 0, cfg.VictimLines)
 	}
+	c.cfg, c.ways, c.sets = cfg, ways, cfg.Lines/ways
+	c.slots, c.victim, c.Stats = c.st.lines, c.victim[:0], Stats{}
 }
 
 // CloneInto returns an independent cache with this one's geometry and
@@ -165,30 +167,6 @@ func (c *Cache) CloneInto(dst *Cache) *Cache {
 	dst.victim = append(dst.victim[:0], c.victim...)
 	dst.Stats = Stats{}
 	return dst
-}
-
-// Release returns the cache's line array to a pool for the next New of
-// the same line count, and leaves the cache unusable: any later lookup
-// or insert, or a second Release, panics rather than alias another
-// cache's lines.
-//
-// Only the sets marked since New are cleared. A line enters a set that
-// holds none only through Insert's free-way fill, which marks the set
-// first. Every other write lands in a set that already holds a line: an
-// Insert refill or displacement, a victim-cache hit moved back into the
-// set it was displaced from, and the reordering and zeroing done by
-// Lookup and Invalidate. So every non-zero line lies in a marked set,
-// and the cleared array equals a freshly made one.
-func (c *Cache) Release() {
-	st := c.st
-	for i, word := range st.written {
-		for ; word != 0; word &= word - 1 {
-			clear(c.set(i*64 + bits.TrailingZeros64(word)))
-		}
-		st.written[i] = 0
-	}
-	c.st, c.slots, c.victim = nil, nil, nil
-	pool(c.cfg.Lines).Put(st)
 }
 
 // Set returns the set index for a block.

@@ -11,9 +11,10 @@
 package dir
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"swex/internal/mem"
 )
@@ -268,8 +269,9 @@ func New(caps int) *Directory {
 
 // Reset empties the directory, keeping its storage, and gives the
 // entries it creates from now on caps hardware pointers: it then behaves
-// exactly as New(caps). CloneInto resets its destination this way, and a
-// released home controller's directory is reset for the next machine.
+// exactly as New(caps). CloneInto resets its destination this way, and
+// a home controller's directory is reset with its machine
+// (machine.Machine.Reset).
 func (d *Directory) Reset(caps int) {
 	d.caps = caps
 	if d.n == 0 {
@@ -404,7 +406,7 @@ func (d *Directory) ForEach(fn func(mem.Block, *Entry)) {
 			used = append(used, s)
 		}
 	}
-	sort.Slice(used, func(i, j int) bool { return used[i].b < used[j].b })
+	slices.SortFunc(used, func(x, y slot) int { return cmp.Compare(x.b, y.b) })
 	for _, s := range used {
 		fn(s.b, s.e)
 	}

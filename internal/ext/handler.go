@@ -2,7 +2,6 @@ package ext
 
 import (
 	"fmt"
-	"sync"
 
 	"swex/internal/mem"
 	"swex/internal/proto"
@@ -61,46 +60,49 @@ func (h *Handlers) record(rec stats.HandlerRecord) {
 // New builds the extension software for an n-node machine running spec
 // under the given cost model.
 func New(n int, spec proto.Spec, cost CostModel) (*Handlers, error) {
-	if cost.Name == "Assembly" && spec.Name != "DirnH5SNB" {
-		return nil, fmt.Errorf("ext: the hand-tuned assembly handlers implement only DirnH5SNB, not %s", spec.Name)
-	}
-	h := &Handlers{
-		cost:     cost,
-		spec:     spec,
-		maxNodes: n,
-		nodes:    make([]nodeSW, n),
-		sharers:  make([]mem.NodeID, n),
-	}
-	for i := range h.nodes {
-		t, ok := tablePool.Get().(*hashTable)
-		if !ok {
-			t = newHashTable(tableBuckets)
-		}
-		h.nodes[i].table = t
+	h := &Handlers{}
+	if err := h.Reset(n, spec, cost); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
 
-// tableBuckets sizes each node's extended-directory hash table.
-const tableBuckets = 256
-
-// tablePool holds the emptied hash tables of released Handlers.
-var tablePool sync.Pool
-
-// Release returns every node's hash table, emptied, for reuse by later
-// Handlers; the bucket array is what a table costs to build. The free
-// lists are not pooled: the cost model charges a recycled entry
-// differently from a fresh one, so each machine's lists start empty. The
-// Handlers are dead afterwards: any handler call panics rather than
-// reach another machine's table. The Ledger stays readable.
-func (h *Handlers) Release() {
+// Reset returns the handlers in place to what New(n, spec, cost) builds:
+// empty software directories, an empty ledger, parallel invalidation
+// off. It keeps the hash tables of the first n nodes, emptied; the bucket
+// array is what a table costs to build. The free lists start empty, as a
+// new machine's do: the cost model charges a recycled entry differently
+// from a fresh one. On error, which New would return too, nothing
+// changes.
+func (h *Handlers) Reset(n int, spec proto.Spec, cost CostModel) error {
+	if cost.Name == "Assembly" && spec.Name != "DirnH5SNB" {
+		return fmt.Errorf("ext: the hand-tuned assembly handlers implement only DirnH5SNB, not %s", spec.Name)
+	}
+	if cap(h.nodes) < n {
+		h.nodes = append(h.nodes[:cap(h.nodes)], make([]nodeSW, n-cap(h.nodes))...)
+	}
+	h.nodes = h.nodes[:n]
 	for i := range h.nodes {
 		t := h.nodes[i].table
-		t.reset()
-		h.nodes[i] = nodeSW{}
-		tablePool.Put(t)
+		if t == nil {
+			t = newHashTable(tableBuckets)
+		} else {
+			t.reset()
+		}
+		h.nodes[i] = nodeSW{table: t}
 	}
+	if cap(h.sharers) < n {
+		h.sharers = make([]mem.NodeID, n)
+	}
+	h.cost, h.spec, h.maxNodes, h.parInv = cost, spec, n, false
+	h.sharers = h.sharers[:n]
+	h.Ledger.Reset()
+	h.last, h.lastOK = stats.Breakdown{}, false
+	return nil
 }
+
+// tableBuckets sizes each node's extended-directory hash table.
+const tableBuckets = 256
 
 // SetParallelInv enables the parallel-invalidation enhancement: the write
 // handler overlaps invalidation transmission with the CMMU instead of

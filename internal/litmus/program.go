@@ -130,26 +130,29 @@ func (p Program) String() string {
 
 // Parse decodes the canonical encoding produced by Program.String and
 // validates the result. Threads must appear in index order starting at
-// zero; spec overrides must precede the first thread.
+// zero; spec overrides must precede the first thread. The threads'
+// operations share one array, each thread's slice capped at its own
+// length.
 func Parse(s string) (Program, error) {
-	parts := strings.Split(s, ";")
-	if len(parts[0]) < 2 || parts[0][0] != 'v' {
-		return Program{}, fmt.Errorf("litmus: encoding must start with v<vars> (got %q)", parts[0])
+	head, rest, more := strings.Cut(s, ";")
+	if len(head) < 2 || head[0] != 'v' {
+		return Program{}, fmt.Errorf("litmus: encoding must start with v<vars> (got %q)", head)
 	}
-	vars, err := strconv.Atoi(parts[0][1:])
+	vars, err := strconv.Atoi(head[1:])
 	if err != nil {
-		return Program{}, fmt.Errorf("litmus: variable count in %q: %v", parts[0], err)
+		return Program{}, fmt.Errorf("litmus: variable count in %q: %v", head, err)
 	}
 	p := Program{Vars: vars}
-	i := 1
-	for ; i < len(parts) && strings.HasPrefix(parts[i], "c"); i++ {
-		vstr, alias, ok := strings.Cut(parts[i][1:], ":")
+	for more && strings.HasPrefix(rest, "c") {
+		var sec string
+		sec, rest, more = strings.Cut(rest, ";")
+		vstr, alias, ok := strings.Cut(sec[1:], ":")
 		if !ok {
-			return Program{}, fmt.Errorf("litmus: spec override %q is not c<var>:<alias>", parts[i])
+			return Program{}, fmt.Errorf("litmus: spec override %q is not c<var>:<alias>", sec)
 		}
 		v, err := strconv.Atoi(vstr)
 		if err != nil {
-			return Program{}, fmt.Errorf("litmus: spec override variable in %q: %v", parts[i], err)
+			return Program{}, fmt.Errorf("litmus: spec override variable in %q: %v", sec, err)
 		}
 		if p.Specs == nil {
 			p.Specs = make(map[int]string)
@@ -159,25 +162,52 @@ func Parse(s string) (Program, error) {
 		}
 		p.Specs[v] = alias
 	}
-	for ; i < len(parts); i++ {
-		want := fmt.Sprintf("t%d:", len(p.Threads))
-		if !strings.HasPrefix(parts[i], want) {
-			return Program{}, fmt.Errorf("litmus: expected section %q, got %q (threads must be in order, overrides before threads)", want, parts[i])
-		}
-		var ops []Op
-		for _, tok := range strings.Split(parts[i][len(want):], ",") {
-			op, err := parseOp(tok)
-			if err != nil {
-				return Program{}, err
+	if more {
+		// Every section left is a thread, and each holds one more
+		// operation than commas.
+		threads := strings.Count(rest, ";") + 1
+		p.Threads = make([][]Op, 0, threads)
+		all := make([]Op, 0, strings.Count(rest, ",")+threads)
+		for more {
+			var sec string
+			sec, rest, more = strings.Cut(rest, ";")
+			body, ok := threadBody(sec, len(p.Threads))
+			if !ok {
+				want := fmt.Sprintf("t%d:", len(p.Threads))
+				return Program{}, fmt.Errorf("litmus: expected section %q, got %q (threads must be in order, overrides before threads)", want, sec)
 			}
-			ops = append(ops, op)
+			start := len(all)
+			for {
+				tok, after, comma := strings.Cut(body, ",")
+				op, err := parseOp(tok)
+				if err != nil {
+					return Program{}, err
+				}
+				all = append(all, op)
+				if !comma {
+					break
+				}
+				body = after
+			}
+			p.Threads = append(p.Threads, all[start:len(all):len(all)])
 		}
-		p.Threads = append(p.Threads, ops)
 	}
 	if err := p.Validate(); err != nil {
 		return Program{}, err
 	}
 	return p, nil
+}
+
+// threadBody returns what follows sec's "t<t>:" prefix, and whether sec
+// has that prefix.
+func threadBody(sec string, t int) (string, bool) {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(t), 10)
+	n := 1 + len(digits)
+	if len(sec) <= n || sec[0] != 't' || sec[1:n] != string(digits) || sec[n] != ':' {
+		return "", false
+	}
+	return sec[n+1:], true
 }
 
 // MustParse is Parse for known-good encodings (the corpus, fixtures).
@@ -245,7 +275,6 @@ func (p Program) Validate() error {
 	if len(p.Threads) < 1 || len(p.Threads) > maxThreads {
 		return fmt.Errorf("litmus: %d threads (want 1..%d)", len(p.Threads), maxThreads)
 	}
-	seen := make(map[uint64]bool)
 	for t, ops := range p.Threads {
 		if len(ops) > maxOpsPerThread {
 			return fmt.Errorf("litmus: thread %d has %d operations (max %d)", t, len(ops), maxOpsPerThread)
@@ -267,10 +296,9 @@ func (p Program) Validate() error {
 				if op.Arg == 0 {
 					return fmt.Errorf("litmus: thread %d op %d writes zero (reserved for the initial value)", t, j)
 				}
-				if seen[op.Arg] {
+				if p.writtenBefore(t, j, op.Arg) {
 					return fmt.Errorf("litmus: value %d written twice (written values must be unique)", op.Arg)
 				}
-				seen[op.Arg] = true
 			}
 		}
 	}
@@ -290,6 +318,24 @@ func (p Program) Validate() error {
 		}
 	}
 	return nil
+}
+
+// writtenBefore reports whether an operation ahead of thread t's op j in
+// Validate's order writes v. Scanning the program itself needs no set:
+// programs write a few values each, and zeroing a set sized for the
+// largest valid program cost more than the scan.
+func (p Program) writtenBefore(t, j int, v uint64) bool {
+	for u, ops := range p.Threads[:t+1] {
+		if u == t {
+			ops = ops[:j]
+		}
+		for _, op := range ops {
+			if (op.Kind == OpWrite || op.Kind == OpRMW) && op.Arg == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ObsCount reports how many values thread t logs when the program runs:

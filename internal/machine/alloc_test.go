@@ -33,13 +33,13 @@ var runAllocCeilings = []struct {
 	program apps.Program
 	ceiling uint64
 }{
-	{"worker/full-map", proto.FullMap(), worker(), 740},
-	{"worker/limitless-5", proto.LimitLESS(5), worker(), 3_630},
-	{"worker/one-pointer-ack", proto.OnePointer(proto.AckSW), worker(), 11_830},
-	{"worker/software-only", proto.SoftwareOnly(), worker(), 1_250},
-	{"worker/dir1sw", proto.Dir1SW(), worker(), 920},
-	{"tsp/full-map", proto.FullMap(), apps.QuickRegistry()[0], 560},
-	{"tsp/limitless-5", proto.LimitLESS(5), apps.QuickRegistry()[0], 960},
+	{"worker/full-map", proto.FullMap(), worker(), 710},
+	{"worker/limitless-5", proto.LimitLESS(5), worker(), 3_580},
+	{"worker/one-pointer-ack", proto.OnePointer(proto.AckSW), worker(), 11_800},
+	{"worker/software-only", proto.SoftwareOnly(), worker(), 1_200},
+	{"worker/dir1sw", proto.Dir1SW(), worker(), 870},
+	{"tsp/full-map", proto.FullMap(), apps.QuickRegistry()[0], 510},
+	{"tsp/limitless-5", proto.LimitLESS(5), apps.QuickRegistry()[0], 910},
 }
 
 func worker() apps.Program { return apps.Worker(apps.WorkerParams{SetSize: 8, Iters: 20}) }
@@ -49,8 +49,8 @@ func worker() apps.Program { return apps.Worker(apps.WorkerParams{SetSize: 8, It
 // between the start and the end of Machine.Run. runtime.MemStats counts
 // the whole process, so the test never runs in parallel with another.
 // The collector is off across both runs: two collections between them
-// would empty the pools the warm-up filled (the processor threads'
-// among them), and the count would depend on when the collector ran.
+// would empty the processor thread pool the warm-up filled, and the
+// count would depend on when the collector ran.
 func TestRunAllocCeilings(t *testing.T) {
 	const nodes = 16
 	for _, c := range runAllocCeilings {

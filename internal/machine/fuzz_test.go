@@ -93,7 +93,6 @@ func FuzzConfigRuns(f *testing.F) {
 		if err != nil {
 			t.Fatalf("New(%+v) after Validate accepted it: %v", cfg, err)
 		}
-		defer m.Release()
 		m.Fabric.EnableChecker()
 		prog := apps.Worker(apps.WorkerParams{SetSize: cfg.Nodes - 1, Iters: 2})
 		if _, _, err := prog.Run(m, fuzzCycleLimit); err != nil {

@@ -6,6 +6,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"swex/internal/cache"
 	"swex/internal/ext"
@@ -105,34 +106,61 @@ type Machine struct {
 	Fabric *proto.Fabric
 	Soft   *ext.Handlers // nil for full-map
 	Nodes  []*proc.Node
+
+	// soft keeps the extension software's storage across configurations
+	// that run without it; streams is the engine's key counter storage.
+	soft    *ext.Handlers
+	streams []uint64
 }
 
 // New builds a machine from a configuration.
 func New(cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	m := &Machine{}
+	if err := m.Reset(cfg); err != nil {
 		return nil, err
 	}
-	engine := sim.NewEngine()
-	// Canonical event keys (one counter stream per node) make the order
-	// of same-cycle events independent of how scheduling calls from
-	// different nodes interleave (DESIGN.md §8).
-	engine.SetStreams(make([]uint64, cfg.Nodes))
-	net := mesh.New(engine, mesh.DefaultConfig(cfg.Nodes))
-	memory := mem.New(cfg.Nodes)
+	return m, nil
+}
 
+// Reset returns the machine in place to exactly what New(cfg) builds,
+// for any configuration New accepts, whatever the machine ran before: a
+// run to completion, a run cut by its limit or deadlocked, or none. It
+// keeps the storage of every layer: the engine's queue, the mesh queues,
+// the memory segments, the controllers with their directories and cache
+// lines, the extension software's tables and the processors, each up to
+// the smaller of the two node counts. A Result read from the machine is
+// valid until its next Reset, which reuses the counters and the ledger
+// it points at. On error, which New would return too, the machine is
+// unchanged.
+//
+// A machine whose run panicked may hold a thread suspended mid-body;
+// leave it to the collector instead of resetting it.
+func (m *Machine) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	var soft *ext.Handlers
 	if cfg.Spec.UsesSoftware() && cfg.CustomSoftware == nil {
 		model := ext.FlexibleC()
 		if cfg.Software == TunedASM {
 			model = ext.TunedASM()
 		}
-		var err error
-		soft, err = ext.New(cfg.Nodes, cfg.Spec, model)
-		if err != nil {
-			return nil, err
+		if m.soft == nil {
+			m.soft = &ext.Handlers{}
 		}
+		if err := m.soft.Reset(cfg.Nodes, cfg.Spec, model); err != nil {
+			return err
+		}
+		soft = m.soft
 		soft.SetParallelInv(cfg.ParallelInv)
 	}
+
+	if m.Engine == nil {
+		m.Engine, m.Net, m.Mem, m.Fabric = sim.NewEngine(), &mesh.Network{}, &mem.Memory{}, &proto.Fabric{}
+	}
+	engine := m.Engine
+	m.Net.Reset(engine, mesh.DefaultConfig(cfg.Nodes))
+	m.Mem.Reset(cfg.Nodes)
 
 	ccfg := cache.DefaultConfig()
 	if cfg.CacheLines > 0 {
@@ -144,11 +172,20 @@ func New(cfg Config) (*Machine, error) {
 	if soft != nil {
 		softIface = soft
 	}
-	fabric, err := proto.NewFabric(engine, net, memory, cfg.Spec, proto.DefaultTiming(),
-		softIface, proto.CacheConfig{Cache: ccfg, PerfectIfetch: cfg.PerfectIfetch})
-	if err != nil {
-		return nil, err
+	// The fabric takes back the receivers still pending in the engine,
+	// so it resets first.
+	fabric := m.Fabric
+	if err := fabric.Reset(engine, m.Net, m.Mem, cfg.Spec, proto.DefaultTiming(),
+		softIface, proto.CacheConfig{Cache: ccfg, PerfectIfetch: cfg.PerfectIfetch}); err != nil {
+		return err
 	}
+	engine.Reset()
+	// Canonical event keys (one counter stream per node) make the order
+	// of same-cycle events independent of how scheduling calls from
+	// different nodes interleave (DESIGN.md §8).
+	m.streams = slices.Grow(m.streams[:0], cfg.Nodes)[:cfg.Nodes]
+	clear(m.streams)
+	engine.SetStreams(m.streams)
 	fabric.BatchReads = cfg.BatchReads
 	fabric.MigratoryDetect = cfg.MigratoryDetect
 	// A spoofed acknowledgment lets the home's transaction complete
@@ -156,23 +193,23 @@ func New(cfg Config) (*Machine, error) {
 	fabric.Fault = proto.Fault{Kind: proto.MsgINV, Nth: cfg.LoseInv, SpoofAck: true}
 	if cfg.Trace != nil {
 		fabric.Sink = cfg.Trace
-		net.Obs = fabric
+		m.Net.Obs = fabric
 		engine.Observer = pendingSampler(cfg.Trace)
 	}
 
-	m := &Machine{
-		Cfg:    cfg,
-		Engine: engine,
-		Net:    net,
-		Mem:    memory,
-		Fabric: fabric,
-		Soft:   soft,
-		Nodes:  make([]*proc.Node, cfg.Nodes),
+	m.Cfg, m.Soft = cfg, soft
+	if cap(m.Nodes) < cfg.Nodes {
+		m.Nodes = append(m.Nodes[:cap(m.Nodes)], make([]*proc.Node, cfg.Nodes-cap(m.Nodes))...)
 	}
-	for i := range m.Nodes {
-		m.Nodes[i] = proc.NewNode(fabric, mem.NodeID(i))
+	m.Nodes = m.Nodes[:cfg.Nodes]
+	for i, n := range m.Nodes {
+		if n == nil {
+			n = &proc.Node{}
+			m.Nodes[i] = n
+		}
+		n.Reset(fabric, mem.NodeID(i))
 	}
-	return m, nil
+	return nil
 }
 
 // pendingSamplePeriod spaces the engine's pending-event counter samples:
@@ -239,7 +276,8 @@ type Result struct {
 
 // Run executes program (one thread per node) to completion and returns the
 // run summary. The limit bounds simulated cycles (0 = none); exceeding it
-// or deadlocking returns an error identifying the stuck nodes.
+// or deadlocking returns an error wrapping ErrIncomplete that identifies
+// the stuck nodes.
 func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) {
 	threads := m.Cfg.Threads()
 	for _, n := range m.Nodes {
@@ -256,26 +294,10 @@ func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) 
 			}
 		}
 		m.stopThreads()
-		return Result{}, fmt.Errorf("machine: run did not complete at cycle %d (stuck nodes: %v, pending events: %d)",
-			m.Engine.Now(), stuck, m.Engine.Pending())
+		return Result{}, fmt.Errorf("%w at cycle %d (stuck nodes: %v, pending events: %d)",
+			ErrIncomplete, m.Engine.Now(), stuck, m.Engine.Pending())
 	}
 	return m.result(), nil
-}
-
-// Release returns the machine's storage for reuse by later machines: the
-// fabric's home and cache controllers with their directories and cache
-// lines (proto.Fabric.Release), the extension software's hash tables
-// (ext.Handlers.Release) and the engine's queue (sim.Engine.Release).
-// The machine is dead afterwards: read everything needed from it and its
-// Result first, and do not run, inspect or release it again. Running or
-// releasing it, or any path through its controllers, tables or engine,
-// panics rather than reach the machine that reuses its storage.
-func (m *Machine) Release() {
-	m.Fabric.Release()
-	if m.Soft != nil {
-		m.Soft.Release()
-	}
-	m.Engine.Release()
 }
 
 // stopThreads unwinds every unfinished thread after a run that did not

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"swex/internal/proc"
 	"swex/internal/proto"
 	"swex/internal/sim"
+	"swex/internal/stats"
 )
 
 func TestTrivialProgramCompletes(t *testing.T) {
@@ -336,54 +338,120 @@ func TestConfigureBlockThroughMachine(t *testing.T) {
 	}
 }
 
-// TestReleasedMachine checks both sides of Release: a Result read before
-// it stays intact while a later machine runs on the released storage, and
-// every use of the released machine panics rather than reach that later
-// machine.
-func TestReleasedMachine(t *testing.T) {
-	cfg := DefaultConfig(8, proto.LimitLESS(2))
-	run := func(m *Machine) Result {
-		a := m.Mem.AllocOn(0, 1)
-		res, err := m.Run(func(env *proc.Env) {
-			env.Read(a)
+// resetConfigs move a reset machine between sizes, protocols with and
+// without extension software (built in, hand-tuned or custom), thread
+// counts, cache geometries and the optional enhancements, with a
+// lost-invalidation fixture among them.
+func resetConfigs() []Config {
+	return []Config{
+		DefaultConfig(8, proto.LimitLESS(2)),
+		{Nodes: 4, Spec: proto.FullMap(), ThreadsPerNode: 2},
+		{Nodes: 16, Spec: proto.SoftwareOnly(), CacheLines: 64, CacheWays: 2, VictimLines: 4},
+		{Nodes: 4, Spec: proto.LimitLESS(5), Software: TunedASM, BatchReads: true, ParallelInv: true},
+		{Nodes: 8, Spec: proto.OnePointer(proto.AckSW), MigratoryDetect: true, LoseInv: 3},
+		{Nodes: 2, Spec: proto.Dir1SW(), PerfectIfetch: true, ThreadsPerNode: 4},
+		{Nodes: 8, Spec: proto.LimitLESS(2), CustomSoftware: proto.NewNopSoftware()},
+		{Nodes: 1, Spec: proto.FullMap(), CacheLines: 32},
+	}
+}
+
+// resetProgram allocates a striped array on m and returns a program
+// whose threads read, write, fetch-and-add, check in and compute over
+// it, so every layer holds state when a run ends.
+func resetProgram(m *Machine, iters int) func(*proc.Env) {
+	words := m.Mem.AllocStriped(8)
+	return func(env *proc.Env) {
+		id := int(env.ID())*proc.MaxContexts + env.Thread()
+		for i := 0; i < iters; i++ {
+			a := words[(id+i)%len(words)] + mem.Addr(i%8)
 			env.FetchAdd(a, 1)
-		}, 10_000_000)
-		if err != nil {
+			env.Read(words[(3*id+i)%len(words)])
+			if i%3 == 0 {
+				env.Write(a+1, uint64(1000*id+i+1))
+			}
+			if i%4 == 1 {
+				env.CheckIn(a)
+			}
+			env.Compute(sim.Cycle(1 + (id+i)%7))
+		}
+	}
+}
+
+// renderRun runs resetProgram on m under limit and renders everything a
+// caller can read afterwards: the result, the error, and each layer's
+// statistics.
+func renderRun(m *Machine, limit sim.Cycle) string {
+	res, err := m.Run(resetProgram(m, 12), limit)
+	var b strings.Builder
+	fmt.Fprintf(&b, "err %v\nfired %d now %d pending %d\n", err, m.Engine.Fired(), m.Engine.Now(), m.Engine.Pending())
+	fmt.Fprintf(&b, "net %d msgs %d flits %d hops\n", m.Net.Messages, m.Net.Flits, m.Net.HopTotal)
+	for _, n := range m.Nodes {
+		fmt.Fprintf(&b, "node %d: ops %d mem %d fin %d in use %d\n", n.ID, n.Ops, n.MemOps, n.FinishedAt(), m.Mem.InUse(n.ID))
+	}
+	if err != nil {
+		return b.String()
+	}
+	fmt.Fprintf(&b, "time %d finish %v traps %d handler %d msgs %d retries %d\ncounters %s\nworker sets %s\n",
+		res.Time, res.Finish, res.Traps, res.HandlerCycles, res.Messages, res.BusyRetries, res.Counters, res.WorkerSets)
+	if res.Ledger != nil {
+		read, _ := res.Ledger.Median(stats.ReadRequest, -1)
+		fmt.Fprintf(&b, "ledger %d records, read mean %.3f, median %v\n",
+			res.Ledger.N(), res.Ledger.Mean(stats.ReadRequest, -1), read.Breakdown)
+	}
+	return b.String()
+}
+
+// TestResetMachineIsFresh holds a machine reset between configurations,
+// after runs to completion and runs cut short by their cycle limit, to a
+// machine New builds: every run renders the same on both.
+func TestResetMachineIsFresh(t *testing.T) {
+	cfgs := resetConfigs()
+	rnd := sim.NewRand(11)
+	var m *Machine
+	for step := 0; step < 40; step++ {
+		cfg := cfgs[rnd.Intn(len(cfgs))]
+		limit := sim.Cycle(0)
+		if rnd.Intn(3) == 0 {
+			limit = sim.Cycle(50 + rnd.Intn(400))
+		}
+		if m == nil {
+			m = MustNew(cfg)
+		} else if err := m.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
-		return res
+		got := renderRun(m, limit)
+		if cfg.CustomSoftware != nil {
+			// The custom software keeps sharer lists: give the new
+			// machine its own.
+			cfg.CustomSoftware = proto.NewNopSoftware()
+		}
+		want := renderRun(MustNew(cfg), limit)
+		if got != want {
+			t.Fatalf("step %d (%+v, limit %d): reset machine:\n%s\nnew machine:\n%s", step, cfg, limit, got, want)
+		}
 	}
-	render := func(r Result) string {
-		return fmt.Sprintf("%d %v %d %d %d %s %s %d", r.Time, r.Finish, r.Traps, r.HandlerCycles,
-			r.Messages, r.Counters, r.WorkerSets, r.Ledger.N())
-	}
-	m := MustNew(cfg)
-	res := run(m)
-	want := render(res)
-	m.Release()
-	if got := render(run(MustNew(cfg))); got != want {
-		t.Fatalf("a machine on released storage ran differently:\n%s\nwant:\n%s", got, want)
-	}
-	if got := render(res); got != want {
-		t.Fatalf("a result read before Release changed:\n%s\nwant:\n%s", got, want)
-	}
+}
 
-	uses := map[string]func(m *Machine){
-		"Run":            func(m *Machine) { run(m) },
-		"ConfigureBlock": func(m *Machine) { m.ConfigureBlock(0, proto.FullMap()) },
-		"Release":        func(m *Machine) { m.Release() },
-	}
-	for name, use := range uses {
+// TestResetRejectsWhatNewRejects requires Reset to return New's error for
+// a configuration New refuses and to leave the machine as it was.
+func TestResetRejectsWhatNewRejects(t *testing.T) {
+	cfg := DefaultConfig(4, proto.LimitLESS(2))
+	for _, bad := range []Config{
+		{Nodes: 0, Spec: proto.FullMap()},
+		{Nodes: 4, Spec: proto.LimitLESS(2), ThreadsPerNode: proc.MaxContexts + 1},
+		{Nodes: 4, Spec: proto.LimitLESS(2), Software: TunedASM},
+	} {
 		m := MustNew(cfg)
-		run(m)
-		m.Release()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a released machine did not panic", name)
-				}
-			}()
-			use(m)
-		}()
+		_, newErr := New(bad)
+		err := m.Reset(bad)
+		if err == nil || newErr == nil || err.Error() != newErr.Error() {
+			t.Fatalf("Reset(%+v) = %v, New = %v", bad, err, newErr)
+		}
+		if m.Cfg.Spec.Name != cfg.Spec.Name || m.Cfg.Nodes != cfg.Nodes || len(m.Nodes) != cfg.Nodes {
+			t.Fatalf("a refused Reset changed the machine to %+v", m.Cfg)
+		}
+		if got, want := renderRun(m, 0), renderRun(MustNew(cfg), 0); got != want {
+			t.Fatalf("after a refused Reset the machine ran:\n%s\nwant:\n%s", got, want)
+		}
 	}
 }

@@ -31,6 +31,11 @@ var (
 	// a Sparcle processor has four hardware contexts, and each context
 	// is a coroutine the run starts on every node.
 	ErrThreads = errors.New("machine: ThreadsPerNode must be in 0..proc.MaxContexts")
+	// ErrIncomplete flags a run that stopped before every thread
+	// finished: the cycle limit came first, or the event queue drained
+	// (a deadlock). Run wraps it with the cycle, the stuck nodes and the
+	// pending event count.
+	ErrIncomplete = errors.New("machine: run did not complete")
 )
 
 // Validate reports configuration errors before any machine state is

@@ -70,18 +70,34 @@ type Memory struct {
 
 // New creates the backing store for an n-node machine.
 func New(n int) *Memory {
+	m := &Memory{}
+	m.Reset(n)
+	return m
+}
+
+// Reset returns the store in place to what New(n) builds: every word
+// zero and nothing allocated. It keeps the segment maps, emptied.
+func (m *Memory) Reset(n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: machine with %d nodes", n))
 	}
-	data := make([]map[Block][WordsPerBlock]uint64, n)
-	for i := range data {
-		data[i] = make(map[Block][WordsPerBlock]uint64)
+	if cap(m.data) < n {
+		m.data = append(m.data[:cap(m.data)], make([]map[Block][WordsPerBlock]uint64, n-cap(m.data))...)
 	}
-	return &Memory{
-		nodes: n,
-		data:  data,
-		brk:   make([]Addr, n),
+	m.data = m.data[:n]
+	for i, seg := range m.data {
+		if seg == nil {
+			m.data[i] = make(map[Block][WordsPerBlock]uint64)
+		} else if len(seg) > 0 {
+			clear(seg)
+		}
 	}
+	if cap(m.brk) < n {
+		m.brk = make([]Addr, n)
+	}
+	m.brk = m.brk[:n]
+	clear(m.brk)
+	m.nodes = n
 }
 
 // CloneInto returns an independent copy of the store and its

@@ -108,16 +108,28 @@ type Network struct {
 // configuration is degenerate, since a machine without a network is a
 // construction error rather than a runtime condition.
 func New(engine *sim.Engine, cfg Config) *Network {
+	n := &Network{}
+	n.Reset(engine, cfg)
+	return n
+}
+
+// Reset returns the network in place to what New(engine, cfg) builds:
+// idle queues, zero statistics, no observer. It keeps the queue storage
+// when it holds enough nodes, and panics where New does.
+func (n *Network) Reset(engine *sim.Engine, cfg Config) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic(fmt.Sprintf("mesh: bad dimensions %dx%d", cfg.Width, cfg.Height))
 	}
-	n := cfg.Width * cfg.Height
-	return &Network{
-		cfg:    cfg,
-		engine: engine,
-		tx:     make([]sim.Server, n),
-		rx:     make([]sim.Server, n),
+	nodes := cfg.Width * cfg.Height
+	tx, rx := n.tx, n.rx
+	if cap(tx) < nodes {
+		tx, rx = make([]sim.Server, nodes), make([]sim.Server, nodes)
+	} else {
+		tx, rx = tx[:nodes], rx[:nodes]
+		clear(tx)
+		clear(rx)
 	}
+	*n = Network{cfg: cfg, engine: engine, tx: tx, rx: rx}
 }
 
 // CloneInto returns a network over engine with this one's geometry and

@@ -168,7 +168,6 @@ func runHandoffCase(t *testing.T, c handoffCase) string {
 		fmt.Fprintf(&b, " n%d(ops=%d fin=%d)", n.ID, n.Ops, n.FinishedAt())
 	}
 	fmt.Fprintf(&b, " time=%d fired=%d err=%v\n", res.Time, m.Engine.Fired(), err)
-	m.Release()
 	return b.String()
 }
 
@@ -205,7 +204,6 @@ func TestHandoffGolden(t *testing.T) {
 // its body, running its deferred calls.
 func TestPostedLoopHitsCycleLimit(t *testing.T) {
 	m := machine.MustNew(machine.Config{Nodes: 1, Spec: proto.FullMap(), PerfectIfetch: true})
-	defer m.Release()
 	unwound := false
 	_, err := m.Run(func(env *proc.Env) {
 		defer func() { unwound = true }()

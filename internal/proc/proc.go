@@ -239,20 +239,35 @@ type Node struct {
 // registers it to receive its threads' operation completions: the
 // processors of one fabric share its Completer.
 func NewNode(f *proto.Fabric, id mem.NodeID) *Node {
+	n := &Node{}
+	n.Reset(f, id)
+	return n
+}
+
+// Reset returns the processor in place to what NewNode(f, id) builds: no
+// threads, zero statistics, registered on f. A fabric that Reset has
+// emptied has no Completer; the first node reset on it installs the
+// completion set that node used before, emptied. Threads still
+// unfinished are dropped, not stopped: a run that ends early has stopped
+// them already (Stop).
+func (n *Node) Reset(f *proto.Fabric, id mem.NodeID) {
 	c, ok := f.Completer.(*completions)
 	if !ok {
 		if f.Completer != nil {
 			panic(fmt.Sprintf("proc: fabric already completes to %T", f.Completer))
 		}
-		c = &completions{}
+		c = n.c
+		if c == nil {
+			c = &completions{}
+		}
+		*c = completions{nodes: c.nodes[:0]}
 		f.Completer = c
 	}
 	for len(c.nodes) <= int(id) {
 		c.nodes = append(c.nodes, nil)
 	}
-	n := &Node{ID: id, f: f, c: c}
+	*n = Node{ID: id, f: f, c: c}
 	c.nodes[id] = n
-	return n
 }
 
 // Finished returns the stop condition of a run on fabric f: whether every

@@ -142,18 +142,21 @@ func newCacheCtl(f *Fabric, node mem.NodeID, cfg CacheConfig) *CacheCtl {
 }
 
 // bind attaches an empty controller, new or reset, to fabric f as node's,
-// with a new cache of the configured geometry.
+// with its cache new or reset to the configured geometry.
 func (cc *CacheCtl) bind(f *Fabric, node mem.NodeID, cfg CacheConfig) {
 	cc.f, cc.node, cc.cfg = f, node, cfg
-	cc.c = cache.New(cfg.Cache)
+	if cc.c == nil {
+		cc.c = cache.New(cfg.Cache)
+	} else {
+		cc.c.Reset(cfg.Cache)
+	}
 }
 
 // reset empties the controller and detaches it from its fabric: no miss
 // transactions, parked watchers or statistics. It keeps the storage
 // (maps, the watcher list and free lists: the open transactions' records
 // join txnFree), so bound again it behaves exactly as newCacheCtl's. The
-// cache is not touched: CloneInto overwrites it, and Fabric.Release
-// releases it first.
+// cache is not touched: CloneInto overwrites it, and bind resets it.
 func (cc *CacheCtl) reset() {
 	for _, b := range sortedKeys(cc.f, cc.txns) {
 		cc.freeTxn(cc.txns[b])

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"sync"
 
 	"swex/internal/mem"
 	"swex/internal/mesh"
@@ -232,86 +231,90 @@ func (t *procTag) Fire() {
 func NewFabric(engine *sim.Engine, net *mesh.Network, memory *mem.Memory,
 	spec Spec, timing Timing, soft Software,
 	cacheCfg CacheConfig) (*Fabric, error) {
-	if err := spec.Validate(); err != nil {
+	f := &Fabric{}
+	if err := f.Reset(engine, net, memory, spec, timing, soft, cacheCfg); err != nil {
 		return nil, err
-	}
-	n := net.Nodes()
-	if memory.Nodes() != n {
-		return nil, fmt.Errorf("proto: memory has %d nodes, network %d", memory.Nodes(), n)
-	}
-	if soft == nil && spec.UsesSoftware() {
-		return nil, fmt.Errorf("proto: %s requires protocol extension software", spec.Name)
-	}
-	f := &Fabric{
-		Engine:   engine,
-		Net:      net,
-		Mem:      memory,
-		Timing:   timing,
-		Spec:     spec,
-		Traps:    newTraps(engine, n),
-		Soft:     soft,
-		Counters: stats.NewCounters(),
-	}
-	ctl, reused := controllerPool(n).Get().(*controllers)
-	if !reused {
-		ctl = &controllers{homes: make([]*HomeCtl, n), caches: make([]*CacheCtl, n)}
-	}
-	f.homes, f.caches = ctl.homes, ctl.caches
-	for i := 0; i < n; i++ {
-		id := mem.NodeID(i)
-		if reused {
-			f.homes[i].bind(f, id)
-			f.caches[i].bind(f, id, cacheCfg)
-		} else {
-			f.homes[i] = newHomeCtl(f, id, n)
-			f.caches[i] = newCacheCtl(f, id, cacheCfg)
-		}
 	}
 	return f, nil
 }
 
-// controllers is one fabric's home and cache controllers, by node.
-type controllers struct {
-	homes  []*HomeCtl
-	caches []*CacheCtl
+// Reset returns the fabric in place to what NewFabric builds from the
+// same arguments: every controller empty (HomeCtl.reset, CacheCtl.reset)
+// and bound again, every cache reset to the configured geometry, zero
+// counters, no tracer, sink, fault, checker or Completer. It keeps the
+// storage of the controllers of the first net.Nodes() nodes (maps,
+// directories, cache lines, carrier free lists), the counter slots and
+// the in-flight registry entries. On error, which NewFabric would return
+// too, nothing changes.
+//
+// The receivers still pending in the fabric's engine return to their
+// free lists, so reset the engine after the fabric: an engine reset
+// first leaves nothing to take back, and the receivers go to the
+// collector instead.
+func (f *Fabric) Reset(engine *sim.Engine, net *mesh.Network, memory *mem.Memory,
+	spec Spec, timing Timing, soft Software, cacheCfg CacheConfig) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	n := net.Nodes()
+	if memory.Nodes() != n {
+		return fmt.Errorf("proto: memory has %d nodes, network %d", memory.Nodes(), n)
+	}
+	if soft == nil && spec.UsesSoftware() {
+		return fmt.Errorf("proto: %s requires protocol extension software", spec.Name)
+	}
+	if f.Engine != nil {
+		f.reclaim()
+	}
+	homes, caches := grow(f.homes, n), grow(f.caches, n)
+	counters := f.Counters
+	if counters == nil {
+		counters = stats.NewCounters()
+	} else {
+		counters.Reset()
+	}
+	*f = Fabric{
+		Engine:     engine,
+		Net:        net,
+		Mem:        memory,
+		Timing:     timing,
+		Spec:       spec,
+		Traps:      f.Traps,
+		Soft:       soft,
+		Counters:   counters,
+		homes:      homes,
+		caches:     caches,
+		flightFree: f.flightFree,
+		snapIDs:    f.snapIDs,
+		snapEvents: f.snapEvents,
+		cloneKeys:  f.cloneKeys,
+	}
+	f.Traps.reset(engine, n)
+	for i := range n {
+		id := mem.NodeID(i)
+		if h := homes[i]; h == nil {
+			homes[i] = newHomeCtl(f, id, n)
+		} else {
+			h.reset()
+			h.bind(f, id, n)
+		}
+		if cc := caches[i]; cc == nil {
+			caches[i] = newCacheCtl(f, id, cacheCfg)
+		} else {
+			cc.reset()
+			cc.bind(f, id, cacheCfg)
+		}
+	}
+	return nil
 }
 
-var (
-	controllerPoolsMu sync.Mutex
-	controllerPools   = map[int]*sync.Pool{} // released controllers by node count
-)
-
-func controllerPool(nodes int) *sync.Pool {
-	controllerPoolsMu.Lock()
-	defer controllerPoolsMu.Unlock()
-	p := controllerPools[nodes]
-	if p == nil {
-		p = new(sync.Pool)
-		controllerPools[nodes] = p
+// grow returns s resized to n, keeping the elements it held up to its
+// capacity, including those an earlier shrink cut off.
+func grow[T any](s []T, n int) []T {
+	if c := cap(s); c < n {
+		s = append(s[:c], make([]T, n-c)...)
 	}
-	return p
-}
-
-// Release returns the fabric's controllers, emptied (HomeCtl.reset,
-// CacheCtl.reset), and their caches' line storage (cache.Cache.Release)
-// for reuse by later fabrics of the same node count. Pending work is
-// dropped: release the engine too (sim.Engine.Release). The fabric is
-// dead afterwards: Home, Cache and every path through them panic rather
-// than reach the fabric that reuses the controllers, as does a second
-// Release, so do not keep a controller across it. Counters and the other
-// fields it does not pool stay readable.
-func (f *Fabric) Release() {
-	if f.homes == nil {
-		panic("proto: release of a released fabric")
-	}
-	for i, cc := range f.caches {
-		cc.c.Release()
-		cc.c = nil
-		cc.reset()
-		f.homes[i].reset()
-	}
-	controllerPool(len(f.homes)).Put(&controllers{homes: f.homes, caches: f.caches})
-	f.homes, f.caches = nil, nil
+	return s[:n]
 }
 
 // Nodes reports the machine size.

@@ -105,17 +105,21 @@ func newHomeCtl(f *Fabric, node mem.NodeID, nodes int) *HomeCtl {
 		pendingWrite: make(map[mem.Block]mem.NodeID),
 		overrides:    make(map[mem.Block]Spec),
 		mig:          make(map[mem.Block]*migState),
-		invSeen:      make([]uint32, nodes),
 	}
 	h.invAddFn = h.invAdd
-	h.bind(f, node)
+	h.bind(f, node, nodes)
 	return h
 }
 
-// bind attaches an empty controller, new or reset, to fabric f as node's.
-func (h *HomeCtl) bind(f *Fabric, node mem.NodeID) {
+// bind attaches an empty controller, new or reset, to fabric f, an
+// n-node machine, as node's.
+func (h *HomeCtl) bind(f *Fabric, node mem.NodeID, nodes int) {
 	h.f, h.node = f, node
-	h.dir.Reset(f.Spec.PointerCapacity(len(h.invSeen)))
+	if len(h.invSeen) != nodes {
+		h.invSeen = grow(h.invSeen, nodes)
+		clear(h.invSeen)
+	}
+	h.dir.Reset(f.Spec.PointerCapacity(nodes))
 }
 
 // reset empties the controller and detaches it from its fabric: no
@@ -123,8 +127,8 @@ func (h *HomeCtl) bind(f *Fabric, node mem.NodeID) {
 // block overrides, detector state, union stamps or statistics. It keeps
 // only storage (maps, directory, carrier free lists and scratch slices),
 // so bound again it behaves exactly as newHomeCtl's. CloneInto resets
-// the controller it overwrites, and Fabric.Release the controllers it
-// pools.
+// the controller it overwrites, and Fabric.Reset every controller it
+// keeps.
 func (h *HomeCtl) reset() {
 	h.f = nil
 	h.dir.Reset(0)

@@ -49,7 +49,7 @@ func TestPropertyInFlightSendOrderAndClone(t *testing.T) {
 	specs := []Spec{FullMap(), LimitLESS(2), OnePointer(AckLACK), OnePointer(AckSW), SoftwareOnly()}
 	for seed := uint64(1); seed <= 30; seed++ {
 		rnd := sim.NewRand(seed)
-		r := newRig(t, releaseNodes, specs[rnd.Intn(len(specs))])
+		r := newRig(t, 4, specs[rnd.Intn(len(specs))])
 		var sent eventLog
 		r.f.Trace = &sent
 		addrs := r.mem.AllocStriped(2 * mem.WordsPerBlock)
@@ -60,7 +60,7 @@ func TestPropertyInFlightSendOrderAndClone(t *testing.T) {
 			if rnd.Intn(2) == 0 {
 				op.Write, op.Value = true, uint64(step)
 			}
-			r.f.Cache(mem.NodeID(rnd.Intn(releaseNodes))).Access(a, op)
+			r.f.Cache(mem.NodeID(rnd.Intn(r.f.Nodes()))).Access(a, op)
 			events, k := rnd.Intn(12), 0
 			r.engine.RunUntil(func() bool { k++; return k > events }, 0)
 

@@ -28,9 +28,15 @@ type procState struct {
 	handlerBusy sim.Cycle
 }
 
-// newTraps builds the scheduler for n nodes.
-func newTraps(engine *sim.Engine, n int) Traps {
-	return Traps{engine: engine, nodes: make([]procState, n)}
+// reset readies the scheduler for n idle nodes on engine, keeping each
+// node's interval storage.
+func (t *Traps) reset(engine *sim.Engine, n int) {
+	t.engine = engine
+	t.nodes = grow(t.nodes, n)
+	for i := range t.nodes {
+		p := &t.nodes[i]
+		*p = procState{intervals: p.intervals[:0]}
+	}
 }
 
 // Schedule books node's processor for a handler costing cost cycles,

@@ -11,7 +11,8 @@ import (
 // handler starts when the handler chain is free and never waits for user
 // computation.
 func TestTrapsReservePreemptedByHandlers(t *testing.T) {
-	tr := newTraps(sim.NewEngine(), 1)
+	var tr Traps
+	tr.reset(sim.NewEngine(), 1)
 	if done := tr.Schedule(0, 40); done != 40 {
 		t.Fatalf("idle handler completes at %d, want 40", done)
 	}
@@ -30,7 +31,8 @@ func TestTrapsReservePreemptedByHandlers(t *testing.T) {
 // TestTrapsHandlerBusy: HandlerBusy counts handler cycles only, per node,
 // and a copied schedule keeps the chain with fresh statistics.
 func TestTrapsHandlerBusy(t *testing.T) {
-	tr := newTraps(sim.NewEngine(), 2)
+	var tr Traps
+	tr.reset(sim.NewEngine(), 2)
 	tr.Schedule(0, 100)
 	tr.Reserve(0, 50)
 	if got := tr.HandlerBusy(0); got != 100 {

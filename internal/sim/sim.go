@@ -94,21 +94,20 @@ type Engine struct {
 	Observer func(now Cycle, pending int)
 }
 
-// NewEngine returns an empty engine positioned at cycle zero. Its queue
-// storage may be one an earlier engine released (see Release).
+// NewEngine returns an empty engine positioned at cycle zero.
 func NewEngine() *Engine {
 	return &Engine{q: newQueue()}
 }
 
-// Release returns the engine's queue storage for reuse by later engines
-// and leaves the engine unusable: scheduling, stepping, inspecting or
-// copying it, or releasing it again, panics rather than share storage
-// with another engine. Pending events are dropped without firing. Only
-// the occupied buckets and the far heap are cleared, so releasing costs
-// in proportion to what was pending.
-func (e *Engine) Release() {
-	e.q.release()
-	e.n = 0
+// Reset returns the engine in place to what NewEngine builds: cycle zero,
+// no pending events, no key streams, no Observer, a zero Fired count. It
+// keeps the queue's storage. Pending events are dropped without firing,
+// and only the occupied buckets and the far heap are visited, so a reset
+// costs in proportion to what was pending.
+func (e *Engine) Reset() {
+	e.q.reset()
+	e.now, e.seq, e.fired, e.n = 0, 0, 0, 0
+	e.streams, e.Observer = nil, nil
 }
 
 // Now returns the current simulated cycle.
@@ -144,7 +143,6 @@ func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any, c Caller) 
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d, now %d", at, e.now))
 	}
 	q := &e.q
-	q.live()
 	i := q.alloc(at, owner, cnt, tag, c)
 	if at-e.now < wheelSpan {
 		q.insert(int(at)&wheelMask, i)
@@ -201,7 +199,6 @@ type TaggedEvent struct {
 // when the queue is empty.
 func (e *Engine) peek() (slot int32, bucket int) {
 	q := &e.q
-	q.live()
 	far := q.far
 	if e.n == len(far) {
 		if len(far) == 0 {
@@ -262,7 +259,6 @@ func (e *Engine) Next() (ev TaggedEvent, ok bool) {
 // array is still a valid heap).
 func (e *Engine) PendingTagged(dst []TaggedEvent) []TaggedEvent {
 	q := &e.q
-	q.live()
 	q.sortFar()
 	far := q.far
 	f := 0
@@ -300,8 +296,6 @@ func (e *Engine) CloneInto(dst *Engine, remap func(c Caller, tag any) (Caller, a
 		c = &Engine{q: newQueue()}
 	}
 	src, q := &e.q, &c.q
-	src.live()
-	q.live()
 	c.now, c.seq, c.fired, c.n, c.Observer = e.now, e.seq, 0, e.n, nil
 	if e.streams == nil {
 		c.streams = nil

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // wheelSpan is the number of one-cycle buckets in the timing wheel: the
 // wheel holds the events due in [now, now+wheelSpan). It covers the
@@ -50,38 +47,21 @@ type queue struct {
 	lists *buckets
 }
 
-// buckets holds the wheel's list ends. While pooled it also keeps the
-// released engine's slab and far heap for the next engine to reuse.
+// buckets holds the wheel's list ends.
 type buckets struct {
 	head, tail [wheelSpan]int32
-	slots      []event
-	far        []int32
 }
 
-var bucketPool = sync.Pool{New: func() any { return &buckets{slots: make([]event, 1, 64)} }}
-
-// newQueue returns an empty queue, on released storage when the pool
-// holds some.
+// newQueue returns an empty queue.
 func newQueue() queue {
-	b := bucketPool.Get().(*buckets)
-	q := queue{slots: b.slots, far: b.far, lists: b}
-	b.slots, b.far = nil, nil
-	return q
+	return queue{slots: make([]event, 1, 64), lists: new(buckets)}
 }
 
-// live panics if the queue's storage has been released.
-func (q *queue) live() {
-	if q.lists == nil {
-		panic("sim: use of a released engine")
-	}
-}
-
-// release drops every pending event and returns the storage to the
-// pool, leaving q released. Only the occupied buckets' slots and the far
-// heap are cleared: every other slot is free and already holds no
-// receiver.
-func (q *queue) release() {
-	q.live()
+// reset drops every pending event without firing it and empties the
+// queue, keeping its storage. Only the occupied buckets' slots and the
+// far heap are cleared: every other slot is free and already holds no
+// receiver, so resetting costs in proportion to what was pending.
+func (q *queue) reset() {
 	for w, word := range q.occ {
 		for ; word != 0; word &= word - 1 {
 			for i := q.lists.head[w<<6+bits.TrailingZeros64(word)]; i != 0; i = q.slots[i].next {
@@ -92,10 +72,8 @@ func (q *queue) release() {
 	for _, i := range q.far {
 		q.slots[i].call, q.slots[i].tag = nil, nil
 	}
-	b := q.lists
-	b.slots, b.far = q.slots[:1], q.far[:0]
-	*q = queue{}
-	bucketPool.Put(b)
+	q.occ = [wheelWords]uint64{}
+	q.slots, q.far, q.free = q.slots[:1], q.far[:0], 0
 }
 
 // before orders two pending slots by the engine's total event order:

@@ -266,77 +266,39 @@ func runQueue(e *Engine, r *Rand, n int) []string {
 	return append(log, fmt.Sprintf("stopped at %d drained %v pending %d", now, drained, e.Pending()))
 }
 
-// Property: an engine made after Release, possibly on the released
-// storage, is indistinguishable from one on fresh storage, however many
-// events the released engine left pending in the wheel and far heap.
-func TestReleasedEngineIsFresh(t *testing.T) {
-	reused := 0
+// Property: an engine after Reset is indistinguishable from a new one,
+// however many events it left pending in the wheel and far heap, and it
+// keeps its storage.
+func TestResetEngineIsFresh(t *testing.T) {
 	for seed := uint64(1); seed <= 100; seed++ {
 		r := NewRand(seed)
-		e := NewEngine()
-		lists := e.q.lists
-		runQueue(e, r, 1+r.Intn(600))
-		e.Release()
-
 		got := NewEngine()
-		if got.q.lists == lists {
-			reused++
+		lists := got.q.lists
+		runQueue(got, r, 1+r.Intn(600))
+		got.Observer = func(Cycle, int) {}
+		got.Reset()
+
+		if got.q.lists != lists {
+			t.Fatalf("seed %d: Reset replaced the bucket arrays", seed)
 		}
-		if got.Now() != 0 || got.Pending() != 0 || got.Fired() != 0 || len(got.q.slots) != 1 ||
-			len(got.q.far) != 0 || got.q.free != 0 || got.q.occ != [wheelWords]uint64{} {
-			t.Fatalf("seed %d: new engine starts at %d with %d pending, %d slots, %d far, occupancy %x",
+		if got.Now() != 0 || got.Pending() != 0 || got.Fired() != 0 || got.seq != 0 || len(got.q.slots) != 1 ||
+			len(got.q.far) != 0 || got.q.free != 0 || got.q.occ != [wheelWords]uint64{} ||
+			got.streams != nil || got.Observer != nil {
+			t.Fatalf("seed %d: reset engine starts at %d with %d pending, %d slots, %d far, occupancy %x",
 				seed, got.Now(), got.Pending(), len(got.q.slots), len(got.q.far), got.q.occ)
 		}
 		for i, s := range got.q.slots[:cap(got.q.slots)] {
 			if s.call != nil || s.tag != nil {
-				t.Fatalf("seed %d: slot %d of a reused slab still holds a receiver", seed, i)
+				t.Fatalf("seed %d: slot %d of a reset slab still holds a receiver", seed, i)
 			}
 		}
 
-		want := &Engine{q: queue{slots: make([]event, 1), lists: new(buckets)}}
+		want := NewEngine()
 		replay := r.Uint64()
 		gotLog := runQueue(got, NewRand(replay), 600)
 		wantLog := runQueue(want, NewRand(replay), 600)
 		if !slices.Equal(gotLog, wantLog) {
-			t.Fatalf("seed %d: reused storage fired %v, fresh storage %v", seed, gotLog, wantLog)
+			t.Fatalf("seed %d: reset engine fired %v, new engine %v", seed, gotLog, wantLog)
 		}
-		got.Release()
-	}
-	// The pool may drop storage (a GC cycle, or the race detector's
-	// deliberate drops); the property is only tested when it does not.
-	if reused == 0 {
-		t.Fatal("no NewEngine reused released storage")
-	}
-}
-
-// TestReleasedEnginePanics requires every use of a released engine that
-// could touch its storage to panic.
-func TestReleasedEnginePanics(t *testing.T) {
-	c := funcCaller(func() {})
-	for name, use := range map[string]func(e *Engine){
-		"Step":           func(e *Engine) { e.Step() },
-		"Run":            func(e *Engine) { e.Run(0) },
-		"RunUntil":       func(e *Engine) { e.RunUntil(func() bool { return false }, 0) },
-		"AtCall":         func(e *Engine) { e.AtCall(1, nil, c) },
-		"OwnedAfterCall": func(e *Engine) { e.OwnedAfterCall(0, 1, nil, c) },
-		"Next":           func(e *Engine) { e.Next() },
-		"PendingTagged":  func(e *Engine) { e.PendingTagged(nil) },
-		"CloneInto": func(e *Engine) {
-			e.CloneInto(nil, func(c Caller, tag any) (Caller, any, error) { return c, tag, nil })
-		},
-		"Release": func(e *Engine) { e.Release() },
-	} {
-		e := NewEngine()
-		e.AfterCall(3, nil, c)
-		e.AfterCall(5*wheelSpan, nil, c)
-		e.Release()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a released engine did not panic", name)
-				}
-			}()
-			use(e)
-		}()
 	}
 }

@@ -206,8 +206,14 @@ func (l *Ledger) Count(kind RequestKind) int {
 	return n
 }
 
-// Reset discards all records.
-func (l *Ledger) Reset() { l.ids = l.ids[:0] }
+// Reset discards all records, returning the ledger to its zero value
+// while keeping its storage.
+func (l *Ledger) Reset() {
+	l.ids, l.distinct, l.last = l.ids[:0], l.distinct[:0], [NumRequestKinds]uint32{}
+	if len(l.intern) > 0 {
+		clear(l.intern)
+	}
+}
 
 // FormatBreakdown renders read and write breakdowns side by side in the
 // layout of Table 2.

@@ -19,7 +19,7 @@ func benchmarkPool(b *testing.B, workers int) {
 	const dwell = 25 * time.Millisecond
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runPool(workers, tasks, func(int) { time.Sleep(dwell) })
+		runPool(workers, tasks, func(int, int) { time.Sleep(dwell) })
 	}
 }
 

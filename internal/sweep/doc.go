@@ -15,7 +15,10 @@
 //     recovery, a cycle budget, and context cancellation, running each
 //     distinct job of a submission once and merging results back in
 //     submission (matrix) order so sweep output is byte-identical to a
-//     serial run at any worker count;
+//     serial run at any worker count. Each worker keeps the machine of
+//     its last job and resets it for the next (machine.Machine.Reset)
+//     instead of building one per job; Execute builds a new one, and a
+//     reset machine's results equal its;
 //   - a Cache, the only result store, persists each finished result as a
 //     file named by the SHA-256 of its job key and carrying a digest of
 //     its own payload, so a killed sweep resumes by skipping finished jobs

@@ -52,9 +52,8 @@ func TestLitmusJobCapturesObservations(t *testing.T) {
 
 // TestReusedCacheStorageIsInvisible sweeps the litmus corpus on three
 // protocols twice with two workers, each pass on a fresh runner so every
-// job executes, on cache and engine queue storage released by earlier
-// jobs and handed between workers by the pools. Both passes must equal a
-// one-worker sweep.
+// job executes, on machines each worker resets from its previous job.
+// Both passes must equal a one-worker sweep.
 func TestReusedCacheStorageIsInvisible(t *testing.T) {
 	var jobs []Job
 	for _, alias := range []string{"full", "h1ack", "dir1sw"} {
@@ -91,8 +90,8 @@ func TestReusedCacheStorageIsInvisible(t *testing.T) {
 // TestReusedEngineStorageIsInvisible sweeps the litmus corpus twice with
 // two workers, each pass on a fresh runner, with every job also run
 // under cycle limits that stop it part way. Those runs fail with events
-// still pending, so later jobs start on engine queue storage that was
-// released full (sim.Engine.Release). Both passes, failures and their
+// still pending, so later jobs start on a machine reset with its engine
+// queue full (sim.Engine.Reset). Both passes, failures and their
 // messages included, must equal a one-worker sweep.
 func TestReusedEngineStorageIsInvisible(t *testing.T) {
 	var jobs []Job
@@ -198,15 +197,19 @@ func TestLitmusJobKeyDistinguishesFaultInjection(t *testing.T) {
 	}
 }
 
-// TestReusedMachineStorageIsInvisible runs one two-worker Runner over
-// litmus jobs that alternate protocol (full map, LimitLESS with software
-// acknowledgments, Dir1SW, software-only), machine size,
-// threads per node, and cycle limits that stop some runs with work
-// pending, so nearly every job runs on controllers, directories, hash
-// tables, cache lines and engine queues some earlier job released, often
-// one of another size or protocol, on the other worker. Every outcome
-// must equal Execute on storage made fresh: two collections empty every
-// sync.Pool, which is the state a new process starts in.
+// TestReusedMachineStorageIsInvisible runs litmus jobs that alternate
+// protocol (full map, LimitLESS with software acknowledgments, Dir1SW,
+// software-only, so a machine moves between configurations with and
+// without extension software), machine size (4 and 8 nodes), threads per
+// node, cache size, and cycle limits that stop some runs with work
+// pending; every
+// seventh job also names a full-map region its program lacks, so it
+// fails after its machine is built and the next job resets that machine.
+// At one worker every job after the first runs on the machine the job
+// before it left; at two, on whichever machine its worker last used.
+// Every outcome must equal Execute on a new machine, after two
+// collections have emptied the processor thread pool, the state a new
+// process starts in.
 func TestReusedMachineStorageIsInvisible(t *testing.T) {
 	progs := make([]litmus.Program, 0, 24)
 	for _, tc := range litmus.Corpus() {
@@ -228,12 +231,20 @@ func TestReusedMachineStorageIsInvisible(t *testing.T) {
 			k := i + s
 			cfg := machine.DefaultConfig(4+4*(k%2), spec)
 			cfg.ThreadsPerNode = 1 + k/2%2
+			if i%5 == 1 {
+				// A four-line cache makes the run depend on where
+				// the variables lie, so stale allocation cursors show.
+				cfg.CacheLines = 4
+			}
 			if len(p.Threads) > cfg.Nodes || !litmus.CompatibleBase(p, spec) {
 				continue
 			}
 			j := LitmusJob(p, cfg)
 			if k%3 == 0 {
 				j.Limit = sim.Cycle(20 + 15*(k%4))
+			}
+			if len(jobs)%7 == 3 {
+				j.Program.FullMapRegion = "nowhere"
 			}
 			jobs = append(jobs, j)
 		}
@@ -251,27 +262,36 @@ func TestReusedMachineStorageIsInvisible(t *testing.T) {
 	// The budget turns a run that storage reuse sends astray into a
 	// failed outcome instead of a hang.
 	const budget = 1_000_000
-	r := MustNewRunner(Config{Workers: 2, CycleBudget: budget})
-	defer r.Close()
-	got := r.Sweep(context.Background(), jobs)
-	if r.TotalExecs() != len(jobs) {
-		t.Fatalf("runner executed %d of %d jobs", r.TotalExecs(), len(jobs))
-	}
-	failed := 0
+	want := make([]outcome, len(jobs))
+	limited, unplaced := 0, 0
 	for i, j := range jobs {
 		runtime.GC()
 		runtime.GC()
 		res, err := Execute(j, budget)
-		want := outcome{res, errText(err)}
-		if err != nil {
-			failed++
-		}
-		if o := (outcome{got[i].Result, errText(got[i].Err)}); !reflect.DeepEqual(o, want) {
-			t.Fatalf("job %d (%s, %d threads per node): on released storage %+v, on fresh storage %+v",
-				i, j, j.Config.ThreadsPerNode, o, want)
+		want[i] = outcome{res, errText(err)}
+		switch {
+		case err == nil:
+		case j.Program.FullMapRegion != "":
+			unplaced++
+		default:
+			limited++
 		}
 	}
-	if failed == 0 || failed == len(jobs) {
-		t.Fatalf("%d of %d jobs hit their limit; the test needs both kinds", failed, len(jobs))
+	if limited == 0 || limited+unplaced == len(jobs) || unplaced == 0 {
+		t.Fatalf("%d of %d jobs hit their limit and %d named no region; the test needs every kind",
+			limited, len(jobs), unplaced)
+	}
+	for _, workers := range []int{1, 2} {
+		r := MustNewRunner(Config{Workers: workers, CycleBudget: budget})
+		got := r.Sweep(context.Background(), jobs)
+		if r.TotalExecs() != len(jobs) {
+			t.Fatalf("%d workers: runner executed %d of %d jobs", workers, r.TotalExecs(), len(jobs))
+		}
+		for i, j := range jobs {
+			if o := (outcome{got[i].Result, errText(got[i].Err)}); !reflect.DeepEqual(o, want[i]) {
+				t.Fatalf("%d workers, job %d (%s, %d threads per node, limit %d, region %q): on a reset machine %+v, on a new machine %+v",
+					workers, i, j, j.Config.ThreadsPerNode, j.Limit, j.Program.FullMapRegion, o, want[i])
+			}
+		}
 	}
 }

@@ -38,7 +38,9 @@ type Config struct {
 // Runner executes job matrices. It deduplicates identical jobs within one
 // submission, optionally persists results through a Cache (its only
 // result store), and is safe for use from one goroutine at a time (the
-// worker pool is internal).
+// worker pool is internal). Within one Sweep each worker runs its jobs
+// on one machine, reset for every job after its first; the runner keeps
+// no machine between calls.
 type Runner struct {
 	cfg   Config
 	cache *Cache
@@ -166,8 +168,12 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 	}
 
 	// Execute the remainder on the pool, each task into the outcome of
-	// its first index, and fan each verdict out to the others.
-	runPool(r.Workers(), len(pending), func(ti int) {
+	// its first index, and fan each verdict out to the others. Each
+	// worker keeps the machine of its last job and resets it for the
+	// next.
+	workers := min(r.Workers(), len(pending))
+	held := make([]*machine.Machine, workers)
+	runPool(workers, len(pending), func(w, ti int) {
 		t := pending[ti]
 		o := &outcomes[t.indices[0]]
 		if err := ctx.Err(); err != nil {
@@ -175,7 +181,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 			return
 		}
 		r.total.Add(1)
-		res, err := execute(t.job, r.cfg.CycleBudget, r.cfg.OnExecute)
+		res, err := execute(t.job, r.cfg.CycleBudget, r.cfg.OnExecute, &held[w])
 		if err != nil {
 			o.Err = err
 			if r.cache != nil {
@@ -230,22 +236,30 @@ func (r *Runner) lookup(key string) (Result, bool) {
 // results, which is what lets processes share one cache directory. A
 // panicking simulation becomes an error carrying the stack (a failure
 // record, never a crashed worker). defaultLimit bounds the run in simulated cycles when
-// Job.Limit is zero (0 = unbounded). On return the job's machine is
-// released (machine.Machine.Release), so its cache storage serves later
-// jobs.
+// Job.Limit is zero (0 = unbounded). Execute builds a new machine for
+// the job; a Runner's workers reset theirs instead (machine.Machine.Reset),
+// and Execute is the reference their results must equal.
 func Execute(job Job, defaultLimit sim.Cycle) (Result, error) {
-	return execute(job, defaultLimit, nil)
+	var m *machine.Machine
+	return execute(job, defaultLimit, nil, &m)
 }
 
-// execute is Execute with a hook called first, inside the recovered
-// region, so a panicking hook (the runner's OnExecute) becomes a failure
-// record too.
-func execute(job Job, defaultLimit sim.Cycle, hook func(Job)) (res Result, err error) {
+// execute is Execute on the machine *held: it resets the machine held
+// there for the job, or builds one when there is none, and leaves it
+// there for the next job. A job that panics leaves nil instead, because
+// its machine may hold a thread suspended mid-body. The hook is called
+// first, inside the recovered region, so a panicking hook (the runner's
+// OnExecute) becomes a failure record too.
+func execute(job Job, defaultLimit sim.Cycle, hook func(Job), held **machine.Machine) (res Result, err error) {
+	m := *held
+	*held = nil
 	defer func() {
 		//lint:allow panic-hygiene(a panicking simulation or OnExecute hook must become a failure record, not a crashed worker; the stack is preserved in the error)
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("sweep: job panicked: %v\n%s", rec, debug.Stack())
+			return
 		}
+		*held = m
 	}()
 	if hook != nil {
 		hook(job)
@@ -254,16 +268,14 @@ func execute(job Job, defaultLimit sim.Cycle, hook func(Job)) (res Result, err e
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := machine.New(job.Config)
+	if m == nil {
+		m, err = machine.New(job.Config)
+	} else {
+		err = m.Reset(job.Config)
+	}
 	if err != nil {
 		return Result{}, err
 	}
-	// Execute owns the machine from New to its last read, so it is the
-	// one place that releases a machine. The deferred call runs after the
-	// result and observations are captured, and on a panic too: Insert
-	// marks a set before it writes one, so the storage is releasable at
-	// any instant.
-	defer m.Release()
 	limit := job.Limit
 	if limit == 0 {
 		limit = defaultLimit
@@ -294,11 +306,12 @@ func execute(job Job, defaultLimit sim.Cycle, hook func(Job)) (res Result, err e
 // TotalExecs reports the runner-wide simulation execution count.
 func (r *Runner) TotalExecs() int { return int(r.total.Load()) }
 
-// runPool distributes task indices 0..n-1 over a fixed worker pool. Work
+// runPool distributes task indices 0..n-1 over a fixed worker pool,
+// calling run with the worker's index, 0..workers-1, and the task's. Work
 // is handed out through an atomic counter, so no channels are involved and
 // the only scheduler freedom is which worker runs which task — invisible
 // in the output, which is merged by task index.
-func runPool(workers, n int, run func(int)) {
+func runPool(workers, n int, run func(worker, task int)) {
 	if workers > n {
 		workers = n
 	}
@@ -307,7 +320,7 @@ func runPool(workers, n int, run func(int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			run(i)
+			run(0, i)
 		}
 		return
 	}
@@ -323,7 +336,7 @@ func runPool(workers, n int, run func(int)) {
 				if i >= n {
 					return
 				}
-				run(i)
+				run(w, i)
 			}
 		}()
 	}

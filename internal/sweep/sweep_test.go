@@ -669,7 +669,17 @@ func TestRunPoolCoversAllIndices(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 97} {
 			var hits atomic.Int64
 			seen := make([]atomic.Bool, max(n, 1))
-			runPool(workers, n, func(i int) {
+			busy := make([]atomic.Bool, max(workers, 1))
+			runPool(workers, n, func(w, i int) {
+				if w < 0 || w >= min(max(workers, 1), n) {
+					panic("sweep_test: worker index out of range")
+				}
+				// A worker's machine is reused only if no two calls
+				// run on one worker index at once.
+				if busy[w].Swap(true) {
+					panic("sweep_test: worker index in use twice at once")
+				}
+				defer busy[w].Store(false)
 				hits.Add(1)
 				if seen[i].Swap(true) {
 					panic("sweep_test: index visited twice")
